@@ -15,8 +15,9 @@ intended style.  Submodules group the machinery:
     first Bianchi identity, operators against g / h / the Lorentz companion,
     sectional quadratic forms, space forms.
 ``normal_forms``
-    the star-commuting (Einstein) test, curvature normal forms in dimensions
-    4, 3 and n, scaled normal forms, critical-plane diagnostics.
+    the batched Lambda^2 kernel, the star-commuting (Einstein) test,
+    curvature normal forms in dimensions 4, 3 and n, scaled normal forms,
+    critical-plane diagnostics.
 ``complex_forms``
     the complex 3x3 normal-form classification of Lorentz-commuting tensors
     and the spacelike critical-plane counter.
@@ -76,6 +77,7 @@ from .curvature import (
 )
 from .normal_forms import (
     CriticalFit,
+    Lambda2Blocks,
     NormalForm3,
     NormalForm4,
     RicciReport,
@@ -86,6 +88,7 @@ from .normal_forms import (
     critical_point_residual,
     h_orthonormal_frame,
     is_star_h_einstein,
+    lambda2_blocks,
     normal_form_3,
     normal_form_4,
     orthogonal_normal_form_4,
@@ -179,11 +182,13 @@ __all__ = [
     "curvature_from_frame_components",
     # normal_forms
     "StarEinsteinReport",
+    "Lambda2Blocks",
     "NormalForm4",
     "ScaledNormalForm",
     "NormalForm3",
     "CriticalFit",
     "RicciReport",
+    "lambda2_blocks",
     "is_star_h_einstein",
     "normal_form_4",
     "orthogonal_normal_form_4",

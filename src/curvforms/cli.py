@@ -10,8 +10,8 @@ integrate        weighted Euler/signature totals and the identity residual
 sums             connected-sum bookkeeping and the obstruction verdict
 
 Reports are deterministic: the same input file and flags produce
-byte-identical output, whatever ``--threads`` is (point analyses run
-concurrently, the reduction is a single pass in index order).  Exit codes:
+byte-identical output.  Point analyses run on one thread in index order;
+``--threads`` is still accepted and validated but changes nothing.  Exit codes:
 0 analysis complete, 1 analysis-level failure, 2 usage or format error.
 Non-finite report values serialize as ``null`` in JSON and ``-`` in text.
 """
@@ -19,9 +19,7 @@ Non-finite report values serialize as ``null`` in JSON and ``-`` in text.
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,14 +47,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
-
-
-def _map_indexed(fn, samples, threads):
-    # index order in, index order out: reports never depend on thread count
-    if threads <= 1:
-        return [fn(i, s) for i, s in enumerate(samples)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(len(samples)), samples))
 
 
 def _base_report(args, **extra) -> dict:
@@ -95,7 +85,7 @@ def _cmd_validate(args):
             return {"index": index, "ok": False, "error": str(err)}
         return {"index": index, "ok": True}
 
-    points = _map_indexed(check, samples, args.resolved_threads)
+    points = [check(i, s) for i, s in enumerate(samples)]
     failures = sum(1 for p in points if not p["ok"])
     report = _base_report(
         args,
@@ -144,7 +134,7 @@ def _cmd_einstein_check(args):
         except (GeometryError, ValueError) as err:
             return {"index": index, "error": str(err)}
 
-    points = _map_indexed(check, samples, args.resolved_threads)
+    points = [check(i, s) for i, s in enumerate(samples)]
     histogram = {"true": 0, "false": 0, "error": 0}
     for p in points:
         histogram["error" if "error" in p else str(p["einstein"]).lower()] += 1
@@ -187,7 +177,7 @@ def _cmd_normal_form(args):
             entry["mus_scaled"] = _floats(nf.scaled.mus_scaled)
         return entry
 
-    points = _map_indexed(run, samples, args.resolved_threads)
+    points = [run(i, s) for i, s in enumerate(samples)]
     available = sum(1 for p in points if p["available"])
     report = _base_report(
         args,
@@ -219,7 +209,7 @@ def _cmd_petrov(args):
         except (GeometryError, ValueError) as err:
             return {"index": index, "error": str(err)}
 
-    points = _map_indexed(run, samples, args.resolved_threads)
+    points = [run(i, s) for i, s in enumerate(samples)]
     histogram = {}
     for p in points:
         key = "error" if "error" in p else f"case {p['case']}"
@@ -368,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=None,
-        help="worker threads (default: logical cores)",
+        help="accepted for compatibility; has no effect (analyses run on one thread)",
     )
     common.add_argument(
         "-o", "--output", metavar="FILE", default=None, help="write the report to FILE"
@@ -421,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.resolved_threads = args.threads or os.cpu_count() or 1
     try:
         code, report, columns = args.func(args)
     except SampleFormatError as err:

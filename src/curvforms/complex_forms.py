@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import qmc
 
 from .bivectors import bivector_basis, induced_gram, wedge_vectors
 from .curvature import (
@@ -293,6 +292,9 @@ def tensor_from_complex_form(c: np.ndarray, frame: np.ndarray | None = None) -> 
 
 def _spacelike_starts(n_starts: int):
     """Deterministic well-spread spacelike orthonormal start pairs (u0, w0)."""
+    # scipy.stats takes most of the package's import time; only the counter needs it
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d=4, scramble=False)
     m = max(1, int(np.ceil(np.log2(max(2, n_starts)))))
     s = sob.random_base2(m)[:n_starts]
@@ -363,7 +365,7 @@ def count_spacelike_critical(
     def spacelike_norms(x, uu, ww, m1, m2):
         u, w = planes_at(x, uu, ww, m1, m2)
         p_raw = wedge_vectors(u, w, basis)
-        return np.einsum("si,ij,sj->s", p_raw, gram, p_raw, optimize=True)
+        return ((p_raw @ gram) * p_raw).sum(axis=1)
 
     norm_scale = max(1.0, float(np.linalg.norm(mmat)))
     x = np.zeros((n_starts, 4))

@@ -17,7 +17,7 @@ eigenvalues ``l +- m`` of the operator restricted to the self-dual and
 anti-self-dual subspaces are the actual invariants).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations
 
 import numpy as np
@@ -40,11 +40,13 @@ from .hodge import HodgeStar
 
 __all__ = [
     "StarEinsteinReport",
+    "Lambda2Blocks",
     "NormalForm4",
     "ScaledNormalForm",
     "NormalForm3",
     "CriticalFit",
     "RicciReport",
+    "lambda2_blocks",
     "is_star_h_einstein",
     "normal_form_4",
     "orthogonal_normal_form_4",
@@ -91,6 +93,46 @@ class StarEinsteinReport:
     f_fitted: float
     trace_residual: float
     h_trace: np.ndarray
+
+
+@dataclass(frozen=True)
+class Lambda2Blocks:
+    """Stacked h-orthonormal Lambda^2 data of ``N`` 4-dimensional tensors.
+
+    Attributes
+    ----------
+    frames : ndarray, shape (N, 4, 4)
+        h-orthonormal frames ``V`` (inverse transpose Cholesky), as columns.
+    k : ndarray, shape (N, 6, 6)
+        Components in the frame, ``(Lambda^2 V)^T K_0 (Lambda^2 V)``, with
+        block form ``[[A, B], [B^T, D]]``.
+    residual, norm : ndarray, shape (N,)
+        ``sqrt(|B - B^T|^2 + |A - D|^2)`` and ``|K|_F``.
+    evp, up, evm, um : ndarray, shapes (N, 3) and (N, 3, 3)
+        Ascending eigenpairs of the self-dual block ``(A + D)/2 + sym(B)``
+        and the anti-self-dual block ``(A + D)/2 - sym(B)``.
+    bianchi : ndarray, shape (N,)
+        ``R_1234 + R_1342 + R_1423 = tr B_0`` of the input components, the
+        one first-Bianchi residual the pair symmetries leave in dimension 4.
+    """
+
+    frames: np.ndarray
+    k: np.ndarray
+    residual: np.ndarray
+    norm: np.ndarray
+    evp: np.ndarray
+    up: np.ndarray
+    evm: np.ndarray
+    um: np.ndarray
+    bianchi: np.ndarray
+
+    def commuting(self, tol: float) -> np.ndarray:
+        """Per point: residual <= tol * ||K||_F."""
+        return self.residual <= tol * np.maximum(self.norm, 1e-300)
+
+    def point(self, n: int) -> "Lambda2Blocks":
+        """The data of point ``n`` alone (N = 1)."""
+        return Lambda2Blocks(*(getattr(self, f.name)[n : n + 1] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -166,18 +208,64 @@ class RicciReport:
 
 
 def h_orthonormal_frame(h: np.ndarray) -> np.ndarray:
-    """Columns form an h-orthonormal frame (inverse transpose Cholesky)."""
+    """Columns form an h-orthonormal frame (inverse transpose Cholesky).
+
+    A stack of metrics, shape ``(N, n, n)``, gives the stack of frames.
+    """
     h = np.asarray(h, dtype=float)
     try:
         l = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as err:
         raise DegenerateMetricError("metric is not positive definite") from err
-    return np.linalg.inv(l).T
+    return np.swapaxes(np.linalg.inv(l), -1, -2)
 
 
-def _block_residual(k: np.ndarray) -> float:
-    a, b, d = k[:3, :3], k[:3, 3:], k[3:, 3:]
-    return float(np.sqrt(np.linalg.norm(b - b.T) ** 2 + np.linalg.norm(a - d) ** 2))
+# ---- batched Lambda^2 kernel ----
+
+_PAIR_I, _PAIR_J = bivector_basis(4).pairs0.T
+
+
+def lambda2_blocks(components: np.ndarray, h: np.ndarray) -> Lambda2Blocks:
+    """h-orthonormal Lambda^2 blocks of stacked 4-dimensional tensors.
+
+    Column ``Q = (i, j)`` of the 6x6 compound matrix ``Lambda^2 V`` holds
+    the canonical coefficients of ``v_i ^ v_j``, the 2x2 minors of ``V``,
+    so ``K = (Lambda^2 V)^T K_0 (Lambda^2 V)`` reads the tensor in the frame
+    without a 4-index frame change.
+
+    Parameters
+    ----------
+    components : ndarray, shape (N, 4, 4, 4, 4)
+        Curvature components, each in the coordinates of its metric.
+    h : ndarray, shape (N, 4, 4)
+        Positive-definite metrics.
+    """
+    r = np.asarray(components, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if r.ndim != 5 or r.shape[1:] != (4, 4, 4, 4) or h.shape != (len(r), 4, 4):
+        raise DimensionError(
+            "lambda2_blocks needs components (N, 4, 4, 4, 4) and metrics (N, 4, 4)"
+        )
+    v = h_orthonormal_frame(h)
+    i, j = _PAIR_I, _PAIR_J
+    k0 = r[:, i[:, None], j[:, None], i[None, :], j[None, :]]
+    wedge = (
+        v[:, i[:, None], i[None, :]] * v[:, j[:, None], j[None, :]]
+        - v[:, i[:, None], j[None, :]] * v[:, j[:, None], i[None, :]]
+    )
+    k = np.swapaxes(wedge, 1, 2) @ k0 @ wedge
+    a, b, d = k[:, :3, :3], k[:, :3, 3:], k[:, 3:, 3:]
+    bt = np.swapaxes(b, 1, 2)
+    residual = np.sqrt(np.sum((b - bt) ** 2, axis=(1, 2)) + np.sum((a - d) ** 2, axis=(1, 2)))
+    norm = np.sqrt(np.sum(k**2, axis=(1, 2)))
+    half, sym = (a + d) / 2.0, (b + bt) / 2.0
+    evp, up = np.linalg.eigh(half + sym)
+    evm, um = np.linalg.eigh(half - sym)
+    bianchi = np.trace(k0[:, :3, 3:], axis1=1, axis2=2)
+    return Lambda2Blocks(
+        frames=v, k=k, residual=residual, norm=norm,
+        evp=evp, up=up, evm=evm, um=um, bianchi=bianchi,
+    )
 
 
 # ---- star-h Einstein test ----
@@ -203,20 +291,15 @@ def is_star_h_einstein(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) ->
     if rm.dim != 4:
         raise DimensionError("the star-commuting test is specific to dim 4")
     h = np.asarray(h, dtype=float)
-    v = h_orthonormal_frame(h)
-    k = component_matrix(
-        CurvatureTensor(dim=4, components=transform_frame(rm, v)), bivector_basis(4)
-    )
-    resid = _block_residual(k)
-    norm = float(np.linalg.norm(k))
+    blocks = lambda2_blocks(rm.components[None], h[None])
     hinv = np.linalg.inv(h)
     trace = np.einsum("jl,jabl->ab", hinv, rm.components, optimize=True)
     f = float(np.trace(hinv @ trace)) / 4.0
     trace_residual = float(np.max(np.abs(trace - f * h)))
     return StarEinsteinReport(
-        is_einstein=bool(resid <= tol * max(norm, 1e-300)),
-        commutator_residual=resid,
-        operator_norm=norm,
+        is_einstein=bool(blocks.commuting(tol)[0]),
+        commutator_residual=float(blocks.residual[0]),
+        operator_norm=float(blocks.norm[0]),
         f_fitted=f,
         trace_residual=trace_residual,
         h_trace=trace,
@@ -260,7 +343,9 @@ def _shared_unit_vector(xi1: np.ndarray, xi2: np.ndarray, basis) -> np.ndarray:
     return e / n
 
 
-def normal_form_4(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) -> NormalForm4:
+def normal_form_4(
+    rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9, blocks: Lambda2Blocks | None = None
+) -> NormalForm4:
     """Reconstruct a normal-form frame for a star-commuting tensor.
 
     The operator restricted to the self-dual and anti-self-dual subspaces is
@@ -268,7 +353,8 @@ def normal_form_4(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) -> Norm
     of eigenvectors sums to a decomposable 2-plane, and the three planes are
     rebuilt into a common frame through their shared vector.  The returned
     components are re-read from the reconstructed frame and verified against
-    the normal-form pattern.
+    the normal-form pattern.  ``blocks`` is this point's
+    :func:`lambda2_blocks` output (N = 1), when the caller already has it.
 
     Raises
     ------
@@ -277,31 +363,25 @@ def normal_form_4(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) -> Norm
     FrameReconstructionError
         If pairing or frame assembly fails; carries diagnostics.
     """
-    v, up, um, evp, evm = _split_blocks(rm, h, tol)
+    v, up, um, evp, evm = _split_blocks(rm, h, tol, blocks)
     basis = bivector_basis(4)
     f = _assemble_frame(up, um, (0, 1, 2), basis, evp, evm)
     frame = v @ f
     return _read_off_normal_form(rm, frame, h, tol)
 
 
-def _split_blocks(rm, h, tol):
-    """h-orthonormalize and diagonalize the self-dual and anti-self-dual blocks."""
-    report = is_star_h_einstein(rm, h, tol=tol)
-    if not report.is_einstein:
+def _split_blocks(rm, h, tol, blocks=None):
+    """Frame and self-dual/anti-self-dual eigenpairs of a commuting tensor."""
+    if rm.dim != 4:
+        raise DimensionError("the star-commuting test is specific to dim 4")
+    if blocks is None:
+        blocks = lambda2_blocks(rm.components[None], np.asarray(h, dtype=float)[None])
+    if not blocks.commuting(tol)[0]:
         raise NotCommutingError(
             "operator does not commute with the h-star; no normal form",
-            residual=report.commutator_residual / max(report.operator_norm, 1e-300),
+            residual=float(blocks.residual[0] / max(blocks.norm[0], 1e-300)),
         )
-    h = np.asarray(h, dtype=float)
-    basis = bivector_basis(4)
-    v = h_orthonormal_frame(h)
-    rp = transform_frame(rm, v)
-    k = component_matrix(CurvatureTensor(dim=4, components=rp), basis)
-    a = (k[:3, :3] + k[3:, 3:]) / 2.0
-    b = (k[:3, 3:] + k[:3, 3:].T) / 2.0
-    evp, up = np.linalg.eigh(a + b)  # self-dual block, ascending
-    evm, um = np.linalg.eigh(a - b)  # anti-self-dual block, ascending
-    return v, up, um, evp, evm
+    return blocks.frames[0], blocks.up[0], blocks.um[0], blocks.evp[0], blocks.evm[0]
 
 
 def _assemble_frame(up, um, pairing, basis, evp, evm):
@@ -341,7 +421,11 @@ def _assemble_frame(up, um, pairing, basis, evp, evm):
 
 
 def orthogonal_normal_form_4(
-    rm: CurvatureTensor, h: np.ndarray, g: np.ndarray, tol: float = 1e-9
+    rm: CurvatureTensor,
+    h: np.ndarray,
+    g: np.ndarray,
+    tol: float = 1e-9,
+    blocks: Lambda2Blocks | None = None,
 ) -> NormalForm4:
     """Normal form whose frame additionally diagonalizes a second metric.
 
@@ -351,7 +435,7 @@ def orthogonal_normal_form_4(
     tried in a fixed order (complete whenever the block spectra are simple;
     degenerate blocks are covered when they are diagonal in the original
     coordinates) and the first g-orthogonal frame is returned with its
-    rescaled values attached.
+    rescaled values attached.  ``blocks`` is as in :func:`normal_form_4`.
 
     Raises
     ------
@@ -360,7 +444,7 @@ def orthogonal_normal_form_4(
     FrameReconstructionError
         If no pairing yields a g-orthogonal frame.
     """
-    v, up, um, evp, evm = _split_blocks(rm, h, tol)
+    v, up, um, evp, evm = _split_blocks(rm, h, tol, blocks)
     basis = bivector_basis(4)
     for pairing in permutations(range(3)):
         try:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,13 +47,13 @@ from .exceptions import (
     DegenerateMetricError,
     DimensionError,
     FrameReconstructionError,
-    NotCommutingError,
+    TensorValidationError,
 )
 from .hodge import hodge_star, lorentz_metric_from_unit, sd_asd_basis
 from .normal_forms import (
     NormalForm4,
     ScaledNormalForm,
-    is_star_h_einstein,
+    lambda2_blocks,
     normal_form_4,
     orthogonal_normal_form_4,
 )
@@ -257,6 +257,27 @@ class IntegrationResult:
     general_frame_points: int
 
 
+# points per stacked kernel call: a streamed input is never held whole
+_CHUNK = 256
+
+# V^T g V within this relative distance of s I counts as g = s h
+_PROPORTIONAL_RTOL = 1e-13
+
+
+@dataclass
+class _Terms:
+    """Weighted density terms, kept apart until the final ``math.fsum``."""
+
+    chi: list = field(default_factory=list)
+    tau: list = field(default_factory=list)
+    corr: list = field(default_factory=list)
+    orth_chi: list = field(default_factory=list)
+    orth_tau: list = field(default_factory=list)
+    weights: list = field(default_factory=list)
+    skipped: int = 0
+    general_frame: int = 0
+
+
 def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
     """Integrate the Euler and signature densities over weighted samples.
 
@@ -265,68 +286,45 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
     samples : iterable
         Point samples carrying ``rm`` (a validated ``CurvatureTensor``),
         ``g``, optional ``h`` (defaults to ``g``), and a nonnegative
-        ``weight``; weights must sum to the total volume.
+        ``weight``; weights must sum to the total volume.  Any iterable
+        works; it is read once and analysed in chunks of a fixed size, so a
+        generator is never held whole.
     tol : float
-        Tolerance for the star-commuting precondition at each point.
+        Tolerance for the star-commuting precondition and for the first
+        Bianchi identity at each point.
 
     Points whose operator does not commute with the h-star have no
-    normal form and are skipped (counted in ``skipped_points``); the
-    accumulation itself is a deterministic ordered reduction.
+    normal form and are skipped (counted in ``skipped_points``).  Where
+    ``g`` is a multiple ``s h`` of ``h`` the densities follow in closed form
+    from the block spectra; other points go through a normal-form frame.
+    Each total is one correctly rounded ``math.fsum``, so it depends neither
+    on the order of the terms nor on the chunking.
+
+    Raises
+    ------
+    TensorValidationError
+        If a tensor breaks the first Bianchi identity beyond ``tol`` times
+        its largest component.
     """
-    chi_terms: list[float] = []
-    tau_terms: list[float] = []
-    corr_terms: list[float] = []
-    orth_chi_terms: list[float] = []
-    orth_tau_terms: list[float] = []
-    weights: list[float] = []
-    skipped = 0
-    general_frame = 0
-    cache: dict[tuple[int, int, int], IntegrandValue | None] = {}
-
+    terms = _Terms()
+    chunk = []
     n = 0
-    for sample in samples:
-        n += 1
-        weight = getattr(sample, "weight", None)
-        if weight is None:
-            raise ValueError(f"sample {n - 1} carries no quadrature weight")
-        weight = float(weight)
-        if weight < 0 or not math.isfinite(weight):
-            raise ValueError(f"sample {n - 1} has invalid weight {weight!r}")
-        rm = sample.rm
-        if rm.dim != 4:
-            raise DimensionError("Euler/signature densities are specific to dim 4")
-        g = np.asarray(sample.g, dtype=float)
-        h = getattr(sample, "h", None)
-        h_arr = g if h is None else np.asarray(h, dtype=float)
-        weights.append(weight)
+    for n, sample in enumerate(samples, start=1):
+        try:
+            chunk.append(_unpack(sample, n - 1))
+        except ValueError:
+            _integrate_chunk(chunk, tol, terms)  # earlier points report first
+            raise
+        if len(chunk) == _CHUNK:
+            _integrate_chunk(chunk, tol, terms)
+            chunk = []
+    _integrate_chunk(chunk, tol, terms)
 
-        key = (id(rm), id(sample.g), id(h))
-        if key in cache:
-            value = cache[key]
-        else:
-            value = _sample_densities(rm, g, h_arr, tol)
-            cache[key] = value
-        if value is None:
-            skipped += 1
-            continue
-
-        tau_terms.append(weight * value.tau_density_gvol)
-        if value.orthogonal:
-            chi_terms.append(weight * value.chi_density_gvol)
-            corr_terms.append(weight * value.ht_correction_density)
-            orth_chi_terms.append(weight * value.chi_density_gvol)
-            orth_tau_terms.append(weight * value.tau_density_gvol)
-        else:
-            general_frame += 1
-            chi_terms.append(weight * value.chi_density / value.sqrt_det_g)
-
-    chi = math.fsum(chi_terms)
-    tau = math.fsum(tau_terms)
-    corr = math.fsum(corr_terms)
-    if orth_chi_terms or corr_terms:
-        residual = abs(
-            math.fsum(orth_chi_terms) - 1.5 * math.fsum(orth_tau_terms) - corr
-        )
+    chi = math.fsum(terms.chi)
+    tau = math.fsum(terms.tau)
+    corr = math.fsum(terms.corr)
+    if terms.orth_chi or terms.corr:
+        residual = abs(math.fsum(terms.orth_chi) - 1.5 * math.fsum(terms.orth_tau) - corr)
     else:
         residual = math.nan
     return IntegrationResult(
@@ -334,27 +332,87 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
         tau_estimate=tau,
         correction_estimate=corr,
         ht_identity_residual=residual,
-        total_weight=math.fsum(weights),
+        total_weight=math.fsum(terms.weights),
         points=n,
-        skipped_points=skipped,
-        general_frame_points=general_frame,
+        skipped_points=terms.skipped,
+        general_frame_points=terms.general_frame,
     )
 
 
-def _sample_densities(rm, g, h, tol) -> IntegrandValue | None:
-    report = is_star_h_einstein(rm, h, tol)
-    if not report.is_einstein:
-        return None
+def _unpack(sample, index):
+    weight = getattr(sample, "weight", None)
+    if weight is None:
+        raise ValueError(f"sample {index} carries no quadrature weight")
+    weight = float(weight)
+    if weight < 0 or not math.isfinite(weight):
+        raise ValueError(f"sample {index} has invalid weight {weight!r}")
+    rm = sample.rm
+    if rm.dim != 4:
+        raise DimensionError("Euler/signature densities are specific to dim 4")
+    g = np.asarray(sample.g, dtype=float)
+    h = getattr(sample, "h", None)
+    return rm, g, (g if h is None else np.asarray(h, dtype=float)), weight
+
+
+def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
+    if not chunk:
+        return
+    rms, g, h, weights = zip(*chunk)
+    components = np.stack([rm.components for rm in rms])
+    g = np.stack(g)
+    blocks = lambda2_blocks(components, np.stack(h))
+
+    scale = np.maximum(np.max(np.abs(components), axis=(1, 2, 3, 4)), 1e-300)
+    broken = np.flatnonzero(np.abs(blocks.bianchi) > tol * scale)
+    if broken.size:
+        raise TensorValidationError(
+            "first Bianchi identity", (1, 2, 3, 4), float(abs(blocks.bianchi[broken[0]]))
+        )
+
+    weights = np.array(weights)
+    terms.weights.extend(weights.tolist())
+    commuting = blocks.commuting(tol)
+    terms.skipped += int(np.count_nonzero(~commuting))
+
+    # g = s h makes every normal-form frame g-orthogonal with g^ii = 1/s, so
+    # lt = kt = l/s^2 and mt = m/s^2: with l + m and l - m running over the
+    # self-dual and anti-self-dual spectra the sums below need no frame
+    gram = np.swapaxes(blocks.frames, 1, 2) @ g @ blocks.frames
+    s = np.trace(gram, axis1=1, axis2=2) / 4.0
+    off = np.max(np.abs(gram - s[:, None, None] * np.eye(4)), axis=(1, 2))
+    proportional = commuting & (s > 0) & (off <= _PROPORTIONAL_RTOL * s)
+    idx = np.flatnonzero(proportional)
+    plus = np.sum(blocks.evp[idx] ** 2, axis=1)
+    minus = np.sum(blocks.evm[idx] ** 2, axis=1)
+    s4, w = s[idx] ** 4, weights[idx]
+    chi = (w * ((plus + minus) / 2.0 / s4 / (4.0 * math.pi**2))).tolist()
+    tau = (w * ((plus - minus) / 4.0 / s4 / (3.0 * math.pi**2))).tolist()
+    terms.chi.extend(chi)
+    terms.orth_chi.extend(chi)
+    terms.tau.extend(tau)
+    terms.orth_tau.extend(tau)
+    terms.corr.extend((w * (minus / s4 / (4.0 * math.pi**2))).tolist())
+
+    for i in np.flatnonzero(commuting & ~proportional):
+        value = _frame_densities(rms[i], g[i], h[i], blocks.point(i), tol)
+        weight = weights[i]
+        terms.tau.append(weight * value.tau_density_gvol)
+        if value.orthogonal:
+            terms.chi.append(weight * value.chi_density_gvol)
+            terms.corr.append(weight * value.ht_correction_density)
+            terms.orth_chi.append(weight * value.chi_density_gvol)
+            terms.orth_tau.append(weight * value.tau_density_gvol)
+        else:
+            terms.general_frame += 1
+            terms.chi.append(weight * value.chi_density / value.sqrt_det_g)
+
+
+def _frame_densities(rm, g, h, blocks, tol) -> IntegrandValue:
     # prefer the pairing that makes the frame g-orthogonal, if one exists
     try:
-        nf = orthogonal_normal_form_4(rm, h, g, tol)
-    except NotCommutingError:
-        return None
+        nf = orthogonal_normal_form_4(rm, h, g, tol, blocks=blocks)
     except FrameReconstructionError:
-        try:
-            nf = normal_form_4(rm, h, tol)
-        except NotCommutingError:
-            return None
+        nf = normal_form_4(rm, h, tol, blocks=blocks)
     gf = nf.frame.T @ g @ nf.frame
     return chi_tau_densities(nf, np.linalg.inv(gf), tol)
 

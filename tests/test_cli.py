@@ -256,6 +256,16 @@ class TestIntegrate:
         assert agg["chi"] == 0.0
         assert agg["ht_identity_residual"] is None  # no usable points: no residual
 
+    def test_first_bianchi_violation_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "broken.jsonl"
+        path.write_text(
+            '{"dim":4,"g":[1,0,1,0,0,1,0,0,0,1],"rm":[[1,2,3,4,1.0]],"weight":1.0}\n',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "integrate", str(path), "--format", "json")
+        assert code == 1 and out == ""
+        assert err.startswith("error: first Bianchi identity")
+
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         path = s4_file(tmp_path)
         _, out, _ = run(capsys, "integrate", path, "--format", "json")
@@ -306,14 +316,12 @@ class TestSums:
 class TestReports:
     def test_thread_count_does_not_change_bytes(self, tmp_path, capsys):
         path = field_file(tmp_path)
-        outputs = []
-        for threads in ("1", "4"):
-            _, out, _ = run(
-                capsys, "einstein-check", path, "--metric", "h",
-                "--threads", threads, "--format", "json",
-            )
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+        for command in (["einstein-check", path, "--metric", "h"], ["integrate", path]):
+            outputs = []
+            for threads in ("1", "4"):
+                _, out, _ = run(capsys, *command, "--threads", threads, "--format", "json")
+                outputs.append(out)
+            assert outputs[0] == outputs[1]
 
     def test_repeated_runs_are_byte_identical(self, tmp_path, capsys):
         path = field_file(tmp_path)

@@ -1,11 +1,16 @@
 """Tests for the complex 3x3 classification and the spacelike critical counter."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import curvforms
 from curvforms.complex_forms import (
     CASE_CRITICAL_COUNTS,
     adapted_frame,
@@ -187,3 +192,14 @@ class TestCounter:
         first = count_spacelike_critical(rm, np.eye(4), np.eye(4)[0])
         second = count_spacelike_critical(rm, np.eye(4), np.eye(4)[0])
         assert first == second == 1
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates import time; only the critical-plane counter needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
+    probe = "import sys, curvforms; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

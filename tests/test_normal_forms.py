@@ -7,6 +7,7 @@ import pytest
 from curvforms.bivectors import bivector_basis, wedge_vectors
 from curvforms.curvature import (
     CurvatureTensor,
+    component_matrix,
     curvature_from_frame_components,
     operator_from,
     space_form,
@@ -14,6 +15,7 @@ from curvforms.curvature import (
 )
 from curvforms.exceptions import (
     DegenerateMetricError,
+    DimensionError,
     FrameReconstructionError,
     NotCommutingError,
 )
@@ -24,6 +26,7 @@ from curvforms.normal_forms import (
     critical_point_residual,
     h_orthonormal_frame,
     is_star_h_einstein,
+    lambda2_blocks,
     normal_form_3,
     normal_form_4,
     rebuild_normal_form,
@@ -157,6 +160,77 @@ class TestStarEinstein:
             scale = max(rm.scale, 1e-300)
             assert report.is_einstein
             assert report.trace_residual <= 1e-7 * scale
+
+
+def random_generic_tensor(rng):
+    """Random 4-dimensional tensor (first Bianchi holds): random K_0, tr B_0 = 0."""
+    k0 = rng.normal(size=(6, 6))
+    k0 = (k0 + k0.T) / 2.0
+    k0[2, 5] = k0[5, 2] = -k0[0, 3] - k0[1, 4]
+    pairs = bivector_basis(4).pairs0
+    entries = [
+        (*pairs[a], *pairs[b], k0[a, b]) for a in range(6) for b in range(a, 6)
+    ]
+    return CurvatureTensor(dim=4, components=dense_from_entries(4, entries))
+
+
+class TestLambda2Blocks:
+    def test_matches_four_index_frame_change(self):
+        # reference: K from the 256-entry frame change, blocks split by hand
+        rms = [random_generic_tensor(RNG) for _ in range(12)]
+        hs = [random_spd(RNG, 4) for _ in rms]
+        blocks = lambda2_blocks(np.stack([r.components for r in rms]), np.stack(hs))
+        for n, (rm, h) in enumerate(zip(rms, hs)):
+            v = h_orthonormal_frame(h)
+            k = component_matrix(CurvatureTensor(dim=4, components=transform_frame(rm, v)))
+            npt.assert_allclose(blocks.frames[n], v, atol=1e-15)
+            npt.assert_allclose(blocks.k[n], k, atol=1e-13 * np.max(np.abs(k)))
+            a = (k[:3, :3] + k[3:, 3:]) / 2.0
+            b = (k[:3, 3:] + k[:3, 3:].T) / 2.0
+            npt.assert_allclose(blocks.evp[n], np.linalg.eigvalsh(a + b), atol=1e-12)
+            npt.assert_allclose(blocks.evm[n], np.linalg.eigvalsh(a - b), atol=1e-12)
+            for ev, vecs, block in ((blocks.evp, blocks.up, a + b), (blocks.evm, blocks.um, a - b)):
+                npt.assert_allclose(block @ vecs[n], vecs[n] * ev[n], atol=1e-12)
+
+    def test_commuting_agrees_with_star_test(self):
+        rms, hs = [], []
+        for _ in range(10):
+            h = random_spd(RNG, 4)
+            rms.append(build_normal_form_tensor(RNG, *random_lambda_mu(RNG), h)[0])
+            hs.append(h)
+            rms.append(random_generic_tensor(RNG))
+            hs.append(h)
+        blocks = lambda2_blocks(np.stack([r.components for r in rms]), np.stack(hs))
+        expected = [is_star_h_einstein(rm, h).is_einstein for rm, h in zip(rms, hs)]
+        assert blocks.commuting(1e-9).tolist() == expected
+        assert expected == [True, False] * 10
+
+    def test_bianchi_residual_is_the_cyclic_sum(self):
+        broken = CurvatureTensor(
+            dim=4, components=dense_from_entries(4, [(0, 1, 2, 3, 1.0)])
+        )
+        valid = random_generic_tensor(RNG)
+        blocks = lambda2_blocks(
+            np.stack([broken.components, valid.components]), np.stack([np.eye(4)] * 2)
+        )
+        assert blocks.bianchi[0] == 1.0
+        assert abs(blocks.bianchi[1]) <= 1e-15
+
+    def test_point_slices_one_point(self):
+        rms = [random_generic_tensor(RNG) for _ in range(3)]
+        hs = np.stack([random_spd(RNG, 4) for _ in rms])
+        blocks = lambda2_blocks(np.stack([r.components for r in rms]), hs)
+        one = blocks.point(1)
+        assert one.k.shape == (1, 6, 6) and one.up.shape == (1, 3, 3)
+        npt.assert_array_equal(one.evm[0], blocks.evm[1])
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DimensionError):
+            lambda2_blocks(np.zeros((2, 3, 3, 3, 3)), np.stack([np.eye(3)] * 2))
+        with pytest.raises(DimensionError):
+            lambda2_blocks(np.zeros((2, 4, 4, 4, 4)), np.eye(4)[None])
+        with pytest.raises(DegenerateMetricError):
+            lambda2_blocks(np.zeros((2, 4, 4, 4, 4)), np.stack([np.eye(4), -np.eye(4)]))
 
 
 class TestNormalForm4:

@@ -10,9 +10,10 @@ import pytest
 
 from curvforms.complex_forms import adapted_frame, complex_case_matrix, tensor_from_complex_form
 from curvforms.curvature import space_form, validate_curvature
-from curvforms.exceptions import DegenerateMetricError, DimensionError
-from curvforms.normal_forms import NormalForm4
+from curvforms.exceptions import DegenerateMetricError, DimensionError, TensorValidationError
+from curvforms.normal_forms import NormalForm4, orthogonal_normal_form_4
 from curvforms.topology import (
+    _CHUNK,
     BUILDING_BLOCKS,
     BuildingBlock,
     chi_tau_densities,
@@ -22,6 +23,7 @@ from curvforms.topology import (
     parse_block_expression,
     weyl_split_check,
 )
+from curvforms.zoo import PointSample, gen_synthetic_star_h
 
 RNG = np.random.default_rng(20260701)
 
@@ -324,6 +326,60 @@ class TestIntegrateSamples:
         rm = space_form(3, 1.0)
         with pytest.raises(DimensionError):
             integrate_samples([make_sample(rm, np.eye(3), None, 1.0)])
+
+    def test_generator_and_list_agree(self):
+        # freshly built samples: a generator frees each one before the next,
+        # so nothing may be keyed on object identity; more than one chunk
+        def stream():
+            rng = np.random.default_rng(5)
+            for k in range(_CHUNK + 64):
+                lam, mu = random_lambda_mu(rng)
+                g_diag = rng.uniform(0.5, 2.0, size=4)
+                kind = k % 3
+                h_diag = rng.uniform(0.5, 2.0) * g_diag if kind == 0 else rng.uniform(0.5, 2.0, size=4)
+                sample = gen_synthetic_star_h(lam, mu, h_diag, g_diag, weight=rng.uniform(0.2, 2.0))
+                if kind == 2:  # the tensor no longer commutes with this h-star
+                    sample = PointSample(
+                        dim=4, g=sample.g, rm=sample.rm, weight=sample.weight,
+                        h=np.diag(rng.uniform(0.5, 2.0, size=4)),
+                    )
+                yield sample
+
+        from_list = integrate_samples(list(stream()))
+        from_generator = integrate_samples(stream())
+        assert from_generator == from_list
+        assert from_list.points == _CHUNK + 64
+        assert 0 < from_list.skipped_points < from_list.points
+
+    def test_proportional_closed_form_matches_frame_route(self):
+        # reference: per-point normal-form frame and chi_tau_densities
+        samples, chi, tau, corr = [], [], [], []
+        for _ in range(20):
+            lam, mu = random_lambda_mu(RNG)
+            g_diag = RNG.uniform(0.4, 2.5, size=4)
+            sample = gen_synthetic_star_h(
+                lam, mu, RNG.uniform(0.5, 2.0) * g_diag, g_diag, weight=RNG.uniform(0.2, 2.0)
+            )
+            samples.append(sample)
+            nf = orthogonal_normal_form_4(sample.rm, sample.h, sample.g)
+            value = chi_tau_densities(nf, np.linalg.inv(nf.frame.T @ sample.g @ nf.frame))
+            chi.append(sample.weight * value.chi_density_gvol)
+            tau.append(sample.weight * value.tau_density_gvol)
+            corr.append(sample.weight * value.ht_correction_density)
+        result = integrate_samples(samples)
+        assert result.general_frame_points == 0 and result.skipped_points == 0
+        npt.assert_allclose(result.chi_estimate, math.fsum(chi), rtol=1e-12)
+        npt.assert_allclose(result.tau_estimate, math.fsum(tau), rtol=1e-12, atol=1e-14)
+        npt.assert_allclose(result.correction_estimate, math.fsum(corr), rtol=1e-12)
+
+    def test_first_bianchi_violation_raises(self):
+        broken = validate_curvature([[1, 2, 3, 4, 1.0]], dim=4, tol=math.inf)
+        samples = [make_sample(space_form(4, 1.0), np.eye(4), None, 1.0),
+                   make_sample(broken, np.eye(4), None, 1.0)]
+        with pytest.raises(TensorValidationError) as err:
+            integrate_samples(samples)
+        assert err.value.identity == "first Bianchi identity"
+        assert err.value.residual == 1.0
 
     def test_deterministic(self):
         rm = space_form(4, -1.0)
