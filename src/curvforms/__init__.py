@@ -92,6 +92,7 @@ from .normal_forms import (
     normal_form_3,
     normal_form_4,
     orthogonal_normal_form_4,
+    preferred_normal_form_4,
     rebuild_normal_form,
     recover_mu1,
     ricci_from_critical_frame,
@@ -192,6 +193,7 @@ __all__ = [
     "is_star_h_einstein",
     "normal_form_4",
     "orthogonal_normal_form_4",
+    "preferred_normal_form_4",
     "rebuild_normal_form",
     "canonical_pairs",
     "scaled_normal_form",

@@ -79,19 +79,20 @@ def induced_gram(g: np.ndarray, basis: BivectorBasis) -> np.ndarray:
 
     Parameters
     ----------
-    g : ndarray, shape (dim, dim)
+    g : ndarray, shape (..., dim, dim)
         Symmetric nondegenerate metric in the frame underlying ``basis``.
+        Any square matrix ``v`` gives its compound ``Lambda^2 v``, whose
+        column ``(k, l)`` holds the coefficients of ``v_k ^ v_l``.
     basis : BivectorBasis
 
     Returns
     -------
-    ndarray, shape (m, m)
+    ndarray, shape (..., m, m)
         Symmetric Gram matrix in the canonical order.
     """
     g = np.asarray(g, dtype=float)
-    p = basis.pairs0
-    i, j = p[:, 0], p[:, 1]
-    return g[np.ix_(i, i)] * g[np.ix_(j, j)] - g[np.ix_(i, j)] * g[np.ix_(j, i)]
+    i, j = basis.pairs0[:, :1], basis.pairs0[:, 1:]
+    return g[..., i, i.T] * g[..., j, j.T] - g[..., i, j.T] * g[..., j, i.T]
 
 
 def _perm_sign(perm) -> int:

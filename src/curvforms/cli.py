@@ -14,6 +14,11 @@ byte-identical output.  Point analyses run on one thread in index order;
 ``--threads`` is still accepted and validated but changes nothing.  Exit codes:
 0 analysis complete, 1 analysis-level failure, 2 usage or format error.
 Non-finite report values serialize as ``null`` in JSON and ``-`` in text.
+
+The reader checks structure only and completes each tensor by its index
+symmetries.  ``validate`` checks every identity; ``einstein-check`` and
+``normal-form`` give a point that breaks the first Bianchi identity an
+``error`` field and exit 1, and ``integrate`` stops with exit 1 on it.
 """
 
 import argparse
@@ -26,13 +31,12 @@ import numpy as np
 from . import __version__
 from .complex_forms import classify_complex
 from .exceptions import (
-    FrameReconstructionError,
     GeometryError,
     NotCommutingError,
     SampleFormatError,
     TensorValidationError,
 )
-from .normal_forms import is_star_h_einstein, normal_form_4, orthogonal_normal_form_4
+from .normal_forms import is_star_h_einstein, preferred_normal_form_4
 from .topology import connected_sum, integrate_samples, weyl_split_check
 from .zoo import read_samples, validate_sample
 
@@ -157,12 +161,11 @@ def _cmd_normal_form(args):
         g = np.asarray(sample.g, dtype=float)
         hm = g if sample.h is None else np.asarray(sample.h, dtype=float)
         try:
-            try:
-                nf = orthogonal_normal_form_4(sample.rm, hm, g, tol=args.tol)
-            except FrameReconstructionError:
-                nf = normal_form_4(sample.rm, hm, tol=args.tol)
+            nf = preferred_normal_form_4(sample.rm, hm, g, tol=args.tol)
         except NotCommutingError as err:
             return {"index": index, "available": False, "note": f"no normal form: {err}"}
+        except TensorValidationError as err:
+            return {"index": index, "available": False, "error": str(err)}
         except (GeometryError, ValueError) as err:
             return {"index": index, "available": False, "note": str(err)}
         entry = {
@@ -187,9 +190,9 @@ def _cmd_normal_form(args):
     )
     columns = [
         "index", "available", "lambdas", "mus",
-        "lambdas_scaled", "kappas_scaled", "mus_scaled", "note",
+        "lambdas_scaled", "kappas_scaled", "mus_scaled", "note", "error",
     ]
-    return 0, report, columns
+    return (1 if any("error" in p for p in points) else 0), report, columns
 
 
 def _cmd_petrov(args):

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bivectors import bivector_basis, induced_gram, wedge_vectors
 from .curvature import (
@@ -199,6 +198,8 @@ def classify_complex(
 
 
 def _random_complex_orthogonal(rng, scale=0.25) -> np.ndarray:
+    from scipy.linalg import expm  # scipy.linalg is slow to import; only generators need it
+
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     return expm(scale * (a - a.T))
 

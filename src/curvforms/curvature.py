@@ -179,7 +179,8 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
         Required for sparse input; inferred from dense input.
     tol : float
         Identity tolerance, absolute on the unit-scaled tensor
-        (scale = max |R_ijkl|).
+        (scale = max |R_ijkl|).  With ``inf`` no identity can fail, so none
+        is computed: sparse rows are only completed.
 
     Returns
     -------
@@ -208,6 +209,8 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
         )
     if dim < 3:
         raise DimensionError("curvature tensors need dim >= 3")
+    if tol == np.inf:
+        return CurvatureTensor(dim=dim, components=r)
 
     scale = float(np.max(np.abs(r)))
     threshold = tol * max(scale, 1e-300)

@@ -14,7 +14,6 @@ complex structure on Lambda^2.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bivectors import BivectorBasis, bivector_basis, induced_gram, wedge_matrix
 from .exceptions import (
@@ -182,6 +181,8 @@ def sd_asd_basis(star: HodgeStar, tol: float = 1e-12) -> SdAsdBasis:
         and np.max(np.abs(star.gram - np.eye(6))) <= tol
     ):
         return SdAsdBasis(plus=_CANONICAL_PLUS.copy(), minus=_CANONICAL_MINUS.copy())
+    import scipy.linalg  # a third of the package's import time; only this split needs it
+
     # star is gram-self-adjoint, so gram @ star is symmetric: generalized
     # symmetric eigenproblem returns gram-orthonormal eigenvectors
     vals, vecs = scipy.linalg.eigh(star.gram @ star.matrix, star.gram)

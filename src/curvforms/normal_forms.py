@@ -22,19 +22,21 @@ from itertools import permutations
 
 import numpy as np
 
-from .bivectors import bivector_basis, plane_matrix, plane_span
+from .bivectors import bivector_basis, induced_gram, plane_matrix, plane_span
 from .curvature import (
     CurvatureTensor,
     Lambda2Operator,
     component_matrix,
     curvature_from_frame_components,
     transform_frame,
+    validate_curvature,
 )
 from .exceptions import (
     DegenerateMetricError,
     DimensionError,
     FrameReconstructionError,
     NotCommutingError,
+    TensorValidationError,
 )
 from .hodge import HodgeStar
 
@@ -50,6 +52,7 @@ __all__ = [
     "is_star_h_einstein",
     "normal_form_4",
     "orthogonal_normal_form_4",
+    "preferred_normal_form_4",
     "rebuild_normal_form",
     "canonical_pairs",
     "scaled_normal_form",
@@ -114,6 +117,8 @@ class Lambda2Blocks:
     bianchi : ndarray, shape (N,)
         ``R_1234 + R_1342 + R_1423 = tr B_0`` of the input components, the
         one first-Bianchi residual the pair symmetries leave in dimension 4.
+    scale : ndarray, shape (N,)
+        ``max |R_ijkl|`` of the input components (at least 1e-300).
     """
 
     frames: np.ndarray
@@ -125,10 +130,19 @@ class Lambda2Blocks:
     evm: np.ndarray
     um: np.ndarray
     bianchi: np.ndarray
+    scale: np.ndarray
 
     def commuting(self, tol: float) -> np.ndarray:
         """Per point: residual <= tol * ||K||_F."""
         return self.residual <= tol * np.maximum(self.norm, 1e-300)
+
+    def check_bianchi(self, tol: float) -> None:
+        """Raise :class:`TensorValidationError` if some ``|tr B_0| > tol * scale``."""
+        broken = np.flatnonzero(np.abs(self.bianchi) > tol * self.scale)
+        if broken.size:
+            raise TensorValidationError(
+                "first Bianchi identity", (1, 2, 3, 4), float(abs(self.bianchi[broken[0]]))
+            )
 
     def point(self, n: int) -> "Lambda2Blocks":
         """The data of point ``n`` alone (N = 1)."""
@@ -150,6 +164,13 @@ class ScaledNormalForm:
     lambdas_scaled: np.ndarray
     kappas_scaled: np.ndarray
     mus_scaled: np.ndarray
+
+    @classmethod
+    def rescale(cls, c, lambdas, mus) -> "ScaledNormalForm":
+        """The rescaled triples of the values ``(lambdas, mus)`` for the lengths ``c``."""
+        l, c2 = np.asarray(lambdas, dtype=float), c**2
+        lt, kt = c2[0] * c2[1:] * l, c2[[2, 1, 1]] * c2[[3, 3, 2]] * l
+        return cls(c, lt, kt, float(np.prod(c)) * np.asarray(mus, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -222,16 +243,21 @@ def h_orthonormal_frame(h: np.ndarray) -> np.ndarray:
 
 # ---- batched Lambda^2 kernel ----
 
-_PAIR_I, _PAIR_J = bivector_basis(4).pairs0.T
+_BASIS = bivector_basis(4)
+
+
+def _in_frame(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """6x6 components ``k`` read in the frame ``v`` (stacks broadcast):
+    ``(Lambda^2 v)^T k (Lambda^2 v)``, with the compound from :func:`induced_gram`."""
+    wedge = induced_gram(v, _BASIS)
+    return np.swapaxes(wedge, -1, -2) @ k @ wedge
 
 
 def lambda2_blocks(components: np.ndarray, h: np.ndarray) -> Lambda2Blocks:
     """h-orthonormal Lambda^2 blocks of stacked 4-dimensional tensors.
 
-    Column ``Q = (i, j)`` of the 6x6 compound matrix ``Lambda^2 V`` holds
-    the canonical coefficients of ``v_i ^ v_j``, the 2x2 minors of ``V``,
-    so ``K = (Lambda^2 V)^T K_0 (Lambda^2 V)`` reads the tensor in the frame
-    without a 4-index frame change.
+    ``K = (Lambda^2 V)^T K_0 (Lambda^2 V)`` reads the tensor in the frame
+    without a 4-index frame change (:func:`_in_frame`).
 
     Parameters
     ----------
@@ -247,13 +273,9 @@ def lambda2_blocks(components: np.ndarray, h: np.ndarray) -> Lambda2Blocks:
             "lambda2_blocks needs components (N, 4, 4, 4, 4) and metrics (N, 4, 4)"
         )
     v = h_orthonormal_frame(h)
-    i, j = _PAIR_I, _PAIR_J
+    i, j = _BASIS.pairs0.T
     k0 = r[:, i[:, None], j[:, None], i[None, :], j[None, :]]
-    wedge = (
-        v[:, i[:, None], i[None, :]] * v[:, j[:, None], j[None, :]]
-        - v[:, i[:, None], j[None, :]] * v[:, j[:, None], i[None, :]]
-    )
-    k = np.swapaxes(wedge, 1, 2) @ k0 @ wedge
+    k = _in_frame(k0, v)
     a, b, d = k[:, :3, :3], k[:, :3, 3:], k[:, 3:, 3:]
     bt = np.swapaxes(b, 1, 2)
     residual = np.sqrt(np.sum((b - bt) ** 2, axis=(1, 2)) + np.sum((a - d) ** 2, axis=(1, 2)))
@@ -262,9 +284,10 @@ def lambda2_blocks(components: np.ndarray, h: np.ndarray) -> Lambda2Blocks:
     evp, up = np.linalg.eigh(half + sym)
     evm, um = np.linalg.eigh(half - sym)
     bianchi = np.trace(k0[:, :3, 3:], axis1=1, axis2=2)
+    scale = np.maximum(np.max(np.abs(r), axis=(1, 2, 3, 4)), 1e-300)
     return Lambda2Blocks(
         frames=v, k=k, residual=residual, norm=norm,
-        evp=evp, up=up, evm=evm, um=um, bianchi=bianchi,
+        evp=evp, up=up, evm=evm, um=um, bianchi=bianchi, scale=scale,
     )
 
 
@@ -287,11 +310,17 @@ def is_star_h_einstein(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) ->
         Positive-definite metric.
     tol : float
         Relative tolerance: commuting means residual <= tol * ||op||_F.
+
+    Raises
+    ------
+    TensorValidationError
+        If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
     """
     if rm.dim != 4:
         raise DimensionError("the star-commuting test is specific to dim 4")
     h = np.asarray(h, dtype=float)
     blocks = lambda2_blocks(rm.components[None], h[None])
+    blocks.check_bianchi(tol)
     hinv = np.linalg.inv(h)
     trace = np.einsum("jl,jabl->ab", hinv, rm.components, optimize=True)
     f = float(np.trace(hinv @ trace)) / 4.0
@@ -351,51 +380,53 @@ def normal_form_4(
     The operator restricted to the self-dual and anti-self-dual subspaces is
     diagonalized; eigenvalues are paired in ascending order, each matched pair
     of eigenvectors sums to a decomposable 2-plane, and the three planes are
-    rebuilt into a common frame through their shared vector.  The returned
-    components are re-read from the reconstructed frame and verified against
-    the normal-form pattern.  ``blocks`` is this point's
+    rebuilt into a common frame through their shared vector.  The values are
+    read from the component matrix in that frame and verified against the
+    normal-form pattern.  ``blocks`` is this point's
     :func:`lambda2_blocks` output (N = 1), when the caller already has it.
 
     Raises
     ------
+    TensorValidationError
+        If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
     NotCommutingError
         If ``rm`` fails :func:`is_star_h_einstein` at ``tol``.
     FrameReconstructionError
         If pairing or frame assembly fails; carries diagnostics.
     """
-    v, up, um, evp, evm = _split_blocks(rm, h, tol, blocks)
-    basis = bivector_basis(4)
-    f = _assemble_frame(up, um, (0, 1, 2), basis, evp, evm)
-    frame = v @ f
-    return _read_off_normal_form(rm, frame, h, tol)
+    blocks = _split_blocks(rm, h, tol, blocks)
+    f = _assemble_frame(blocks, (0, 1, 2))
+    return _read_off_normal_form(blocks, f, h, tol)
 
 
-def _split_blocks(rm, h, tol, blocks=None):
-    """Frame and self-dual/anti-self-dual eigenpairs of a commuting tensor."""
+def _split_blocks(rm, h, tol, blocks=None) -> Lambda2Blocks:
+    """Kernel output (N = 1) of a valid commuting tensor, else the error that stops it."""
     if rm.dim != 4:
         raise DimensionError("the star-commuting test is specific to dim 4")
     if blocks is None:
         blocks = lambda2_blocks(rm.components[None], np.asarray(h, dtype=float)[None])
+    blocks.check_bianchi(tol)
     if not blocks.commuting(tol)[0]:
         raise NotCommutingError(
             "operator does not commute with the h-star; no normal form",
             residual=float(blocks.residual[0] / max(blocks.norm[0], 1e-300)),
         )
-    return blocks.frames[0], blocks.up[0], blocks.um[0], blocks.evp[0], blocks.evm[0]
+    return blocks
 
 
-def _assemble_frame(up, um, pairing, basis, evp, evm):
+def _assemble_frame(blocks, pairing):
     """Frame from pairing the i-th self-dual with the pairing[i]-th anti-self-dual axis."""
+    up, um, evp, evm = blocks.up[0], blocks.um[0], blocks.evp[0], blocks.evm[0]
     p1 = _pair_bivector(up[:, 0], um[:, pairing[0]], 1.0)
     p2 = _pair_bivector(up[:, 1], um[:, pairing[1]], 1.0)
-    e1 = _shared_unit_vector(p1, p2, basis)
-    e2 = -plane_matrix(p1, basis) @ e1
-    e3 = -plane_matrix(p2, basis) @ e1
+    e1 = _shared_unit_vector(p1, p2, _BASIS)
+    e2 = -plane_matrix(p1, _BASIS) @ e1
+    e3 = -plane_matrix(p2, _BASIS) @ e1
     e4 = None
     for sign in (1.0, -1.0):
         p3 = _pair_bivector(up[:, 2], um[:, pairing[2]], sign)
-        if _vector_in_plane(e1, p3, basis):
-            e4 = -plane_matrix(p3, basis) @ e1
+        if _vector_in_plane(e1, p3, _BASIS):
+            e4 = -plane_matrix(p3, _BASIS) @ e1
             break
     if e4 is None:
         raise FrameReconstructionError(
@@ -439,83 +470,90 @@ def orthogonal_normal_form_4(
 
     Raises
     ------
+    TensorValidationError
+        If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
     NotCommutingError
         If ``rm`` fails :func:`is_star_h_einstein` at ``tol``.
     FrameReconstructionError
         If no pairing yields a g-orthogonal frame.
     """
-    v, up, um, evp, evm = _split_blocks(rm, h, tol, blocks)
-    basis = bivector_basis(4)
+    blocks = _split_blocks(rm, h, tol, blocks)
     for pairing in permutations(range(3)):
         try:
-            f = _assemble_frame(up, um, pairing, basis, evp, evm)
+            f = _assemble_frame(blocks, pairing)
         except FrameReconstructionError:
             continue
-        nf = _read_off_normal_form(rm, v @ f, h, tol)
+        nf = _read_off_normal_form(blocks, f, h, tol)
         try:
             return scaled_normal_form(nf, g, tol)
         except DegenerateMetricError:
             continue
+    evp, evm = blocks.evp[0], blocks.evm[0]
     raise FrameReconstructionError(
         "no pairing of the block eigendirections yields a g-orthogonal frame",
         diagnostics={"eigenvalues_plus": evp.tolist(), "eigenvalues_minus": evm.tolist()},
     )
 
 
-def _read_off_normal_form(rm, frame, h, tol) -> NormalForm4:
-    """Read (l, m) from components in ``frame``, canonicalize the pair order."""
-    rf = transform_frame(rm, frame)
-    lambdas = np.array([rf[0, 1, 0, 1], rf[0, 2, 0, 2], rf[0, 3, 0, 3]])
-    mus = np.array([rf[2, 3, 0, 1], rf[3, 1, 0, 2], rf[1, 2, 0, 3]])
+def preferred_normal_form_4(
+    rm: CurvatureTensor,
+    h: np.ndarray,
+    g: np.ndarray,
+    tol: float = 1e-9,
+    blocks: Lambda2Blocks | None = None,
+) -> NormalForm4:
+    """The g-orthogonal normal form when a pairing gives one, else :func:`normal_form_4`'s.
 
-    order = sorted(range(3), key=lambda i: (lambdas[i], mus[i]))
-    if list(order) != [0, 1, 2]:
+    Only the g-orthogonal form carries rescaled values.  The kernel runs at
+    most once; ``blocks`` is as in :func:`normal_form_4`, and the errors are
+    those of :func:`normal_form_4`.
+    """
+    blocks = _split_blocks(rm, h, tol, blocks)
+    try:
+        return orthogonal_normal_form_4(rm, h, g, tol, blocks=blocks)
+    except FrameReconstructionError:
+        return normal_form_4(rm, h, tol, blocks=blocks)
+
+
+def _read_off_normal_form(blocks, f, h, tol) -> NormalForm4:
+    """Read (l, m) from the component matrix in the frame ``f`` (given in the
+    h-orthonormal frame of ``blocks``), canonicalize the pair order, and check
+    the normal-form block pattern."""
+    k = blocks.k[0]
+    kf = _in_frame(k, f)
+    order = sorted(range(3), key=lambda i: (kf[i, i], kf[i + 3, i]))
+    if order != [0, 1, 2]:
         perm = np.eye(4)[:, [0] + [i + 1 for i in order]]
         if np.linalg.det(perm) < 0:
             perm[:, 3] = -perm[:, 3]
-        frame = frame @ perm
-        rf = transform_frame(rm, frame)
-        lambdas = np.array([rf[0, 1, 0, 1], rf[0, 2, 0, 2], rf[0, 3, 0, 3]])
-        mus = np.array([rf[2, 3, 0, 1], rf[3, 1, 0, 2], rf[1, 2, 0, 3]])
+        f = f @ perm
+        kf = _in_frame(k, f)
+    lambdas, mus = np.diag(kf)[:3].copy(), np.diag(kf[3:, :3]).copy()
 
-    nf = NormalForm4(frame=frame, lambdas=lambdas, mus=mus, h=np.asarray(h, dtype=float))
-    scale = max(rm.scale, 1e-300)
-    pattern_residual = np.max(np.abs(_pattern_components(lambdas, mus) - rf))
-    if pattern_residual > max(tol, 1e-8) * scale:
+    pattern_residual = np.max(np.abs(_block_pattern(lambdas, mus) - kf))
+    if pattern_residual > max(tol, 1e-8) * blocks.scale[0]:
         raise FrameReconstructionError(
             "components in the reconstructed frame do not match the normal-form "
             f"pattern (residual {pattern_residual:.3e})",
             diagnostics={"lambdas": lambdas.tolist(), "mus": mus.tolist()},
         )
-    return nf
+    return NormalForm4(
+        frame=blocks.frames[0] @ f, lambdas=lambdas, mus=mus, h=np.asarray(h, dtype=float)
+    )
 
 
-def _pattern_components(lambdas, mus) -> np.ndarray:
-    """Dense component table of the normal form (0-based, all symmetries)."""
-    entries = [
-        (0, 1, 0, 1, lambdas[0]),
-        (2, 3, 2, 3, lambdas[0]),
-        (0, 2, 0, 2, lambdas[1]),
-        (3, 1, 3, 1, lambdas[1]),
-        (0, 3, 0, 3, lambdas[2]),
-        (1, 2, 1, 2, lambdas[2]),
-        (2, 3, 0, 1, mus[0]),
-        (3, 1, 0, 2, mus[1]),
-        (1, 2, 0, 3, mus[2]),
-    ]
-    r = np.zeros((4, 4, 4, 4))
-    for i, j, k, l, val in entries:
-        for (ii, jj, kk, ll), s in (
-            ((i, j, k, l), 1), ((j, i, k, l), -1), ((i, j, l, k), -1), ((j, i, l, k), 1),
-            ((k, l, i, j), 1), ((l, k, i, j), -1), ((k, l, j, i), -1), ((l, k, j, i), 1),
-        ):
-            r[ii, jj, kk, ll] = s * val
-    return r
+def _block_pattern(lambdas, mus) -> np.ndarray:
+    """Component matrix ``[[diag l, diag m], [diag m, diag l]]`` of the normal form."""
+    l, m = np.diag(lambdas), np.diag(mus)
+    return np.block([[l, m], [m, l]])
 
 
 def rebuild_normal_form(nf: NormalForm4) -> CurvatureTensor:
     """Curvature tensor (in input coordinates) defined by a normal form."""
-    return curvature_from_frame_components(_pattern_components(nf.lambdas, nf.mus), nf.frame)
+    k, pairs = _block_pattern(nf.lambdas, nf.mus), _BASIS.pairs
+    rows = [[*p, *q, k[a, b]] for a, p in enumerate(pairs) for b, q in enumerate(pairs)]
+    # completion only: curvature_from_frame_components validates the result
+    return curvature_from_frame_components(validate_curvature(rows, 4, np.inf).components, nf.frame)
 
 
 def canonical_pairs(lambdas, mus) -> np.ndarray:
@@ -550,12 +588,7 @@ def scaled_normal_form(nf: NormalForm4, g: np.ndarray, tol: float = 1e-9) -> Nor
         raise DegenerateMetricError(
             f"normal-form frame is not g-orthogonal (off-diagonal {off:.3e})"
         )
-    c = 1.0 / np.sqrt(diag)
-    l = nf.lambdas
-    lt = np.array([c[0] ** 2 * c[1] ** 2 * l[0], c[0] ** 2 * c[2] ** 2 * l[1], c[0] ** 2 * c[3] ** 2 * l[2]])
-    kt = np.array([c[2] ** 2 * c[3] ** 2 * l[0], c[1] ** 2 * c[3] ** 2 * l[1], c[1] ** 2 * c[2] ** 2 * l[2]])
-    mt = float(np.prod(c)) * nf.mus
-    scaled = ScaledNormalForm(c=c, lambdas_scaled=lt, kappas_scaled=kt, mus_scaled=mt)
+    scaled = ScaledNormalForm.rescale(1.0 / np.sqrt(diag), nf.lambdas, nf.mus)
     return NormalForm4(frame=nf.frame, lambdas=nf.lambdas, mus=nf.mus, h=nf.h, scaled=scaled)
 
 
@@ -648,48 +681,26 @@ def normal_form_3(rm: CurvatureTensor, tol: float = 1e-9) -> NormalForm3:
     if np.linalg.det(f) < 0:
         f[:, 2] = -f[:, 2]
 
-    rf = transform_frame(rm, f)
-    diag = np.array([rf[0, 1, 0, 1], rf[0, 2, 0, 2], rf[1, 2, 1, 2]])
-    order = np.argsort(diag)
+    def in_frame(f):
+        return component_matrix(CurvatureTensor(dim=3, components=transform_frame(rm, f)), basis)
+
+    kf = in_frame(f)
+    order = np.argsort(np.diag(kf))
     if not np.array_equal(order, [0, 1, 2]):
-        f = _reorder_frame_3(f, order)
-        rf = transform_frame(rm, f)
-        diag = np.array([rf[0, 1, 0, 1], rf[0, 2, 0, 2], rf[1, 2, 1, 2]])
-    scale = max(rm.scale, 1e-300)
-    expected = np.zeros((3, 3, 3, 3))
-    for (i, j, k2, l, val) in (
-        (0, 1, 0, 1, diag[0]), (0, 2, 0, 2, diag[1]), (1, 2, 1, 2, diag[2]),
-    ):
-        for (ii, jj, kk, ll), s in (
-            ((i, j, k2, l), 1), ((j, i, k2, l), -1), ((i, j, l, k2), -1), ((j, i, l, k2), 1),
-        ):
-            expected[ii, jj, kk, ll] = s * val
-    resid = np.max(np.abs(rf - expected))
-    if resid > max(tol, 1e-8) * scale:
+        # plane q of the new frame, (1,2), (1,3) or (2,3), is the complement of
+        # axis 2 - q; it must be old plane order[q], the complement of 2 - order[q]
+        f = f[:, 2 - order[::-1]]
+        if np.linalg.det(f) < 0:
+            f[:, 2] = -f[:, 2]
+        kf = in_frame(f)
+    diag = np.diag(kf).copy()
+    resid = np.max(np.abs(kf - np.diag(diag)))
+    if resid > max(tol, 1e-8) * max(rm.scale, 1e-300):
         raise FrameReconstructionError(
             f"3-dimensional normal form residual {resid:.3e}",
             diagnostics={"diag": diag.tolist()},
         )
     return NormalForm3(frame=f, diag=diag)
-
-
-def _reorder_frame_3(f, order):
-    """Relabel a 3-frame so plane (e1, e_k) order follows ``order``."""
-    # plane list: (1,2) -> diag0, (1,3) -> diag1, (2,3) -> diag2.  Sorting the
-    # planes is easiest through the axis permutation they induce.
-    perm_for_order = {
-        (0, 1, 2): [0, 1, 2],
-        (0, 2, 1): [1, 0, 2],
-        (1, 0, 2): [0, 2, 1],
-        (1, 2, 0): [2, 0, 1],
-        (2, 0, 1): [1, 2, 0],
-        (2, 1, 0): [2, 1, 0],
-    }
-    cols = perm_for_order[tuple(int(x) for x in order)]
-    g = f[:, cols]
-    if np.linalg.det(g) < 0:
-        g[:, 2] = -g[:, 2]
-    return g
 
 
 def signed_curvature_3(rm: CurvatureTensor, samples: int = 10000, seed: int = 0) -> dict:

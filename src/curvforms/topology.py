@@ -43,19 +43,13 @@ from .curvature import (
     validate_curvature,
     weyl_operator,
 )
-from .exceptions import (
-    DegenerateMetricError,
-    DimensionError,
-    FrameReconstructionError,
-    TensorValidationError,
-)
+from .exceptions import DegenerateMetricError, DimensionError
 from .hodge import hodge_star, lorentz_metric_from_unit, sd_asd_basis
 from .normal_forms import (
     NormalForm4,
     ScaledNormalForm,
     lambda2_blocks,
-    normal_form_4,
-    orthogonal_normal_form_4,
+    preferred_normal_form_4,
 )
 
 __all__ = [
@@ -212,11 +206,8 @@ def chi_tau_densities(
     ) / (2.0**4 * math.pi**2)
 
     # c_i = 1/sqrt(g_ii) = sqrt(g^ii) for a diagonal Gram matrix
-    c = np.sqrt(diag)
-    lt = np.array([c[0] ** 2 * c[1] ** 2 * l[0], c[0] ** 2 * c[2] ** 2 * l[1], c[0] ** 2 * c[3] ** 2 * l[2]])
-    kt = np.array([c[2] ** 2 * c[3] ** 2 * l[0], c[1] ** 2 * c[3] ** 2 * l[1], c[1] ** 2 * c[2] ** 2 * l[2]])
-    mt = float(np.prod(c)) * m
-    scaled = ScaledNormalForm(c=c, lambdas_scaled=lt, kappas_scaled=kt, mus_scaled=mt)
+    scaled = ScaledNormalForm.rescale(np.sqrt(diag), l, m)
+    lt, kt, mt = scaled.lambdas_scaled, scaled.kappas_scaled, scaled.mus_scaled
 
     chi_gvol = float(np.sum(lt * kt) + np.sum(mt**2)) / (4.0 * math.pi**2)
     correction = float(np.sum((lt - mt) * (kt - mt))) / (4.0 * math.pi**2)
@@ -358,16 +349,9 @@ def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
     if not chunk:
         return
     rms, g, h, weights = zip(*chunk)
-    components = np.stack([rm.components for rm in rms])
     g = np.stack(g)
-    blocks = lambda2_blocks(components, np.stack(h))
-
-    scale = np.maximum(np.max(np.abs(components), axis=(1, 2, 3, 4)), 1e-300)
-    broken = np.flatnonzero(np.abs(blocks.bianchi) > tol * scale)
-    if broken.size:
-        raise TensorValidationError(
-            "first Bianchi identity", (1, 2, 3, 4), float(abs(blocks.bianchi[broken[0]]))
-        )
+    blocks = lambda2_blocks(np.stack([rm.components for rm in rms]), np.stack(h))
+    blocks.check_bianchi(tol)
 
     weights = np.array(weights)
     terms.weights.extend(weights.tolist())
@@ -394,7 +378,8 @@ def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
     terms.corr.extend((w * (minus / s4 / (4.0 * math.pi**2))).tolist())
 
     for i in np.flatnonzero(commuting & ~proportional):
-        value = _frame_densities(rms[i], g[i], h[i], blocks.point(i), tol)
+        nf = preferred_normal_form_4(rms[i], h[i], g[i], tol, blocks=blocks.point(i))
+        value = chi_tau_densities(nf, np.linalg.inv(nf.frame.T @ g[i] @ nf.frame), tol)
         weight = weights[i]
         terms.tau.append(weight * value.tau_density_gvol)
         if value.orthogonal:
@@ -405,16 +390,6 @@ def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
         else:
             terms.general_frame += 1
             terms.chi.append(weight * value.chi_density / value.sqrt_det_g)
-
-
-def _frame_densities(rm, g, h, blocks, tol) -> IntegrandValue:
-    # prefer the pairing that makes the frame g-orthogonal, if one exists
-    try:
-        nf = orthogonal_normal_form_4(rm, h, g, tol, blocks=blocks)
-    except FrameReconstructionError:
-        nf = normal_form_4(rm, h, tol, blocks=blocks)
-    gf = nf.frame.T @ g @ nf.frame
-    return chi_tau_densities(nf, np.linalg.inv(gf), tol)
 
 
 # ---- commuting Weyl split ----

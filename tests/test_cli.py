@@ -7,9 +7,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvforms import normal_forms
 from curvforms.cli import main
 from curvforms.complex_forms import complex_case_matrix
-from curvforms.normal_forms import canonical_pairs
+from curvforms.normal_forms import canonical_pairs, lambda2_blocks
 from curvforms.zoo import (
     gen_product_spheres,
     gen_space_form,
@@ -197,6 +198,46 @@ class TestNormalForm:
         report = json.loads(out)
         assert report["aggregate"]["available"] == 0
         assert all("no normal form" in p["note"] for p in report["points"])
+
+    def test_rotated_point_runs_the_kernel_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return lambda2_blocks(*args)
+
+        monkeypatch.setattr(normal_forms, "lambda2_blocks", counted)
+        rotation = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
+        rotation[:, 0] *= np.sign(np.linalg.det(rotation))
+        sample = gen_synthetic_star_h(
+            [0.3, -1.2, 0.8], [0.5, -0.2, -0.3], [1, 2, 0.5, 1.5], [2, 1, 1, 0.5],
+            frame_rotation=rotation,
+        )
+        path = tmp_path / "rotated.jsonl"
+        write_samples(path, [sample])
+        code, out, _ = run(capsys, "normal-form", str(path), "--format", "json")
+        point = json.loads(out)["points"][0]
+        assert code == 0 and point["available"] is True
+        assert "lambdas_scaled" not in point  # no g-orthogonal pairing: fallback taken
+        assert len(calls) == 1
+
+
+def bianchi_file(tmp_path):
+    path = tmp_path / "broken.jsonl"
+    path.write_text(
+        '{"dim":4,"g":[1,0,1,0,0,1,0,0,0,1],"rm":[[1,2,3,4,1.0]],"weight":1.0}\n',
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["normal-form", "einstein-check"])
+def test_first_bianchi_violation_is_a_point_error(tmp_path, capsys, command):
+    code, out, _ = run(capsys, command, bianchi_file(tmp_path), "--format", "json")
+    assert code == 1
+    point = json.loads(out)["points"][0]
+    assert point["error"].startswith("first Bianchi identity")
+    assert "mus" not in point and "einstein" not in point
 
 
 # ---- petrov ----

@@ -195,11 +195,12 @@ class TestCounter:
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats dominates import time; only the critical-plane counter needs it
+    # scipy.stats and scipy.linalg dominate import time; only the counter, the
+    # general SD/ASD split and the star-L generators need them
     env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
-    probe = "import sys, curvforms; print('scipy.stats' in sys.modules)"
+    probe = "import sys, curvforms; print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -17,6 +17,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvforms import curvature
 from curvforms.bivectors import bivector_basis, wedge_vectors
 from curvforms.curvature import (
     component_matrix,
@@ -29,7 +30,7 @@ from curvforms.curvature import (
     validate_curvature,
     weyl_operator,
 )
-from curvforms.exceptions import LightlikePlaneError, TensorValidationError
+from curvforms.exceptions import DimensionError, LightlikePlaneError, TensorValidationError
 from curvforms.hodge import hodge_star, lorentz_metric_from_unit
 
 RNG = np.random.default_rng(7)
@@ -89,6 +90,20 @@ class TestValidation:
         r[0, 1, 0, 1] += 1e-7  # breaks pair symmetry partners? no: symmetric entry
         r[0, 1, 2, 3] += 1e-7  # tiny Bianchi/antisym breakage at large scale
         validate_curvature(r)  # 1e-7 / 1000 = 1e-10 < 1e-9: accepted
+
+    def test_infinite_tolerance_only_completes(self, monkeypatch):
+        def refuse(residual):
+            raise AssertionError("identity residual computed at tol = inf")
+
+        monkeypatch.setattr(curvature, "_worst", refuse)
+        rm = validate_curvature([[1, 2, 3, 4, 1.0]], dim=4, tol=np.inf)
+        assert rm.component(3, 4, 2, 1) == -1.0  # completed, Bianchi left unchecked
+        with pytest.raises(TensorValidationError, match="duplicate"):
+            validate_curvature([[1, 2, 1, 2, 1.0], [2, 1, 1, 2, 1.0]], dim=4, tol=np.inf)
+        with pytest.raises(TensorValidationError, match="index range"):
+            validate_curvature([[1, 2, 1, 5, 1.0]], dim=4, tol=np.inf)
+        with pytest.raises(DimensionError):
+            validate_curvature([], dim=2, tol=np.inf)
 
     def test_roundtrip_sparse(self):
         rm = random_valid_tensor(RNG)

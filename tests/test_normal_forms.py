@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvforms import curvature, normal_forms
 from curvforms.bivectors import bivector_basis, wedge_vectors
 from curvforms.curvature import (
     CurvatureTensor,
@@ -18,6 +19,7 @@ from curvforms.exceptions import (
     DimensionError,
     FrameReconstructionError,
     NotCommutingError,
+    TensorValidationError,
 )
 from curvforms.hodge import hodge_star, lorentz_metric_from_unit
 from curvforms.normal_forms import (
@@ -29,12 +31,15 @@ from curvforms.normal_forms import (
     lambda2_blocks,
     normal_form_3,
     normal_form_4,
+    orthogonal_normal_form_4,
+    preferred_normal_form_4,
     rebuild_normal_form,
     recover_mu1,
     ricci_from_critical_frame,
     scaled_normal_form,
     signed_curvature_3,
 )
+from curvforms.zoo import gen_synthetic_star_h
 
 RNG = np.random.default_rng(20260515)
 
@@ -294,6 +299,71 @@ class TestNormalForm4:
         nf2 = normal_form_4(rm, np.eye(4))
         npt.assert_array_equal(nf1.frame, nf2.frame)
         npt.assert_array_equal(nf1.lambdas, nf2.lambdas)
+
+
+def rotated_star_h_samples(seed, count):
+    """Seeded star-h samples whose normal-form frame is rotated away from g."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(count):
+        lambdas, mus = random_lambda_mu(rng)
+        samples.append(gen_synthetic_star_h(
+            lambdas, mus, rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4),
+            frame_rotation=random_rotation(rng, 4),
+        ))
+    return samples
+
+
+class TestComponentMatrixReadOff:
+    def test_no_four_index_frame_change(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("4-index frame change on the dim-4 normal-form path")
+
+        monkeypatch.setattr(curvature, "transform_frame", refuse)
+        monkeypatch.setattr(normal_forms, "transform_frame", refuse)
+        lambdas, mus = [0.3, -1.2, 0.8], [0.5, -0.2, -0.3]
+        rotated = rotated_star_h_samples(31, 1)[0]
+        normal_form_4(rotated.rm, rotated.h)
+        aligned = gen_synthetic_star_h(lambdas, mus, [1, 2, 0.5, 1.5], [2, 1, 1, 0.5])
+        nf = orthogonal_normal_form_4(aligned.rm, aligned.h, aligned.g)
+        assert nf.scaled is not None
+
+    def test_values_match_four_index_reading(self):
+        # reference: the 256 components in the returned frame, read off by hand
+        for sample in rotated_star_h_samples(32, 20):
+            nf = preferred_normal_form_4(sample.rm, sample.h, sample.g)
+            rf = transform_frame(sample.rm, nf.frame)
+            scale = sample.rm.scale
+            npt.assert_allclose(
+                nf.lambdas, [rf[0, 1, 0, 1], rf[0, 2, 0, 2], rf[0, 3, 0, 3]], rtol=0, atol=1e-14 * scale
+            )
+            npt.assert_allclose(
+                nf.mus, [rf[2, 3, 0, 1], rf[3, 1, 0, 2], rf[1, 2, 0, 3]], rtol=0, atol=1e-14 * scale
+            )
+            pattern = dense_from_entries(4, normal_form_entries(nf.lambdas, nf.mus))
+            npt.assert_allclose(rf, pattern, rtol=0, atol=1e-12 * scale)
+
+    def test_wrong_frame_fails_the_pattern_check(self, monkeypatch):
+        sample = rotated_star_h_samples(33, 1)[0]
+        rotation = random_rotation(np.random.default_rng(34), 4)
+        monkeypatch.setattr(normal_forms, "_assemble_frame", lambda *args: rotation)
+        with pytest.raises(FrameReconstructionError, match="normal-form pattern") as exc:
+            normal_form_4(sample.rm, sample.h)
+        assert set(exc.value.diagnostics) == {"lambdas", "mus"}
+
+    def test_first_bianchi_violation_raises(self):
+        broken = CurvatureTensor(dim=4, components=dense_from_entries(4, [(0, 1, 2, 3, 1.0)]))
+        for analysis in (
+            lambda: is_star_h_einstein(broken, np.eye(4)),
+            lambda: normal_form_4(broken, np.eye(4)),
+            lambda: preferred_normal_form_4(broken, np.eye(4), np.eye(4)),
+        ):
+            with pytest.raises(TensorValidationError, match="first Bianchi identity"):
+                analysis()
+
+    def test_preferred_form_keeps_the_dimension_message(self):
+        with pytest.raises(DimensionError, match="specific to dim 4"):
+            preferred_normal_form_4(space_form(3, 1.0), np.eye(3), np.eye(3))
 
 
 class TestCanonicalPairs:
