@@ -16,9 +16,11 @@ byte-identical output.  Point analyses run on one thread in index order;
 Non-finite report values serialize as ``null`` in JSON and ``-`` in text.
 
 The reader checks structure only and completes each tensor by its index
-symmetries.  ``validate`` checks every identity; ``einstein-check`` and
-``normal-form`` give a point that breaks the first Bianchi identity an
-``error`` field and exit 1, and ``integrate`` stops with exit 1 on it.
+symmetries.  ``validate`` checks every identity; ``einstein-check``,
+``normal-form`` and ``petrov`` give a point that breaks the first Bianchi
+identity an ``error`` field and exit 1, and ``integrate`` stops with exit 1
+on it.  ``normal-form`` and ``integrate`` run the Lambda^2 kernel on stacked
+chunks of points.
 """
 
 import argparse
@@ -28,16 +30,17 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, normal_forms
 from .complex_forms import classify_complex
 from .exceptions import (
+    DegenerateMetricError,
     GeometryError,
     NotCommutingError,
     SampleFormatError,
     TensorValidationError,
 )
 from .normal_forms import is_star_h_einstein, preferred_normal_form_4
-from .topology import connected_sum, integrate_samples, weyl_split_check
+from .topology import _CHUNK, connected_sum, integrate_samples, weyl_split_check
 from .zoo import read_samples, validate_sample
 
 __all__ = ["build_parser", "main"]
@@ -157,11 +160,14 @@ def _cmd_einstein_check(args):
 def _cmd_normal_form(args):
     samples = read_samples(args.file)
 
-    def run(index, sample):
+    def metrics(sample):
         g = np.asarray(sample.g, dtype=float)
-        hm = g if sample.h is None else np.asarray(sample.h, dtype=float)
+        return g, (g if sample.h is None else np.asarray(sample.h, dtype=float))
+
+    def run(index, sample, blocks):
+        g, hm = metrics(sample)
         try:
-            nf = preferred_normal_form_4(sample.rm, hm, g, tol=args.tol)
+            nf = preferred_normal_form_4(sample.rm, hm, g, tol=args.tol, blocks=blocks)
         except NotCommutingError as err:
             return {"index": index, "available": False, "note": f"no normal form: {err}"}
         except TensorValidationError as err:
@@ -180,7 +186,24 @@ def _cmd_normal_form(args):
             entry["mus_scaled"] = _floats(nf.scaled.mus_scaled)
         return entry
 
-    points = [run(i, s) for i, s in enumerate(samples)]
+    def run_chunk(start, chunk):
+        # one kernel call for the chunk's 4-dimensional points; a metric that
+        # Cholesky rejects sends the chunk down the per-point path and its message
+        four = [i for i, sample in enumerate(chunk) if sample.rm.dim == 4]
+        stack = {}
+        if four:
+            g, hm = zip(*(metrics(chunk[i]) for i in four))
+            comps = np.stack([chunk[i].rm.components for i in four])
+            try:
+                blocks = normal_forms.lambda2_blocks(comps, np.stack(hm), np.stack(g))
+                stack = {i: blocks.point(n) for n, i in enumerate(four)}
+            except DegenerateMetricError:
+                pass
+        return [run(start + i, sample, stack.get(i)) for i, sample in enumerate(chunk)]
+
+    points = []
+    for start in range(0, len(samples), _CHUNK):
+        points += run_chunk(start, samples[start : start + _CHUNK])
     available = sum(1 for p in points if p["available"])
     report = _base_report(
         args,

@@ -24,6 +24,7 @@ import numpy as np
 from .bivectors import bivector_basis, induced_gram, wedge_vectors
 from .curvature import (
     CurvatureTensor,
+    check_first_bianchi_4,
     curvature_from_frame_components,
     operator_from,
     transform_frame,
@@ -144,10 +145,13 @@ def classify_complex(
     t : ndarray, shape (4,)
         g-unit timelike direction for the Lorentz metric.
     tol : float
-        Relative tolerance for the star-commuting precondition.
+        Relative tolerance for the star-commuting precondition and for the
+        first Bianchi identity.
 
     Raises
     ------
+    TensorValidationError
+        If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
     NotCommutingError
         If the Lorentz operator does not commute with the Lorentz star.
     GeometryError
@@ -157,6 +161,8 @@ def classify_complex(
         raise DimensionError("complex classification is specific to dim 4")
     if rm.scale == 0.0:
         raise GeometryError("flat tensors have no complex classification")
+    r = rm.components
+    check_first_bianchi_4(r[0, 1, 2, 3] + r[0, 2, 3, 1] + r[0, 3, 1, 2], rm.scale, tol)
     frame = adapted_frame(g, t)
     rm_f = CurvatureTensor(dim=4, components=transform_frame(rm, frame))
     gl = lorentz_metric_from_unit(np.eye(4), np.eye(4)[0])

@@ -36,6 +36,7 @@ __all__ = [
     "ricci_contraction",
     "transform_frame",
     "curvature_from_frame_components",
+    "check_first_bianchi_4",
 ]
 
 
@@ -229,6 +230,21 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
         if worst > threshold:
             raise TensorValidationError(name, indices, worst)
     return CurvatureTensor(dim=dim, components=r)
+
+
+def check_first_bianchi_4(residual, scale, tol: float) -> None:
+    """Raise :class:`TensorValidationError` at the first ``|residual| > tol * scale``.
+
+    ``residual`` holds ``R_1234 + R_1342 + R_1423`` of 4-dimensional tensors,
+    the one first-Bianchi residual their pair symmetries leave, and ``scale``
+    their ``max |R_ijkl|`` (both scalars or arrays of one length).
+    """
+    residual = np.atleast_1d(residual)
+    broken = np.flatnonzero(np.abs(residual) > tol * np.asarray(scale))
+    if broken.size:
+        raise TensorValidationError(
+            "first Bianchi identity", (1, 2, 3, 4), float(abs(residual[broken[0]]))
+        )
 
 
 # ---- constructions ----

@@ -26,6 +26,7 @@ from .bivectors import bivector_basis, induced_gram, plane_matrix, plane_span
 from .curvature import (
     CurvatureTensor,
     Lambda2Operator,
+    check_first_bianchi_4,
     component_matrix,
     curvature_from_frame_components,
     transform_frame,
@@ -36,7 +37,6 @@ from .exceptions import (
     DimensionError,
     FrameReconstructionError,
     NotCommutingError,
-    TensorValidationError,
 )
 from .hodge import HodgeStar
 
@@ -119,6 +119,15 @@ class Lambda2Blocks:
         one first-Bianchi residual the pair symmetries leave in dimension 4.
     scale : ndarray, shape (N,)
         ``max |R_ijkl|`` of the input components (at least 1e-300).
+    gram : ndarray, shape (N, 4, 4)
+        The second metric ``g`` in the frame, ``V^T g V`` (``g`` defaults to
+        ``h``, giving the identity up to rounding).
+    pairing_off : ndarray, shape (N, 6)
+        For each pairing of :data:`_PAIRINGS`, the Frobenius norm of the
+        off-diagonal part of ``Lambda^2(V^T g V)`` read in the pairing's six
+        frame bivectors ``(zeta+_a +- zeta-_pi(a))/sqrt(2)``, over
+        ``|V^T g V|_F^2``.  A frame that diagonalizes ``g`` makes that
+        matrix diagonal.
     """
 
     frames: np.ndarray
@@ -131,6 +140,8 @@ class Lambda2Blocks:
     um: np.ndarray
     bianchi: np.ndarray
     scale: np.ndarray
+    gram: np.ndarray
+    pairing_off: np.ndarray
 
     def commuting(self, tol: float) -> np.ndarray:
         """Per point: residual <= tol * ||K||_F."""
@@ -138,11 +149,21 @@ class Lambda2Blocks:
 
     def check_bianchi(self, tol: float) -> None:
         """Raise :class:`TensorValidationError` if some ``|tr B_0| > tol * scale``."""
-        broken = np.flatnonzero(np.abs(self.bianchi) > tol * self.scale)
-        if broken.size:
-            raise TensorValidationError(
-                "first Bianchi identity", (1, 2, 3, 4), float(abs(self.bianchi[broken[0]]))
-            )
+        check_first_bianchi_4(self.bianchi, self.scale, tol)
+
+    def g_orthogonal_pairings(self, tol: float) -> np.ndarray:
+        """Per point and pairing: whether the pairing's frame can diagonalize ``g``.
+
+        A necessary test, looser than :func:`scaled_normal_form`'s: a frame
+        whose ``g`` Gram ``F`` has off-diagonal entries at most ``t max F_ii``
+        (``t = max(tol, 1e-9)``) has 30 off-diagonal entries in ``Lambda^2 F``,
+        24 of them at most ``(t + t^2) max F_ii^2`` and 6 at most
+        ``2 t^2 max F_ii^2``, so their Frobenius norm is at most
+        ``5 (t + 2 t^2) |V^T g V|_F^2``; ``1e-5`` more absorbs rounding and
+        the frame assembly's own 1e-6 tolerance.
+        """
+        t = max(tol, 1e-9)
+        return self.pairing_off <= 5.0 * t * (1.0 + 2.0 * t) + 1e-5
 
     def point(self, n: int) -> "Lambda2Blocks":
         """The data of point ``n`` alone (N = 1)."""
@@ -245,6 +266,10 @@ def h_orthonormal_frame(h: np.ndarray) -> np.ndarray:
 
 _BASIS = bivector_basis(4)
 
+# self-dual axis a is paired with anti-self-dual axis pairing[a]; the order in
+# which the pairings are tried
+_PAIRINGS = tuple(permutations(range(3)))
+
 
 def _in_frame(k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """6x6 components ``k`` read in the frame ``v`` (stacks broadcast):
@@ -253,7 +278,9 @@ def _in_frame(k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.swapaxes(wedge, -1, -2) @ k @ wedge
 
 
-def lambda2_blocks(components: np.ndarray, h: np.ndarray) -> Lambda2Blocks:
+def lambda2_blocks(
+    components: np.ndarray, h: np.ndarray, g: np.ndarray | None = None
+) -> Lambda2Blocks:
     """h-orthonormal Lambda^2 blocks of stacked 4-dimensional tensors.
 
     ``K = (Lambda^2 V)^T K_0 (Lambda^2 V)`` reads the tensor in the frame
@@ -265,10 +292,15 @@ def lambda2_blocks(components: np.ndarray, h: np.ndarray) -> Lambda2Blocks:
         Curvature components, each in the coordinates of its metric.
     h : ndarray, shape (N, 4, 4)
         Positive-definite metrics.
+    g : ndarray, shape (N, 4, 4), optional
+        Second metrics, whose Gram ``V^T g V`` and pairing test the blocks
+        carry; defaults to ``h``.
     """
     r = np.asarray(components, dtype=float)
     h = np.asarray(h, dtype=float)
-    if r.ndim != 5 or r.shape[1:] != (4, 4, 4, 4) or h.shape != (len(r), 4, 4):
+    g = h if g is None else np.asarray(g, dtype=float)
+    shapes_ok = r.ndim == 5 and r.shape[1:] == (4, 4, 4, 4) and h.shape == (len(r), 4, 4)
+    if not shapes_ok or g.shape != h.shape:
         raise DimensionError(
             "lambda2_blocks needs components (N, 4, 4, 4, 4) and metrics (N, 4, 4)"
         )
@@ -285,10 +317,35 @@ def lambda2_blocks(components: np.ndarray, h: np.ndarray) -> Lambda2Blocks:
     evm, um = np.linalg.eigh(half - sym)
     bianchi = np.trace(k0[:, :3, 3:], axis1=1, axis2=2)
     scale = np.maximum(np.max(np.abs(r), axis=(1, 2, 3, 4)), 1e-300)
+    gram = np.swapaxes(v, 1, 2) @ g @ v
     return Lambda2Blocks(
         frames=v, k=k, residual=residual, norm=norm,
         evp=evp, up=up, evm=evm, um=um, bianchi=bianchi, scale=scale,
+        gram=gram, pairing_off=_pairing_off(up, um, gram),
     )
+
+
+def _pairing_off(up, um, gram) -> np.ndarray:
+    """Off-diagonal Frobenius norm of ``Lambda^2 gram`` read in each pairing's
+    six frame bivectors, over ``|gram|_F^2``; shape ``(N, 6)``.
+
+    The bivectors ``P(s)_a = (zeta+_a + s zeta-_pi(a))/sqrt(2)`` are
+    orthonormal, so that norm squared is ``|Lambda^2 gram|_F^2`` less the
+    squared diagonal ``<P(s)_a, P(s)_a> = (x_a + 2 s y_a,pi(a) + z_pi(a))/2``,
+    where ``x``, ``y`` and ``z`` read ``Lambda^2 gram`` in the self-dual and
+    anti-self-dual eigenvectors (``x``, ``z`` on the diagonal only).
+    """
+    c = induced_gram(gram, _BASIS)
+    c11, c12, c21, c22 = c[:, :3, :3], c[:, :3, 3:], c[:, 3:, :3], c[:, 3:, 3:]
+    # blocks in the bases (b_i + b_{i+3})/sqrt(2) and (b_i - b_{i+3})/sqrt(2)
+    x = np.sum(up * (((c11 + c12 + c21 + c22) / 2.0) @ up), axis=1)
+    z = np.sum(um * (((c11 - c12 - c21 + c22) / 2.0) @ um), axis=1)
+    y = np.swapaxes(up, 1, 2) @ ((c11 - c12 + c21 - c22) / 2.0) @ um
+    pi = np.array(_PAIRINGS)
+    p, q = x[:, None, :] + z[:, pi], y[:, np.arange(3), pi]  # (N, pairing, a)
+    diagonal = np.sum(p**2 + 4.0 * q**2, axis=2) / 2.0
+    off = np.sqrt(np.maximum(np.sum(c**2, axis=(1, 2))[:, None] - diagonal, 0.0))
+    return off / np.maximum(np.sum(gram**2, axis=(1, 2)), 1e-300)[:, None]
 
 
 # ---- star-h Einstein test ----
@@ -399,12 +456,13 @@ def normal_form_4(
     return _read_off_normal_form(blocks, f, h, tol)
 
 
-def _split_blocks(rm, h, tol, blocks=None) -> Lambda2Blocks:
+def _split_blocks(rm, h, tol, blocks=None, g=None) -> Lambda2Blocks:
     """Kernel output (N = 1) of a valid commuting tensor, else the error that stops it."""
     if rm.dim != 4:
         raise DimensionError("the star-commuting test is specific to dim 4")
     if blocks is None:
-        blocks = lambda2_blocks(rm.components[None], np.asarray(h, dtype=float)[None])
+        g = None if g is None else np.asarray(g, dtype=float)[None]
+        blocks = lambda2_blocks(rm.components[None], np.asarray(h, dtype=float)[None], g)
     blocks.check_bianchi(tol)
     if not blocks.commuting(tol)[0]:
         raise NotCommutingError(
@@ -462,11 +520,15 @@ def orthogonal_normal_form_4(
 
     The normal-form frame is unique only up to relabeling and up to the
     pairing between self-dual and anti-self-dual eigendirections; whether the
-    frame diagonalizes ``g`` depends on that pairing.  All six pairings are
-    tried in a fixed order (complete whenever the block spectra are simple;
+    frame diagonalizes ``g`` depends on that pairing.  The six pairings are
+    taken in a fixed order (complete whenever the block spectra are simple;
     degenerate blocks are covered when they are diagonal in the original
     coordinates) and the first g-orthogonal frame is returned with its
-    rescaled values attached.  ``blocks`` is as in :func:`normal_form_4`.
+    rescaled values attached.  A pairing whose frame bivectors do not
+    diagonalize ``Lambda^2 g`` (:meth:`Lambda2Blocks.g_orthogonal_pairings`)
+    cannot give one and is skipped before its frame is assembled.
+    ``blocks`` is this point's :func:`lambda2_blocks` output for ``h`` and
+    ``g`` (N = 1), when the caller already has it.
 
     Raises
     ------
@@ -477,8 +539,10 @@ def orthogonal_normal_form_4(
     FrameReconstructionError
         If no pairing yields a g-orthogonal frame.
     """
-    blocks = _split_blocks(rm, h, tol, blocks)
-    for pairing in permutations(range(3)):
+    blocks = _split_blocks(rm, h, tol, blocks, g)
+    for pairing, candidate in zip(_PAIRINGS, blocks.g_orthogonal_pairings(tol)[0]):
+        if not candidate:
+            continue
         try:
             f = _assemble_frame(blocks, pairing)
         except FrameReconstructionError:
@@ -505,10 +569,10 @@ def preferred_normal_form_4(
     """The g-orthogonal normal form when a pairing gives one, else :func:`normal_form_4`'s.
 
     Only the g-orthogonal form carries rescaled values.  The kernel runs at
-    most once; ``blocks`` is as in :func:`normal_form_4`, and the errors are
-    those of :func:`normal_form_4`.
+    most once; ``blocks`` is as in :func:`orthogonal_normal_form_4`, and the
+    errors are those of :func:`normal_form_4`.
     """
-    blocks = _split_blocks(rm, h, tol, blocks)
+    blocks = _split_blocks(rm, h, tol, blocks, g)
     try:
         return orthogonal_normal_form_4(rm, h, g, tol, blocks=blocks)
     except FrameReconstructionError:

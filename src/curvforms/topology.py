@@ -257,7 +257,11 @@ _PROPORTIONAL_RTOL = 1e-13
 
 @dataclass
 class _Terms:
-    """Weighted density terms, kept apart until the final ``math.fsum``."""
+    """Weighted density terms, kept apart until the final ``math.fsum``.
+
+    After each chunk every list is folded into a few floats with the same
+    exact sum (:func:`_fold`), so it stays short however long the stream is.
+    """
 
     chi: list = field(default_factory=list)
     tau: list = field(default_factory=list)
@@ -267,6 +271,27 @@ class _Terms:
     weights: list = field(default_factory=list)
     skipped: int = 0
     general_frame: int = 0
+    orthogonal: int = 0
+
+    def fold(self) -> None:
+        for name in ("chi", "tau", "corr", "orth_chi", "orth_tau", "weights"):
+            setattr(self, name, _fold(getattr(self, name)))
+
+
+def _fold(values: list) -> list:
+    """A few floats with exactly the sum of ``values``, so ``math.fsum`` of them
+    equals ``math.fsum(values)`` bit for bit: each is the correctly rounded rest
+    of that sum after the ones before it.  Values whose sum ``fsum`` cannot
+    take (non-finite, or overflowing) are kept as they are."""
+    partials = []
+    try:
+        while rest := math.fsum(values + [-p for p in partials]):
+            if not math.isfinite(rest):
+                return values
+            partials.append(rest)
+    except (OverflowError, ValueError):
+        return values
+    return partials
 
 
 def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
@@ -278,8 +303,9 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
         Point samples carrying ``rm`` (a validated ``CurvatureTensor``),
         ``g``, optional ``h`` (defaults to ``g``), and a nonnegative
         ``weight``; weights must sum to the total volume.  Any iterable
-        works; it is read once and analysed in chunks of a fixed size, so a
-        generator is never held whole.
+        works; it is read once and analysed in chunks of a fixed size, and
+        the terms are kept as exact partial sums, so memory does not grow
+        with the number of samples.
     tol : float
         Tolerance for the star-commuting precondition and for the first
         Bianchi identity at each point.
@@ -308,13 +334,14 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
             raise
         if len(chunk) == _CHUNK:
             _integrate_chunk(chunk, tol, terms)
+            terms.fold()
             chunk = []
     _integrate_chunk(chunk, tol, terms)
 
     chi = math.fsum(terms.chi)
     tau = math.fsum(terms.tau)
     corr = math.fsum(terms.corr)
-    if terms.orth_chi or terms.corr:
+    if terms.orthogonal:
         residual = abs(math.fsum(terms.orth_chi) - 1.5 * math.fsum(terms.orth_tau) - corr)
     else:
         residual = math.nan
@@ -350,7 +377,7 @@ def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
         return
     rms, g, h, weights = zip(*chunk)
     g = np.stack(g)
-    blocks = lambda2_blocks(np.stack([rm.components for rm in rms]), np.stack(h))
+    blocks = lambda2_blocks(np.stack([rm.components for rm in rms]), np.stack(h), g)
     blocks.check_bianchi(tol)
 
     weights = np.array(weights)
@@ -361,11 +388,11 @@ def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
     # g = s h makes every normal-form frame g-orthogonal with g^ii = 1/s, so
     # lt = kt = l/s^2 and mt = m/s^2: with l + m and l - m running over the
     # self-dual and anti-self-dual spectra the sums below need no frame
-    gram = np.swapaxes(blocks.frames, 1, 2) @ g @ blocks.frames
-    s = np.trace(gram, axis1=1, axis2=2) / 4.0
-    off = np.max(np.abs(gram - s[:, None, None] * np.eye(4)), axis=(1, 2))
+    s = np.trace(blocks.gram, axis1=1, axis2=2) / 4.0
+    off = np.max(np.abs(blocks.gram - s[:, None, None] * np.eye(4)), axis=(1, 2))
     proportional = commuting & (s > 0) & (off <= _PROPORTIONAL_RTOL * s)
     idx = np.flatnonzero(proportional)
+    terms.orthogonal += idx.size
     plus = np.sum(blocks.evp[idx] ** 2, axis=1)
     minus = np.sum(blocks.evm[idx] ** 2, axis=1)
     s4, w = s[idx] ** 4, weights[idx]
@@ -383,6 +410,7 @@ def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
         weight = weights[i]
         terms.tau.append(weight * value.tau_density_gvol)
         if value.orthogonal:
+            terms.orthogonal += 1
             terms.chi.append(weight * value.chi_density_gvol)
             terms.corr.append(weight * value.ht_correction_density)
             terms.orth_chi.append(weight * value.chi_density_gvol)

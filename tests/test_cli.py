@@ -2,20 +2,30 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import curvforms
 from curvforms import normal_forms
 from curvforms.cli import main
 from curvforms.complex_forms import complex_case_matrix
+from curvforms.curvature import space_form
+from curvforms.exceptions import DegenerateMetricError
 from curvforms.normal_forms import canonical_pairs, lambda2_blocks
+from curvforms.topology import _CHUNK
 from curvforms.zoo import (
+    PointSample,
     gen_product_spheres,
     gen_space_form,
     gen_synthetic_star_h,
     gen_synthetic_star_L,
+    sample_to_json,
     write_samples,
 )
 
@@ -222,6 +232,87 @@ class TestNormalForm:
         assert len(calls) == 1
 
 
+def chunked_file(tmp_path):
+    """More than one kernel chunk of star-h points (aligned, proportional and
+    rotated), with points the stacked kernel cannot take at the boundary: a
+    dim-3 point, non-commuting points and a first-Bianchi breaker; the second
+    chunk holds a metric that Cholesky rejects."""
+    rng = np.random.default_rng(17)
+    lines = []
+    for k in range(_CHUNK + 44):
+        lam, mu = rng.normal(size=3), rng.normal(size=3)
+        mu[2] = -mu[0] - mu[1]
+        h_diag = rng.uniform(0.5, 2.0, 4)
+        g_diag = rng.uniform(0.5, 2.0) * h_diag if k % 3 == 0 else rng.uniform(0.5, 2.0, 4)
+        rotation = None
+        if k % 3 == 2:
+            rotation = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+            rotation[:, 0] *= np.sign(np.linalg.det(rotation))
+        sample = gen_synthetic_star_h(lam, mu, h_diag, g_diag, frame_rotation=rotation)
+        lines.append(sample_to_json(sample))
+    non_commuting = sample_to_json(next(iter(gen_product_spheres(1.0, 2.0, 2))))
+    lines[_CHUNK - 3] = sample_to_json(next(iter(gen_space_form(3, 1.0, 2))))
+    lines[_CHUNK - 2] = non_commuting
+    lines[_CHUNK - 1] = '{"dim":4,"g":[1,0,1,0,0,1,0,0,0,1],"rm":[[1,2,3,4,1.0]],"weight":1.0}'
+    lines[_CHUNK] = non_commuting
+    lines[_CHUNK + 1] = lines[_CHUNK - 3]
+    lines[_CHUNK + 30] = sample_to_json(PointSample(
+        dim=4, g=np.eye(4), rm=space_form(4, 1.0), weight=1.0, h=np.diag([1.0, 1.0, 1.0, -1.0])
+    ))
+    path = tmp_path / "chunked.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestNormalFormChunks:
+    def test_entries_equal_the_per_point_path(self, tmp_path, capsys, monkeypatch):
+        path = chunked_file(tmp_path)
+        code, stacked, _ = run(capsys, "normal-form", path, "--format", "json")
+        kernel = normal_forms.lambda2_blocks
+
+        def one_point_only(components, h, g=None):
+            if len(components) > 1:
+                raise DegenerateMetricError("stacked call refused")
+            return kernel(components, h, g)
+
+        monkeypatch.setattr(normal_forms, "lambda2_blocks", one_point_only)
+        per_point_code, per_point, _ = run(capsys, "normal-form", path, "--format", "json")
+        assert (code, stacked) == (per_point_code, per_point)
+        points = json.loads(stacked)["points"]
+        assert code == 1 and len(points) == _CHUNK + 44
+        assert points[_CHUNK - 1]["error"].startswith("first Bianchi identity")
+        for i in (_CHUNK - 3, _CHUNK + 1):
+            assert "specific to dim 4" in points[i]["note"]
+        for i in (_CHUNK - 2, _CHUNK):
+            assert points[i]["note"].startswith("no normal form")
+        assert "not positive definite" in points[_CHUNK + 30]["note"]
+
+    def test_report_equals_the_exhaustive_pairing_route(self, tmp_path, capsys, monkeypatch):
+        path = chunked_file(tmp_path)
+        _, filtered, _ = run(capsys, "normal-form", path, "--format", "json")
+        monkeypatch.setattr(
+            normal_forms.Lambda2Blocks, "g_orthogonal_pairings",
+            lambda self, tol: np.ones(self.pairing_off.shape, dtype=bool),
+        )
+        _, exhaustive, _ = run(capsys, "normal-form", path, "--format", "json")
+        assert filtered == exhaustive
+
+    def test_one_frame_assembly_per_commuting_point(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        assemble = normal_forms._assemble_frame
+
+        def counted(blocks, pairing):
+            calls.append(pairing)
+            return assemble(blocks, pairing)
+
+        monkeypatch.setattr(normal_forms, "_assemble_frame", counted)
+        _, out, _ = run(capsys, "normal-form", chunked_file(tmp_path), "--format", "json")
+        report = json.loads(out)
+        scaled = sum("lambdas_scaled" in p for p in report["points"])
+        assert 0 < scaled < report["aggregate"]["available"]
+        assert len(calls) == report["aggregate"]["available"]
+
+
 def bianchi_file(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text(
@@ -252,6 +343,17 @@ class TestPetrov:
         hist = json.loads(out)["aggregate"]["histogram"]
         assert hist == {"case 1": 1, "case 2": 1, "case 3": 1, "case 4": 1}
         assert sum(hist.values()) == json.loads(out)["aggregate"]["points"]
+
+    def test_first_bianchi_violation_is_a_point_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.jsonl"
+        path.write_text(
+            '{"dim":4,"g":[1,0,1,0,0,1,0,0,0,1],"rm":[[1,2,3,4,1.0]],"weight":1.0,"T":[1,0,0,0]}\n',
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "petrov", str(path), "--format", "json")
+        assert code == 1
+        point = json.loads(out)["points"][0]
+        assert point["error"].startswith("first Bianchi identity") and "case" not in point
 
     def test_missing_t_is_analysis_failure(self, tmp_path, capsys):
         code, out, _ = run(
@@ -409,6 +511,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["validate", str(tmp_path / "x.jsonl"), "--threads", "0"])
         assert err.value.code == 2
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-m", "curvforms", "--version"], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("curvforms ")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

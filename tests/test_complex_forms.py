@@ -19,8 +19,13 @@ from curvforms.complex_forms import (
     count_spacelike_critical,
     tensor_from_complex_form,
 )
-from curvforms.curvature import CurvatureTensor, operator_from, space_form
-from curvforms.exceptions import GeometryError, NonUnitVectorError, NotCommutingError
+from curvforms.curvature import CurvatureTensor, operator_from, space_form, validate_curvature
+from curvforms.exceptions import (
+    GeometryError,
+    NonUnitVectorError,
+    NotCommutingError,
+    TensorValidationError,
+)
 from curvforms.hodge import hodge_star, lorentz_metric_from_unit
 from curvforms.normal_forms import critical_point_residual
 
@@ -128,6 +133,13 @@ class TestClassification:
         assert nf.case_id == 2
         assert sorted(nf.algebraic_multiplicities) == [1, 2]
         assert sorted(nf.geometric_multiplicities) == [1, 2]
+
+    def test_first_bianchi_violation_raises(self):
+        broken = validate_curvature([[1, 2, 3, 4, 1.0]], dim=4, tol=math.inf)
+        with pytest.raises(TensorValidationError) as err:
+            classify_complex(broken, np.eye(4), np.eye(4)[0])
+        assert err.value.identity == "first Bianchi identity"
+        assert err.value.residual == 1.0
 
     def test_nearly_equal_eigenvalues_merge(self):
         c = np.diag([0.5 + 0.0j, 0.5 + 1e-10, -1.0])

@@ -25,3 +25,5 @@ def test_demo_exits_zero(script, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr[-2000:]
+    # TMPDIR and the working directory are tmp_path: a demo leaves no directory behind
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []

@@ -1,11 +1,14 @@
 """Tests for curvature normal forms in dimensions 4, 3 and n."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from curvforms import curvature, normal_forms
-from curvforms.bivectors import bivector_basis, wedge_vectors
+from curvforms.bivectors import bivector_basis, induced_gram, wedge_vectors
 from curvforms.curvature import (
     CurvatureTensor,
     component_matrix,
@@ -39,7 +42,7 @@ from curvforms.normal_forms import (
     scaled_normal_form,
     signed_curvature_3,
 )
-from curvforms.zoo import gen_synthetic_star_h
+from curvforms.zoo import gen_product_spheres, gen_space_form, gen_synthetic_star_h
 
 RNG = np.random.default_rng(20260515)
 
@@ -229,7 +232,33 @@ class TestLambda2Blocks:
         assert one.k.shape == (1, 6, 6) and one.up.shape == (1, 3, 3)
         npt.assert_array_equal(one.evm[0], blocks.evm[1])
 
+    def test_pairing_off_reads_lambda2_g_in_the_pairing_bivectors(self):
+        # reference: the six bivectors (zeta+_a +- zeta-_pi(a))/sqrt(2) as columns
+        rms = [build_normal_form_tensor(RNG, *random_lambda_mu(RNG))[0] for _ in range(6)]
+        gs = np.stack([random_spd(RNG, 4) for _ in rms])
+        blocks = lambda2_blocks(np.stack([r.components for r in rms]), np.stack([np.eye(4)] * 6), gs)
+        basis = bivector_basis(4)
+        for n, g in enumerate(gs):
+            npt.assert_allclose(blocks.gram[n], g, atol=1e-15)
+            lam2 = induced_gram(g, basis)
+            for k, pairing in enumerate(itertools.permutations(range(3))):
+                up, um = blocks.up[n], blocks.um[n][:, list(pairing)]
+                plus, minus = np.vstack([up + um, up - um]), np.vstack([up - um, up + um])
+                w = np.concatenate([plus, minus], axis=1) / 2.0
+                m = w.T @ lam2 @ w
+                off = np.linalg.norm(m - np.diag(np.diag(m))) / np.sum(g**2)
+                assert blocks.pairing_off[n, k] == pytest.approx(off, rel=1e-12, abs=1e-14)
+
+    def test_without_g_every_pairing_is_a_candidate(self):
+        rms = [build_normal_form_tensor(RNG, *random_lambda_mu(RNG))[0] for _ in range(4)]
+        hs = np.stack([random_spd(RNG, 4) for _ in rms])
+        blocks = lambda2_blocks(np.stack([r.components for r in rms]), hs)
+        npt.assert_allclose(blocks.gram, np.stack([np.eye(4)] * 4), atol=1e-14)
+        assert blocks.g_orthogonal_pairings(1e-9).all()
+
     def test_rejects_bad_input(self):
+        with pytest.raises(DimensionError):
+            lambda2_blocks(np.zeros((2, 4, 4, 4, 4)), np.stack([np.eye(4)] * 2), np.eye(4)[None])
         with pytest.raises(DimensionError):
             lambda2_blocks(np.zeros((2, 3, 3, 3, 3)), np.stack([np.eye(3)] * 2))
         with pytest.raises(DimensionError):
@@ -364,6 +393,101 @@ class TestComponentMatrixReadOff:
     def test_preferred_form_keeps_the_dimension_message(self):
         with pytest.raises(DimensionError, match="specific to dim 4"):
             preferred_normal_form_4(space_form(3, 1.0), np.eye(3), np.eye(3))
+
+
+def prefilter_samples():
+    """Points the pairing pre-filter must get right, as (rm, h, g) namespaces:
+    seeded aligned, h-proportional and rotated star-h points, space-form and
+    product points (degenerate block spectra), and the criterion-03 data."""
+    rng = np.random.default_rng(41)
+    out = []
+    for kind in ("aligned", "proportional", "rotated") * 10:
+        lambdas, mus = random_lambda_mu(rng)
+        h_diag = rng.uniform(0.5, 2.0, 4)
+        g_diag = rng.uniform(0.5, 2.0) * h_diag if kind == "proportional" else rng.uniform(0.5, 2.0, 4)
+        rotation = None if kind == "aligned" else random_rotation(rng, 4)
+        out.append(gen_synthetic_star_h(lambdas, mus, h_diag, g_diag, frame_rotation=rotation))
+    out += list(gen_space_form(4, 1.0, 2)) + list(gen_product_spheres(1.0, 2.0, 2, h_scales=(2.0, 1.0)))
+    for _ in range(6):
+        h = random_spd(rng, 4)
+        kappa = rng.uniform(-2, 2)
+        rm = curvature_from_frame_components(space_form(4, kappa).components, h_orthonormal_frame(h))
+        g = np.diag(rng.uniform(0.5, 2.0, 4)) if rng.uniform() < 0.5 else random_spd(rng, 4)
+        out.append(SimpleNamespace(rm=rm, h=h, g=g))
+    rng = np.random.default_rng(303)  # acceptance criterion 03
+    for _ in range(200):
+        lambdas, mus = random_lambda_mu(rng)
+        h_diag = rng.uniform(0.4, 2.5, size=4)
+        g_diag = rng.uniform(0.4, 2.5, size=4)
+        rotation = random_rotation(rng, 4)
+        out.append(gen_synthetic_star_h(lambdas, mus, h_diag, g_diag, frame_rotation=rotation))
+    return [SimpleNamespace(rm=s.rm, h=s.g if s.h is None else s.h, g=s.g) for s in out]
+
+
+PREFILTER_SAMPLES = prefilter_samples()
+
+
+def chosen_forms(samples, monkeypatch, tol, exhaustive):
+    """(last assembled pairing, normal form) per point; the exhaustive route
+    turns the pre-filter off and tries all six pairings as before it."""
+    assembled = []
+    assemble = normal_forms._assemble_frame
+
+    def recorded(blocks, pairing):
+        assembled.append(pairing)
+        return assemble(blocks, pairing)
+
+    with monkeypatch.context() as m:
+        m.setattr(normal_forms, "_assemble_frame", recorded)
+        if exhaustive:
+            m.setattr(
+                normal_forms.Lambda2Blocks, "g_orthogonal_pairings",
+                lambda self, tol: np.ones(self.pairing_off.shape, dtype=bool),
+            )
+        out = []
+        for s in samples:
+            nf = preferred_normal_form_4(s.rm, s.h, s.g, tol)
+            out.append((assembled[-1], nf))
+    return out, len(assembled)
+
+
+class TestPairingPrefilter:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-4])
+    def test_never_skips_an_accepted_pairing(self, tol):
+        skipped = accepted = 0
+        for s in PREFILTER_SAMPLES:
+            blocks = lambda2_blocks(s.rm.components[None], s.h[None], s.g[None])
+            candidates = blocks.g_orthogonal_pairings(tol)[0]
+            for pairing, candidate in zip(itertools.permutations(range(3)), candidates):
+                try:
+                    f = normal_forms._assemble_frame(blocks, pairing)
+                    scaled_normal_form(normal_forms._read_off_normal_form(blocks, f, s.h, tol), s.g, tol)
+                except (FrameReconstructionError, DegenerateMetricError):
+                    skipped += not candidate
+                    continue
+                accepted += 1
+                assert candidate, f"pairing {pairing} is g-orthogonal but was skipped"
+        assert accepted > 100 and skipped > 1000
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-4])
+    def test_same_pairing_frame_and_values_as_the_exhaustive_route(self, monkeypatch, tol):
+        got, assemblies = chosen_forms(PREFILTER_SAMPLES, monkeypatch, tol, exhaustive=False)
+        want, exhaustive_assemblies = chosen_forms(PREFILTER_SAMPLES, monkeypatch, tol, exhaustive=True)
+        for (pairing, nf), (want_pairing, want_nf) in zip(got, want):
+            assert pairing == want_pairing
+            npt.assert_array_equal(nf.frame, want_nf.frame)
+            npt.assert_array_equal(nf.lambdas, want_nf.lambdas)
+            npt.assert_array_equal(nf.mus, want_nf.mus)
+            assert (nf.scaled is None) == (want_nf.scaled is None)
+            if nf.scaled is not None:
+                for field in ("c", "lambdas_scaled", "kappas_scaled", "mus_scaled"):
+                    npt.assert_array_equal(getattr(nf.scaled, field), getattr(want_nf.scaled, field))
+        assert assemblies < exhaustive_assemblies / 2
+
+    def test_one_assembly_per_star_h_point(self, monkeypatch):
+        star_h = PREFILTER_SAMPLES[:30]
+        _, assemblies = chosen_forms(star_h, monkeypatch, 1e-9, exhaustive=False)
+        assert assemblies == len(star_h)
 
 
 class TestCanonicalPairs:

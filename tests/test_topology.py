@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvforms import topology
 from curvforms.complex_forms import adapted_frame, complex_case_matrix, tensor_from_complex_form
 from curvforms.curvature import space_form, validate_curvature
 from curvforms.exceptions import DegenerateMetricError, DimensionError, TensorValidationError
@@ -23,7 +25,7 @@ from curvforms.topology import (
     parse_block_expression,
     weyl_split_check,
 )
-from curvforms.zoo import PointSample, gen_synthetic_star_h
+from curvforms.zoo import PointSample, gen_space_form, gen_synthetic_star_h
 
 RNG = np.random.default_rng(20260701)
 
@@ -380,6 +382,52 @@ class TestIntegrateSamples:
             integrate_samples(samples)
         assert err.value.identity == "first Bianchi identity"
         assert err.value.residual == 1.0
+
+    def test_folded_totals_equal_fsum_of_all_terms(self, monkeypatch):
+        # reference: every term kept until the final fsum (no folding); proportional,
+        # aligned and rotated points over three chunks
+        rng = np.random.default_rng(9)
+        samples = []
+        for k in range(2 * _CHUNK + 40):
+            lam, mu = random_lambda_mu(rng)
+            g_diag = rng.uniform(0.5, 2.0, size=4)
+            h_diag = rng.uniform(0.5, 2.0) * g_diag if k % 3 == 0 else rng.uniform(0.5, 2.0, size=4)
+            rotation = np.linalg.qr(rng.normal(size=(4, 4)))[0] if k % 3 == 2 else None
+            if rotation is not None and np.linalg.det(rotation) < 0:
+                rotation[:, 0] = -rotation[:, 0]
+            samples.append(gen_synthetic_star_h(
+                lam, mu * 10.0 ** rng.integers(-8, 8), h_diag, g_diag,
+                frame_rotation=rotation, weight=rng.uniform(0.2, 2.0),
+            ))
+        folded = integrate_samples(samples)
+        monkeypatch.setattr(topology, "_fold", lambda values: values)
+        whole = integrate_samples(samples)
+        assert folded == whole
+        assert 0 < whole.general_frame_points < whole.points
+
+    def test_fold_keeps_the_exact_sum(self):
+        rng = np.random.default_rng(10)
+        values = (rng.normal(size=3000) * 10.0 ** rng.integers(-30, 30, size=3000)).tolist()
+        values += [1e16, 1.0, -1e16, 0.0, -0.0]
+        partials = []
+        for start in range(0, len(values), 256):
+            partials = topology._fold(partials + values[start : start + 256])
+            assert len(partials) < 40
+        assert math.fsum(partials) == math.fsum(values)
+        for special in ([1.0, math.inf], [1.0, math.nan], [1e308, 1e308, -1e308]):
+            assert topology._fold(special) is special
+
+    def test_memory_does_not_grow_with_the_stream(self):
+        def peak(cells):
+            tracemalloc.start()
+            try:
+                integrate_samples(gen_space_form(4, 1.0, cells))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak((4, 4, 8, 8)), peak((8, 8, 8, 8))  # 4 and 16 chunks
+        assert large - small < 64 * 1024  # terms kept whole: about 150 B per point
 
     def test_deterministic(self):
         rm = space_form(4, -1.0)
