@@ -187,8 +187,7 @@ def _cmd_normal_form(args):
         return entry
 
     def run_chunk(start, chunk):
-        # one kernel call for the chunk's 4-dimensional points; a metric that
-        # Cholesky rejects sends the chunk down the per-point path and its message
+        # one kernel and frame call per chunk; a metric Cholesky rejects sends it per point
         four = [i for i, sample in enumerate(chunk) if sample.rm.dim == 4]
         stack = {}
         if four:
@@ -196,6 +195,7 @@ def _cmd_normal_form(args):
             comps = np.stack([chunk[i].rm.components for i in four])
             try:
                 blocks = normal_forms.lambda2_blocks(comps, np.stack(hm), np.stack(g))
+                blocks = blocks.with_pairing_frames(blocks.commuting(args.tol))
                 stack = {i: blocks.point(n) for n, i in enumerate(four)}
             except DegenerateMetricError:
                 pass

@@ -17,12 +17,12 @@ eigenvalues ``l +- m`` of the operator restricted to the self-dual and
 anti-self-dual subspaces are the actual invariants).
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import permutations
 
 import numpy as np
 
-from .bivectors import bivector_basis, induced_gram, plane_matrix, plane_span
+from .bivectors import bivector_basis, induced_gram, plane_matrix
 from .curvature import (
     CurvatureTensor,
     Lambda2Operator,
@@ -122,12 +122,8 @@ class Lambda2Blocks:
     gram : ndarray, shape (N, 4, 4)
         The second metric ``g`` in the frame, ``V^T g V`` (``g`` defaults to
         ``h``, giving the identity up to rounding).
-    pairing_off : ndarray, shape (N, 6)
-        For each pairing of :data:`_PAIRINGS`, the Frobenius norm of the
-        off-diagonal part of ``Lambda^2(V^T g V)`` read in the pairing's six
-        frame bivectors ``(zeta+_a +- zeta-_pi(a))/sqrt(2)``, over
-        ``|V^T g V|_F^2``.  A frame that diagonalizes ``g`` makes that
-        matrix diagonal.
+    pairings : ndarray, shape (N, 6, 4, 4), optional
+        Frames of :func:`_pairing_frames`; only :meth:`with_pairing_frames` sets them.
     """
 
     frames: np.ndarray
@@ -141,7 +137,7 @@ class Lambda2Blocks:
     bianchi: np.ndarray
     scale: np.ndarray
     gram: np.ndarray
-    pairing_off: np.ndarray
+    pairings: np.ndarray | None = None
 
     def commuting(self, tol: float) -> np.ndarray:
         """Per point: residual <= tol * ||K||_F."""
@@ -151,23 +147,16 @@ class Lambda2Blocks:
         """Raise :class:`TensorValidationError` if some ``|tr B_0| > tol * scale``."""
         check_first_bianchi_4(self.bianchi, self.scale, tol)
 
-    def g_orthogonal_pairings(self, tol: float) -> np.ndarray:
-        """Per point and pairing: whether the pairing's frame can diagonalize ``g``.
-
-        A necessary test, looser than :func:`scaled_normal_form`'s: a frame
-        whose ``g`` Gram ``F`` has off-diagonal entries at most ``t max F_ii``
-        (``t = max(tol, 1e-9)``) has 30 off-diagonal entries in ``Lambda^2 F``,
-        24 of them at most ``(t + t^2) max F_ii^2`` and 6 at most
-        ``2 t^2 max F_ii^2``, so their Frobenius norm is at most
-        ``5 (t + 2 t^2) |V^T g V|_F^2``; ``1e-5`` more absorbs rounding and
-        the frame assembly's own 1e-6 tolerance.
-        """
-        t = max(tol, 1e-9)
-        return self.pairing_off <= 5.0 * t * (1.0 + 2.0 * t) + 1e-5
+    def with_pairing_frames(self, where) -> "Lambda2Blocks":
+        """These blocks with :attr:`pairings` at the points of the mask ``where``, NaN elsewhere."""
+        pairings = np.full((len(self.k), len(_PAIRINGS), 4, 4), np.nan)
+        pairings[where] = _pairing_frames(self.up[where], self.um[where])
+        return replace(self, pairings=pairings)
 
     def point(self, n: int) -> "Lambda2Blocks":
         """The data of point ``n`` alone (N = 1)."""
-        return Lambda2Blocks(*(getattr(self, f.name)[n : n + 1] for f in fields(self)))
+        values = (getattr(self, f.name) for f in fields(self))
+        return Lambda2Blocks(*(None if v is None else v[n : n + 1] for v in values))
 
 
 @dataclass(frozen=True)
@@ -293,8 +282,7 @@ def lambda2_blocks(
     h : ndarray, shape (N, 4, 4)
         Positive-definite metrics.
     g : ndarray, shape (N, 4, 4), optional
-        Second metrics, whose Gram ``V^T g V`` and pairing test the blocks
-        carry; defaults to ``h``.
+        Second metrics, whose Gram ``V^T g V`` the blocks carry; defaults to ``h``.
     """
     r = np.asarray(components, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -320,32 +308,8 @@ def lambda2_blocks(
     gram = np.swapaxes(v, 1, 2) @ g @ v
     return Lambda2Blocks(
         frames=v, k=k, residual=residual, norm=norm,
-        evp=evp, up=up, evm=evm, um=um, bianchi=bianchi, scale=scale,
-        gram=gram, pairing_off=_pairing_off(up, um, gram),
+        evp=evp, up=up, evm=evm, um=um, bianchi=bianchi, scale=scale, gram=gram,
     )
-
-
-def _pairing_off(up, um, gram) -> np.ndarray:
-    """Off-diagonal Frobenius norm of ``Lambda^2 gram`` read in each pairing's
-    six frame bivectors, over ``|gram|_F^2``; shape ``(N, 6)``.
-
-    The bivectors ``P(s)_a = (zeta+_a + s zeta-_pi(a))/sqrt(2)`` are
-    orthonormal, so that norm squared is ``|Lambda^2 gram|_F^2`` less the
-    squared diagonal ``<P(s)_a, P(s)_a> = (x_a + 2 s y_a,pi(a) + z_pi(a))/2``,
-    where ``x``, ``y`` and ``z`` read ``Lambda^2 gram`` in the self-dual and
-    anti-self-dual eigenvectors (``x``, ``z`` on the diagonal only).
-    """
-    c = induced_gram(gram, _BASIS)
-    c11, c12, c21, c22 = c[:, :3, :3], c[:, :3, 3:], c[:, 3:, :3], c[:, 3:, 3:]
-    # blocks in the bases (b_i + b_{i+3})/sqrt(2) and (b_i - b_{i+3})/sqrt(2)
-    x = np.sum(up * (((c11 + c12 + c21 + c22) / 2.0) @ up), axis=1)
-    z = np.sum(um * (((c11 - c12 - c21 + c22) / 2.0) @ um), axis=1)
-    y = np.swapaxes(up, 1, 2) @ ((c11 - c12 + c21 - c22) / 2.0) @ um
-    pi = np.array(_PAIRINGS)
-    p, q = x[:, None, :] + z[:, pi], y[:, np.arange(3), pi]  # (N, pairing, a)
-    diagonal = np.sum(p**2 + 4.0 * q**2, axis=2) / 2.0
-    off = np.sqrt(np.maximum(np.sum(c**2, axis=(1, 2))[:, None] - diagonal, 0.0))
-    return off / np.maximum(np.sum(gram**2, axis=(1, 2)), 1e-300)[:, None]
 
 
 # ---- star-h Einstein test ----
@@ -395,38 +359,53 @@ def is_star_h_einstein(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) ->
 # ---- 4-dimensional normal form ----
 
 
-def _pair_bivector(up: np.ndarray, um: np.ndarray, sign: float) -> np.ndarray:
-    """Bivector (zeta_plus + sign * zeta_minus)/sqrt(2) from 3-vector coords.
+def _stacked(rows) -> np.ndarray:
+    """Nested rows of equally shaped arrays as a stack of matrices."""
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
-    ``up``/``um`` are coordinates in the self-dual / anti-self-dual bases
-    ``(b_i + b_{i+3})/sqrt(2)`` and ``(b_i - b_{i+3})/sqrt(2)``.
+
+def _quaternion(r: np.ndarray) -> np.ndarray:
+    """Unit quaternions ``q = (a, b, c, d)`` of stacked rotations ``r``: the top
+    eigenvector of ``4 q q^T - I``, a matrix linear in ``r`` (Bar-Itzhack 2000)."""
+    (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = np.moveaxis(r, (-2, -1), (0, 1))
+    return np.linalg.eigh(_stacked([
+        [r11 + r22 + r33, r32 - r23, r13 - r31, r21 - r12],
+        [r32 - r23, r11 - r22 - r33, r12 + r21, r13 + r31],
+        [r13 - r31, r12 + r21, r22 - r11 - r33, r23 + r32],
+        [r21 - r12, r13 + r31, r23 + r32, r33 - r11 - r22],
+    ]))[1][..., -1]
+
+
+def _proper(r: np.ndarray) -> np.ndarray:
+    """Stacked orthogonal matrices with the third column negated where ``det r < 0``."""
+    third = np.arange(r.shape[-1]) == 2
+    return np.where((np.linalg.det(r) < 0)[..., None, None] & third, -r, r)
+
+
+def _first_positive(f: np.ndarray) -> np.ndarray:
+    """Stacked frames negated where e_1's first entry beyond 1e-12 is < 0 (same Lambda^2 f)."""
+    e1 = f[..., :, 0]
+    first = np.take_along_axis(e1, np.argmax(np.abs(e1) > 1e-12, axis=-1)[..., None], axis=-1)
+    return np.where(first[..., None] < 0, -f, f)
+
+
+def _pairing_frames(up: np.ndarray, um: np.ndarray) -> np.ndarray:
+    """Frames in ``V`` of the pairings :data:`_PAIRINGS`, shape (N, 6, 4, 4),
+    from the block eigenvectors ``up`` and ``um``, shape (N, 3, 3).
+
+    A pairing's frame rotates the self-dual bivectors by ``R_+ = up`` and the
+    anti-self-dual ones by ``R_- = um[:, pairing]``, each made proper.  With
+    :func:`bivector_basis`'s order, left multiplication by the quaternion
+    ``p`` of ``R_+`` acts as ``R_+`` on the self-dual half only and right
+    multiplication by ``q`` of ``R_-`` as ``R_-^T`` on the anti-self-dual
+    half only (SO(4) = (SU(2) x SU(2))/+-1), so the frame is ``L(p) R(q)^T``.
     """
-    return np.concatenate([(up + sign * um) / 2.0, (up - sign * um) / 2.0])
-
-
-def _vector_in_plane(vec: np.ndarray, xi: np.ndarray, basis) -> bool:
-    """Whether ``vec`` lies in the 2-plane of the decomposable unit bivector ``xi``."""
-    x = plane_matrix(xi, basis)
-    proj = -x @ (x @ vec)  # projector onto the plane, for unit xi
-    return bool(np.linalg.norm(proj - vec) <= 1e-6 * max(np.linalg.norm(vec), 1e-300))
-
-
-def _shared_unit_vector(xi1: np.ndarray, xi2: np.ndarray, basis) -> np.ndarray:
-    u1, w1 = plane_span(xi1, basis)
-    u2, w2 = plane_span(xi2, basis)
-    m = np.stack([u1, w1, -u2, -w2], axis=1)
-    _, sv, vt = np.linalg.svd(m)
-    if sv[-1] > 1e-6:
-        raise FrameReconstructionError(
-            "paired eigenplanes do not intersect",
-            diagnostics={"singular_values": sv.tolist()},
-        )
-    coef = vt[-1]
-    e = coef[0] * u1 + coef[1] * w1
-    n = np.linalg.norm(e)
-    if n < 1e-8:
-        raise FrameReconstructionError("degenerate plane intersection")
-    return e / n
+    a, b, c, d = np.moveaxis(_quaternion(_proper(up)), -1, 0)
+    left = _stacked([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
+    paired = np.moveaxis(um[:, :, np.array(_PAIRINGS)], 2, 1)  # (N, pairing, 3, 3)
+    a, b, c, d = np.moveaxis(_quaternion(_proper(paired)), -1, 0)
+    right = _stacked([[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]])
+    return _first_positive(left[:, None] @ np.swapaxes(right, -1, -2))
 
 
 def normal_form_4(
@@ -434,13 +413,12 @@ def normal_form_4(
 ) -> NormalForm4:
     """Reconstruct a normal-form frame for a star-commuting tensor.
 
-    The operator restricted to the self-dual and anti-self-dual subspaces is
-    diagonalized; eigenvalues are paired in ascending order, each matched pair
-    of eigenvectors sums to a decomposable 2-plane, and the three planes are
-    rebuilt into a common frame through their shared vector.  The values are
-    read from the component matrix in that frame and verified against the
-    normal-form pattern.  ``blocks`` is this point's
-    :func:`lambda2_blocks` output (N = 1), when the caller already has it.
+    The self-dual and anti-self-dual blocks are diagonalized and their
+    eigenvalues paired in ascending order; the frame that carries the two
+    bases of bivectors to the paired eigenvectors comes in closed form
+    (:func:`_pairing_frames`).  The values are read from the component matrix
+    in that frame and checked against the normal-form pattern.  ``blocks`` is
+    this point's :func:`lambda2_blocks` output (N = 1), if at hand.
 
     Raises
     ------
@@ -449,15 +427,14 @@ def normal_form_4(
     NotCommutingError
         If ``rm`` fails :func:`is_star_h_einstein` at ``tol``.
     FrameReconstructionError
-        If pairing or frame assembly fails; carries diagnostics.
+        If the components in the frame miss the pattern; carries diagnostics.
     """
     blocks = _split_blocks(rm, h, tol, blocks)
-    f = _assemble_frame(blocks, (0, 1, 2))
-    return _read_off_normal_form(blocks, f, h, tol)
+    return _read_off_normal_form(blocks, blocks.pairings[0, 0], h, tol)
 
 
 def _split_blocks(rm, h, tol, blocks=None, g=None) -> Lambda2Blocks:
-    """Kernel output (N = 1) of a valid commuting tensor, else the error that stops it."""
+    """Kernel output and pairing frames (N = 1) of a valid commuting tensor, else its error."""
     if rm.dim != 4:
         raise DimensionError("the star-commuting test is specific to dim 4")
     if blocks is None:
@@ -469,44 +446,7 @@ def _split_blocks(rm, h, tol, blocks=None, g=None) -> Lambda2Blocks:
             "operator does not commute with the h-star; no normal form",
             residual=float(blocks.residual[0] / max(blocks.norm[0], 1e-300)),
         )
-    return blocks
-
-
-def _assemble_frame(blocks, pairing):
-    """Frame from pairing the i-th self-dual with the pairing[i]-th anti-self-dual axis."""
-    up, um, evp, evm = blocks.up[0], blocks.um[0], blocks.evp[0], blocks.evm[0]
-    p1 = _pair_bivector(up[:, 0], um[:, pairing[0]], 1.0)
-    p2 = _pair_bivector(up[:, 1], um[:, pairing[1]], 1.0)
-    e1 = _shared_unit_vector(p1, p2, _BASIS)
-    e2 = -plane_matrix(p1, _BASIS) @ e1
-    e3 = -plane_matrix(p2, _BASIS) @ e1
-    e4 = None
-    for sign in (1.0, -1.0):
-        p3 = _pair_bivector(up[:, 2], um[:, pairing[2]], sign)
-        if _vector_in_plane(e1, p3, _BASIS):
-            e4 = -plane_matrix(p3, _BASIS) @ e1
-            break
-    if e4 is None:
-        raise FrameReconstructionError(
-            "third eigenplane contains the shared vector for neither sign",
-            diagnostics={"eigenvalues_plus": evp.tolist(), "eigenvalues_minus": evm.tolist()},
-        )
-
-    f = np.stack([e1, e2, e3, e4], axis=1)
-    if np.max(np.abs(f.T @ f - np.eye(4))) > 1e-6:
-        raise FrameReconstructionError(
-            "reconstructed frame is not orthonormal",
-            diagnostics={"gram": (f.T @ f).tolist()},
-        )
-    # orthogonalize away rounding, then apply the sign/orientation conventions
-    uq, _, vq = np.linalg.svd(f)
-    f = uq @ vq
-    first = np.flatnonzero(np.abs(f[:, 0]) > 1e-12)[0]
-    if f[first, 0] < 0:
-        f[:, 0] = -f[:, 0]
-    if np.linalg.det(f) < 0:
-        f[:, [2, 3]] = f[:, [3, 2]]
-    return f
+    return blocks if blocks.pairings is not None else blocks.with_pairing_frames([True])
 
 
 def orthogonal_normal_form_4(
@@ -519,16 +459,14 @@ def orthogonal_normal_form_4(
     """Normal form whose frame additionally diagonalizes a second metric.
 
     The normal-form frame is unique only up to relabeling and up to the
-    pairing between self-dual and anti-self-dual eigendirections; whether the
-    frame diagonalizes ``g`` depends on that pairing.  The six pairings are
-    taken in a fixed order (complete whenever the block spectra are simple;
-    degenerate blocks are covered when they are diagonal in the original
-    coordinates) and the first g-orthogonal frame is returned with its
-    rescaled values attached.  A pairing whose frame bivectors do not
-    diagonalize ``Lambda^2 g`` (:meth:`Lambda2Blocks.g_orthogonal_pairings`)
-    cannot give one and is skipped before its frame is assembled.
-    ``blocks`` is this point's :func:`lambda2_blocks` output for ``h`` and
-    ``g`` (N = 1), when the caller already has it.
+    pairing between self-dual and anti-self-dual eigendirections.  The first
+    of the six pairing frames, in a fixed order, that passes
+    :func:`scaled_normal_form`'s check is returned with its rescaled values.
+    If none does (degenerate block spectra leave the eigenvectors free), the
+    eigenframe of ``g`` is tried if its eigenvalues are simple beyond
+    ``max(tol, 1e-9)`` relative: up to order and signs, it is then the only
+    frame that diagonalizes ``g``.  ``blocks`` is this point's
+    :func:`lambda2_blocks` output for ``h`` and ``g`` (N = 1), if at hand.
 
     Raises
     ------
@@ -537,24 +475,25 @@ def orthogonal_normal_form_4(
     NotCommutingError
         If ``rm`` fails :func:`is_star_h_einstein` at ``tol``.
     FrameReconstructionError
-        If no pairing yields a g-orthogonal frame.
+        If no pairing and no eigenframe of ``g`` yields a g-orthogonal frame.
     """
     blocks = _split_blocks(rm, h, tol, blocks, g)
-    for pairing, candidate in zip(_PAIRINGS, blocks.g_orthogonal_pairings(tol)[0]):
-        if not candidate:
-            continue
+    pairings, gram = blocks.pairings[0], blocks.gram[0]
+    _, passing = _off_diagonal(np.swapaxes(pairings, 1, 2) @ gram @ pairings, tol)
+    candidates = list(pairings[passing])
+    if not candidates:
+        w, e = np.linalg.eigh(gram)
+        if np.min(np.diff(w)) > max(tol, 1e-9) * np.max(np.abs(w)):
+            candidates = [_first_positive(_proper(e))]
+    for f in candidates:
         try:
-            f = _assemble_frame(blocks, pairing)
-        except FrameReconstructionError:
-            continue
-        nf = _read_off_normal_form(blocks, f, h, tol)
-        try:
-            return scaled_normal_form(nf, g, tol)
-        except DegenerateMetricError:
+            return scaled_normal_form(_read_off_normal_form(blocks, f, h, tol), g, tol)
+        except (FrameReconstructionError, DegenerateMetricError):
             continue
     evp, evm = blocks.evp[0], blocks.evm[0]
     raise FrameReconstructionError(
-        "no pairing of the block eigendirections yields a g-orthogonal frame",
+        "no pairing of the block eigendirections, nor the eigenframe of g, "
+        "yields a g-orthogonal frame",
         diagnostics={"eigenvalues_plus": evp.tolist(), "eigenvalues_minus": evm.tolist()},
     )
 
@@ -566,11 +505,12 @@ def preferred_normal_form_4(
     tol: float = 1e-9,
     blocks: Lambda2Blocks | None = None,
 ) -> NormalForm4:
-    """The g-orthogonal normal form when a pairing gives one, else :func:`normal_form_4`'s.
+    """The g-orthogonal normal form when a frame gives one, else :func:`normal_form_4`'s.
 
-    Only the g-orthogonal form carries rescaled values.  The kernel runs at
-    most once; ``blocks`` is as in :func:`orthogonal_normal_form_4`, and the
-    errors are those of :func:`normal_form_4`.
+    Only the g-orthogonal form carries rescaled values.  The kernel and the
+    pairing frames run at most once; ``blocks`` is as in
+    :func:`orthogonal_normal_form_4`, and the errors are those of
+    :func:`normal_form_4`.
     """
     blocks = _split_blocks(rm, h, tol, blocks, g)
     try:
@@ -647,13 +587,20 @@ def scaled_normal_form(nf: NormalForm4, g: np.ndarray, tol: float = 1e-9) -> Nor
     diag = np.diag(gf)
     if np.any(diag <= 0):
         raise DegenerateMetricError("frame vectors must have positive g-length")
-    off = np.max(np.abs(gf - np.diag(diag)))
-    if off > max(tol, 1e-9) * np.max(diag):
+    off, passing = _off_diagonal(gf, tol)
+    if not passing:
         raise DegenerateMetricError(
             f"normal-form frame is not g-orthogonal (off-diagonal {off:.3e})"
         )
     scaled = ScaledNormalForm.rescale(1.0 / np.sqrt(diag), nf.lambdas, nf.mus)
     return NormalForm4(frame=nf.frame, lambdas=nf.lambdas, mus=nf.mus, h=nf.h, scaled=scaled)
+
+
+def _off_diagonal(gf: np.ndarray, tol: float):
+    """Largest off-diagonal |gf_ij| of stacked Grams; whether it is <= max(tol, 1e-9) max gf_ii."""
+    diag = np.diagonal(gf, axis1=-2, axis2=-1)
+    off = np.max(np.abs(gf - diag[..., None] * np.eye(gf.shape[-1])), axis=(-2, -1))
+    return off, off <= max(tol, 1e-9) * np.max(diag, axis=-1)
 
 
 def recover_mu1(values: dict) -> float:

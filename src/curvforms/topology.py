@@ -404,7 +404,10 @@ def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
     terms.orth_tau.extend(tau)
     terms.corr.extend((w * (minus / s4 / (4.0 * math.pi**2))).tolist())
 
-    for i in np.flatnonzero(commuting & ~proportional):
+    general = commuting & ~proportional
+    if general.any():
+        blocks = blocks.with_pairing_frames(general)
+    for i in np.flatnonzero(general):
         nf = preferred_normal_form_4(rms[i], h[i], g[i], tol, blocks=blocks.point(i))
         value = chi_tau_densities(nf, np.linalg.inv(nf.frame.T @ g[i] @ nf.frame), tol)
         weight = weights[i]

@@ -232,14 +232,11 @@ class TestNormalForm:
         assert len(calls) == 1
 
 
-def chunked_file(tmp_path):
-    """More than one kernel chunk of star-h points (aligned, proportional and
-    rotated), with points the stacked kernel cannot take at the boundary: a
-    dim-3 point, non-commuting points and a first-Bianchi breaker; the second
-    chunk holds a metric that Cholesky rejects."""
-    rng = np.random.default_rng(17)
+def star_h_lines(count, seed=17):
+    """JSON lines of seeded star-h points: aligned, proportional and rotated."""
+    rng = np.random.default_rng(seed)
     lines = []
-    for k in range(_CHUNK + 44):
+    for k in range(count):
         lam, mu = rng.normal(size=3), rng.normal(size=3)
         mu[2] = -mu[0] - mu[1]
         h_diag = rng.uniform(0.5, 2.0, 4)
@@ -250,6 +247,15 @@ def chunked_file(tmp_path):
             rotation[:, 0] *= np.sign(np.linalg.det(rotation))
         sample = gen_synthetic_star_h(lam, mu, h_diag, g_diag, frame_rotation=rotation)
         lines.append(sample_to_json(sample))
+    return lines
+
+
+def chunked_file(tmp_path):
+    """More than one kernel chunk of star-h points, with points the stacked
+    kernel cannot take at the boundary: a dim-3 point, non-commuting points and
+    a first-Bianchi breaker; the second chunk holds a metric that Cholesky
+    rejects."""
+    lines = star_h_lines(_CHUNK + 44)
     non_commuting = sample_to_json(next(iter(gen_product_spheres(1.0, 2.0, 2))))
     lines[_CHUNK - 3] = sample_to_json(next(iter(gen_space_form(3, 1.0, 2))))
     lines[_CHUNK - 2] = non_commuting
@@ -287,30 +293,35 @@ class TestNormalFormChunks:
             assert points[i]["note"].startswith("no normal form")
         assert "not positive definite" in points[_CHUNK + 30]["note"]
 
-    def test_report_equals_the_exhaustive_pairing_route(self, tmp_path, capsys, monkeypatch):
-        path = chunked_file(tmp_path)
-        _, filtered, _ = run(capsys, "normal-form", path, "--format", "json")
-        monkeypatch.setattr(
-            normal_forms.Lambda2Blocks, "g_orthogonal_pairings",
-            lambda self, tol: np.ones(self.pairing_off.shape, dtype=bool),
-        )
-        _, exhaustive, _ = run(capsys, "normal-form", path, "--format", "json")
-        assert filtered == exhaustive
-
-    def test_one_frame_assembly_per_commuting_point(self, tmp_path, capsys, monkeypatch):
+    def test_pairing_frames_are_built_once_per_chunk(self, tmp_path, capsys, monkeypatch):
         calls = []
-        assemble = normal_forms._assemble_frame
+        frames = normal_forms._pairing_frames
 
-        def counted(blocks, pairing):
-            calls.append(pairing)
-            return assemble(blocks, pairing)
+        def counted(up, um):
+            calls.append(len(up))
+            return frames(up, um)
 
-        monkeypatch.setattr(normal_forms, "_assemble_frame", counted)
-        _, out, _ = run(capsys, "normal-form", chunked_file(tmp_path), "--format", "json")
+        monkeypatch.setattr(normal_forms, "_pairing_frames", counted)
+        lines = star_h_lines(_CHUNK + 40, seed=18)
+        lines[5] = lines[_CHUNK + 5] = sample_to_json(next(iter(gen_product_spheres(1.0, 2.0, 2))))
+        path = tmp_path / "star_h.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _, out, _ = run(capsys, "normal-form", str(path), "--format", "json")
         report = json.loads(out)
         scaled = sum("lambdas_scaled" in p for p in report["points"])
-        assert 0 < scaled < report["aggregate"]["available"]
-        assert len(calls) == report["aggregate"]["available"]
+        assert 0 < scaled < report["aggregate"]["available"] == _CHUNK + 38
+        assert calls == [_CHUNK - 1, 39]  # the commuting points of each chunk
+
+    def test_round_s4_against_a_rotated_g_reports_scaled_values(self, tmp_path, capsys):
+        q = np.linalg.qr(np.random.default_rng(61).normal(size=(4, 4)))[0]
+        g = q @ np.diag([2.0, 1.0, 0.7, 1.5]) @ q.T
+        path = tmp_path / "s4_rotated_g.jsonl"
+        write_samples(path, [PointSample(dim=4, g=g, rm=space_form(4, 1.0), weight=1.0, h=np.eye(4))])
+        code, out, _ = run(capsys, "normal-form", str(path), "--format", "json")
+        point = json.loads(out)["points"][0]
+        assert code == 0 and point["available"] is True
+        npt.assert_allclose(point["lambdas"], -1.0, atol=1e-14)
+        assert {"lambdas_scaled", "kappas_scaled", "mus_scaled"} <= set(point)
 
 
 def bianchi_file(tmp_path):
