@@ -12,6 +12,13 @@ sectional-curvature functional:
     case 3: two distinct, both geometric mult. 1  -> 1 plane
     case 4: one eigenvalue, geometric mult. 1     -> 0 planes
 
+Each analysis reads the tensor once, as its Lambda^2 component matrix
+``K = (Lambda^2 f)^T K_0 (Lambda^2 f) = [[A, B], [B^T, D]]`` in the adapted
+frame ``f`` (g-orthonormal, ``t`` first), with no 4-index frame change.  There
+the Lorentz operator is ``G_L K`` with ``G_L = diag(-1, -1, -1, 1, 1, 1)`` and
+the Lorentz star is ``[[0, I], [-I, 0]]``; they commute when ``D = -A`` and
+``B = B^T``, and then ``C = -(A + iB)``.
+
 ``count_spacelike_critical`` verifies the prediction numerically with a
 multi-start Gauss-Newton search over the spacelike Grassmannian.
 """
@@ -21,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivectors import bivector_basis, induced_gram, wedge_vectors
+from .bivectors import bivector_basis, wedge_vectors
 from .curvature import (
     CurvatureTensor,
     check_first_bianchi_4,
+    component_matrix,
     curvature_from_frame_components,
-    operator_from,
-    transform_frame,
     validate_curvature,
 )
 from .exceptions import (
@@ -36,7 +42,8 @@ from .exceptions import (
     GeometryError,
     NonUnitVectorError,
 )
-from .hodge import complexify, hodge_star, lorentz_metric_from_unit
+from .hodge import HodgeStar, complexify
+from .normal_forms import _in_frame
 
 __all__ = [
     "ComplexNormalForm",
@@ -62,6 +69,13 @@ CASE_CRITICAL_COUNTS = {1: 3.0, 2: math.inf, 3: 1.0, 4: 0.0}
 # by O(eps^(1/m)); clusters tighter than this cannot be told apart from a
 # single defective eigenvalue, so they are merged
 _JORDAN_SMEAR = 50.0 * float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+# the Lorentz metric of an adapted frame, its Lambda^2 Gram and its star: the
+# values of hodge_star(_ETA), written out because a LAPACK call at import
+# raises the peak memory of every command by about 1 MiB
+_ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+_GRAM_L = np.diag([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+_STAR_L = HodgeStar(np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3)), _GRAM_L, "lorentzian", 1)
 
 
 @dataclass(frozen=True)
@@ -115,6 +129,12 @@ def adapted_frame(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> np.ndarray
     return frame
 
 
+def _adapted_components(rm: CurvatureTensor, g, t, tol: float = 1e-9):
+    """The adapted frame ``f`` of ``(g, t)`` and the 6x6 components ``K`` of ``rm`` in it."""
+    frame = adapted_frame(g, t, tol)
+    return frame, _in_frame(component_matrix(rm), frame)
+
+
 def _cluster_eigenvalues(vals: np.ndarray, width: float):
     """Greedy clustering of complex eigenvalues by distance to cluster mean."""
     order = np.lexsort((vals.imag, vals.real))
@@ -135,6 +155,9 @@ def classify_complex(
     rm: CurvatureTensor, g: np.ndarray, t: np.ndarray, tol: float = 1e-9
 ) -> ComplexNormalForm:
     """Classify the complexified Lorentz operator of ``rm`` by Jordan type.
+
+    ``C`` is :func:`complexify` of ``G_L K``, with ``K`` read in the adapted
+    frame of ``(g, t)`` (see the module docstring).
 
     Parameters
     ----------
@@ -163,12 +186,8 @@ def classify_complex(
         raise GeometryError("flat tensors have no complex classification")
     r = rm.components
     check_first_bianchi_4(r[0, 1, 2, 3] + r[0, 2, 3, 1] + r[0, 3, 1, 2], rm.scale, tol)
-    frame = adapted_frame(g, t)
-    rm_f = CurvatureTensor(dim=4, components=transform_frame(rm, frame))
-    gl = lorentz_metric_from_unit(np.eye(4), np.eye(4)[0])
-    op = operator_from(rm_f, gl, kind="via_lorentz")
-    star = hodge_star(gl)
-    c = complexify(op.matrix, star, tol=tol)
+    _, k = _adapted_components(rm, g, t)
+    c = complexify(_GRAM_L @ k, _STAR_L, tol=tol)
 
     vals = np.linalg.eigvals(c)
     rho = float(np.max(np.abs(vals)))
@@ -348,18 +367,13 @@ def count_spacelike_critical(
     """
     if rm.dim != 4:
         raise DimensionError("the critical-plane counter is specific to dim 4")
-    frame = adapted_frame(g, t)
-    rm_f = CurvatureTensor(dim=4, components=transform_frame(rm, frame))
-    gl = lorentz_metric_from_unit(np.eye(4), np.eye(4)[0])
+    _, k = _adapted_components(rm, g, t)
     basis = bivector_basis(4)
-    gram = induced_gram(gl, basis)
-    op = operator_from(rm_f, gl, kind="via_lorentz")
-    mmat = op.matrix
-    smat = hodge_star(gl).matrix
+    gram, mmat, smat = _GRAM_L, _GRAM_L @ k, _STAR_L.matrix
 
     u0, w0 = _spacelike_starts(n_starts)
     # chart directions: a basis of the Lorentz-orthogonal complement per start
-    comp = np.stack([(gl @ u0.T).T, (gl @ w0.T).T], axis=1)
+    comp = np.stack([u0 @ _ETA, w0 @ _ETA], axis=1)
     _, _, vh = np.linalg.svd(comp)
     n1 = vh[:, 2, :]
     n2 = vh[:, 3, :]

@@ -260,10 +260,10 @@ _BASIS = bivector_basis(4)
 _PAIRINGS = tuple(permutations(range(3)))
 
 
-def _in_frame(k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """6x6 components ``k`` read in the frame ``v`` (stacks broadcast):
+def _in_frame(k: np.ndarray, v: np.ndarray, basis=_BASIS) -> np.ndarray:
+    """Lambda^2 components ``k`` in ``basis`` read in the frame ``v`` (stacks broadcast):
     ``(Lambda^2 v)^T k (Lambda^2 v)``, with the compound from :func:`induced_gram`."""
-    wedge = induced_gram(v, _BASIS)
+    wedge = induced_gram(v, basis)
     return np.swapaxes(wedge, -1, -2) @ k @ wedge
 
 
@@ -462,11 +462,12 @@ def orthogonal_normal_form_4(
     pairing between self-dual and anti-self-dual eigendirections.  The first
     of the six pairing frames, in a fixed order, that passes
     :func:`scaled_normal_form`'s check is returned with its rescaled values.
-    If none does (degenerate block spectra leave the eigenvectors free), the
-    eigenframe of ``g`` is tried if its eigenvalues are simple beyond
-    ``max(tol, 1e-9)`` relative: up to order and signs, it is then the only
-    frame that diagonalizes ``g``.  ``blocks`` is this point's
-    :func:`lambda2_blocks` output for ``h`` and ``g`` (N = 1), if at hand.
+    If none does (degenerate block spectra leave the eigenvectors free), an
+    eigenframe of ``g`` is tried, and the pattern check decides.  It is, up
+    to order and signs, the only frame diagonalizing ``g`` if the eigenvalues
+    are simple; else it serves space forms, not every block degeneracy.
+    ``blocks`` is this point's :func:`lambda2_blocks` output for ``h`` and
+    ``g`` (N = 1), if at hand.
 
     Raises
     ------
@@ -480,11 +481,7 @@ def orthogonal_normal_form_4(
     blocks = _split_blocks(rm, h, tol, blocks, g)
     pairings, gram = blocks.pairings[0], blocks.gram[0]
     _, passing = _off_diagonal(np.swapaxes(pairings, 1, 2) @ gram @ pairings, tol)
-    candidates = list(pairings[passing])
-    if not candidates:
-        w, e = np.linalg.eigh(gram)
-        if np.min(np.diff(w)) > max(tol, 1e-9) * np.max(np.abs(w)):
-            candidates = [_first_positive(_proper(e))]
+    candidates = list(pairings[passing]) or [_first_positive(_proper(np.linalg.eigh(gram)[1]))]
     for f in candidates:
         try:
             return scaled_normal_form(_read_off_normal_form(blocks, f, h, tol), g, tol)
@@ -692,10 +689,7 @@ def normal_form_3(rm: CurvatureTensor, tol: float = 1e-9) -> NormalForm3:
     if np.linalg.det(f) < 0:
         f[:, 2] = -f[:, 2]
 
-    def in_frame(f):
-        return component_matrix(CurvatureTensor(dim=3, components=transform_frame(rm, f)), basis)
-
-    kf = in_frame(f)
+    kf = _in_frame(k, f, basis)
     order = np.argsort(np.diag(kf))
     if not np.array_equal(order, [0, 1, 2]):
         # plane q of the new frame, (1,2), (1,3) or (2,3), is the complement of
@@ -703,7 +697,7 @@ def normal_form_3(rm: CurvatureTensor, tol: float = 1e-9) -> NormalForm3:
         f = f[:, 2 - order[::-1]]
         if np.linalg.det(f) < 0:
             f[:, 2] = -f[:, 2]
-        kf = in_frame(f)
+        kf = _in_frame(k, f, basis)
     diag = np.diag(kf).copy()
     resid = np.max(np.abs(kf - np.diag(diag)))
     if resid > max(tol, 1e-8) * max(rm.scale, 1e-300):

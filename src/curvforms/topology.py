@@ -34,17 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_forms import adapted_frame
-from .curvature import (
-    CurvatureTensor,
-    operator_from,
-    scalar_curvature,
-    transform_frame,
-    validate_curvature,
-    weyl_operator,
-)
+from .complex_forms import _ETA, _GRAM_L, _STAR_L, _adapted_components
+from .curvature import CurvatureTensor, check_first_bianchi_4
 from .exceptions import DegenerateMetricError, DimensionError
-from .hodge import hodge_star, lorentz_metric_from_unit, sd_asd_basis
 from .normal_forms import (
     NormalForm4,
     ScaledNormalForm,
@@ -451,49 +443,48 @@ def weyl_split_check(
 ) -> WeylSplitReport:
     """Split the Weyl operator on Lambda^2 and test the Lorentz relations.
 
-    The tensor is re-expressed in a g-orthonormal frame whose first vector
-    is the unit timelike direction ``t``; the Weyl operator is restricted to
-    the +1 and -1 eigenspaces of the Riemannian star, and all residuals are
-    reported (never assumed): the commutator with the Lorentz star, the
-    scalar curvature, ``w_plus + w_minus``, and the deviation of the Lorentz
-    trace from a multiple of the Lorentz metric.
+    The tensor is read as its component matrix ``K = [[A, B], [B^T, D]]`` in
+    the adapted frame of ``(g, t)``, as in :mod:`curvforms.complex_forms`:
+    ``scal = -2 tr K``, and the Weyl blocks on the self-dual and
+    anti-self-dual bivectors are ``(A + D)/2 +- sym(B) + (scal/12) I``.  All
+    residuals are reported (never assumed): the commutator with the Lorentz
+    star, the scalar curvature, ``w_plus + w_minus``, and the deviation of
+    the Lorentz trace from a multiple of the Lorentz metric.
+
+    Raises
+    ------
+    TensorValidationError
+        If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
     """
     if rm.dim != 4:
         raise DimensionError("the Weyl split is specific to dim 4")
-    frame = adapted_frame(np.asarray(g, dtype=float), np.asarray(t, dtype=float), tol)
-    rma = validate_curvature(transform_frame(rm, frame), dim=4)
-    eye = np.eye(4)
+    r = rm.components
+    check_first_bianchi_4(r[0, 1, 2, 3] + r[0, 2, 3, 1] + r[0, 3, 1, 2], rm.scale, tol)
+    frame, k = _adapted_components(rm, g, t, tol)
 
-    w = weyl_operator(rma, eye).matrix
-    split = sd_asd_basis(hodge_star(eye))
-    w_plus = split.plus @ w @ split.plus.T
-    w_minus = split.minus @ w @ split.minus.T
+    scal = 0.0 - 2.0 * float(np.trace(k))  # +0.0, not -0.0, for a flat tensor
+    a, b, d = k[:3, :3], k[:3, 3:], k[3:, 3:]
+    half, sym = (a + d) / 2.0 + (scal / 12.0) * np.eye(3), (b + b.T) / 2.0
+    w_plus, w_minus = half + sym, half - sym
     relation = w_plus + w_minus
-    relation_residual = float(np.max(np.abs(relation)))
 
-    gl = lorentz_metric_from_unit(eye, eye[:, 0])
-    ml = operator_from(rma, gl, "via_lorentz").matrix
-    sl = hodge_star(gl).matrix
-    comm = ml @ sl - sl @ ml
-    scale = max(float(np.linalg.norm(ml)), 1e-300)
-    commutator_residual = float(np.linalg.norm(comm)) / scale
-    commutes = commutator_residual <= tol
+    ml, sl = _GRAM_L @ k, _STAR_L.matrix
+    norm = max(float(np.linalg.norm(ml)), 1e-300)
+    commutator_residual = float(np.linalg.norm(ml @ sl - sl @ ml)) / norm
 
-    scal = scalar_curvature(rma, eye)
-    gl_inv = np.linalg.inv(gl)
-    trace = np.einsum("jl,jabl->ab", gl_inv, rma.components, optimize=True)
-    f = float(np.trace(gl_inv @ trace)) / 4.0
-    trace_residual = float(np.max(np.abs(trace - f * gl)))
+    # the Lorentz trace read in the frame; g_L^-1 = f eta f^T in input coordinates
+    trace = frame.T @ np.einsum("jl,jabl->ab", frame @ _ETA @ frame.T, r, optimize=True) @ frame
+    f = float(np.trace(_ETA @ trace)) / 4.0
     return WeylSplitReport(
         w_plus=w_plus,
         w_minus=w_minus,
         relation=relation,
-        relation_residual=relation_residual,
-        commutes=commutes,
+        relation_residual=float(np.max(np.abs(relation))),
+        commutes=commutator_residual <= tol,
         commutator_residual=commutator_residual,
         scal=scal,
         f_fitted=f,
-        lorentz_trace_residual=trace_residual,
+        lorentz_trace_residual=float(np.max(np.abs(trace - f * _ETA))),
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for the batch command line."""
 
+import gzip
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 import curvforms
-from curvforms import normal_forms
+from curvforms import cli, normal_forms, topology
 from curvforms.cli import main
 from curvforms.complex_forms import complex_case_matrix
 from curvforms.curvature import space_form
@@ -325,17 +326,20 @@ class TestNormalFormChunks:
 
 
 def bianchi_file(tmp_path):
+    """One line that breaks first Bianchi; it carries T for the Lorentz star."""
     path = tmp_path / "broken.jsonl"
     path.write_text(
-        '{"dim":4,"g":[1,0,1,0,0,1,0,0,0,1],"rm":[[1,2,3,4,1.0]],"weight":1.0}\n',
+        '{"dim":4,"g":[1,0,1,0,0,1,0,0,0,1],"rm":[[1,2,3,4,1.0]],"weight":1.0,"T":[1,0,0,0]}\n',
         encoding="utf-8",
     )
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["normal-form", "einstein-check"])
+@pytest.mark.parametrize(
+    "command", ["normal-form", "einstein-check", "einstein-check --metric lorentz"]
+)
 def test_first_bianchi_violation_is_a_point_error(tmp_path, capsys, command):
-    code, out, _ = run(capsys, command, bianchi_file(tmp_path), "--format", "json")
+    code, out, _ = run(capsys, *command.split(), bianchi_file(tmp_path), "--format", "json")
     assert code == 1
     point = json.loads(out)["points"][0]
     assert point["error"].startswith("first Bianchi identity")
@@ -467,7 +471,56 @@ class TestSums:
 # ---- report invariants ----
 
 
+def mixed_lines(seed=23):
+    """JSON lines of every kind of point in seeded order: an S^4 grid, product
+    spheres with h, star-h points, and star-L points with T in scaled rotated
+    frames."""
+    rng = np.random.default_rng(seed)
+    samples = list(gen_space_form(4, 1.0, (1, 1, 2, 2)))
+    samples += list(gen_product_spheres(1.0, 2.0, (1, 2, 1, 2), h_scales=(2.0, 1.0)))
+    for case in (1, 2, 3, 4, 1, 3):
+        c = complex_case_matrix(case, rng)
+        rotation = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        rotation[:, 0] *= np.sign(np.linalg.det(rotation))
+        frame = rotation @ np.diag(rng.uniform(0.5, 2.0, 4))
+        samples.append(gen_synthetic_star_L(0.5 * (-c.real - c.real.T), 0.5 * (-c.imag - c.imag.T), frame))
+    lines = [sample_to_json(sample) for sample in samples] + star_h_lines(8, seed)
+    return [lines[i] for i in rng.permutation(len(lines))]
+
+
+FILE_COMMANDS = [
+    "validate",
+    "einstein-check --metric g",
+    "einstein-check --metric h",
+    "einstein-check --metric lorentz",
+    "normal-form",
+    "petrov",
+    "integrate",
+]
+
+
 class TestReports:
+    @pytest.mark.parametrize("command", FILE_COMMANDS)
+    def test_gzip_and_chunk_size_do_not_change_bytes(self, tmp_path, capsys, monkeypatch, command):
+        text = "\n".join(mixed_lines()) + "\n"
+        plain, packed = tmp_path / "mixed.jsonl", tmp_path / "mixed.jsonl.gz"
+        plain.write_text(text, encoding="utf-8")
+        with gzip.open(packed, "wt", encoding="utf-8") as fh:
+            fh.write(text)
+
+        def report(path):
+            code, out, _ = run(capsys, *command.split(), str(path), "--format", "json")
+            return code, out.replace(json.dumps(str(path)), '"FILE"')
+
+        reports = [report(plain), report(packed)]
+        # cli binds its own name for the chunk size of normal-form
+        for chunk in (1, 7):
+            monkeypatch.setattr(topology, "_CHUNK", chunk)
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            reports.append(report(plain))
+        assert '"FILE"' in reports[0][1]
+        assert reports[1:] == reports[:1] * 3
+
     def test_thread_count_does_not_change_bytes(self, tmp_path, capsys):
         path = field_file(tmp_path)
         for command in (["einstein-check", path, "--metric", "h"], ["integrate", path]):

@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import curvforms
+from curvforms import complex_forms, curvature, hodge, normal_forms, topology
 from curvforms.complex_forms import (
     CASE_CRITICAL_COUNTS,
     adapted_frame,
@@ -19,15 +22,26 @@ from curvforms.complex_forms import (
     count_spacelike_critical,
     tensor_from_complex_form,
 )
-from curvforms.curvature import CurvatureTensor, operator_from, space_form, validate_curvature
+from curvforms.curvature import (
+    CurvatureTensor,
+    curvature_from_frame_components,
+    operator_from,
+    scalar_curvature,
+    space_form,
+    transform_frame,
+    validate_curvature,
+    weyl_operator,
+)
 from curvforms.exceptions import (
     GeometryError,
     NonUnitVectorError,
     NotCommutingError,
     TensorValidationError,
 )
-from curvforms.hodge import hodge_star, lorentz_metric_from_unit
-from curvforms.normal_forms import critical_point_residual
+from curvforms.hodge import complexify, hodge_star, lorentz_metric_from_unit, sd_asd_basis
+from curvforms.normal_forms import critical_point_residual, normal_form_3
+from curvforms.topology import weyl_split_check
+from curvforms.zoo import gen_synthetic_star_L
 
 RNG = np.random.default_rng(20260601)
 
@@ -204,6 +218,153 @@ class TestCounter:
         first = count_spacelike_critical(rm, np.eye(4), np.eye(4)[0])
         second = count_spacelike_critical(rm, np.eye(4), np.eye(4)[0])
         assert first == second == 1
+
+
+# ---- the adapted-frame Lambda^2 reading against the 4-index route ----
+
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def rotation(rng):
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return q
+
+
+def star_l_sample(seed, case_id=None):
+    """Seeded star-L sample of a random (or the given) case in the frame
+    ``rotation @ diag(U(0.5, 2))``."""
+    rng = np.random.default_rng(seed)
+    c = complex_case_matrix(int(rng.integers(1, 5)) if case_id is None else case_id, rng)
+    frame = rotation(rng) @ np.diag(rng.uniform(0.5, 2.0, 4))
+    return gen_synthetic_star_L(0.5 * (-c.real - c.real.T), 0.5 * (-c.imag - c.imag.T), frame)
+
+
+def reference_c(rm, g, t):
+    """C by the 4-index frame change, the Lorentz operator and its star."""
+    moved = CurvatureTensor(dim=4, components=transform_frame(rm, adapted_frame(g, t)))
+    return complexify(operator_from(moved, ETA, "via_lorentz").matrix, hodge_star(ETA))
+
+
+def reference_weyl_split(rm, g, t, tol=1e-9):
+    """The fields of :class:`WeylSplitReport` through the 4-index frame change,
+    ``weyl_operator`` and ``sd_asd_basis``."""
+    moved = validate_curvature(transform_frame(rm, adapted_frame(g, t, tol)), dim=4)
+    w = weyl_operator(moved, np.eye(4)).matrix
+    split = sd_asd_basis(hodge_star(np.eye(4)))
+    w_plus, w_minus = split.plus @ w @ split.plus.T, split.minus @ w @ split.minus.T
+    ml, sl = operator_from(moved, ETA, "via_lorentz").matrix, hodge_star(ETA).matrix
+    commutator = np.linalg.norm(ml @ sl - sl @ ml) / np.linalg.norm(ml)
+    trace = np.einsum("jl,jabl->ab", ETA, moved.components)
+    f = np.trace(ETA @ trace) / 4.0
+    return {
+        "w_plus": w_plus,
+        "w_minus": w_minus,
+        "relation": w_plus + w_minus,
+        "relation_residual": np.max(np.abs(w_plus + w_minus)),
+        "commutes": commutator <= tol,
+        "commutator_residual": commutator,
+        "scal": scalar_curvature(moved, np.eye(4)),
+        "f_fitted": f,
+        "lorentz_trace_residual": np.max(np.abs(trace - f * ETA)),
+    }
+
+
+class TestAdaptedFrameReading:
+    def test_no_four_index_route_at_run_time(self, monkeypatch):
+        sample = star_l_sample(3, case_id=1)
+        diagonal = validate_curvature([[1, 2, 1, 2, -1.0], [1, 3, 1, 3, 0.5], [2, 3, 2, 3, 2.0]], dim=3)
+        q3 = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+        rm3 = curvature_from_frame_components(diagonal.components, q3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the 4-index frame-change route was taken")
+
+        names = (
+            "transform_frame", "operator_from", "weyl_operator", "sd_asd_basis",
+            "scalar_curvature", "hodge_star", "lorentz_metric_from_unit",
+        )
+        for module in (curvature, hodge, complex_forms, topology, normal_forms):
+            for name in names:
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert classify_complex(sample.rm, sample.g, sample.t).case_id == 1
+        assert count_spacelike_critical(sample.rm, sample.g, sample.t, n_starts=8) >= 0
+        assert weyl_split_check(sample.rm, sample.g, sample.t).commutes
+        npt.assert_allclose(normal_form_3(rm3).diag, [-1.0, 0.5, 2.0], atol=1e-12)
+
+    def test_the_lorentz_constants_are_the_star_of_eta(self):
+        star = hodge_star(ETA)
+        npt.assert_array_equal(complex_forms._STAR_L.matrix, star.matrix)
+        npt.assert_array_equal(complex_forms._GRAM_L, star.gram)
+        assert complex_forms._STAR_L.signature == star.signature == "lorentzian"
+
+    def test_c_and_the_weyl_split_equal_the_four_index_route(self):
+        for seed in range(60):
+            sample = star_l_sample(seed)
+            c = classify_complex(sample.rm, sample.g, sample.t).c_matrix
+            want = reference_c(sample.rm, sample.g, sample.t)
+            npt.assert_allclose(c, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+            report = weyl_split_check(sample.rm, sample.g, sample.t)
+            for name, value in reference_weyl_split(sample.rm, sample.g, sample.t).items():
+                got = getattr(report, name)
+                if name == "commutes":
+                    assert got == value
+                else:
+                    npt.assert_allclose(got, value, rtol=0, atol=1e-11 * sample.rm.scale, err_msg=name)
+
+
+# ---- Lorentz property tests ----
+
+# coordinate changes P = Q1 diag(s) Q2 with proper rotations Q1, Q2 and s in
+# [1, FRAME_CHANGE_COND], the bound of the Riemannian frame-change property in
+# test_normal_forms.  Rounding in K then grows by at most cond(P)^4 = 10^4, to
+# about 1e-12 relative, far below the commuting tolerance 1e-9: a rejection
+# seen at a frame condition number of 1412 is a limit of that input's rounding,
+# not of the commuting test.
+FRAME_CHANGE_COND = 10.0
+
+
+def coordinate_change(rng):
+    s = np.exp(rng.uniform(0.0, np.log(FRAME_CHANGE_COND), 4))
+    return rotation(rng) @ np.diag(s) @ rotation(rng)
+
+
+def cayley(s):
+    """Complex orthogonal ``(I - S)^-1 (I + S)`` of a complex skew ``S``; with
+    ``|S|_2 <= 1/2`` its condition number is at most 9."""
+    eye = np.eye(len(s))
+    return np.linalg.solve(eye - s, eye + s)
+
+
+class TestLorentzProperties:
+    @given(seed=st.integers(0, 2**32 - 1), case_id=st.sampled_from([1, 2, 3, 4]))
+    def test_coordinate_change_keeps_the_case(self, seed, case_id):
+        sample = star_l_sample(seed, case_id)
+        p = coordinate_change(np.random.default_rng([seed, 1]))
+        moved = CurvatureTensor(dim=4, components=transform_frame(sample.rm, p))
+        form = classify_complex(sample.rm, sample.g, sample.t)
+        form_moved = classify_complex(moved, p.T @ sample.g @ p, np.linalg.solve(p, sample.t))
+        assert form.case_id == form_moved.case_id == case_id
+        if case_id == 1:
+            # the adapted frames differ by a rotation fixing t, which conjugates C
+            want = np.sort_complex(np.linalg.eigvals(form.c_matrix))
+            got = np.sort_complex(np.linalg.eigvals(form_moved.c_matrix))
+            npt.assert_allclose(got, want, rtol=0, atol=1e-10 * np.max(np.abs(want)))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        case_id=st.sampled_from([1, 2, 3, 4]),
+        size=st.floats(0.0, 0.5),
+    )
+    def test_complex_orthogonal_conjugation_keeps_the_case(self, seed, case_id, size):
+        rng = np.random.default_rng(seed)
+        c0 = complex_case_matrix(case_id, rng)
+        s = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        s = s - s.T
+        q = cayley(size * s / np.linalg.norm(s))
+        npt.assert_allclose(q.T @ q, np.eye(3), atol=1e-13)
+        for c in (c0, q.T @ c0 @ q):
+            assert classify_complex(tensor_from_complex_form(c), np.eye(4), np.eye(4)[0]).case_id == case_id
 
 
 def test_package_import_leaves_scipy_stats_unloaded():

@@ -458,29 +458,37 @@ def rotated_g(eigenvalues, seed=61):
     return q @ np.diag(eigenvalues) @ q.T
 
 
+def assert_round_s4_scaled(d, seed=61):
+    """The round S^4 against ``rotated_g(d, seed)`` has the g-orthogonal normal
+    form: values -1 and 0, and scaled values ``-1 / (d_i d_j)``."""
+    d = np.asarray(d, dtype=float)
+    g = rotated_g(d, seed)
+    for analysis in (orthogonal_normal_form_4, preferred_normal_form_4):
+        nf = analysis(space_form(4, 1.0), np.eye(4), g)
+        assert nf.scaled is not None
+        npt.assert_allclose(nf.lambdas, -1.0, atol=1e-14)
+        npt.assert_allclose(nf.mus, 0.0, atol=1e-14)
+        gf = nf.frame.T @ g @ nf.frame
+        npt.assert_allclose(gf, np.diag(np.diag(gf)), atol=1e-14)
+        npt.assert_allclose(np.sort(np.diag(gf)), np.sort(d), atol=1e-14)
+        products = [-1.0 / (d[i] * d[j]) for i, j in itertools.combinations(range(4), 2)]
+        got = np.concatenate([nf.scaled.lambdas_scaled, nf.scaled.kappas_scaled])
+        npt.assert_allclose(np.sort(got), np.sort(products), atol=1e-14)
+        npt.assert_allclose(nf.scaled.mus_scaled, 0.0, atol=1e-14)
+
+
 class TestGEigenframe:
     def test_round_s4_against_a_rotated_g(self):
         # every frame is a normal-form frame of S^4, so the block eigenvectors
         # pick none in particular: the eigenframe of g is the g-orthogonal one
-        d = np.array([2.0, 1.0, 0.7, 1.5])
-        g = rotated_g(d)
-        for analysis in (orthogonal_normal_form_4, preferred_normal_form_4):
-            nf = analysis(space_form(4, 1.0), np.eye(4), g)
-            assert nf.scaled is not None
-            npt.assert_allclose(nf.lambdas, -1.0, atol=1e-14)
-            npt.assert_allclose(nf.mus, 0.0, atol=1e-14)
-            gf = nf.frame.T @ g @ nf.frame
-            npt.assert_allclose(gf, np.diag(np.diag(gf)), atol=1e-14)
-            npt.assert_allclose(np.sort(np.diag(gf)), np.sort(d), atol=1e-14)
-            products = [-1.0 / (d[i] * d[j]) for i, j in itertools.combinations(range(4), 2)]
-            got = np.concatenate([nf.scaled.lambdas_scaled, nf.scaled.kappas_scaled])
-            npt.assert_allclose(np.sort(got), np.sort(products), atol=1e-14)
-            npt.assert_allclose(nf.scaled.mus_scaled, 0.0, atol=1e-14)
+        assert_round_s4_scaled([2.0, 1.0, 0.7, 1.5])
 
-    def test_a_repeated_eigenvalue_of_g_leaves_the_eigenframe_out(self):
-        # Q diagonalizes g, but so does any rotation of its repeated eigenspace
-        with pytest.raises(FrameReconstructionError, match="no pairing"):
-            orthogonal_normal_form_4(space_form(4, 1.0), np.eye(4), rotated_g([2.0, 1.0, 1.0, 1.5]))
+    def test_a_repeated_eigenvalue_of_g_still_gives_the_eigenframe(self):
+        # any rotation of the repeated eigenspace also diagonalizes g; for S^4
+        # every one of them is a normal-form frame, so the eigenframe serves
+        for d in ([2.0, 1.0, 1.0, 1.5], [2.0, 2.0, 0.7, 1.5], [1.5, 1.5, 1.5, 0.7]):
+            for seed in (61, 62, 63):
+                assert_round_s4_scaled(d, seed)
 
     def test_eigenframe_missing_the_pattern_gives_the_plain_form(self):
         # rotated star-h points: neither a pairing nor the eigenframe of g fits

@@ -477,7 +477,7 @@ class TestWeylSplitCheck:
     def test_flat_is_trivial(self):
         report = weyl_split_check(space_form(4, 0.0), np.eye(4), np.eye(4)[:, 0])
         assert report.commutes
-        assert report.scal == 0.0
+        assert report.scal == 0.0 and math.copysign(1.0, report.scal) == 1.0  # reports print 0.0
         npt.assert_allclose(report.w_plus, 0.0, atol=1e-15)
         npt.assert_allclose(report.w_minus, 0.0, atol=1e-15)
 
