@@ -12,6 +12,7 @@ is lexicographic ``i < j``.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -45,8 +46,16 @@ class BivectorBasis:
 
     @property
     def pairs0(self):
-        """Pairs with 0-based indices, as an integer array of shape (m, 2)."""
-        return np.asarray(self.pairs, dtype=int) - 1
+        """Pairs with 0-based indices, as a read-only integer array of shape (m, 2)."""
+        return _pairs0(self.pairs)
+
+
+@cache
+def _pairs0(pairs: tuple) -> np.ndarray:
+    """One shared read-only array per pair tuple (one per dimension in use)."""
+    p = np.asarray(pairs, dtype=int) - 1
+    p.flags.writeable = False
+    return p
 
 
 def bivector_basis(dim: int) -> BivectorBasis:

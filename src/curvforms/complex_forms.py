@@ -43,7 +43,7 @@ from .exceptions import (
     NonUnitVectorError,
 )
 from .hodge import HodgeStar, complexify
-from .normal_forms import _in_frame
+from .normal_forms import _BASIS, _in_frame
 
 __all__ = [
     "ComplexNormalForm",
@@ -129,9 +129,15 @@ def adapted_frame(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> np.ndarray
     return frame
 
 
-def _adapted_components(rm: CurvatureTensor, g, t, tol: float = 1e-9):
-    """The adapted frame ``f`` of ``(g, t)`` and the 6x6 components ``K`` of ``rm`` in it."""
-    frame = adapted_frame(g, t, tol)
+def _adapted_components(rm: CurvatureTensor, g, t, tol: float = 1e-9, unit_tol: float = 1e-9):
+    """The adapted frame ``f`` of ``(g, t)`` and the 6x6 components ``K`` of ``rm`` in it.
+
+    Raises :class:`TensorValidationError` first if ``rm`` breaks first Bianchi
+    beyond ``tol`` times its largest component; ``unit_tol`` bounds ``|g(t, t) - 1|``.
+    """
+    r = rm.components
+    check_first_bianchi_4(r[0, 1, 2, 3] + r[0, 2, 3, 1] + r[0, 3, 1, 2], rm.scale, tol)
+    frame = adapted_frame(g, t, unit_tol)
     return frame, _in_frame(component_matrix(rm), frame)
 
 
@@ -184,9 +190,7 @@ def classify_complex(
         raise DimensionError("complex classification is specific to dim 4")
     if rm.scale == 0.0:
         raise GeometryError("flat tensors have no complex classification")
-    r = rm.components
-    check_first_bianchi_4(r[0, 1, 2, 3] + r[0, 2, 3, 1] + r[0, 3, 1, 2], rm.scale, tol)
-    _, k = _adapted_components(rm, g, t)
+    _, k = _adapted_components(rm, g, t, tol)
     c = complexify(_GRAM_L @ k, _STAR_L, tol=tol)
 
     vals = np.linalg.eigvals(c)
@@ -316,14 +320,39 @@ def tensor_from_complex_form(c: np.ndarray, frame: np.ndarray | None = None) -> 
 # ---- numerical critical-plane counter ----
 
 
+# Joe & Kuo (2008) direction numbers (s, a, m_1..m_s) of Sobol dimensions 2-4;
+# dimension 1 is van der Corput's (every m_k = 1)
+_SOBOL_DIMS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
+_SOBOL_BITS = 30
+
+# the step fractions 2^-1 .. 2^-24 a Gauss-Newton step backtracks through
+_HALVINGS = 0.5 ** np.arange(1, 25)
+
+
+def _sobol_4(n: int) -> np.ndarray:
+    """The first ``n`` points of the unscrambled 4-D Sobol sequence, in Gray-code
+    order: the points of ``scipy.stats.qmc.Sobol(d=4, scramble=False)``."""
+    v = np.empty((4, _SOBOL_BITS), dtype=np.int64)
+    v[0] = 1
+    for d, (s, a, m) in enumerate(_SOBOL_DIMS, start=1):
+        m = list(m)
+        for k in range(s, _SOBOL_BITS):
+            mk = m[k - s] ^ (m[k - s] << s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    mk ^= m[k - i] << i
+            m.append(mk)
+        v[d] = m
+    v <<= _SOBOL_BITS - 1 - np.arange(_SOBOL_BITS)
+    i = np.arange(n)
+    gray_bits = ((i ^ (i >> 1))[:, None] >> np.arange(_SOBOL_BITS)) & 1
+    x = np.bitwise_xor.reduce(gray_bits[:, None, :] * v, axis=2)
+    return x / float(1 << _SOBOL_BITS)
+
+
 def _spacelike_starts(n_starts: int):
     """Deterministic well-spread spacelike orthonormal start pairs (u0, w0)."""
-    # scipy.stats takes most of the package's import time; only the counter needs it
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d=4, scramble=False)
-    m = max(1, int(np.ceil(np.log2(max(2, n_starts)))))
-    s = sob.random_base2(m)[:n_starts]
+    s = _sobol_4(n_starts)
     theta = 2.0 * np.pi * s[:, 0]
     cphi = np.clip(2.0 * s[:, 1] - 1.0, -1.0, 1.0)
     sphi = np.sqrt(1.0 - cphi**2)
@@ -341,6 +370,46 @@ def _spacelike_starts(n_starts: int):
     u0 = u0 / np.sqrt(1.0 - tilt**2)[:, None]  # unit spacelike after the tilt
     w0 = np.concatenate([np.zeros((len(s), 1)), w_sp], axis=1)
     return u0, w0
+
+
+def _start_chart(n_starts: int):
+    """The starts ``(u0, w0)`` with their chart directions ``(n1, n2)``: a basis
+    of the Lorentz-orthogonal complement of each start."""
+    u0, w0 = _spacelike_starts(n_starts)
+    _, _, vh = np.linalg.svd(np.stack([u0 @ _ETA, w0 @ _ETA], axis=1))
+    return u0, w0, vh[:, 2, :], vh[:, 3, :]
+
+
+def _planes_at(x, chart):
+    """Spanning pairs ``(u, w)`` at chart coordinates ``x``; rows broadcast."""
+    u0, w0, n1, n2 = chart
+    u = u0 + x[..., 0:1] * n1 + x[..., 1:2] * n2
+    w = w0 + x[..., 2:3] * n1 + x[..., 3:4] * n2
+    return u, w
+
+
+def _lorentz_norms(x, chart):
+    """``<u ^ w, u ^ w>_L`` of the unnormalised planes at chart coordinates ``x``."""
+    p_raw = wedge_vectors(*_planes_at(x, chart), _BASIS)
+    return ((p_raw @ _GRAM_L) * p_raw).sum(axis=-1)
+
+
+def _backtrack(x, delta, chart, q_min):
+    """Cut each step ``delta`` (in place) that leaves the spacelike cone to its
+    first halving ``2^-k delta``, k <= 24, with ``<P, P>_L > q_min``, else to
+    ``2^-25 delta``.
+
+    All halvings are tested in one call.  Every operation of
+    :func:`_lorentz_norms` is row-wise and scaling by ``2^-k`` is exact for
+    normal floats, so this equals halving and retesting one k at a time.
+    """
+    bad = np.flatnonzero(_lorentz_norms(x + delta, chart) <= q_min)
+    if bad.size:
+        trials = x[bad, None, :] + delta[bad, None, :] * _HALVINGS[:, None]
+        passes = ~(_lorentz_norms(trials, [c[bad, None, :] for c in chart]) <= q_min)
+        k = np.where(passes.any(axis=1), passes.argmax(axis=1) + 1, len(_HALVINGS) + 1)
+        delta[bad] *= 0.5 ** k[:, None]
+    return delta
 
 
 def count_spacelike_critical(
@@ -364,29 +433,17 @@ def count_spacelike_critical(
 
     With ``return_planes=True``, returns ``(count, planes)`` where planes are
     unit spacelike bivectors in the adapted frame (one per cluster).
+
+    Raises
+    ------
+    TensorValidationError
+        If ``rm`` breaks first Bianchi beyond 1e-9 times its largest component.
     """
     if rm.dim != 4:
         raise DimensionError("the critical-plane counter is specific to dim 4")
     _, k = _adapted_components(rm, g, t)
-    basis = bivector_basis(4)
     gram, mmat, smat = _GRAM_L, _GRAM_L @ k, _STAR_L.matrix
-
-    u0, w0 = _spacelike_starts(n_starts)
-    # chart directions: a basis of the Lorentz-orthogonal complement per start
-    comp = np.stack([u0 @ _ETA, w0 @ _ETA], axis=1)
-    _, _, vh = np.linalg.svd(comp)
-    n1 = vh[:, 2, :]
-    n2 = vh[:, 3, :]
-
-    def planes_at(x, uu, ww, m1, m2):
-        u = uu + x[:, 0:1] * m1 + x[:, 1:2] * m2
-        w = ww + x[:, 2:3] * m1 + x[:, 3:4] * m2
-        return u, w
-
-    def spacelike_norms(x, uu, ww, m1, m2):
-        u, w = planes_at(x, uu, ww, m1, m2)
-        p_raw = wedge_vectors(u, w, basis)
-        return ((p_raw @ gram) * p_raw).sum(axis=1)
+    chart = _start_chart(n_starts)
 
     norm_scale = max(1.0, float(np.linalg.norm(mmat)))
     x = np.zeros((n_starts, 4))
@@ -394,8 +451,8 @@ def count_spacelike_critical(
     eye4 = np.eye(4)
 
     def tally(xs):
-        u, w = planes_at(xs, u0, w0, n1, n2)
-        p_raw = wedge_vectors(u, w, basis)
+        u, w = _planes_at(xs, chart)
+        p_raw = wedge_vectors(u, w, _BASIS)
         q = ((p_raw @ gram) * p_raw).sum(axis=1)
         good = q > q_min
         planes = []
@@ -436,10 +493,11 @@ def count_spacelike_critical(
                 if return_planes:
                     return count, np.array(planes).reshape(-1, 6)
                 return count
-        xa, ua, wa = x[idx], u0[idx], w0[idx]
-        m1, m2 = n1[idx], n2[idx]
-        u, w = planes_at(xa, ua, wa, m1, m2)
-        p_raw = wedge_vectors(u, w, basis)
+        xa = x[idx]
+        chart_a = [c[idx] for c in chart]
+        m1, m2 = chart_a[2:]
+        u, w = _planes_at(xa, chart_a)
+        p_raw = wedge_vectors(u, w, _BASIS)
         pg = p_raw @ gram
         q = (pg * p_raw).sum(axis=1)
         sq = np.sqrt(np.maximum(q, q_min))
@@ -463,7 +521,7 @@ def count_spacelike_critical(
 
         vfac = np.stack([m1, m2, u, u], axis=1)
         wfac = np.stack([w, w, m1, m2], axis=1)
-        d_raw = np.transpose(wedge_vectors(vfac, wfac, basis), (0, 2, 1))  # (starts, 6, 4)
+        d_raw = np.transpose(wedge_vectors(vfac, wfac, _BASIS), (0, 2, 1))  # (starts, 6, 4)
         dq = 2.0 * np.matmul(pg[:, None, :], d_raw)[:, 0, :]
         dp = (
             d_raw / sq[:, None, None]
@@ -496,11 +554,7 @@ def count_spacelike_critical(
         shrink = np.where(step > 2.0, 2.0 / np.maximum(step, 1e-300), 1.0)
         delta = delta * shrink[:, None]
         # Backtrack any step that would cross into the non-spacelike cone.
-        for _ in range(25):
-            bad = spacelike_norms(xa + delta, ua, wa, m1, m2) <= q_min
-            if not bad.any():
-                break
-            delta[bad] *= 0.5
+        delta = _backtrack(xa, delta, chart_a, q_min)
         x[idx] = xa + delta
         done = (np.linalg.norm(delta, axis=1) < 1e-13) | (stalled_for[idx] >= 12)
         active[idx[done]] = False

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex_forms import _ETA, _GRAM_L, _STAR_L, _adapted_components
-from .curvature import CurvatureTensor, check_first_bianchi_4
+from .curvature import CurvatureTensor
 from .exceptions import DegenerateMetricError, DimensionError
 from .normal_forms import (
     NormalForm4,
@@ -459,8 +459,7 @@ def weyl_split_check(
     if rm.dim != 4:
         raise DimensionError("the Weyl split is specific to dim 4")
     r = rm.components
-    check_first_bianchi_4(r[0, 1, 2, 3] + r[0, 2, 3, 1] + r[0, 3, 1, 2], rm.scale, tol)
-    frame, k = _adapted_components(rm, g, t, tol)
+    frame, k = _adapted_components(rm, g, t, tol, tol)
 
     scal = 0.0 - 2.0 * float(np.trace(k))  # +0.0, not -0.0, for a flat tensor
     a, b, d = k[:3, :3], k[:3, 3:], k[3:, 3:]

@@ -74,6 +74,14 @@ class TestBasis:
     def test_lexicographic_dim3(self):
         assert bivector_basis(3).pairs == ((1, 2), (1, 3), (2, 3))
 
+    def test_pairs0_is_one_read_only_array(self):
+        basis = bivector_basis(4)
+        assert bivector_basis(4).pairs0 is basis.pairs0
+        npt.assert_array_equal(basis.pairs0, np.array(basis.pairs) - 1)
+        with pytest.raises(ValueError):
+            basis.pairs0[0, 0] = 5
+        assert basis == bivector_basis(4) and hash(basis) == hash(bivector_basis(4))
+
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_length(self, dim):
         assert len(bivector_basis(dim)) == dim * (dim - 1) // 2

@@ -155,6 +155,17 @@ class TestClassification:
         assert err.value.identity == "first Bianchi identity"
         assert err.value.residual == 1.0
 
+    @pytest.mark.parametrize("reader", [classify_complex, count_spacelike_critical, weyl_split_check])
+    def test_every_lorentz_reader_rejects_a_first_bianchi_breaker(self, reader):
+        rm = tensor_from_complex_form(np.diag([0.3 + 0j, 0.7, 1.2]))
+        bump = validate_curvature([[1, 2, 3, 4, 0.5]], dim=4, tol=math.inf)
+        broken = CurvatureTensor(dim=4, components=rm.components + bump.components)
+        # the identity is checked before g(t, t) = 1
+        for t in (np.eye(4)[0], 2.0 * np.eye(4)[0]):
+            with pytest.raises(TensorValidationError, match="first Bianchi identity") as err:
+                reader(broken, np.eye(4), t)
+            assert err.value.residual == 0.5
+
     def test_nearly_equal_eigenvalues_merge(self):
         c = np.diag([0.5 + 0.0j, 0.5 + 1e-10, -1.0])
         rm = tensor_from_complex_form(c)
@@ -218,6 +229,39 @@ class TestCounter:
         first = count_spacelike_critical(rm, np.eye(4), np.eye(4)[0])
         second = count_spacelike_critical(rm, np.eye(4), np.eye(4)[0])
         assert first == second == 1
+
+    @pytest.mark.parametrize("n_starts", [1, 2, 16, 64, 128, 192, 256])
+    def test_sobol_points_equal_scipy(self, n_starts):
+        from scipy.stats import qmc  # the reference only; the counter does not import it
+
+        m = max(1, int(np.ceil(np.log2(max(2, n_starts)))))
+        want = qmc.Sobol(d=4, scramble=False).random_base2(m)[:n_starts]
+        npt.assert_array_equal(complex_forms._sobol_4(n_starts), want)
+
+    def test_stacked_backtracking_equals_the_halving_loop(self):
+        chart = complex_forms._start_chart(192)
+        rng = np.random.default_rng(17)
+        # a third of the starts moved off their chart origin, some far enough
+        # to leave the spacelike cone; steps up to 30, past the counter's cap
+        # of 2, so that many cross the cone and need a few halvings
+        x = rng.normal(size=(192, 4)) * np.where(rng.random((192, 1)) < 0.33, 3.0, 0.0)
+        delta = rng.normal(size=(192, 4)) * 10.0 ** rng.uniform(-2.0, 1.5, (192, 1))
+        q_min = 1e-6
+
+        want = delta.copy()
+        halvings = np.zeros(192, dtype=int)
+        for _ in range(25):
+            bad = complex_forms._lorentz_norms(x + want, chart) <= q_min
+            if not bad.any():
+                break
+            want[bad] *= 0.5
+            halvings += bad
+        got = complex_forms._backtrack(x, delta.copy(), chart, q_min)
+        assert np.array_equal(got, want)
+        start_outside = complex_forms._lorentz_norms(x, chart) <= q_min
+        assert (halvings == 0).sum() >= 10
+        assert ((halvings > 0) & (halvings < 25)).sum() >= 10
+        assert ((halvings == 25) & start_outside).sum() >= 10
 
 
 # ---- the adapted-frame Lambda^2 reading against the 4-index route ----
@@ -368,12 +412,18 @@ class TestLorentzProperties:
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats and scipy.linalg dominate import time; only the counter, the
-    # general SD/ASD split and the star-L generators need them
+    # scipy.stats and scipy.linalg dominate import time; only the general SD/ASD
+    # split and the star-L generators need scipy, and nothing needs scipy.stats
     env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
-    probe = "import sys, curvforms; print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)"
+    probe = (
+        "import sys, numpy as np, curvforms as cf\n"
+        "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+        "rm = cf.tensor_from_complex_form(np.diag([0.3 + 0j, 0.7, 1.2]))\n"
+        "assert cf.count_spacelike_critical(rm, np.eye(4), np.eye(4)[0], n_starts=16) == 3\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.split() == ["False", "False", "False"]
