@@ -19,8 +19,8 @@ The reader checks structure only and completes each tensor by its index
 symmetries.  ``validate`` checks every identity; ``einstein-check``,
 ``normal-form`` and ``petrov`` give a point that breaks the first Bianchi
 identity an ``error`` field and exit 1, and ``integrate`` stops with exit 1
-on it.  ``normal-form`` and ``integrate`` run the Lambda^2 kernel on stacked
-chunks of points.
+on it.  ``normal-form`` and ``integrate`` run the Lambda^2 kernel and choose the
+normal-form frames on stacked chunks of points.
 """
 
 import argparse
@@ -160,20 +160,13 @@ def _cmd_einstein_check(args):
 def _cmd_normal_form(args):
     samples = read_samples(args.file)
 
-    def metrics(sample):
-        g = np.asarray(sample.g, dtype=float)
-        return g, (g if sample.h is None else np.asarray(sample.h, dtype=float))
-
-    def run(index, sample, blocks):
-        g, hm = metrics(sample)
-        try:
-            nf = preferred_normal_form_4(sample.rm, hm, g, tol=args.tol, blocks=blocks)
-        except NotCommutingError as err:
-            return {"index": index, "available": False, "note": f"no normal form: {err}"}
-        except TensorValidationError as err:
-            return {"index": index, "available": False, "error": str(err)}
-        except (GeometryError, ValueError) as err:
-            return {"index": index, "available": False, "note": str(err)}
+    def point_entry(index, nf):
+        if isinstance(nf, NotCommutingError):
+            return {"index": index, "available": False, "note": f"no normal form: {nf}"}
+        if isinstance(nf, TensorValidationError):
+            return {"index": index, "available": False, "error": str(nf)}
+        if isinstance(nf, (GeometryError, ValueError)):
+            return {"index": index, "available": False, "note": str(nf)}
         entry = {
             "index": index,
             "available": True,
@@ -186,20 +179,29 @@ def _cmd_normal_form(args):
             entry["mus_scaled"] = _floats(nf.scaled.mus_scaled)
         return entry
 
+    def one_point(sample):
+        _, (hm,), (g,) = normal_forms._stack_samples([sample])
+        try:
+            return preferred_normal_form_4(sample.rm, hm, g, tol=args.tol)
+        except (GeometryError, ValueError) as err:
+            return err
+
     def run_chunk(start, chunk):
-        # one kernel and frame call per chunk; a metric Cholesky rejects sends it per point
+        # one kernel call and frame choice per chunk; a metric Cholesky rejects sends it per point
         four = [i for i, sample in enumerate(chunk) if sample.rm.dim == 4]
         stack = {}
         if four:
-            g, hm = zip(*(metrics(chunk[i]) for i in four))
-            comps = np.stack([chunk[i].rm.components for i in four])
+            comps, hm, g = normal_forms._stack_samples([chunk[i] for i in four])
             try:
-                blocks = normal_forms.lambda2_blocks(comps, np.stack(hm), np.stack(g))
-                blocks = blocks.with_pairing_frames(blocks.commuting(args.tol))
-                stack = {i: blocks.point(n) for n, i in enumerate(four)}
+                blocks = normal_forms.lambda2_blocks(comps, hm, g)
             except DegenerateMetricError:
                 pass
-        return [run(start + i, sample, stack.get(i)) for i, sample in enumerate(chunk)]
+            else:
+                stack = dict(zip(four, normal_forms._normal_forms(blocks, hm, g, args.tol)))
+        return [
+            point_entry(start + i, stack[i] if i in stack else one_point(sample))
+            for i, sample in enumerate(chunk)
+        ]
 
     points = []
     for start in range(0, len(samples), _CHUNK):

@@ -412,6 +412,18 @@ def _backtrack(x, delta, chart, q_min):
     return delta
 
 
+def _plane_fit(p_raw, sq, mmat, smat):
+    """The planes ``p = p_raw / sq``, their duals ``*_L p``, ``G op p``, the fit
+    ``(a, b)`` of ``op p = a p + b (*_L p)`` and its residual ``r``; rows are planes."""
+    p = p_raw / sq[:, None]
+    mp = p @ mmat.T
+    sp = p @ smat.T
+    gmp = mp @ _GRAM_L
+    a = (gmp * p).sum(axis=1)
+    b = -(gmp * sp).sum(axis=1)
+    return p, sp, gmp, a, b, mp - a[:, None] * p - b[:, None] * sp
+
+
 def count_spacelike_critical(
     rm: CurvatureTensor,
     g: np.ndarray,
@@ -455,25 +467,18 @@ def count_spacelike_critical(
         p_raw = wedge_vectors(u, w, _BASIS)
         q = ((p_raw @ gram) * p_raw).sum(axis=1)
         good = q > q_min
-        planes = []
-        if good.any():
-            p = p_raw[good] / np.sqrt(q[good])[:, None]
-            mp = p @ mmat.T
-            gmp = mp @ gram
-            sp = p @ smat.T
-            a = (gmp * p).sum(axis=1)
-            b = -(gmp * sp).sum(axis=1)
-            r = mp - a[:, None] * p - b[:, None] * sp
-            ok = np.linalg.norm(r, axis=1) <= residual_tol * norm_scale
-            projectors = []
-            for pk, spk in zip(p[ok], sp[ok]):
-                qmat, _ = np.linalg.qr(np.stack([pk, spk], axis=1))
-                proj = qmat @ qmat.T
-                if all(np.linalg.norm(proj - known) > dedup_tol for known in projectors):
-                    projectors.append(proj)
-                    planes.append(pk)
-        count = len(planes)
-        return (math.inf if count > 3 else count), planes
+        p, sp, _, _, _, r = _plane_fit(p_raw[good], np.sqrt(q[good]), mmat, smat)
+        ok = np.linalg.norm(r, axis=1) <= residual_tol * norm_scale
+        p, sp = p[ok], sp[ok]
+        # projectors onto span{P, *P}; first come, first kept
+        qmat = np.linalg.qr(np.stack([p, sp], axis=2))[0]
+        projectors = qmat @ np.swapaxes(qmat, 1, 2)
+        kept = []
+        for n, proj in enumerate(projectors):
+            if all(np.linalg.norm(proj - projectors[j]) > dedup_tol for j in kept):
+                kept.append(n)
+        count = len(kept)
+        return (math.inf if count > 3 else count), p[kept]
 
     # starts freeze individually once converged (tiny step) or stalled (best
     # residual no longer improving by 0.1%); late iterations then only touch
@@ -491,7 +496,7 @@ def count_spacelike_critical(
             count, planes = tally(x)
             if math.isinf(count):
                 if return_planes:
-                    return count, np.array(planes).reshape(-1, 6)
+                    return count, planes
                 return count
         xa = x[idx]
         chart_a = [c[idx] for c in chart]
@@ -501,13 +506,7 @@ def count_spacelike_critical(
         pg = p_raw @ gram
         q = (pg * p_raw).sum(axis=1)
         sq = np.sqrt(np.maximum(q, q_min))
-        p = p_raw / sq[:, None]
-        mp = p @ mmat.T
-        sp = p @ smat.T
-        gmp = mp @ gram
-        a = (gmp * p).sum(axis=1)
-        b = -(gmp * sp).sum(axis=1)
-        r = mp - a[:, None] * p - b[:, None] * sp
+        p, sp, gmp, a, b, r = _plane_fit(p_raw, sq, mmat, smat)
         rn = np.linalg.norm(r, axis=1)
         # far from the acceptance gate, sub-3%-per-iteration decay can never
         # reach it within max_iter, so such starts count as stalled
@@ -561,5 +560,5 @@ def count_spacelike_critical(
 
     count, planes = tally(x)
     if return_planes:
-        return count, np.array(planes).reshape(-1, 6)
+        return count, planes
     return count

@@ -17,7 +17,7 @@ eigenvalues ``l +- m`` of the operator restricted to the self-dual and
 anti-self-dual subspaces are the actual invariants).
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import permutations
 
 import numpy as np
@@ -36,7 +36,9 @@ from .exceptions import (
     DegenerateMetricError,
     DimensionError,
     FrameReconstructionError,
+    GeometryError,
     NotCommutingError,
+    TensorValidationError,
 )
 from .hodge import HodgeStar
 
@@ -122,8 +124,8 @@ class Lambda2Blocks:
     gram : ndarray, shape (N, 4, 4)
         The second metric ``g`` in the frame, ``V^T g V`` (``g`` defaults to
         ``h``, giving the identity up to rounding).
-    pairings : ndarray, shape (N, 6, 4, 4), optional
-        Frames of :func:`_pairing_frames`; only :meth:`with_pairing_frames` sets them.
+
+    :func:`_normal_forms` chooses the normal forms of all points from them.
     """
 
     frames: np.ndarray
@@ -137,7 +139,6 @@ class Lambda2Blocks:
     bianchi: np.ndarray
     scale: np.ndarray
     gram: np.ndarray
-    pairings: np.ndarray | None = None
 
     def commuting(self, tol: float) -> np.ndarray:
         """Per point: residual <= tol * ||K||_F."""
@@ -147,16 +148,9 @@ class Lambda2Blocks:
         """Raise :class:`TensorValidationError` if some ``|tr B_0| > tol * scale``."""
         check_first_bianchi_4(self.bianchi, self.scale, tol)
 
-    def with_pairing_frames(self, where) -> "Lambda2Blocks":
-        """These blocks with :attr:`pairings` at the points of the mask ``where``, NaN elsewhere."""
-        pairings = np.full((len(self.k), len(_PAIRINGS), 4, 4), np.nan)
-        pairings[where] = _pairing_frames(self.up[where], self.um[where])
-        return replace(self, pairings=pairings)
-
-    def point(self, n: int) -> "Lambda2Blocks":
-        """The data of point ``n`` alone (N = 1)."""
-        values = (getattr(self, f.name) for f in fields(self))
-        return Lambda2Blocks(*(None if v is None else v[n : n + 1] for v in values))
+    def take(self, index) -> "Lambda2Blocks":
+        """The blocks of the points ``index`` (indices or a mask)."""
+        return Lambda2Blocks(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -312,6 +306,14 @@ def lambda2_blocks(
     )
 
 
+def _stack_samples(samples):
+    """Components, ``h`` and ``g`` of point samples as stacks for :func:`lambda2_blocks`;
+    a sample without ``h`` takes ``g``."""
+    g = [np.asarray(s.g, dtype=float) for s in samples]
+    h = [gs if getattr(s, "h", None) is None else np.asarray(s.h, dtype=float) for s, gs in zip(samples, g)]
+    return np.stack([s.rm.components for s in samples]), np.stack(h), np.stack(g)
+
+
 # ---- star-h Einstein test ----
 
 
@@ -364,16 +366,27 @@ def _stacked(rows) -> np.ndarray:
     return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
-def _quaternion(r: np.ndarray) -> np.ndarray:
-    """Unit quaternions ``q = (a, b, c, d)`` of stacked rotations ``r``: the top
-    eigenvector of ``4 q q^T - I``, a matrix linear in ``r`` (Bar-Itzhack 2000)."""
+def _bar_itzhack(r: np.ndarray) -> np.ndarray:
+    """``4 q q^T - I`` for the unit quaternions ``q = (a, b, c, d)`` of stacked
+    rotations ``r``, a matrix linear in ``r`` (Bar-Itzhack 2000)."""
     (r11, r12, r13), (r21, r22, r23), (r31, r32, r33) = np.moveaxis(r, (-2, -1), (0, 1))
-    return np.linalg.eigh(_stacked([
+    return _stacked([
         [r11 + r22 + r33, r32 - r23, r13 - r31, r21 - r12],
         [r32 - r23, r11 - r22 - r33, r12 + r21, r13 + r31],
         [r13 - r31, r12 + r21, r22 - r11 - r33, r23 + r32],
         [r21 - r12, r13 + r31, r23 + r32, r33 - r11 - r22],
-    ]))[1][..., -1]
+    ])
+
+
+def _quaternion(r: np.ndarray) -> np.ndarray:
+    """Unit quaternions of stacked rotations ``r``: the top eigenvector of :func:`_bar_itzhack`."""
+    return np.linalg.eigh(_bar_itzhack(r))[1][..., -1]
+
+
+def _right(q: np.ndarray) -> np.ndarray:
+    """``R(q)``: right multiplication by stacked quaternions ``q``, on the basis 1, i, j, k."""
+    a, b, c, d = np.moveaxis(q, -1, 0)
+    return _stacked([[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]])
 
 
 def _proper(r: np.ndarray) -> np.ndarray:
@@ -389,6 +402,29 @@ def _first_positive(f: np.ndarray) -> np.ndarray:
     return np.where(first[..., None] < 0, -f, f)
 
 
+def _pairing_turns() -> np.ndarray:
+    """``R(t)^T`` of every pairing, shape (2, 6, 4, 4), for ``det um > 0`` and ``< 0``.
+
+    ``_proper(um[:, pairing]) = _proper(um) T`` for a signed permutation ``T``
+    that depends on the pairing and the sign of ``det um`` only, so its
+    quaternion ``t`` turns pairing 0's frame into the pairing's.  ``4 t t^T``
+    has integer entries, so ``t`` is a column of it over ``2 |t_j|``, with no
+    eigensolver.
+    """
+    turns = []
+    for sign in (1.0, -1.0):
+        for pairing in _PAIRINGS:
+            t = np.diag([1.0, 1.0, sign])[:, pairing]
+            t[:, 2] = np.cross(t[:, 0], t[:, 1])  # made proper
+            tt = np.eye(4) + _bar_itzhack(t)
+            j = np.argmax(np.diag(tt))
+            turns.append(_right(tt[:, j] / (2.0 * np.sqrt(tt[j, j]))).T)
+    return np.array(turns).reshape(2, len(_PAIRINGS), 4, 4)
+
+
+_TURNS = _pairing_turns()
+
+
 def _pairing_frames(up: np.ndarray, um: np.ndarray) -> np.ndarray:
     """Frames in ``V`` of the pairings :data:`_PAIRINGS`, shape (N, 6, 4, 4),
     from the block eigenvectors ``up`` and ``um``, shape (N, 3, 3).
@@ -399,26 +435,111 @@ def _pairing_frames(up: np.ndarray, um: np.ndarray) -> np.ndarray:
     ``p`` of ``R_+`` acts as ``R_+`` on the self-dual half only and right
     multiplication by ``q`` of ``R_-`` as ``R_-^T`` on the anti-self-dual
     half only (SO(4) = (SU(2) x SU(2))/+-1), so the frame is ``L(p) R(q)^T``.
+    That of pairing 0 times :data:`_TURNS` gives the other five.
     """
     a, b, c, d = np.moveaxis(_quaternion(_proper(up)), -1, 0)
     left = _stacked([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
-    paired = np.moveaxis(um[:, :, np.array(_PAIRINGS)], 2, 1)  # (N, pairing, 3, 3)
-    a, b, c, d = np.moveaxis(_quaternion(_proper(paired)), -1, 0)
-    right = _stacked([[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]])
-    return _first_positive(left[:, None] @ np.swapaxes(right, -1, -2))
+    frame = left @ np.swapaxes(_right(_quaternion(_proper(um))), -1, -2)
+    return _first_positive(frame[:, None] @ _TURNS[(np.linalg.det(um) < 0).astype(int)])
 
 
-def normal_form_4(
-    rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9, blocks: Lambda2Blocks | None = None
-) -> NormalForm4:
+def _read_off(k, f, scale, tol):
+    """Frames, ``l``, ``m``, pattern residual and whether it is at most
+    ``max(tol, 1e-8) scale``, read from stacked ``k`` in the frames ``f``
+    after ordering the pairs by a stable sort on ``(l, m)``."""
+    i = np.arange(3)
+    kf = _in_frame(k, f)
+    order = np.lexsort((kf[:, i + 3, i], kf[:, i, i]))
+    perm = np.swapaxes(np.eye(4)[np.concatenate([np.zeros_like(order[:, :1]), order + 1], axis=1)], 1, 2)
+    perm[:, :, 3] *= np.linalg.det(perm)[:, None]  # keep the orientation
+    f = f @ perm
+    kf = _in_frame(k, f)
+    lambdas, mus = kf[:, i, i], kf[:, i + 3, i]
+    residual = np.max(np.abs(_block_pattern(lambdas, mus) - kf), axis=(1, 2))
+    return f, lambdas, mus, residual, residual <= max(tol, 1e-8) * scale
+
+
+def _normal_forms(blocks: Lambda2Blocks, h, g, tol) -> list:
+    """Per point of ``blocks`` (:func:`lambda2_blocks` of the stacks ``h``, ``g``):
+    its g-orthogonal normal form, else its plain one, else its error.
+
+    The g-orthogonal candidates are the pairing frames that pass the Gram
+    test, in :data:`_PAIRINGS` order, or, where none does, the eigenframe of
+    ``g``; the first that matches the block pattern and passes
+    :func:`scaled_normal_form`'s check wins.  Pairing 0 gives the plain form;
+    ``g=None`` asks for it alone.
+    """
+    results = [None] * len(blocks.k)
+    valid = ~(np.abs(blocks.bianchi) > tol * blocks.scale) & blocks.commuting(tol)
+    for n in np.flatnonzero(~valid):
+        try:
+            check_first_bianchi_4(blocks.bianchi[n], blocks.scale[n], tol)
+            raise NotCommutingError(
+                "operator does not commute with the h-star; no normal form",
+                residual=float(blocks.residual[n] / max(blocks.norm[n], 1e-300)),
+            )
+        except (TensorValidationError, NotCommutingError) as err:
+            results[n] = err
+
+    points = np.flatnonzero(valid)
+    frames = _pairing_frames(blocks.up[points], blocks.um[points])
+    # g-orthogonal candidates: the six pairings, then the eigenframe of g
+    candidate = np.zeros((len(points), len(_PAIRINGS) + 1), dtype=bool)
+    if g is not None:
+        gram = blocks.gram[points]
+        _, candidate[:, :-1] = _off_diagonal(np.swapaxes(frames, -1, -2) @ gram[:, None] @ frames, tol)
+        eigen = candidate[:, -1] = ~candidate.any(axis=1)
+        eigenframes = np.full((len(points), 1, 4, 4), np.nan)
+        eigenframes[eigen, 0] = _first_positive(_proper(np.linalg.eigh(gram[eigen])[1]))
+        frames = np.concatenate([frames, eigenframes], axis=1)
+    # one read per candidate, and pairing 0's for the plain form
+    at, c = np.nonzero(candidate | (np.arange(candidate.shape[1]) == 0))
+    n = points[at]
+    f, lambdas, mus, residual, matched = _read_off(blocks.k[n], frames[at, c], blocks.scale[n], tol)
+    f = blocks.frames[n] @ f
+    orthogonal = candidate[at, c] & matched
+    if g is not None:
+        lengths, _, g_orthogonal = _g_lengths(f, g[n], tol)
+        orthogonal &= g_orthogonal
+
+    chosen = np.flatnonzero(c == 0)  # the plain form, unless a g-orthogonal one comes first
+    first = np.flatnonzero(orthogonal)
+    point, at_first = np.unique(at[first], return_index=True)
+    chosen[point] = first[at_first]
+    for e, i in zip(chosen, points):
+        if matched[e]:
+            scaled = None
+            if orthogonal[e]:
+                scaled = ScaledNormalForm.rescale(1.0 / np.sqrt(lengths[e]), lambdas[e], mus[e])
+            results[i] = NormalForm4(f[e], lambdas[e], mus[e], h[i], scaled)
+        else:
+            results[i] = FrameReconstructionError(
+                "components in the reconstructed frame do not match the normal-form "
+                f"pattern (residual {residual[e]:.3e})",
+                diagnostics={"lambdas": lambdas[e].tolist(), "mus": mus[e].tolist()},
+            )
+    return results
+
+
+def _normal_form_of(rm: CurvatureTensor, h, g, tol):
+    """One tensor's :func:`lambda2_blocks` (N = 1) and :func:`_normal_forms` result."""
+    if rm.dim != 4:
+        raise DimensionError("the star-commuting test is specific to dim 4")
+    h = np.asarray(h, dtype=float)[None]
+    g = None if g is None else np.asarray(g, dtype=float)[None]
+    blocks = lambda2_blocks(rm.components[None], h, g)
+    return blocks, _normal_forms(blocks, h, g, tol)[0]
+
+
+def normal_form_4(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) -> NormalForm4:
     """Reconstruct a normal-form frame for a star-commuting tensor.
 
     The self-dual and anti-self-dual blocks are diagonalized and their
     eigenvalues paired in ascending order; the frame that carries the two
     bases of bivectors to the paired eigenvectors comes in closed form
     (:func:`_pairing_frames`).  The values are read from the component matrix
-    in that frame and checked against the normal-form pattern.  ``blocks`` is
-    this point's :func:`lambda2_blocks` output (N = 1), if at hand.
+    in that frame and checked against the normal-form pattern: the plain
+    form of :func:`_normal_forms`, for one point.
 
     Raises
     ------
@@ -429,45 +550,23 @@ def normal_form_4(
     FrameReconstructionError
         If the components in the frame miss the pattern; carries diagnostics.
     """
-    blocks = _split_blocks(rm, h, tol, blocks)
-    return _read_off_normal_form(blocks, blocks.pairings[0, 0], h, tol)
-
-
-def _split_blocks(rm, h, tol, blocks=None, g=None) -> Lambda2Blocks:
-    """Kernel output and pairing frames (N = 1) of a valid commuting tensor, else its error."""
-    if rm.dim != 4:
-        raise DimensionError("the star-commuting test is specific to dim 4")
-    if blocks is None:
-        g = None if g is None else np.asarray(g, dtype=float)[None]
-        blocks = lambda2_blocks(rm.components[None], np.asarray(h, dtype=float)[None], g)
-    blocks.check_bianchi(tol)
-    if not blocks.commuting(tol)[0]:
-        raise NotCommutingError(
-            "operator does not commute with the h-star; no normal form",
-            residual=float(blocks.residual[0] / max(blocks.norm[0], 1e-300)),
-        )
-    return blocks if blocks.pairings is not None else blocks.with_pairing_frames([True])
+    nf = _normal_form_of(rm, h, None, tol)[1]
+    if isinstance(nf, GeometryError):
+        raise nf
+    return nf
 
 
 def orthogonal_normal_form_4(
-    rm: CurvatureTensor,
-    h: np.ndarray,
-    g: np.ndarray,
-    tol: float = 1e-9,
-    blocks: Lambda2Blocks | None = None,
+    rm: CurvatureTensor, h: np.ndarray, g: np.ndarray, tol: float = 1e-9
 ) -> NormalForm4:
     """Normal form whose frame additionally diagonalizes a second metric.
 
     The normal-form frame is unique only up to relabeling and up to the
-    pairing between self-dual and anti-self-dual eigendirections.  The first
-    of the six pairing frames, in a fixed order, that passes
-    :func:`scaled_normal_form`'s check is returned with its rescaled values.
-    If none does (degenerate block spectra leave the eigenvectors free), an
-    eigenframe of ``g`` is tried, and the pattern check decides.  It is, up
+    pairing between self-dual and anti-self-dual eigendirections.  The
+    g-orthogonal form of :func:`_normal_forms`, for one point, is returned
+    with its rescaled values.  The eigenframe of ``g``, its fallback, is, up
     to order and signs, the only frame diagonalizing ``g`` if the eigenvalues
     are simple; else it serves space forms, not every block degeneracy.
-    ``blocks`` is this point's :func:`lambda2_blocks` output for ``h`` and
-    ``g`` (N = 1), if at hand.
 
     Raises
     ------
@@ -478,75 +577,38 @@ def orthogonal_normal_form_4(
     FrameReconstructionError
         If no pairing and no eigenframe of ``g`` yields a g-orthogonal frame.
     """
-    blocks = _split_blocks(rm, h, tol, blocks, g)
-    pairings, gram = blocks.pairings[0], blocks.gram[0]
-    _, passing = _off_diagonal(np.swapaxes(pairings, 1, 2) @ gram @ pairings, tol)
-    candidates = list(pairings[passing]) or [_first_positive(_proper(np.linalg.eigh(gram)[1]))]
-    for f in candidates:
-        try:
-            return scaled_normal_form(_read_off_normal_form(blocks, f, h, tol), g, tol)
-        except (FrameReconstructionError, DegenerateMetricError):
-            continue
-    evp, evm = blocks.evp[0], blocks.evm[0]
-    raise FrameReconstructionError(
-        "no pairing of the block eigendirections, nor the eigenframe of g, "
-        "yields a g-orthogonal frame",
-        diagnostics={"eigenvalues_plus": evp.tolist(), "eigenvalues_minus": evm.tolist()},
-    )
+    blocks, nf = _normal_form_of(rm, h, g, tol)
+    if isinstance(nf, NormalForm4) and nf.scaled is not None:
+        return nf
+    if isinstance(nf, (NormalForm4, FrameReconstructionError)):  # the plain form at best
+        evp, evm = blocks.evp[0], blocks.evm[0]
+        nf = FrameReconstructionError(
+            "no pairing of the block eigendirections, nor the eigenframe of g, "
+            "yields a g-orthogonal frame",
+            diagnostics={"eigenvalues_plus": evp.tolist(), "eigenvalues_minus": evm.tolist()},
+        )
+    raise nf
 
 
 def preferred_normal_form_4(
-    rm: CurvatureTensor,
-    h: np.ndarray,
-    g: np.ndarray,
-    tol: float = 1e-9,
-    blocks: Lambda2Blocks | None = None,
+    rm: CurvatureTensor, h: np.ndarray, g: np.ndarray, tol: float = 1e-9
 ) -> NormalForm4:
     """The g-orthogonal normal form when a frame gives one, else :func:`normal_form_4`'s.
 
-    Only the g-orthogonal form carries rescaled values.  The kernel and the
-    pairing frames run at most once; ``blocks`` is as in
-    :func:`orthogonal_normal_form_4`, and the errors are those of
+    Only the g-orthogonal form carries rescaled values.  This is
+    :func:`_normal_forms` for one point; the errors are those of
     :func:`normal_form_4`.
     """
-    blocks = _split_blocks(rm, h, tol, blocks, g)
-    try:
-        return orthogonal_normal_form_4(rm, h, g, tol, blocks=blocks)
-    except FrameReconstructionError:
-        return normal_form_4(rm, h, tol, blocks=blocks)
-
-
-def _read_off_normal_form(blocks, f, h, tol) -> NormalForm4:
-    """Read (l, m) from the component matrix in the frame ``f`` (given in the
-    h-orthonormal frame of ``blocks``), canonicalize the pair order, and check
-    the normal-form block pattern."""
-    k = blocks.k[0]
-    kf = _in_frame(k, f)
-    order = sorted(range(3), key=lambda i: (kf[i, i], kf[i + 3, i]))
-    if order != [0, 1, 2]:
-        perm = np.eye(4)[:, [0] + [i + 1 for i in order]]
-        if np.linalg.det(perm) < 0:
-            perm[:, 3] = -perm[:, 3]
-        f = f @ perm
-        kf = _in_frame(k, f)
-    lambdas, mus = np.diag(kf)[:3].copy(), np.diag(kf[3:, :3]).copy()
-
-    pattern_residual = np.max(np.abs(_block_pattern(lambdas, mus) - kf))
-    if pattern_residual > max(tol, 1e-8) * blocks.scale[0]:
-        raise FrameReconstructionError(
-            "components in the reconstructed frame do not match the normal-form "
-            f"pattern (residual {pattern_residual:.3e})",
-            diagnostics={"lambdas": lambdas.tolist(), "mus": mus.tolist()},
-        )
-    return NormalForm4(
-        frame=blocks.frames[0] @ f, lambdas=lambdas, mus=mus, h=np.asarray(h, dtype=float)
-    )
+    nf = _normal_form_of(rm, h, g, tol)[1]
+    if isinstance(nf, GeometryError):
+        raise nf
+    return nf
 
 
 def _block_pattern(lambdas, mus) -> np.ndarray:
-    """Component matrix ``[[diag l, diag m], [diag m, diag l]]`` of the normal form."""
-    l, m = np.diag(lambdas), np.diag(mus)
-    return np.block([[l, m], [m, l]])
+    """Component matrices ``[[diag l, diag m], [diag m, diag l]]`` of normal forms (stacks broadcast)."""
+    l, m = (np.asarray(v, dtype=float)[..., None] * np.eye(3) for v in (lambdas, mus))
+    return np.concatenate([np.concatenate([l, m], -1), np.concatenate([m, l], -1)], -2)
 
 
 def rebuild_normal_form(nf: NormalForm4) -> CurvatureTensor:
@@ -579,17 +641,14 @@ def scaled_normal_form(nf: NormalForm4, g: np.ndarray, tol: float = 1e-9) -> Nor
     Requires the normal-form frame to be g-orthogonal; ``c_i`` is the
     reciprocal g-length of the i-th frame vector.
     """
-    g = np.asarray(g, dtype=float)
-    gf = nf.frame.T @ g @ nf.frame
-    diag = np.diag(gf)
-    if np.any(diag <= 0):
+    lengths, off, passing = _g_lengths(nf.frame, np.asarray(g, dtype=float), tol)
+    if np.any(lengths <= 0):
         raise DegenerateMetricError("frame vectors must have positive g-length")
-    off, passing = _off_diagonal(gf, tol)
     if not passing:
         raise DegenerateMetricError(
             f"normal-form frame is not g-orthogonal (off-diagonal {off:.3e})"
         )
-    scaled = ScaledNormalForm.rescale(1.0 / np.sqrt(diag), nf.lambdas, nf.mus)
+    scaled = ScaledNormalForm.rescale(1.0 / np.sqrt(lengths), nf.lambdas, nf.mus)
     return NormalForm4(frame=nf.frame, lambdas=nf.lambdas, mus=nf.mus, h=nf.h, scaled=scaled)
 
 
@@ -598,6 +657,16 @@ def _off_diagonal(gf: np.ndarray, tol: float):
     diag = np.diagonal(gf, axis1=-2, axis2=-1)
     off = np.max(np.abs(gf - diag[..., None] * np.eye(gf.shape[-1])), axis=(-2, -1))
     return off, off <= max(tol, 1e-9) * np.max(diag, axis=-1)
+
+
+def _g_lengths(f: np.ndarray, g: np.ndarray, tol: float):
+    """Squared g-lengths of the columns of stacked frames ``f``, the largest
+    off-diagonal of ``f^T g f``, and whether the frames are g-orthogonal
+    (:func:`_off_diagonal`) with positive lengths."""
+    gf = np.swapaxes(f, -1, -2) @ g @ f
+    off, passing = _off_diagonal(gf, tol)
+    lengths = np.diagonal(gf, axis1=-2, axis2=-1)
+    return lengths, off, passing & np.all(lengths > 0, axis=-1)
 
 
 def recover_mu1(values: dict) -> float:

@@ -36,12 +36,13 @@ import numpy as np
 
 from .complex_forms import _ETA, _GRAM_L, _STAR_L, _adapted_components
 from .curvature import CurvatureTensor
-from .exceptions import DegenerateMetricError, DimensionError
+from .exceptions import DegenerateMetricError, DimensionError, GeometryError
 from .normal_forms import (
     NormalForm4,
     ScaledNormalForm,
+    _normal_forms,
+    _stack_samples,
     lambda2_blocks,
-    preferred_normal_form_4,
 )
 
 __all__ = [
@@ -356,20 +357,17 @@ def _unpack(sample, index):
     weight = float(weight)
     if weight < 0 or not math.isfinite(weight):
         raise ValueError(f"sample {index} has invalid weight {weight!r}")
-    rm = sample.rm
-    if rm.dim != 4:
+    if sample.rm.dim != 4:
         raise DimensionError("Euler/signature densities are specific to dim 4")
-    g = np.asarray(sample.g, dtype=float)
-    h = getattr(sample, "h", None)
-    return rm, g, (g if h is None else np.asarray(h, dtype=float)), weight
+    return sample, weight
 
 
 def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
     if not chunk:
         return
-    rms, g, h, weights = zip(*chunk)
-    g = np.stack(g)
-    blocks = lambda2_blocks(np.stack([rm.components for rm in rms]), np.stack(h), g)
+    samples, weights = zip(*chunk)
+    components, h, g = _stack_samples(samples)
+    blocks = lambda2_blocks(components, h, g)
     blocks.check_bianchi(tol)
 
     weights = np.array(weights)
@@ -396,11 +394,10 @@ def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
     terms.orth_tau.extend(tau)
     terms.corr.extend((w * (minus / s4 / (4.0 * math.pi**2))).tolist())
 
-    general = commuting & ~proportional
-    if general.any():
-        blocks = blocks.with_pairing_frames(general)
-    for i in np.flatnonzero(general):
-        nf = preferred_normal_form_4(rms[i], h[i], g[i], tol, blocks=blocks.point(i))
+    general = np.flatnonzero(commuting & ~proportional)
+    for i, nf in zip(general, _normal_forms(blocks.take(general), h[general], g[general], tol)):
+        if isinstance(nf, GeometryError):
+            raise nf
         value = chi_tau_densities(nf, np.linalg.inv(nf.frame.T @ g[i] @ nf.frame), tol)
         weight = weights[i]
         terms.tau.append(weight * value.tau_density_gvol)

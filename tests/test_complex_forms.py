@@ -263,6 +263,40 @@ class TestCounter:
         assert ((halvings > 0) & (halvings < 25)).sum() >= 10
         assert ((halvings == 25) & start_outside).sum() >= 10
 
+    @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+    def test_stacked_dedup_equals_the_per_plane_loop(self, case_id, monkeypatch):
+        # the last fit of a counter call is its final tally's; the reference
+        # dedups its converged planes one qr at a time, first come first kept
+        fits = []
+        plane_fit = complex_forms._plane_fit
+
+        def recorded(*args):
+            fits.append(plane_fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(complex_forms, "_plane_fit", recorded)
+        for i in range(25):
+            rng = np.random.default_rng(700_000 + 1000 * case_id + i)
+            c = complex_case_matrix(case_id, rng)
+            sample = gen_synthetic_star_L(0.5 * (-c.real - c.real.T), 0.5 * (-c.imag - c.imag.T))
+            _, k = complex_forms._adapted_components(sample.rm, sample.g, sample.t)
+            norm_scale = max(1.0, float(np.linalg.norm(complex_forms._GRAM_L @ k)))
+            for n_starts in (64, 128, 192):
+                count, planes = count_spacelike_critical(
+                    sample.rm, sample.g, sample.t, n_starts=n_starts, return_planes=True
+                )
+                p, sp, _, _, _, r = fits[-1]
+                ok = np.linalg.norm(r, axis=1) <= 1e-7 * norm_scale
+                want, projectors = [], []
+                for pk, spk in zip(p[ok], sp[ok]):
+                    qmat, _ = np.linalg.qr(np.stack([pk, spk], axis=1))
+                    proj = qmat @ qmat.T
+                    if all(np.linalg.norm(proj - known) > 1e-4 for known in projectors):
+                        projectors.append(proj)
+                        want.append(pk)
+                assert count == (math.inf if len(want) > 3 else len(want))
+                assert planes.shape == (len(want), 6) and planes.tobytes() == np.array(want).tobytes()
+
 
 # ---- the adapted-frame Lambda^2 reading against the 4-index route ----
 
@@ -413,17 +447,30 @@ class TestLorentzProperties:
 
 def test_package_import_leaves_scipy_stats_unloaded():
     # scipy.stats and scipy.linalg dominate import time; only the general SD/ASD
-    # split and the star-L generators need scipy, and nothing needs scipy.stats
+    # split and the star-L generators need scipy, and nothing needs scipy.stats.
+    # The import makes no numpy.linalg call either: one LAPACK call at import
+    # raises the peak RSS of every command by about 1 MiB
     env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
     probe = (
-        "import sys, numpy as np, curvforms as cf\n"
-        "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+        "import sys, numpy as np\n"
+        "calls = []\n"
+        "def wrap(name, f):\n"
+        "    def called(*args, **kwargs):\n"
+        "        calls.append(name)\n"
+        "        return f(*args, **kwargs)\n"
+        "    return called\n"
+        "for name in dir(np.linalg):\n"
+        "    f = getattr(np.linalg, name)\n"
+        "    if callable(f) and not isinstance(f, type):\n"
+        "        setattr(np.linalg, name, wrap(name, f))\n"
+        "import curvforms as cf\n"
+        "print(calls or 'none', 'scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)\n"
         "rm = cf.tensor_from_complex_form(np.diag([0.3 + 0j, 0.7, 1.2]))\n"
         "assert cf.count_spacelike_critical(rm, np.eye(4), np.eye(4)[0], n_starts=16) == 3\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "print('qr' in calls, 'scipy.stats' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.split() == ["False", "False", "False"]
+    assert out.stdout.split() == ["none", "False", "False", "True", "False"]

@@ -225,14 +225,6 @@ class TestLambda2Blocks:
         assert blocks.bianchi[0] == 1.0
         assert abs(blocks.bianchi[1]) <= 1e-15
 
-    def test_point_slices_one_point(self):
-        rms = [random_generic_tensor(RNG) for _ in range(3)]
-        hs = np.stack([random_spd(RNG, 4) for _ in rms])
-        blocks = lambda2_blocks(np.stack([r.components for r in rms]), hs)
-        one = blocks.point(1)
-        assert one.k.shape == (1, 6, 6) and one.up.shape == (1, 3, 3)
-        npt.assert_array_equal(one.evm[0], blocks.evm[1])
-
     def test_rejects_bad_input(self):
         with pytest.raises(DimensionError):
             lambda2_blocks(np.zeros((2, 4, 4, 4, 4)), np.stack([np.eye(4)] * 2), np.eye(4)[None])
@@ -400,6 +392,11 @@ def on_lambda2(f):
     return ZETA.T @ induced_gram(f, bivector_basis(4)) @ ZETA
 
 
+def proper(r):
+    """The rotation ``r`` with its third column negated if ``det r < 0``."""
+    return r * np.array([1.0, 1.0, np.sign(np.linalg.det(r))])
+
+
 def unit_quaternions(rng, count):
     q = rng.normal(size=(count, 4))
     return q / np.linalg.norm(q, axis=1, keepdims=True)
@@ -420,21 +417,37 @@ class TestPairingFrames:
         npt.assert_allclose(np.abs(np.sum(got * q, axis=1)), 1.0, atol=1e-14)  # q up to sign
         npt.assert_allclose(np.stack([quaternion_rotation(p) for p in got]), rotations, atol=1e-14)
 
-    def test_every_pairing_frame_gives_the_block_pattern(self):
+    def test_every_pairing_frame_gives_the_block_pattern(self, monkeypatch):
         # reference: the 256 components in each frame, against the pattern of
-        # the block eigenvalues paired as the pairing says
+        # the block eigenvalues paired as the pairing says; the points hold
+        # both signs of det(um), so both tables of turns are checked
         rng = np.random.default_rng(53)
         rms, hs = [], []
         for _ in range(8):
             hs.append(random_spd(rng, 4))
             rms.append(build_normal_form_tensor(rng, *random_lambda_mu(rng), hs[-1])[0])
         blocks = lambda2_blocks(np.stack([r.components for r in rms]), np.stack(hs))
-        assert blocks.pairings is None
-        blocks = blocks.with_pairing_frames(np.ones(8, dtype=bool))
-        assert blocks.pairings.shape == (8, 6, 4, 4)
+        assert set(np.sign(np.linalg.det(blocks.um))) == {-1.0, 1.0}
+        eigh, solved = np.linalg.eigh, []
+
+        def counted(a):
+            solved.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        pairings = normal_forms._pairing_frames(blocks.up, blocks.um)
+        monkeypatch.undo()
+        assert solved == [(8, 4, 4)] * 2  # the quaternions of up and um only
+        assert pairings.shape == (8, 6, 4, 4)
         for n, (rm, h) in enumerate(zip(rms, hs)):
+            p = normal_forms._quaternion(proper(blocks.up[n]))
             for k, pairing in enumerate(itertools.permutations(range(3))):
-                frame = blocks.pairings[n, k]
+                frame = pairings[n, k]
+                # the turned frame is the one built from the re-paired um
+                q = normal_forms._quaternion(proper(blocks.um[n][:, list(pairing)]))
+                want = left_multiplication(p) @ right_multiplication(q).T
+                e1 = want[np.flatnonzero(np.abs(want[:, 0]) > 1e-12)[0], 0]
+                npt.assert_allclose(frame, np.sign(e1) * want, rtol=0, atol=1e-14)
                 npt.assert_allclose(frame.T @ frame, np.eye(4), atol=1e-14)
                 assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-14)
                 assert frame[np.flatnonzero(np.abs(frame[:, 0]) > 1e-12)[0], 0] > 0
@@ -443,13 +456,6 @@ class TestPairingFrames:
                 plus, minus = blocks.evp[n], blocks.evm[n][list(pairing)]
                 pattern = dense_from_entries(4, normal_form_entries((plus + minus) / 2, (plus - minus) / 2))
                 npt.assert_allclose(transform_frame(rm, f), pattern, rtol=0, atol=1e-13 * rm.scale)
-
-    def test_frames_only_where_asked(self):
-        rms = [build_normal_form_tensor(RNG, *random_lambda_mu(RNG))[0] for _ in range(3)]
-        blocks = lambda2_blocks(np.stack([r.components for r in rms]), np.stack([np.eye(4)] * 3))
-        some = blocks.with_pairing_frames(np.array([True, False, True]))
-        assert np.isnan(some.pairings[1]).all() and not np.isnan(some.pairings[[0, 2]]).any()
-        npt.assert_array_equal(some.point(2).pairings[0], blocks.with_pairing_frames(np.ones(3, dtype=bool)).pairings[2])
 
 
 def rotated_g(eigenvalues, seed=61):
