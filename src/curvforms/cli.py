@@ -19,8 +19,11 @@ The reader checks structure only and completes each tensor by its index
 symmetries.  ``validate`` checks every identity; ``einstein-check``,
 ``normal-form`` and ``petrov`` give a point that breaks the first Bianchi
 identity an ``error`` field and exit 1, and ``integrate`` stops with exit 1
-on it.  ``normal-form`` and ``integrate`` run the Lambda^2 kernel and choose the
-normal-form frames on stacked chunks of points.
+on it.  ``normal-form`` and ``integrate`` stream the file in chunks: each
+line's dimension-4 rows go straight into a stacked 6x6 pair matrix, with no
+dense tensor per point, and the Lambda^2 kernel and the normal-form frame
+choice run once per chunk.  ``integrate`` reads the whole file before it
+reports an analysis error, so a format error anywhere still exits 2.
 """
 
 import argparse
@@ -33,15 +36,15 @@ import numpy as np
 from . import __version__, normal_forms
 from .complex_forms import classify_complex
 from .exceptions import (
-    DegenerateMetricError,
+    DimensionError,
     GeometryError,
     NotCommutingError,
     SampleFormatError,
     TensorValidationError,
 )
 from .normal_forms import is_star_h_einstein, preferred_normal_form_4
-from .topology import _CHUNK, connected_sum, integrate_samples, weyl_split_check
-from .zoo import read_samples, validate_sample
+from .topology import _CHUNK, _integrate_file_chunks, connected_sum, weyl_split_check
+from .zoo import _read_chunks, read_samples, validate_sample
 
 __all__ = ["build_parser", "main"]
 
@@ -157,55 +160,52 @@ def _cmd_einstein_check(args):
     return code, report, columns
 
 
+def _normal_form_entry(index, nf) -> dict:
+    """The report entry of point ``index``: its normal form, or its note or error."""
+    if isinstance(nf, NotCommutingError):
+        return {"index": index, "available": False, "note": f"no normal form: {nf}"}
+    if isinstance(nf, TensorValidationError):
+        return {"index": index, "available": False, "error": str(nf)}
+    if isinstance(nf, (GeometryError, ValueError)):
+        return {"index": index, "available": False, "note": str(nf)}
+    entry = {
+        "index": index,
+        "available": True,
+        "lambdas": _floats(nf.lambdas),
+        "mus": _floats(nf.mus),
+    }
+    if nf.scaled is not None:
+        entry["lambdas_scaled"] = _floats(nf.scaled.lambdas_scaled)
+        entry["kappas_scaled"] = _floats(nf.scaled.kappas_scaled)
+        entry["mus_scaled"] = _floats(nf.scaled.mus_scaled)
+    return entry
+
+
 def _cmd_normal_form(args):
-    samples = read_samples(args.file)
-
-    def point_entry(index, nf):
-        if isinstance(nf, NotCommutingError):
-            return {"index": index, "available": False, "note": f"no normal form: {nf}"}
-        if isinstance(nf, TensorValidationError):
-            return {"index": index, "available": False, "error": str(nf)}
-        if isinstance(nf, (GeometryError, ValueError)):
-            return {"index": index, "available": False, "note": str(nf)}
-        entry = {
-            "index": index,
-            "available": True,
-            "lambdas": _floats(nf.lambdas),
-            "mus": _floats(nf.mus),
-        }
-        if nf.scaled is not None:
-            entry["lambdas_scaled"] = _floats(nf.scaled.lambdas_scaled)
-            entry["kappas_scaled"] = _floats(nf.scaled.kappas_scaled)
-            entry["mus_scaled"] = _floats(nf.scaled.mus_scaled)
-        return entry
-
-    def one_point(sample):
-        _, (hm,), (g,) = normal_forms._stack_samples([sample])
+    def one_point(k0, h, g):
         try:
-            return preferred_normal_form_4(sample.rm, hm, g, tol=args.tol)
+            return preferred_normal_form_4(normal_forms._tensor_from_pairs(k0), h, g, tol=args.tol)
         except (GeometryError, ValueError) as err:
             return err
 
-    def run_chunk(start, chunk):
-        # one kernel call and frame choice per chunk; a metric Cholesky rejects sends it per point
-        four = [i for i, sample in enumerate(chunk) if sample.rm.dim == 4]
-        stack = {}
-        if four:
-            comps, hm, g = normal_forms._stack_samples([chunk[i] for i in four])
-            try:
-                blocks = normal_forms.lambda2_blocks(comps, hm, g)
-            except DegenerateMetricError:
-                pass
-            else:
-                stack = dict(zip(four, normal_forms._normal_forms(blocks, hm, g, args.tol)))
-        return [
-            point_entry(start + i, stack[i] if i in stack else one_point(sample))
-            for i, sample in enumerate(chunk)
-        ]
+    def run_chunk(chunk):
+        # one kernel call and frame choice per chunk; only a point whose metric
+        # Cholesky rejects goes per point
+        ok = normal_forms._positive_definite(chunk.h)
+        k0, h, g = chunk.k0[ok], chunk.h[ok], chunk.g[ok]
+        stacked = iter(
+            normal_forms._normal_forms(normal_forms._lambda2_blocks(k0, h, g), h, g, args.tol)
+            if ok.any() else ()
+        )
+        forms = {index: DimensionError(normal_forms._NOT_DIM_4) for index, _ in chunk.others}
+        for n, index in enumerate(chunk.index):
+            forms[index] = next(stacked) if ok[n] else one_point(chunk.k0[n], chunk.h[n], chunk.g[n])
+        indices = range(chunk.start, chunk.start + chunk.size)
+        return [_normal_form_entry(index, forms[index]) for index in indices]
 
     points = []
-    for start in range(0, len(samples), _CHUNK):
-        points += run_chunk(start, samples[start : start + _CHUNK])
+    for chunk in _read_chunks(args.file, _CHUNK):
+        points += run_chunk(chunk)
     available = sum(1 for p in points if p["available"])
     report = _base_report(
         args,
@@ -253,8 +253,13 @@ def _cmd_petrov(args):
 
 
 def _cmd_integrate(args):
-    samples = read_samples(args.file)
-    result = integrate_samples(samples, tol=args.tol)
+    chunks = _read_chunks(args.file, _CHUNK)
+    try:
+        result = _integrate_file_chunks(chunks, tol=args.tol)
+    except (GeometryError, ValueError):
+        for _ in chunks:  # read on: a format error anywhere in the file comes first
+            pass
+        raise
     aggregate = {
         "points": result.points,
         "skipped_points": result.skipped_points,

@@ -120,11 +120,16 @@ def _canonicalize_index(i, j, k, l):
     return (i, j, k, l), sign
 
 
+# sparse rows: a repeated-index row may differ from zero, and duplicate rows
+# from each other, by this times max(largest |value|, 1)
+_SPARSE_SLACK = 1e-12
+
+
 def _complete_sparse(entries, dim: int) -> np.ndarray:
     """Dense table from sparse ``[i, j, k, l, value]`` rows (1-based indices).
 
-    Entries are canonicalized first; duplicates that disagree beyond 1e-12
-    relative to the largest magnitude are rejected.
+    Entries are canonicalized first; a nonzero row with a repeated index and
+    duplicates that disagree are rejected, both beyond ``_SPARSE_SLACK``.
     """
     canonical = {}
     scale = max((abs(float(e[4])) for e in entries), default=0.0)
@@ -136,13 +141,13 @@ def _complete_sparse(entries, dim: int) -> np.ndarray:
                 raise TensorValidationError("index range", (i + 1, j + 1, k + 1, l + 1), abs(v))
         key, sign = _canonicalize_index(i, j, k, l)
         if sign == 0:
-            if abs(v) > 1e-12 * max(scale, 1.0):
+            if abs(v) > _SPARSE_SLACK * max(scale, 1.0):
                 raise TensorValidationError(
                     "antisymmetry (repeated index)", (i + 1, j + 1, k + 1, l + 1), abs(v)
                 )
             continue
         v = sign * v
-        if key in canonical and abs(canonical[key] - v) > 1e-12 * max(scale, 1.0):
+        if key in canonical and abs(canonical[key] - v) > _SPARSE_SLACK * max(scale, 1.0):
             raise TensorValidationError(
                 "duplicate entries disagree",
                 tuple(x + 1 for x in key),

@@ -120,7 +120,8 @@ class Lambda2Blocks:
         ``R_1234 + R_1342 + R_1423 = tr B_0`` of the input components, the
         one first-Bianchi residual the pair symmetries leave in dimension 4.
     scale : ndarray, shape (N,)
-        ``max |R_ijkl|`` of the input components (at least 1e-300).
+        ``max |K_0|`` of the input components (at least 1e-300): ``max |R_ijkl|``
+        for a tensor with the pair symmetries.
     gram : ndarray, shape (N, 4, 4)
         The second metric ``g`` in the frame, ``V^T g V`` (``g`` defaults to
         ``h``, giving the identity up to rounding).
@@ -249,6 +250,8 @@ def h_orthonormal_frame(h: np.ndarray) -> np.ndarray:
 
 _BASIS = bivector_basis(4)
 
+_NOT_DIM_4 = "the star-commuting test is specific to dim 4"
+
 # self-dual axis a is paired with anti-self-dual axis pairing[a]; the order in
 # which the pairings are tried
 _PAIRINGS = tuple(permutations(range(3)))
@@ -286,9 +289,21 @@ def lambda2_blocks(
         raise DimensionError(
             "lambda2_blocks needs components (N, 4, 4, 4, 4) and metrics (N, 4, 4)"
         )
-    v = h_orthonormal_frame(h)
+    return _lambda2_blocks(_pair_matrix(r), h, g)
+
+
+def _pair_matrix(components: np.ndarray) -> np.ndarray:
+    """Pair matrices ``K_0[a, b] = R_{p_a p_b}`` over the pairs ``p`` of the
+    dimension-4 basis, of 4-index components (stacks broadcast)."""
     i, j = _BASIS.pairs0.T
-    k0 = r[:, i[:, None], j[:, None], i[None, :], j[None, :]]
+    return components[..., i[:, None], j[:, None], i[None, :], j[None, :]]
+
+
+def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None = None) -> Lambda2Blocks:
+    """:func:`lambda2_blocks` of the pair matrices ``k0``, shape (N, 6, 6)
+    (:func:`_pair_matrix`), without its shape checks; ``scale`` is ``max |K_0|``."""
+    g = h if g is None else g
+    v = h_orthonormal_frame(h)
     k = _in_frame(k0, v)
     a, b, d = k[:, :3, :3], k[:, :3, 3:], k[:, 3:, 3:]
     bt = np.swapaxes(b, 1, 2)
@@ -298,12 +313,28 @@ def lambda2_blocks(
     evp, up = np.linalg.eigh(half + sym)
     evm, um = np.linalg.eigh(half - sym)
     bianchi = np.trace(k0[:, :3, 3:], axis1=1, axis2=2)
-    scale = np.maximum(np.max(np.abs(r), axis=(1, 2, 3, 4)), 1e-300)
+    scale = np.maximum(np.max(np.abs(k0), axis=(1, 2)), 1e-300)
     gram = np.swapaxes(v, 1, 2) @ g @ v
     return Lambda2Blocks(
         frames=v, k=k, residual=residual, norm=norm,
         evp=evp, up=up, evm=evm, um=um, bianchi=bianchi, scale=scale, gram=gram,
     )
+
+
+def _positive_definite(h: np.ndarray) -> np.ndarray:
+    """Per metric of a stack, whether :func:`h_orthonormal_frame` takes it."""
+    try:
+        np.linalg.cholesky(h)
+        return np.ones(len(h), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    ok = np.ones(len(h), dtype=bool)
+    for n, m in enumerate(h):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            ok[n] = False
+    return ok
 
 
 def _stack_samples(samples):
@@ -340,7 +371,7 @@ def is_star_h_einstein(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) ->
         If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
     """
     if rm.dim != 4:
-        raise DimensionError("the star-commuting test is specific to dim 4")
+        raise DimensionError(_NOT_DIM_4)
     h = np.asarray(h, dtype=float)
     blocks = lambda2_blocks(rm.components[None], h[None])
     blocks.check_bianchi(tol)
@@ -524,7 +555,7 @@ def _normal_forms(blocks: Lambda2Blocks, h, g, tol) -> list:
 def _normal_form_of(rm: CurvatureTensor, h, g, tol):
     """One tensor's :func:`lambda2_blocks` (N = 1) and :func:`_normal_forms` result."""
     if rm.dim != 4:
-        raise DimensionError("the star-commuting test is specific to dim 4")
+        raise DimensionError(_NOT_DIM_4)
     h = np.asarray(h, dtype=float)[None]
     g = None if g is None else np.asarray(g, dtype=float)[None]
     blocks = lambda2_blocks(rm.components[None], h, g)
@@ -611,12 +642,19 @@ def _block_pattern(lambdas, mus) -> np.ndarray:
     return np.concatenate([np.concatenate([l, m], -1), np.concatenate([m, l], -1)], -2)
 
 
+def _tensor_from_pairs(k0: np.ndarray) -> CurvatureTensor:
+    """The tensor of a symmetric pair matrix ``K_0`` (:func:`_pair_matrix`),
+    completed by the index symmetries only."""
+    pairs = _BASIS.pairs
+    rows = [[*p, *q, k0[a, b]] for a, p in enumerate(pairs) for b, q in enumerate(pairs)]
+    return validate_curvature(rows, 4, np.inf)
+
+
 def rebuild_normal_form(nf: NormalForm4) -> CurvatureTensor:
     """Curvature tensor (in input coordinates) defined by a normal form."""
-    k, pairs = _block_pattern(nf.lambdas, nf.mus), _BASIS.pairs
-    rows = [[*p, *q, k[a, b]] for a, p in enumerate(pairs) for b, q in enumerate(pairs)]
+    k = _tensor_from_pairs(_block_pattern(nf.lambdas, nf.mus))
     # completion only: curvature_from_frame_components validates the result
-    return curvature_from_frame_components(validate_curvature(rows, 4, np.inf).components, nf.frame)
+    return curvature_from_frame_components(k.components, nf.frame)
 
 
 def canonical_pairs(lambdas, mus) -> np.ndarray:

@@ -40,9 +40,10 @@ from .exceptions import DegenerateMetricError, DimensionError, GeometryError
 from .normal_forms import (
     NormalForm4,
     ScaledNormalForm,
+    _lambda2_blocks,
     _normal_forms,
+    _pair_matrix,
     _stack_samples,
-    lambda2_blocks,
 )
 
 __all__ = [
@@ -270,6 +271,24 @@ class _Terms:
         for name in ("chi", "tau", "corr", "orth_chi", "orth_tau", "weights"):
             setattr(self, name, _fold(getattr(self, name)))
 
+    def result(self, points: int) -> IntegrationResult:
+        """The totals, each one correctly rounded ``math.fsum``, over ``points`` points."""
+        corr = math.fsum(self.corr)
+        if self.orthogonal:
+            residual = abs(math.fsum(self.orth_chi) - 1.5 * math.fsum(self.orth_tau) - corr)
+        else:
+            residual = math.nan
+        return IntegrationResult(
+            chi_estimate=math.fsum(self.chi),
+            tau_estimate=math.fsum(self.tau),
+            correction_estimate=corr,
+            ht_identity_residual=residual,
+            total_weight=math.fsum(self.weights),
+            points=points,
+            skipped_points=self.skipped,
+            general_frame_points=self.general_frame,
+        )
+
 
 def _fold(values: list) -> list:
     """A few floats with exactly the sum of ``values``, so ``math.fsum`` of them
@@ -330,36 +349,45 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
             terms.fold()
             chunk = []
     _integrate_chunk(chunk, tol, terms)
+    return terms.result(n)
 
-    chi = math.fsum(terms.chi)
-    tau = math.fsum(terms.tau)
-    corr = math.fsum(terms.corr)
-    if terms.orthogonal:
-        residual = abs(math.fsum(terms.orth_chi) - 1.5 * math.fsum(terms.orth_tau) - corr)
-    else:
-        residual = math.nan
-    return IntegrationResult(
-        chi_estimate=chi,
-        tau_estimate=tau,
-        correction_estimate=corr,
-        ht_identity_residual=residual,
-        total_weight=math.fsum(terms.weights),
-        points=n,
-        skipped_points=terms.skipped,
-        general_frame_points=terms.general_frame,
-    )
+
+def _integrate_file_chunks(chunks, tol: float = 1e-9) -> IntegrationResult:
+    """:func:`integrate_samples` over the chunks of a sample file
+    (:func:`curvforms.zoo._read_chunks`): the same totals and the same first
+    error, from the stacked pair matrices."""
+    terms, points = _Terms(), 0
+    for chunk in chunks:
+        # the points _unpack rejects: the first ends the stream, after the points before it
+        rejected = [(i, sample.weight, sample.rm.dim) for i, sample in chunk.others]
+        rejected += [(int(i), w, 4) for i, w in zip(chunk.index, chunk.weights) if w < 0]
+        stop = min(rejected, default=None)
+        before = slice(None) if stop is None else chunk.index < stop[0]
+        _integrate_stack(
+            chunk.k0[before], chunk.h[before], chunk.g[before], chunk.weights[before], tol, terms
+        )
+        if stop is not None:
+            _check_point(*stop)
+        terms.fold()
+        points += chunk.size
+    return terms.result(points)
+
+
+def _check_point(index: int, weight, dim: int) -> float:
+    """The weight of point ``index`` as a float, if it is valid and ``dim`` is 4."""
+    weight = float(weight)
+    if weight < 0 or not math.isfinite(weight):
+        raise ValueError(f"sample {index} has invalid weight {weight!r}")
+    if dim != 4:
+        raise DimensionError("Euler/signature densities are specific to dim 4")
+    return weight
 
 
 def _unpack(sample, index):
     weight = getattr(sample, "weight", None)
     if weight is None:
         raise ValueError(f"sample {index} carries no quadrature weight")
-    weight = float(weight)
-    if weight < 0 or not math.isfinite(weight):
-        raise ValueError(f"sample {index} has invalid weight {weight!r}")
-    if sample.rm.dim != 4:
-        raise DimensionError("Euler/signature densities are specific to dim 4")
-    return sample, weight
+    return sample, _check_point(index, weight, sample.rm.dim)
 
 
 def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
@@ -367,10 +395,17 @@ def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
         return
     samples, weights = zip(*chunk)
     components, h, g = _stack_samples(samples)
-    blocks = lambda2_blocks(components, h, g)
+    _integrate_stack(_pair_matrix(components), h, g, np.array(weights), tol, terms)
+
+
+def _integrate_stack(k0, h, g, weights, tol, terms: _Terms) -> None:
+    """Add the terms of stacked points: pair matrices ``k0`` (N, 6, 6),
+    metrics ``h``, ``g`` and weights."""
+    if not len(k0):
+        return
+    blocks = _lambda2_blocks(k0, h, g)
     blocks.check_bianchi(tol)
 
-    weights = np.array(weights)
     terms.weights.extend(weights.tolist())
     commuting = blocks.commuting(tol)
     terms.skipped += int(np.count_nonzero(~commuting))

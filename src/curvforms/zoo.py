@@ -14,12 +14,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product
 
 import numpy as np
 
+from .bivectors import bivector_basis
 from .complex_forms import tensor_from_complex_form
 from .curvature import (
+    _SPARSE_SLACK,
     CurvatureTensor,
     curvature_from_frame_components,
     space_form,
@@ -155,13 +157,19 @@ def sample_to_json(sample: PointSample) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-_KNOWN_KEYS = ("dim", "g", "h", "T", "rm", "weight", "coords")
+_KNOWN_KEYS = frozenset(("dim", "g", "h", "T", "rm", "weight", "coords"))
 
 
 def _require_number(x, what: str, line) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SampleFormatError(f"{what} must be a number, got {x!r}", line=line)
-    return float(x)
+    try:
+        value = float(x)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):  # 1e999 decodes to inf
+        raise SampleFormatError(f"{what} must be a finite number, got {x!r}", line=line)
+    return value
 
 
 def _triangle_to_metric(values, n: int, what: str, line) -> np.ndarray:
@@ -233,7 +241,7 @@ def sample_from_json(line: str, line_number: int | None = None) -> PointSample:
     try:
         # complete by index symmetries only; identities are checked later
         rm = validate_curvature(rows, dim=n, tol=math.inf)
-    except (TensorValidationError, DimensionError) as err:
+    except (TensorValidationError, DimensionError, OverflowError) as err:
         raise SampleFormatError(f"rm rows rejected ({err})", line=line_number) from None
 
     weight = _require_number(obj["weight"], "weight", line_number)
@@ -251,20 +259,188 @@ def _opener(path):
     return gzip.open if str(path).endswith(".gz") else open
 
 
-def read_samples(path) -> list:
-    """Read a sample file (``.gz`` accepted); at least one sample required."""
-    samples = []
+def _line_chunks(path, size: int):
+    """The lines of a sample file, ``size`` at a time; a file that cannot be
+    read or holds no line raises :class:`SampleFormatError`."""
+    empty = True
     try:
         with _opener(path)(path, "rt", encoding="utf-8") as fh:
-            for number, line in enumerate(fh, start=1):
-                if not line.strip():
-                    raise SampleFormatError("blank line", line=number)
-                samples.append(sample_from_json(line, line_number=number))
+            while lines := list(islice(fh, size)):
+                empty = False
+                yield lines
     except (OSError, UnicodeDecodeError) as err:
         raise SampleFormatError(f"cannot read {path}: {err}") from None
-    if not samples:
+    if empty:
         raise SampleFormatError(f"{path} contains no samples")
-    return samples
+
+
+def _parse_line(line: str, number: int) -> PointSample:
+    if not line.strip():
+        raise SampleFormatError("blank line", line=number)
+    return sample_from_json(line, line_number=number)
+
+
+def read_samples(path) -> list:
+    """Read a sample file (``.gz`` accepted); at least one sample required."""
+    lines = chain.from_iterable(_line_chunks(path, 1))
+    return [_parse_line(line, number) for number, line in enumerate(lines, start=1)]
+
+
+# ---- stacked dimension-4 reading ----
+
+_REQUIRED_KEYS = frozenset(("dim", "g", "rm", "weight"))
+
+# the metric entries of a lower-triangle list, in file order
+_TRIANGLE_4 = tuple(np.array([(i, j) for i in range(4) for j in range(i + 1)]).T)
+
+
+def _pair_tables():
+    """Basis position and orientation sign of every ordered index pair of dimension 4:
+    ``R_{ijkl} = sign[i, j] sign[k, l] K_0[position[i, j], position[k, l]]``."""
+    position, sign = np.zeros((4, 4), dtype=int), np.zeros((4, 4))
+    for a, (i, j) in enumerate(bivector_basis(4).pairs0):
+        position[i, j] = position[j, i] = a
+        sign[i, j], sign[j, i] = 1.0, -1.0
+    return position, sign
+
+
+_PAIR_POSITION, _PAIR_SIGN = _pair_tables()
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """``size`` consecutive points of a sample file, the first being point ``start``.
+
+    The dimension-4 points are stacked, in file order: ``index`` (N,) holds
+    their point indices (line number - 1), ``k0`` (N, 6, 6) their pair
+    matrices ``K_0[a, b] = R_{p_a p_b}`` over the pairs of the dimension-4
+    bivector basis, ``g`` and ``h`` (N, 4, 4) their metrics (``h`` defaults to
+    ``g``), ``t`` (N, 4) their ``T`` (NaN where absent) and ``weights`` (N,).
+    The points of other dimensions are ``others``, as ``(index, PointSample)``.
+    """
+
+    start: int
+    size: int
+    index: np.ndarray
+    k0: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    t: np.ndarray
+    weights: np.ndarray
+    others: list
+
+
+def _read_chunks(path, size: int):
+    """The points of a sample file, ``size`` lines per :class:`_Chunk`.
+
+    Each line is decoded once and its dimension-4 rows scattered straight
+    into ``K_0``, with no dense tensor and no :class:`PointSample`.  The
+    stacked path accepts exactly the lines :func:`sample_from_json` accepts;
+    a chunk it declines is read again through :func:`sample_from_json`, so
+    every :class:`SampleFormatError` (message and line number) is that of
+    :func:`read_samples`.
+    """
+    start = 0
+    for lines in _line_chunks(path, size):
+        try:
+            chunk = _decode_chunk(lines, start)
+        except (ValueError, TypeError, OverflowError):
+            for n, line in enumerate(lines):
+                _parse_line(line, start + n + 1)
+            raise  # reached only if the two paths disagree on a line
+        yield chunk
+        start += len(lines)
+
+
+def _decode_chunk(lines, start: int) -> _Chunk:
+    """The chunk of ``lines``; a ``ValueError``, ``TypeError`` or
+    ``OverflowError`` where a line is not plainly well formed."""
+    positions, four, others = [], [], []
+    for n, obj in enumerate(map(json.loads, lines)):
+        if type(obj) is not dict or obj.keys() - _KNOWN_KEYS or _REQUIRED_KEYS - obj.keys():
+            raise ValueError("not a sample object")
+        if type(obj["dim"]) is int and obj["dim"] == 4:
+            positions.append(start + n)
+            four.append(obj)
+        else:
+            others.append((start + n, _parse_line(lines[n], start + n + 1)))
+
+    g = [obj["g"] for obj in four]
+    h = [obj.get("h", gi) for obj, gi in zip(four, g)]
+    has_t = np.array(["T" in obj for obj in four], dtype=bool)
+    t = [obj["T"] for obj in four if "T" in obj]
+    coords = [obj["coords"] for obj in four if "coords" in obj]
+    rm = [obj["rm"] for obj in four]
+    weights = [obj["weight"] for obj in four]
+    rows = list(chain.from_iterable(rm))
+    if (
+        set(map(type, chain(g, h, t, coords, rm, rows))) - {list}
+        or set(map(len, g + h)) - {10}
+        or set(map(len, t)) - {4}
+        or set(map(len, rows)) - {5}
+    ):
+        raise ValueError("not the dimension-4 layout")
+    flat = list(chain.from_iterable(rows))
+    indices = chain(*(flat[c::5] for c in range(4)))
+    numbers = chain(chain.from_iterable(g + h + t + coords), weights, flat[4::5])
+    if set(map(type, indices)) - {int} or set(map(type, numbers)) - {int, float}:
+        raise ValueError("not the dimension-4 types")
+
+    n4 = len(four)
+    triangles = np.array(g + h, dtype=float).reshape(2, n4, 10)
+    t_values = np.array(t, dtype=float).reshape(-1, 4)
+    weights = np.array(weights, dtype=float)
+    rows = np.array(flat, dtype=float).reshape(-1, 5)
+    finite = (triangles, t_values, weights, rows[:, 4], np.array(list(chain.from_iterable(coords)), dtype=float))
+    if not all(np.isfinite(x).all() for x in finite) or np.any((rows[:, :4] < 1) | (rows[:, :4] > 4)):
+        raise ValueError("a number out of range")
+
+    metrics = np.zeros((2, n4, 4, 4))
+    metrics[:, :, _TRIANGLE_4[0], _TRIANGLE_4[1]] = triangles
+    metrics[:, :, _TRIANGLE_4[1], _TRIANGLE_4[0]] = triangles
+    t_all = np.full((n4, 4), np.nan)
+    t_all[has_t] = t_values
+    k0 = _scatter_rows(rows, list(map(len, rm)), n4)
+    index = np.array(positions, dtype=int)
+    return _Chunk(start, len(lines), index, k0, metrics[0], metrics[1], t_all, weights, others)
+
+
+def _scatter_rows(rows: np.ndarray, counts: list, n: int) -> np.ndarray:
+    """Pair matrices ``(n, 6, 6)`` of ``n`` points from their ``[i, j, k, l, value]``
+    rows (1-based indices in range), ``counts[p]`` rows for point ``p`` in order.
+
+    The checks and choices are those of the sparse completion in
+    :func:`validate_curvature`: a row with a repeated index must be zero and
+    duplicate rows must agree, both to ``_SPARSE_SLACK`` times the point's
+    largest value (at least 1), or a ``ValueError`` is raised; of agreeing
+    duplicates the last one counts.
+    """
+    point = np.repeat(np.arange(n), counts)
+    i, j, k, l = rows[:, :4].astype(int).T - 1
+    value = rows[:, 4]
+    scale = np.zeros(n)
+    np.maximum.at(scale, point, np.abs(value))
+    slack = _SPARSE_SLACK * np.maximum(scale, 1.0)[point]
+    repeated = (i == j) | (k == l)
+    if np.any(np.abs(value[repeated]) > slack[repeated]):
+        raise ValueError("a nonzero row with a repeated index")
+
+    point, i, j, k, l, value, slack = (x[~repeated] for x in (point, i, j, k, l, value, slack))
+    a, b = _PAIR_POSITION[i, j], _PAIR_POSITION[k, l]
+    value = _PAIR_SIGN[i, j] * _PAIR_SIGN[k, l] * value
+    # duplicates share a key; a stable sort keeps them in file order
+    key = (point * 6 + np.minimum(a, b)) * 6 + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    key, point, a, b, value, slack = (x[order] for x in (key, point, a, b, value, slack))
+    same = key[1:] == key[:-1]
+    if np.any(same & (np.abs(value[1:] - value[:-1]) > slack[1:])):
+        raise ValueError("duplicate rows disagree")
+    last = np.ones(len(key), dtype=bool)
+    last[:-1] = ~same
+    k0 = np.zeros((n, 6, 6))
+    k0[point[last], a[last], b[last]] = value[last]
+    k0[point[last], b[last], a[last]] = value[last]
+    return k0
 
 
 def write_samples(path, samples) -> int:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,12 @@ import numpy.testing as npt
 import pytest
 
 import curvforms
-from curvforms import cli, normal_forms, topology
+from curvforms import cli, normal_forms, topology, zoo
 from curvforms.cli import main
 from curvforms.complex_forms import complex_case_matrix
 from curvforms.curvature import space_form
-from curvforms.exceptions import DegenerateMetricError
-from curvforms.normal_forms import canonical_pairs, lambda2_blocks
+from curvforms.exceptions import GeometryError
+from curvforms.normal_forms import canonical_pairs, preferred_normal_form_4
 from curvforms.topology import _CHUNK
 from curvforms.zoo import (
     PointSample,
@@ -26,6 +27,7 @@ from curvforms.zoo import (
     gen_space_form,
     gen_synthetic_star_h,
     gen_synthetic_star_L,
+    read_samples,
     sample_to_json,
     write_samples,
 )
@@ -212,12 +214,13 @@ class TestNormalForm:
 
     def test_rotated_point_runs_the_kernel_once(self, tmp_path, capsys, monkeypatch):
         calls = []
+        kernel = normal_forms._lambda2_blocks  # lambda2_blocks calls it too
 
         def counted(*args):
             calls.append(1)
-            return lambda2_blocks(*args)
+            return kernel(*args)
 
-        monkeypatch.setattr(normal_forms, "lambda2_blocks", counted)
+        monkeypatch.setattr(normal_forms, "_lambda2_blocks", counted)
         rotation = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))[0]
         rotation[:, 0] *= np.sign(np.linalg.det(rotation))
         sample = gen_synthetic_star_h(
@@ -272,20 +275,20 @@ def chunked_file(tmp_path):
 
 
 class TestNormalFormChunks:
-    def test_entries_equal_the_per_point_path(self, tmp_path, capsys, monkeypatch):
+    def test_entries_equal_the_per_point_path(self, tmp_path, capsys):
         path = chunked_file(tmp_path)
         code, stacked, _ = run(capsys, "normal-form", path, "--format", "json")
-        kernel = normal_forms.lambda2_blocks
 
-        def one_point_only(components, h, g=None):
-            if len(components) > 1:
-                raise DegenerateMetricError("stacked call refused")
-            return kernel(components, h, g)
+        def per_point(sample):
+            h = sample.g if sample.h is None else sample.h
+            try:
+                return preferred_normal_form_4(sample.rm, h, sample.g)
+            except (GeometryError, ValueError) as err:
+                return err
 
-        monkeypatch.setattr(normal_forms, "lambda2_blocks", one_point_only)
-        per_point_code, per_point, _ = run(capsys, "normal-form", path, "--format", "json")
-        assert (code, stacked) == (per_point_code, per_point)
+        reference = [cli._normal_form_entry(i, per_point(s)) for i, s in enumerate(read_samples(path))]
         points = json.loads(stacked)["points"]
+        assert points == json.loads(cli.render_json({"points": reference}))["points"]
         assert code == 1 and len(points) == _CHUNK + 44
         assert points[_CHUNK - 1]["error"].startswith("first Bianchi identity")
         for i in (_CHUNK - 3, _CHUNK + 1):
@@ -293,6 +296,22 @@ class TestNormalFormChunks:
         for i in (_CHUNK - 2, _CHUNK):
             assert points[i]["note"].startswith("no normal form")
         assert "not positive definite" in points[_CHUNK + 30]["note"]
+
+    def test_only_the_point_with_an_indefinite_h_runs_per_point(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        per_point = cli.preferred_normal_form_4
+
+        def counted(rm, h, g, tol):
+            calls.append(h)
+            return per_point(rm, h, g, tol=tol)
+
+        monkeypatch.setattr(cli, "preferred_normal_form_4", counted)
+        code, out, _ = run(capsys, "normal-form", chunked_file(tmp_path), "--format", "json")
+        assert code == 1 and len(calls) == 1
+        npt.assert_array_equal(calls[0], np.diag([1.0, 1.0, 1.0, -1.0]))
+        points = json.loads(out)["points"]
+        assert "not positive definite" in points[_CHUNK + 30]["note"]
+        assert sum(p["available"] for p in points[_CHUNK:]) == 44 - 3
 
     def test_pairing_frames_are_built_once_per_chunk(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -424,6 +443,30 @@ class TestIntegrate:
         assert code == 1 and out == ""
         assert err.startswith("error: first Bianchi identity")
 
+    @pytest.mark.parametrize("chunk", [7, _CHUNK])
+    @pytest.mark.parametrize(
+        "bad", [{12: "dim 3", 15: "bianchi"}, {5: "bianchi", 12: "dim 3"}, {3: "negative", 9: "dim 3"}]
+    )
+    def test_the_first_error_is_that_of_integrate_samples(
+        self, tmp_path, capsys, monkeypatch, chunk, bad
+    ):
+        monkeypatch.setattr(topology, "_CHUNK", chunk)
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        lines = star_h_lines(20)
+        replacement = {
+            "dim 3": sample_to_json(next(iter(gen_space_form(3, 1.0, 2)))),
+            "bianchi": '{"dim":4,"g":[1,0,1,0,0,1,0,0,0,1],"rm":[[1,2,3,4,1.0]],"weight":1.0}',
+            "negative": lines[3].replace('"weight": 1', '"weight": -1'),
+        }
+        assert replacement["negative"] != lines[3]
+        for at, kind in bad.items():
+            lines[at] = replacement[kind]
+        path = tmp_path / "errors.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as expected:
+            topology.integrate_samples(read_samples(path))
+        assert run(capsys, "integrate", str(path)) == (1, "", f"error: {expected.value}\n")
+
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         path = s4_file(tmp_path)
         _, out, _ = run(capsys, "integrate", path, "--format", "json")
@@ -486,6 +529,141 @@ def mixed_lines(seed=23):
         samples.append(gen_synthetic_star_L(0.5 * (-c.real - c.real.T), 0.5 * (-c.imag - c.imag.T), frame))
     lines = [sample_to_json(sample) for sample in samples] + star_h_lines(8, seed)
     return [lines[i] for i in rng.permutation(len(lines))]
+
+
+# ---- the stacked dimension-4 reader ----
+
+
+def reader_lines():
+    """The mixed file, a 3-dimensional grid, a flat torus, product spheres
+    without h, and lines that reach the reader's choices: an oriented (4, 2)
+    pair written both ways, a zero row with a repeated index, agreeing
+    duplicates (the last counts), integer values and an empty rm."""
+    lines = mixed_lines()
+    lines += [sample_to_json(s) for s in gen_space_form(3, 1.0, (1, 2, 2))]
+    lines += [sample_to_json(s) for s in gen_space_form(4, 0.0, (1, 1, 1, 2))]
+    lines += [sample_to_json(s) for s in gen_product_spheres(1.0, 2.0, (1, 1, 2, 1))]
+    g = "[2, 0.5, 1, 0, 0, 1, 0, 0.25, 0, 3]"
+    lines += [
+        '{"dim": 4, "g": %s, "rm": [[4, 2, 1, 3, 0.5], [2, 4, 3, 1, 0.5], [1, 1, 2, 3, 0.0], '
+        '[1, 2, 1, 2, -1], [2, 1, 2, 1, -1.0000000000001], [3, 4, 1, 2, 2]], "weight": 2}' % g,
+        '{"dim": 4, "g": %s, "h": %s, "T": [1, 0, 0, 0], "rm": [], "weight": 0, "coords": []}' % (g, g),
+    ]
+    return lines
+
+
+class TestStackedReader:
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    def test_stacks_equal_the_gather_over_read_samples(self, tmp_path, size):
+        path = tmp_path / "reader.jsonl"
+        path.write_text("\n".join(reader_lines()) + "\n", encoding="utf-8")
+        chunks = list(zoo._read_chunks(path, size))
+        samples = read_samples(path)
+        assert [c.start for c in chunks] == list(range(0, len(samples), size))
+        assert sum(c.size for c in chunks) == len(samples)
+
+        four = [(i, s) for i, s in enumerate(samples) if s.dim == 4]
+        rm = np.stack([s.rm.components for _, s in four])
+        i, j = normal_forms._BASIS.pairs0.T
+        expected = {
+            "index": np.array([i for i, _ in four]),
+            "k0": rm[:, i[:, None], j[:, None], i[None, :], j[None, :]],
+            "g": np.stack([s.g for _, s in four]),
+            "h": np.stack([s.g if s.h is None else s.h for _, s in four]),
+            "t": np.stack([np.full(4, np.nan) if s.t is None else s.t for _, s in four]),
+            "weights": np.array([s.weight for _, s in four]),
+        }
+        for name, value in expected.items():
+            got = np.concatenate([getattr(c, name) for c in chunks])
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
+        others = [(i, s.rm.to_sparse()) for c in chunks for i, s in c.others]
+        assert others == [(i, s.rm.to_sparse()) for i, s in enumerate(samples) if s.dim != 4]
+        assert len(others) == 4
+
+
+GOOD_LINE = '{"dim": 4, "g": [1, 0, 1, 0, 0, 1, 0, 0, 0, 1], "rm": [[1, 2, 1, 2, -1.0]], "weight": 0.5}'
+
+MALFORMED_LINES = {
+    "blank line": "",
+    "invalid JSON": '{"dim": 4, "g": [1, 0, 1',
+    "NaN": GOOD_LINE.replace("0.5}", "NaN}"),
+    "unknown key": GOOD_LINE.replace("}", ', "extra": 1}'),
+    "missing key": GOOD_LINE.replace(', "weight": 0.5', ""),
+    "bad dim": GOOD_LINE.replace('"dim": 4', '"dim": 4.0'),
+    "g of the wrong length": GOOD_LINE.replace("[1, 0, 1, 0, 0, 1, 0, 0, 0, 1]", "[1, 0, 1, 0, 0, 1, 0, 0, 1]"),
+    "a bool among the numbers": GOOD_LINE.replace("[1, 0, 1, 0, 0, 1,", "[true, 0, 1, 0, 0, 1,"),
+    "rm row of length 4": GOOD_LINE.replace("[1, 2, 1, 2, -1.0]", "[1, 2, 1, -1.0]"),
+    "float index": GOOD_LINE.replace("[1, 2, 1, 2, -1.0]", "[1.0, 2, 1, 2, -1.0]"),
+    "index out of range": GOOD_LINE.replace("[1, 2, 1, 2, -1.0]", "[1, 2, 1, 5, -1.0]"),
+    "nonzero repeated-index row": GOOD_LINE.replace("[1, 2, 1, 2, -1.0]", "[1, 2, 1, 2, -1.0], [1, 1, 2, 3, 0.5]"),
+    "disagreeing duplicates": GOOD_LINE.replace("[1, 2, 1, 2, -1.0]", "[1, 2, 1, 2, -1.0], [2, 1, 2, 1, -2.0]"),
+    "1e999": GOOD_LINE.replace("[1, 2, 1, 2, -1.0]", "[1, 2, 1, 2, 1e999]"),
+}
+
+
+class TestFormatErrors:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+    def test_every_command_reports_the_reader_error(self, tmp_path, capsys, case):
+        lines = [GOOD_LINE] * 9
+        lines[5] = MALFORMED_LINES[case]
+        path = tmp_path / "malformed.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, expected = run(capsys, "validate", str(path))
+        assert code == 2 and expected.startswith("error: line 6: ")
+        for command in ("integrate", "normal-form"):
+            assert run(capsys, command, str(path)) == (2, "", expected), command
+
+    @pytest.mark.parametrize("field", ["g", "h", "T", "rm", "weight", "coords"])
+    @pytest.mark.parametrize("command", ["validate", "integrate", "normal-form"])
+    def test_an_overflowing_literal_is_a_format_error(self, tmp_path, capsys, command, field):
+        sample = json.loads(GOOD_LINE)
+        sample.update(h=list(sample["g"]), T=[1, 0, 0, 0], coords=[0.5, 0.5, 0.5, 0.5])
+        line = json.dumps(sample)
+        if field == "weight":
+            sample["weight"] = "X"
+        else:
+            (sample[field][0] if field == "rm" else sample[field])[-1] = "X"
+        bad = json.dumps(sample).replace('"X"', "1e999")
+        path = tmp_path / "overflow.jsonl"
+        path.write_text(line + "\n" + bad + "\n", encoding="utf-8")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: ") and "finite" in err
+
+    def test_a_format_error_after_an_analysis_error_still_exits_two(self, tmp_path, capsys):
+        broken = '{"dim":4,"g":[1,0,1,0,0,1,0,0,0,1],"rm":[[1,2,3,4,1.0]],"weight":1.0}'
+        lines = [broken] + [GOOD_LINE] * (3 * _CHUNK)
+        lines[2 * _CHUNK + 5] = MALFORMED_LINES["invalid JSON"]
+        path = tmp_path / "late.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "integrate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {2 * _CHUNK + 6}: invalid JSON")
+        lines[2 * _CHUNK + 5] = GOOD_LINE
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "integrate", str(path))
+        assert code == 1 and err.startswith("error: first Bianchi identity")
+
+    def test_integrate_memory_does_not_grow_with_the_file(self, tmp_path, capsys, monkeypatch):
+        chunk = 64  # a smaller chunk keeps the files small
+        monkeypatch.setattr(topology, "_CHUNK", chunk)
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        lines = [sample_to_json(s) for s in gen_space_form(4, 1.0, (2, 2, 4, 4))]
+
+        def peak(copies):
+            path = tmp_path / f"s4_{copies}.jsonl"
+            path.write_text("\n".join(lines * copies) + "\n", encoding="utf-8")
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "integrate", str(path), "--format", "json")
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (small_code, small), (large_code, large) = peak(4), peak(64)  # 4 and 64 chunks
+        assert small_code == large_code == 0
+        assert large <= 1.5 * small, (small, large)
 
 
 FILE_COMMANDS = [
