@@ -22,8 +22,10 @@ identity an ``error`` field and exit 1, and ``integrate`` stops with exit 1
 on it.  ``normal-form`` and ``integrate`` stream the file in chunks: each
 line's dimension-4 rows go straight into a stacked 6x6 pair matrix, with no
 dense tensor per point, and the Lambda^2 kernel and the normal-form frame
-choice run once per chunk.  ``integrate`` reads the whole file before it
-reports an analysis error, so a format error anywhere still exits 2.
+choice run once per chunk, for every point of the chunk; ``integrate`` runs
+the chunk driver of ``integrate_samples``.  ``integrate`` reads the whole
+file before it reports an analysis error, so a format error anywhere still
+exits 2.  ``--tol`` must be a finite non-negative number.
 """
 
 import argparse
@@ -36,14 +38,15 @@ import numpy as np
 from . import __version__, normal_forms
 from .complex_forms import classify_complex
 from .exceptions import (
+    DegenerateMetricError,
     DimensionError,
     GeometryError,
     NotCommutingError,
     SampleFormatError,
     TensorValidationError,
 )
-from .normal_forms import is_star_h_einstein, preferred_normal_form_4
-from .topology import _CHUNK, _integrate_file_chunks, connected_sum, weyl_split_check
+from .normal_forms import is_star_h_einstein
+from .topology import _CHUNK, _integrate_chunks, connected_sum, weyl_split_check
 from .zoo import _read_chunks, read_samples, validate_sample
 
 __all__ = ["build_parser", "main"]
@@ -56,6 +59,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite non-negative number")
     return value
 
 
@@ -182,30 +192,18 @@ def _normal_form_entry(index, nf) -> dict:
 
 
 def _cmd_normal_form(args):
-    def one_point(k0, h, g):
-        try:
-            return preferred_normal_form_4(normal_forms._tensor_from_pairs(k0), h, g, tol=args.tol)
-        except (GeometryError, ValueError) as err:
-            return err
-
-    def run_chunk(chunk):
-        # one kernel call and frame choice per chunk; only a point whose metric
-        # Cholesky rejects goes per point
-        ok = normal_forms._positive_definite(chunk.h)
-        k0, h, g = chunk.k0[ok], chunk.h[ok], chunk.g[ok]
-        stacked = iter(
-            normal_forms._normal_forms(normal_forms._lambda2_blocks(k0, h, g), h, g, args.tol)
-            if ok.any() else ()
-        )
-        forms = {index: DimensionError(normal_forms._NOT_DIM_4) for index, _ in chunk.others}
-        for n, index in enumerate(chunk.index):
-            forms[index] = next(stacked) if ok[n] else one_point(chunk.k0[n], chunk.h[n], chunk.g[n])
-        indices = range(chunk.start, chunk.start + chunk.size)
-        return [_normal_form_entry(index, forms[index]) for index in indices]
-
+    indefinite = DegenerateMetricError("metric is not positive definite")  # h_orthonormal_frame's error
     points = []
     for chunk in _read_chunks(args.file, _CHUNK):
-        points += run_chunk(chunk)
+        # one kernel call and frame choice per chunk, over the points whose h Cholesky takes
+        ok = normal_forms._positive_definite(chunk.h)
+        forms = {index: DimensionError(normal_forms._NOT_DIM_4) for index, _ in chunk.others}
+        forms.update((index, indefinite) for index in chunk.index[~ok])
+        if ok.any():
+            k0, h, g = chunk.k0[ok], chunk.h[ok], chunk.g[ok]
+            blocks = normal_forms._lambda2_blocks(k0, h, g)
+            forms.update(zip(chunk.index[ok], normal_forms._normal_forms(blocks, h, g, args.tol)))
+        points += [_normal_form_entry(i, forms[i]) for i in range(chunk.start, chunk.start + chunk.size)]
     available = sum(1 for p in points if p["available"])
     report = _base_report(
         args,
@@ -255,7 +253,7 @@ def _cmd_petrov(args):
 def _cmd_integrate(args):
     chunks = _read_chunks(args.file, _CHUNK)
     try:
-        result = _integrate_file_chunks(chunks, tol=args.tol)
+        result = _integrate_chunks(chunks, tol=args.tol)
     except (GeometryError, ValueError):
         for _ in chunks:  # read on: a format error anywhere in the file comes first
             pass
@@ -383,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"curvforms {__version__}"
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="analysis tolerance")
+    common.add_argument("--tol", type=_tolerance, default=1e-9, help="analysis tolerance")
     common.add_argument(
         "--format", choices=("json", "text"), default="text", help="report format"
     )
@@ -456,8 +454,12 @@ def main(argv=None) -> int:
         return code
     text = render_json(report) if args.format == "json" else render_text(report, columns)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: cannot write {args.output}: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -337,14 +337,6 @@ def _positive_definite(h: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _stack_samples(samples):
-    """Components, ``h`` and ``g`` of point samples as stacks for :func:`lambda2_blocks`;
-    a sample without ``h`` takes ``g``."""
-    g = [np.asarray(s.g, dtype=float) for s in samples]
-    h = [gs if getattr(s, "h", None) is None else np.asarray(s.h, dtype=float) for s, gs in zip(samples, g)]
-    return np.stack([s.rm.components for s in samples]), np.stack(h), np.stack(g)
-
-
 # ---- star-h Einstein test ----
 
 

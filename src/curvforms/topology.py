@@ -42,9 +42,8 @@ from .normal_forms import (
     ScaledNormalForm,
     _lambda2_blocks,
     _normal_forms,
-    _pair_matrix,
-    _stack_samples,
 )
+from .zoo import _sample_chunks
 
 __all__ = [
     "IntegrandValue",
@@ -315,9 +314,10 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
         Point samples carrying ``rm`` (a validated ``CurvatureTensor``),
         ``g``, optional ``h`` (defaults to ``g``), and a nonnegative
         ``weight``; weights must sum to the total volume.  Any iterable
-        works; it is read once and analysed in chunks of a fixed size, and
-        the terms are kept as exact partial sums, so memory does not grow
-        with the number of samples.
+        works; it is read once, in chunks of a fixed size that run through
+        the same stacked path as ``curvforms integrate`` on a file, and the
+        terms are kept as exact partial sums, so memory does not grow with
+        the number of samples.
     tol : float
         Tolerance for the star-commuting precondition and for the first
         Bianchi identity at each point.
@@ -334,68 +334,37 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
     TensorValidationError
         If a tensor breaks the first Bianchi identity beyond ``tol`` times
         its largest component.
+    ValueError
+        If a weight is missing, negative or not finite, or a sample is not
+        4-dimensional (``DimensionError``); the first such sample raises,
+        after the points before it.
     """
-    terms = _Terms()
-    chunk = []
-    n = 0
-    for n, sample in enumerate(samples, start=1):
-        try:
-            chunk.append(_unpack(sample, n - 1))
-        except ValueError:
-            _integrate_chunk(chunk, tol, terms)  # earlier points report first
-            raise
-        if len(chunk) == _CHUNK:
-            _integrate_chunk(chunk, tol, terms)
-            terms.fold()
-            chunk = []
-    _integrate_chunk(chunk, tol, terms)
-    return terms.result(n)
+    return _integrate_chunks(_sample_chunks(samples, _CHUNK), tol)
 
 
-def _integrate_file_chunks(chunks, tol: float = 1e-9) -> IntegrationResult:
-    """:func:`integrate_samples` over the chunks of a sample file
-    (:func:`curvforms.zoo._read_chunks`): the same totals and the same first
-    error, from the stacked pair matrices."""
+def _integrate_chunks(chunks, tol: float = 1e-9) -> IntegrationResult:
+    """The totals over chunks (:class:`curvforms.zoo._Chunk`) of samples or of a
+    file.  The first point that the stack cannot take (one of ``others``, or a
+    weight that is negative or not finite) raises, after the points before it."""
     terms, points = _Terms(), 0
     for chunk in chunks:
-        # the points _unpack rejects: the first ends the stream, after the points before it
-        rejected = [(i, sample.weight, sample.rm.dim) for i, sample in chunk.others]
-        rejected += [(int(i), w, 4) for i, w in zip(chunk.index, chunk.weights) if w < 0]
+        rejected = [(i, getattr(sample, "weight", None)) for i, sample in chunk.others]
+        rejected += [(int(i), w) for i, w in zip(chunk.index, chunk.weights) if not 0 <= w < math.inf]
         stop = min(rejected, default=None)
         before = slice(None) if stop is None else chunk.index < stop[0]
         _integrate_stack(
             chunk.k0[before], chunk.h[before], chunk.g[before], chunk.weights[before], tol, terms
         )
         if stop is not None:
-            _check_point(*stop)
+            index, weight = stop
+            if weight is None:
+                raise ValueError(f"sample {index} carries no quadrature weight")
+            if not 0 <= float(weight) < math.inf:
+                raise ValueError(f"sample {index} has invalid weight {float(weight)!r}")
+            raise DimensionError("Euler/signature densities are specific to dim 4")  # any other
         terms.fold()
         points += chunk.size
     return terms.result(points)
-
-
-def _check_point(index: int, weight, dim: int) -> float:
-    """The weight of point ``index`` as a float, if it is valid and ``dim`` is 4."""
-    weight = float(weight)
-    if weight < 0 or not math.isfinite(weight):
-        raise ValueError(f"sample {index} has invalid weight {weight!r}")
-    if dim != 4:
-        raise DimensionError("Euler/signature densities are specific to dim 4")
-    return weight
-
-
-def _unpack(sample, index):
-    weight = getattr(sample, "weight", None)
-    if weight is None:
-        raise ValueError(f"sample {index} carries no quadrature weight")
-    return sample, _check_point(index, weight, sample.rm.dim)
-
-
-def _integrate_chunk(chunk, tol, terms: _Terms) -> None:
-    if not chunk:
-        return
-    samples, weights = zip(*chunk)
-    components, h, g = _stack_samples(samples)
-    _integrate_stack(_pair_matrix(components), h, g, np.array(weights), tol, terms)
 
 
 def _integrate_stack(k0, h, g, weights, tol, terms: _Terms) -> None:

@@ -13,6 +13,7 @@ import gzip
 import json
 import math
 import warnings
+import zlib
 from dataclasses import dataclass
 from itertools import chain, islice, product
 
@@ -35,7 +36,7 @@ from .exceptions import (
     SampleFormatError,
     TensorValidationError,
 )
-from .normal_forms import h_orthonormal_frame
+from .normal_forms import _pair_matrix, h_orthonormal_frame
 
 __all__ = [
     "PointSample",
@@ -261,14 +262,15 @@ def _opener(path):
 
 def _line_chunks(path, size: int):
     """The lines of a sample file, ``size`` at a time; a file that cannot be
-    read or holds no line raises :class:`SampleFormatError`."""
+    read (a truncated or corrupt ``.gz`` included) or holds no line raises
+    :class:`SampleFormatError`."""
     empty = True
     try:
         with _opener(path)(path, "rt", encoding="utf-8") as fh:
             while lines := list(islice(fh, size)):
                 empty = False
                 yield lines
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, UnicodeDecodeError, EOFError, zlib.error) as err:
         raise SampleFormatError(f"cannot read {path}: {err}") from None
     if empty:
         raise SampleFormatError(f"{path} contains no samples")
@@ -309,14 +311,15 @@ _PAIR_POSITION, _PAIR_SIGN = _pair_tables()
 
 @dataclass(frozen=True)
 class _Chunk:
-    """``size`` consecutive points of a sample file, the first being point ``start``.
+    """``size`` consecutive points of a sample file or stream, the first being point ``start``.
 
-    The dimension-4 points are stacked, in file order: ``index`` (N,) holds
+    The dimension-4 points are stacked, in order: ``index`` (N,) holds
     their point indices (line number - 1), ``k0`` (N, 6, 6) their pair
     matrices ``K_0[a, b] = R_{p_a p_b}`` over the pairs of the dimension-4
     bivector basis, ``g`` and ``h`` (N, 4, 4) their metrics (``h`` defaults to
     ``g``), ``t`` (N, 4) their ``T`` (NaN where absent) and ``weights`` (N,).
-    The points of other dimensions are ``others``, as ``(index, PointSample)``.
+    The points of other dimensions are ``others``, as ``(index, PointSample)``
+    (:func:`_sample_chunks` adds the samples without a weight).
     """
 
     start: int
@@ -350,6 +353,38 @@ def _read_chunks(path, size: int):
             raise  # reached only if the two paths disagree on a line
         yield chunk
         start += len(lines)
+
+
+def _sample_chunks(samples, size: int):
+    """The points of ``samples`` (any iterable), ``size`` per :class:`_Chunk`; a sample
+    of another dimension than 4, or without a weight that ``float`` takes, is one of ``others``."""
+    samples, start = iter(samples), 0
+    while batch := list(islice(samples, size)):
+        four, weights, others = [], [], []
+        for n, sample in enumerate(batch, start):
+            try:
+                weight = float(getattr(sample, "weight", None))
+            except (TypeError, ValueError):
+                weight = None
+            if weight is None or sample.rm.dim != 4:
+                others.append((n, sample))
+            else:
+                four.append((n, sample))
+                weights.append(weight)
+        g = [np.asarray(s.g, dtype=float) for _, s in four]
+        h = [gs if getattr(s, "h", None) is None else np.asarray(s.h, dtype=float) for (_, s), gs in zip(four, g)]
+        t = [np.full(4, np.nan) if getattr(s, "t", None) is None else np.asarray(s.t, dtype=float) for _, s in four]
+        rm = _stack([s.rm.components for _, s in four], (4, 4, 4, 4))
+        yield _Chunk(
+            start, len(batch), np.array([n for n, _ in four], dtype=int), _pair_matrix(rm),
+            _stack(g, (4, 4)), _stack(h, (4, 4)), _stack(t, (4,)), np.array(weights), others,
+        )
+        start += len(batch)
+
+
+def _stack(arrays: list, shape: tuple) -> np.ndarray:
+    """``np.stack`` of ``arrays`` of ``shape``, also when there are none."""
+    return np.stack(arrays) if arrays else np.zeros((0, *shape))
 
 
 def _decode_chunk(lines, start: int) -> _Chunk:

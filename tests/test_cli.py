@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from curvforms import cli, normal_forms, topology, zoo
 from curvforms.cli import main
 from curvforms.complex_forms import complex_case_matrix
 from curvforms.curvature import space_form
-from curvforms.exceptions import GeometryError
+from curvforms.exceptions import GeometryError, SampleFormatError
 from curvforms.normal_forms import canonical_pairs, preferred_normal_form_4
 from curvforms.topology import _CHUNK
 from curvforms.zoo import (
@@ -297,18 +298,21 @@ class TestNormalFormChunks:
             assert points[i]["note"].startswith("no normal form")
         assert "not positive definite" in points[_CHUNK + 30]["note"]
 
-    def test_only_the_point_with_an_indefinite_h_runs_per_point(self, tmp_path, capsys, monkeypatch):
+    def test_an_indefinite_h_takes_no_per_point_path(self, tmp_path, capsys, monkeypatch):
         calls = []
-        per_point = cli.preferred_normal_form_4
+        kernel = normal_forms._lambda2_blocks
 
-        def counted(rm, h, g, tol):
-            calls.append(h)
-            return per_point(rm, h, g, tol=tol)
+        def counted(k0, h, g=None):
+            calls.append(len(k0))
+            return kernel(k0, h, g)
 
-        monkeypatch.setattr(cli, "preferred_normal_form_4", counted)
+        def per_point(*args):
+            raise AssertionError("a per-point normal-form analysis ran")
+
+        monkeypatch.setattr(normal_forms, "_lambda2_blocks", counted)
+        monkeypatch.setattr(normal_forms, "_normal_form_of", per_point)
         code, out, _ = run(capsys, "normal-form", chunked_file(tmp_path), "--format", "json")
-        assert code == 1 and len(calls) == 1
-        npt.assert_array_equal(calls[0], np.diag([1.0, 1.0, 1.0, -1.0]))
+        assert code == 1 and calls == [_CHUNK - 1, 42]  # the dimension-4 points with a definite h
         points = json.loads(out)["points"]
         assert "not positive definite" in points[_CHUNK + 30]["note"]
         assert sum(p["available"] for p in points[_CHUNK:]) == 44 - 3
@@ -645,6 +649,25 @@ class TestFormatErrors:
         code, _, err = run(capsys, "integrate", str(path))
         assert code == 1 and err.startswith("error: first Bianchi identity")
 
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_a_damaged_gzip_file_is_a_format_error(self, tmp_path, capsys, damage):
+        path = tmp_path / "s4.jsonl.gz"
+        write_samples(path, gen_space_form(4, 1.0, (2, 2, 4, 4)))
+        data = bytearray(path.read_bytes())
+        if damage == "truncated":
+            data = data[: len(data) // 2]
+        else:
+            data[100:160] = bytes(b ^ 0xFF for b in data[100:160])
+        with pytest.raises(EOFError if damage == "truncated" else zlib.error):
+            gzip.decompress(bytes(data))
+        path.write_bytes(bytes(data))
+        with pytest.raises(SampleFormatError, match="cannot read"):
+            read_samples(path)
+        for command in FILE_COMMANDS:
+            code, out, err = run(capsys, *command.split(), str(path))
+            assert (code, out) == (2, ""), command
+            assert err.startswith(f"error: cannot read {path}: "), command
+
     def test_integrate_memory_does_not_grow_with_the_file(self, tmp_path, capsys, monkeypatch):
         chunk = 64  # a smaller chunk keeps the files small
         monkeypatch.setattr(topology, "_CHUNK", chunk)
@@ -753,6 +776,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["validate", str(tmp_path / "x.jsonl"), "--threads", "0"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.5"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
+        for command in ("validate", "integrate"):
+            with pytest.raises(SystemExit) as err:
+                main([command, s4_file(tmp_path), "--tol", tol])
+            assert err.value.code == 2
+            assert "--tol" in capsys.readouterr().err
+        assert run(capsys, "validate", s4_file(tmp_path), "--tol", "0")[0] == 0
+
+    def test_an_unwritable_output_file_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "integrate", s4_file(tmp_path), "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.parent.exists()
 
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))

@@ -321,8 +321,9 @@ class TestIntegrateSamples:
         rm = space_form(4, 1.0)
         with pytest.raises(ValueError):
             integrate_samples([SimpleNamespace(rm=rm, g=np.eye(4), h=None, weight=None)])
-        with pytest.raises(ValueError):
-            integrate_samples([make_sample(rm, np.eye(4), None, -1.0)])
+        for weight in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"sample 1 has invalid weight {weight!r}"):
+                integrate_samples([make_sample(rm, np.eye(4), None, 1.0), make_sample(rm, np.eye(4), None, weight)])
 
     def test_dimension_guard(self):
         rm = space_form(3, 1.0)
