@@ -19,13 +19,15 @@ The reader checks structure only and completes each tensor by its index
 symmetries.  ``validate`` checks every identity; ``einstein-check``,
 ``normal-form`` and ``petrov`` give a point that breaks the first Bianchi
 identity an ``error`` field and exit 1, and ``integrate`` stops with exit 1
-on it.  ``normal-form`` and ``integrate`` stream the file in chunks: each
-line's dimension-4 rows go straight into a stacked 6x6 pair matrix, with no
-dense tensor per point, and the Lambda^2 kernel and the normal-form frame
-choice run once per chunk, for every point of the chunk; ``integrate`` runs
-the chunk driver of ``integrate_samples``.  ``integrate`` reads the whole
-file before it reports an analysis error, so a format error anywhere still
-exits 2.  ``--tol`` must be a finite non-negative number.
+on it.  ``validate``, ``normal-form`` and ``integrate`` stream the file in
+chunks: each line's dimension-4 rows go straight into a stacked 6x6 pair
+matrix, and the checks of ``validate``, the Lambda^2 kernel and the
+normal-form frame choice run once per chunk, for every point of the chunk;
+``integrate`` runs the chunk driver of ``integrate_samples``.
+``einstein-check`` and ``petrov`` read through ``read_samples``, which
+builds its samples from the same stacked decoder.  ``integrate`` reads the
+whole file before it reports an analysis error, so a format error anywhere
+still exits 2.  ``--tol`` must be a finite non-negative number.
 """
 
 import argparse
@@ -47,7 +49,7 @@ from .exceptions import (
 )
 from .normal_forms import is_star_h_einstein
 from .topology import _CHUNK, _integrate_chunks, connected_sum, weyl_split_check
-from .zoo import _read_chunks, read_samples, validate_sample
+from .zoo import _chunk_errors, _read_chunks, read_samples
 
 __all__ = ["build_parser", "main"]
 
@@ -86,26 +88,20 @@ def _floats(values) -> list:
 # ---- commands ----
 
 
-def _cmd_validate(args):
-    samples = read_samples(args.file)
-
-    def check(index, sample):
-        try:
-            validate_sample(sample, tol=args.tol)
-        except TensorValidationError as err:
-            return {
-                "index": index,
-                "ok": False,
-                "error": str(err),
-                "identity": err.identity,
-                "indices": list(err.indices),
-                "residual": err.residual,
-            }
-        except (GeometryError, ValueError) as err:
-            return {"index": index, "ok": False, "error": str(err)}
+def _validate_entry(index, error) -> dict:
+    """The report entry of point ``index``: ok, or its first violation."""
+    if error is None:
         return {"index": index, "ok": True}
+    entry = {"index": index, "ok": False, "error": str(error)}
+    if isinstance(error, TensorValidationError):
+        entry.update(identity=error.identity, indices=list(error.indices), residual=error.residual)
+    return entry
 
-    points = [check(i, s) for i, s in enumerate(samples)]
+
+def _cmd_validate(args):
+    points = []
+    for chunk in _read_chunks(args.file, _CHUNK):
+        points += [_validate_entry(chunk.start + n, e) for n, e in enumerate(_chunk_errors(chunk, args.tol))]
     failures = sum(1 for p in points if not p["ok"])
     report = _base_report(
         args,

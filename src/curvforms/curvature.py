@@ -70,20 +70,25 @@ class CurvatureTensor:
         """Nonzero canonical representatives as ``[i, j, k, l, value]`` (1-based).
 
         Canonical means ``i < j``, ``k < l`` and ``(i, j) <= (k, l)``
-        lexicographically.
+        lexicographically; rows come in that order.
         """
-        out = []
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    for l in range(k + 1, n):
-                        if (i, j) > (k, l):
-                            continue
-                        v = float(self.components[i, j, k, l])
-                        if v != 0.0:
-                            out.append([i + 1, j + 1, k + 1, l + 1, v])
-        return out
+        index, rows = _canonical_positions(self.dim)
+        values = np.asarray(self.components[index], dtype=float)
+        kept = np.flatnonzero(values != 0.0)
+        return [[*rows[p], v] for p, v in zip(kept.tolist(), values[kept].tolist())]
+
+
+_CANONICAL = {}
+
+
+def _canonical_positions(dim: int):
+    """The canonical component positions of dimension ``dim``, in order: as an index
+    tuple of four arrays (0-based) and as rows ``(i, j, k, l)`` (1-based); built once."""
+    if dim not in _CANONICAL:
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        rows = [(i + 1, j + 1, k + 1, l + 1) for a, (i, j) in enumerate(pairs) for k, l in pairs[a:]]
+        _CANONICAL[dim] = tuple(np.array(rows, dtype=int).reshape(-1, 4).T - 1), rows
+    return _CANONICAL[dim]
 
 
 @dataclass(frozen=True)
@@ -167,10 +172,46 @@ def _complete_sparse(entries, dim: int) -> np.ndarray:
     return r
 
 
+# the four identities as residuals of stacked tensors (N, n, n, n, n), in the order checked
+_IDENTITIES = (
+    ("antisymmetry in first pair", lambda r: r + np.swapaxes(r, 1, 2)),
+    ("antisymmetry in second pair", lambda r: r + np.swapaxes(r, 3, 4)),
+    ("pair symmetry", lambda r: r - np.transpose(r, (0, 3, 4, 1, 2))),
+    (
+        "first Bianchi identity",
+        lambda r: r + np.transpose(r, (0, 1, 3, 4, 2)) + np.transpose(r, (0, 1, 4, 2, 3)),
+    ),
+)
+
+
 def _worst(residual: np.ndarray):
-    flat = int(np.argmax(np.abs(residual)))
-    idx = np.unravel_index(flat, residual.shape)
-    return tuple(int(x) + 1 for x in idx), float(np.abs(residual).flat[flat])
+    """Per tensor of a stack (N >= 1): the flat position of its first largest ``|residual|``, and that value."""
+    flat_residual = np.abs(residual).reshape(len(residual), -1)
+    flat = np.argmax(flat_residual, axis=1)
+    return flat, flat_residual[np.arange(len(flat)), flat]
+
+
+def _identity_violations(r: np.ndarray, tol: float):
+    """The checks of the four identities on dense tensors ``r`` (N >= 1, n, n, n, n), in
+    order: per identity the mask of the tensors whose worst residual exceeds ``tol``
+    times their ``max |R_ijkl|``, and the :class:`TensorValidationError` of tensor ``p``."""
+    threshold = tol * np.maximum(np.max(np.abs(r).reshape(len(r), -1), axis=1), 1e-300)
+    for name, residual in _IDENTITIES:
+        flat, worst = _worst(residual(r))
+
+        def error(p, name=name, flat=flat, worst=worst):
+            indices = np.unravel_index(flat[p], r.shape[1:])
+            return TensorValidationError(name, tuple(int(x) + 1 for x in indices), float(worst[p]))
+
+        yield worst > threshold, error
+
+
+def _check_shape(shape: tuple, dim: int) -> None:
+    """Raise :class:`DimensionError` unless ``shape`` is that of a dense tensor of dimension ``dim >= 3``."""
+    if shape != (dim,) * 4:
+        raise DimensionError(f"expected shape {(dim,) * 4}, got {shape}")
+    if dim < 3:
+        raise DimensionError("curvature tensors need dim >= 3")
 
 
 def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) -> CurvatureTensor:
@@ -202,38 +243,23 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
     if arr.ndim == 4:
         if dim is None:
             dim = arr.shape[0]
-        if arr.shape != (dim,) * 4:
-            raise DimensionError(f"expected shape {(dim,) * 4}, got {arr.shape}")
+        _check_shape(arr.shape, dim)
         r = arr.astype(float)
     elif arr.ndim == 2 and arr.shape[1] == 5 or arr.size == 0:
         if dim is None:
             raise DimensionError("dim is required for sparse component input")
         r = _complete_sparse(arr.reshape(-1, 5).tolist(), dim)
+        _check_shape(r.shape, dim)
     else:
         raise DimensionError(
             "components must be a dense (dim,)*4 array or rows [i, j, k, l, value]"
         )
-    if dim < 3:
-        raise DimensionError("curvature tensors need dim >= 3")
     if tol == np.inf:
         return CurvatureTensor(dim=dim, components=r)
 
-    scale = float(np.max(np.abs(r)))
-    threshold = tol * max(scale, 1e-300)
-
-    checks = [
-        ("antisymmetry in first pair", r + np.swapaxes(r, 0, 1)),
-        ("antisymmetry in second pair", r + np.swapaxes(r, 2, 3)),
-        ("pair symmetry", r - np.transpose(r, (2, 3, 0, 1))),
-        (
-            "first Bianchi identity",
-            r + np.transpose(r, (0, 2, 3, 1)) + np.transpose(r, (0, 3, 1, 2)),
-        ),
-    ]
-    for name, residual in checks:
-        indices, worst = _worst(residual)
-        if worst > threshold:
-            raise TensorValidationError(name, indices, worst)
+    for broken, error in _identity_violations(r[None], tol):
+        if broken[0]:
+            raise error(0)
     return CurvatureTensor(dim=dim, components=r)
 
 

@@ -43,7 +43,7 @@ from .normal_forms import (
     _lambda2_blocks,
     _normal_forms,
 )
-from .zoo import _sample_chunks
+from .zoo import _CHUNK, _sample_chunks
 
 __all__ = [
     "IntegrandValue",
@@ -241,9 +241,6 @@ class IntegrationResult:
     general_frame_points: int
 
 
-# points per stacked kernel call: a streamed input is never held whole
-_CHUNK = 256
-
 # V^T g V within this relative distance of s I counts as g = s h
 _PROPORTIONAL_RTOL = 1e-13
 
@@ -359,6 +356,8 @@ def _integrate_chunks(chunks, tol: float = 1e-9) -> IntegrationResult:
             index, weight = stop
             if weight is None:
                 raise ValueError(f"sample {index} carries no quadrature weight")
+            if isinstance(weight, (bool, np.bool_)):
+                raise ValueError(f"sample {index} has invalid weight {weight!r}")
             if not 0 <= float(weight) < math.inf:
                 raise ValueError(f"sample {index} has invalid weight {float(weight)!r}")
             raise DimensionError("Euler/signature densities are specific to dim 4")  # any other

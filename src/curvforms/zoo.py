@@ -24,6 +24,8 @@ from .complex_forms import tensor_from_complex_form
 from .curvature import (
     _SPARSE_SLACK,
     CurvatureTensor,
+    _check_shape,
+    _identity_violations,
     curvature_from_frame_components,
     space_form,
     validate_curvature,
@@ -76,41 +78,111 @@ class PointSample:
     coords: np.ndarray | None = None
 
 
-def _check_metric(m: np.ndarray, dim: int, name: str, tol: float) -> None:
-    if m.shape != (dim, dim):
-        raise DimensionError(f"{name} must be {dim}x{dim}, got {m.shape}")
-    scale = max(float(np.max(np.abs(m))), 1e-300)
-    if float(np.max(np.abs(m - m.T))) > tol * scale:
-        raise DegenerateMetricError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(0.5 * (m + m.T))[0] <= 0:
-        raise DegenerateMetricError(f"{name} must be positive definite")
-
-
 def validate_sample(sample: PointSample, tol: float = 1e-9) -> None:
     """Check every invariant of a sample; raise on the first violation.
 
-    The curvature components must pass :func:`validate_curvature` at ``tol``,
-    the metrics must be symmetric positive definite, ``t`` (when present)
-    must be a g-unit vector within ``tol``, and the weight must be a finite
-    nonnegative number.
+    The metrics must be symmetric positive definite, ``t`` (when present)
+    must be a g-unit vector within ``tol``, the weight must be a real number
+    (not a ``bool``) that is finite and nonnegative, and the curvature
+    components must pass :func:`validate_curvature` at ``tol``.  This is the
+    one-point call of the stacked check that ``curvforms validate`` runs on
+    each chunk of a file.
     """
-    g = np.asarray(sample.g, dtype=float)
-    _check_metric(g, sample.dim, "g", tol)
-    if sample.h is not None:
-        _check_metric(np.asarray(sample.h, dtype=float), sample.dim, "h", tol)
-    if sample.t is not None:
-        t = np.asarray(sample.t, dtype=float)
-        if t.shape != (sample.dim,):
-            raise DimensionError(f"T must have {sample.dim} components")
-        tt = float(t @ g @ t)
-        if abs(tt - 1.0) > tol:
-            raise NonUnitVectorError(f"g(T, T) = {tt:.12g}, expected 1")
-    w = sample.weight
-    if not (isinstance(w, (int, float)) and math.isfinite(w) and w >= 0):
-        raise ValueError(f"weight must be a finite nonnegative number, got {w!r}")
-    if sample.rm.dim != sample.dim:
-        raise DimensionError("curvature dimension does not match the sample")
-    validate_curvature(sample.rm.components, dim=sample.dim, tol=tol)
+    error = _sample_error(sample, tol)
+    if error is not None:
+        raise error
+
+
+def _sample_error(sample: PointSample, tol: float):
+    """The first violation of :func:`validate_sample`, or None."""
+    g = np.asarray(sample.g, dtype=float)[None]
+    h = None if sample.h is None else np.asarray(sample.h, dtype=float)[None]
+    t = None if sample.t is None else np.asarray(sample.t, dtype=float)[None]
+    r = np.asarray(sample.rm.components, dtype=float)[None]
+    return _stack_errors(sample.dim, g, h, t, [sample.weight], sample.rm.dim, r, tol)[0]
+
+
+def _chunk_errors(chunk, tol: float) -> list:
+    """The first violation of every point of a :class:`_Chunk` (None where it has
+    none), in point order: one stacked check of its dimension-4 points, and the
+    check of :func:`validate_sample` for each of the others."""
+    errors = {index: _sample_error(sample, tol) for index, sample in chunk.others}
+    if len(chunk.index):
+        weights, r = chunk.weights.tolist(), _dense_4(chunk.k0, chunk.listed)
+        # h defaults to g, so checking it where it is absent repeats g's verdict
+        stack = _stack_errors(4, chunk.g, chunk.h, chunk.t, weights, 4, r, tol)
+        errors.update(zip(chunk.index.tolist(), stack))
+    return [errors[index] for index in range(chunk.start, chunk.start + chunk.size)]
+
+
+def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float) -> list:
+    """The first violation of every point of a stack, or None where it has none.
+
+    ``g`` and ``h`` are (N, dim, dim) (``h`` None when no point has one), ``t``
+    (N, dim) or None (a row of NaN, an absent ``T``, passes), ``weights`` a list,
+    ``r`` the dense curvature components (N, dim, dim, dim, dim) of dimension
+    ``rm_dim``.  The checks and their order are :func:`validate_sample`'s; a
+    check runs only while some point has passed every check before it.
+    """
+    errors = [None] * len(weights)
+    for bad, error in _violations(dim, g, h, t, weights, rm_dim, r, tol):
+        for p in np.flatnonzero(np.broadcast_to(bad, len(errors))).tolist():
+            if errors[p] is None:
+                errors[p] = error(p)
+        if None not in errors:
+            break
+    return errors
+
+
+def _violations(dim, g, h, t, weights, rm_dim, r, tol):
+    """The checks of :func:`_stack_errors`, in order: a mask of the points that fail
+    (a plain ``True`` when all do), and the error of failing point ``p``."""
+    yield from _metric_violations(g, dim, "g", tol)
+    if h is not None:
+        yield from _metric_violations(h, dim, "h", tol)
+    if t is not None:
+        if t.shape[1:] != (dim,):
+            yield True, lambda p: DimensionError(f"T must have {dim} components")
+            return
+        tt = ((t[:, None] @ g) @ t[:, :, None])[:, 0, 0]
+        yield np.abs(tt - 1.0) > tol, lambda p: NonUnitVectorError(f"g(T, T) = {tt[p]:.12g}, expected 1")
+    yield (
+        [not 0 <= _real(w, math.nan) < math.inf for w in weights],
+        lambda p: ValueError(f"weight must be a finite nonnegative number, got {weights[p]!r}"),
+    )
+    if rm_dim != dim:
+        yield True, lambda p: DimensionError("curvature dimension does not match the sample")
+        return
+    try:
+        _check_shape(r.shape[1:], dim)
+    except DimensionError as err:
+        yield True, lambda p: err
+        return
+    yield from _identity_violations(r, tol)
+
+
+def _metric_violations(m: np.ndarray, dim: int, name: str, tol: float):
+    if m.shape[1:] != (dim, dim):
+        yield True, lambda p: DimensionError(f"{name} must be {dim}x{dim}, got {m.shape[1:]}")
+        return
+    mt = np.swapaxes(m, 1, 2)
+    scale = np.maximum(np.max(np.abs(m), axis=(1, 2)), 1e-300)
+    yield (
+        np.max(np.abs(m - mt), axis=(1, 2)) > tol * scale,
+        lambda p: DegenerateMetricError(f"{name} must be symmetric"),
+    )
+    sym = 0.5 * (m + mt)
+    try:
+        lowest = np.linalg.eigvalsh(sym)[:, 0]
+    except np.linalg.LinAlgError:  # a point's failure to converge is that point's error
+        lowest, failures = np.zeros(len(m)), {}
+        for p, matrix in enumerate(sym):
+            try:
+                lowest[p] = np.linalg.eigvalsh(matrix)[0]
+            except np.linalg.LinAlgError as err:
+                failures[p] = err
+        yield np.isin(np.arange(len(m)), list(failures)), failures.get
+    yield lowest <= 0, lambda p: DegenerateMetricError(f"{name} must be positive definite")
 
 
 # ---- line format ----
@@ -161,13 +233,21 @@ def sample_to_json(sample: PointSample) -> str:
 _KNOWN_KEYS = frozenset(("dim", "g", "h", "T", "rm", "weight", "coords"))
 
 
-def _require_number(x, what: str, line) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise SampleFormatError(f"{what} must be a number, got {x!r}", line=line)
+def _real(x, default=None):
+    """``float(x)`` of a real number that is not a ``bool`` (inf for an integer beyond
+    the float range); ``default`` for anything else."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return default
     try:
-        value = float(x)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _require_number(x, what: str, line) -> float:
+    value = _real(x)
+    if value is None:
+        raise SampleFormatError(f"{what} must be a number, got {x!r}", line=line)
     if not math.isfinite(value):  # 1e999 decodes to inf
         raise SampleFormatError(f"{what} must be a finite number, got {x!r}", line=line)
     return value
@@ -283,12 +363,39 @@ def _parse_line(line: str, number: int) -> PointSample:
 
 
 def read_samples(path) -> list:
-    """Read a sample file (``.gz`` accepted); at least one sample required."""
-    lines = chain.from_iterable(_line_chunks(path, 1))
-    return [_parse_line(line, number) for number, line in enumerate(lines, start=1)]
+    """Read a sample file (``.gz`` accepted); at least one sample required.
+
+    The file is decoded by the stacked reader of the file commands; every
+    sample is bit-identical to :func:`sample_from_json` of its line, and every
+    :class:`SampleFormatError` is the one that function raises.
+    """
+    return [sample for chunk in _read_chunks(path, _CHUNK) for sample in _chunk_samples(chunk)]
+
+
+def _chunk_samples(chunk) -> list:
+    """The :class:`PointSample` of every point of ``chunk``, in order."""
+    samples = dict(chunk.others)
+    rm = _dense_4(chunk.k0, chunk.listed)
+    has_t = ~np.isnan(chunk.t[:, 0])
+    for p, (index, weight, has_h, coords) in enumerate(
+        zip(chunk.index.tolist(), chunk.weights.tolist(), chunk.has_h.tolist(), chunk.coords)
+    ):
+        samples[index] = PointSample(
+            dim=4,
+            g=chunk.g[p],
+            rm=CurvatureTensor(dim=4, components=rm[p]),
+            weight=weight,
+            h=chunk.h[p] if has_h else None,
+            t=chunk.t[p] if has_t[p] else None,
+            coords=None if coords is None else np.array(coords, dtype=float),
+        )
+    return [samples[index] for index in range(chunk.start, chunk.start + chunk.size)]
 
 
 # ---- stacked dimension-4 reading ----
+
+# lines per chunk of the stacked reader: a streamed file is never held whole
+_CHUNK = 256
 
 _REQUIRED_KEYS = frozenset(("dim", "g", "rm", "weight"))
 
@@ -308,6 +415,20 @@ def _pair_tables():
 
 _PAIR_POSITION, _PAIR_SIGN = _pair_tables()
 
+# R[..., i, j, k, l] = _DENSE_SIGN[i, j, k, l] K_0[..., _DENSE_A[i, j, k, l], _DENSE_B[i, j, k, l]];
+# the sign is 0 where an index repeats
+_DENSE_A = np.broadcast_to(_PAIR_POSITION[:, :, None, None], (4,) * 4)
+_DENSE_B = np.broadcast_to(_PAIR_POSITION[None, None], (4,) * 4)
+_DENSE_SIGN = _PAIR_SIGN[:, :, None, None] * _PAIR_SIGN[None, None]
+
+
+def _dense_4(k0: np.ndarray, listed: np.ndarray) -> np.ndarray:
+    """Dense components (N, 4, 4, 4, 4) from pair matrices ``k0`` (N, 6, 6), bit for
+    bit those of the sparse completion in :func:`validate_curvature`: an entry the rows
+    did not give is ``+0.0``, and a listed zero keeps its sign in every position."""
+    r = _DENSE_SIGN * k0[:, _DENSE_A, _DENSE_B]
+    return np.where(listed[:, _DENSE_A, _DENSE_B] & (_DENSE_SIGN != 0), r, r + 0.0)
+
 
 @dataclass(frozen=True)
 class _Chunk:
@@ -316,20 +437,26 @@ class _Chunk:
     The dimension-4 points are stacked, in order: ``index`` (N,) holds
     their point indices (line number - 1), ``k0`` (N, 6, 6) their pair
     matrices ``K_0[a, b] = R_{p_a p_b}`` over the pairs of the dimension-4
-    bivector basis, ``g`` and ``h`` (N, 4, 4) their metrics (``h`` defaults to
-    ``g``), ``t`` (N, 4) their ``T`` (NaN where absent) and ``weights`` (N,).
-    The points of other dimensions are ``others``, as ``(index, PointSample)``
-    (:func:`_sample_chunks` adds the samples without a weight).
+    bivector basis, ``listed`` (N, 6, 6) which entries of ``k0`` the input
+    gives (all, for a dense tensor), ``g`` and ``h`` (N, 4, 4) their metrics
+    (``h`` defaults to ``g``; ``has_h`` (N,) says where it was given), ``t``
+    (N, 4) their ``T`` (NaN where absent), ``weights`` (N,) and ``coords``
+    (a list of N, None where absent).  The points of other dimensions are
+    ``others``, as ``(index, PointSample)`` (:func:`_sample_chunks` adds the
+    samples without a valid weight).
     """
 
     start: int
     size: int
     index: np.ndarray
     k0: np.ndarray
+    listed: np.ndarray
     g: np.ndarray
     h: np.ndarray
+    has_h: np.ndarray
     t: np.ndarray
     weights: np.ndarray
+    coords: list
     others: list
 
 
@@ -340,8 +467,8 @@ def _read_chunks(path, size: int):
     into ``K_0``, with no dense tensor and no :class:`PointSample`.  The
     stacked path accepts exactly the lines :func:`sample_from_json` accepts;
     a chunk it declines is read again through :func:`sample_from_json`, so
-    every :class:`SampleFormatError` (message and line number) is that of
-    :func:`read_samples`.
+    every :class:`SampleFormatError` (message and line number) is the one
+    that function raises for the first bad line.
     """
     start = 0
     for lines in _line_chunks(path, size):
@@ -357,27 +484,27 @@ def _read_chunks(path, size: int):
 
 def _sample_chunks(samples, size: int):
     """The points of ``samples`` (any iterable), ``size`` per :class:`_Chunk`; a sample
-    of another dimension than 4, or without a weight that ``float`` takes, is one of ``others``."""
+    of another dimension than 4, or whose weight is not a real number (a ``bool`` is
+    not), is one of ``others``."""
     samples, start = iter(samples), 0
     while batch := list(islice(samples, size)):
         four, weights, others = [], [], []
         for n, sample in enumerate(batch, start):
-            try:
-                weight = float(getattr(sample, "weight", None))
-            except (TypeError, ValueError):
-                weight = None
+            weight = _real(getattr(sample, "weight", None))
             if weight is None or sample.rm.dim != 4:
                 others.append((n, sample))
             else:
                 four.append((n, sample))
                 weights.append(weight)
         g = [np.asarray(s.g, dtype=float) for _, s in four]
-        h = [gs if getattr(s, "h", None) is None else np.asarray(s.h, dtype=float) for (_, s), gs in zip(four, g)]
+        has_h = [getattr(s, "h", None) is not None for _, s in four]
+        h = [np.asarray(s.h, dtype=float) if given else gs for (_, s), gs, given in zip(four, g, has_h)]
         t = [np.full(4, np.nan) if getattr(s, "t", None) is None else np.asarray(s.t, dtype=float) for _, s in four]
-        rm = _stack([s.rm.components for _, s in four], (4, 4, 4, 4))
+        k0 = _pair_matrix(_stack([s.rm.components for _, s in four], (4, 4, 4, 4)))
         yield _Chunk(
-            start, len(batch), np.array([n for n, _ in four], dtype=int), _pair_matrix(rm),
-            _stack(g, (4, 4)), _stack(h, (4, 4)), _stack(t, (4,)), np.array(weights), others,
+            start, len(batch), np.array([n for n, _ in four], dtype=int), k0, np.ones(k0.shape, dtype=bool),
+            _stack(g, (4, 4)), _stack(h, (4, 4)), np.array(has_h, dtype=bool), _stack(t, (4,)),
+            np.array(weights), [getattr(s, "coords", None) for _, s in four], others,
         )
         start += len(batch)
 
@@ -401,6 +528,7 @@ def _decode_chunk(lines, start: int) -> _Chunk:
             others.append((start + n, _parse_line(lines[n], start + n + 1)))
 
     g = [obj["g"] for obj in four]
+    has_h = np.array(["h" in obj for obj in four], dtype=bool)
     h = [obj.get("h", gi) for obj, gi in zip(four, g)]
     has_t = np.array(["T" in obj for obj in four], dtype=bool)
     t = [obj["T"] for obj in four if "T" in obj]
@@ -435,14 +563,18 @@ def _decode_chunk(lines, start: int) -> _Chunk:
     metrics[:, :, _TRIANGLE_4[1], _TRIANGLE_4[0]] = triangles
     t_all = np.full((n4, 4), np.nan)
     t_all[has_t] = t_values
-    k0 = _scatter_rows(rows, list(map(len, rm)), n4)
+    k0, listed = _scatter_rows(rows, list(map(len, rm)), n4)
     index = np.array(positions, dtype=int)
-    return _Chunk(start, len(lines), index, k0, metrics[0], metrics[1], t_all, weights, others)
+    return _Chunk(
+        start, len(lines), index, k0, listed, metrics[0], metrics[1], has_h, t_all, weights,
+        [obj.get("coords") for obj in four], others,
+    )
 
 
-def _scatter_rows(rows: np.ndarray, counts: list, n: int) -> np.ndarray:
+def _scatter_rows(rows: np.ndarray, counts: list, n: int) -> tuple:
     """Pair matrices ``(n, 6, 6)`` of ``n`` points from their ``[i, j, k, l, value]``
-    rows (1-based indices in range), ``counts[p]`` rows for point ``p`` in order.
+    rows (1-based indices in range), ``counts[p]`` rows for point ``p`` in order,
+    and the mask of the entries that the rows give.
 
     The checks and choices are those of the sparse completion in
     :func:`validate_curvature`: a row with a repeated index must be zero and
@@ -472,16 +604,19 @@ def _scatter_rows(rows: np.ndarray, counts: list, n: int) -> np.ndarray:
         raise ValueError("duplicate rows disagree")
     last = np.ones(len(key), dtype=bool)
     last[:-1] = ~same
-    k0 = np.zeros((n, 6, 6))
-    k0[point[last], a[last], b[last]] = value[last]
-    k0[point[last], b[last], a[last]] = value[last]
-    return k0
+    k0, listed = np.zeros((n, 6, 6)), np.zeros((n, 6, 6), dtype=bool)
+    point, a, b = point[last], a[last], b[last]
+    k0[point, a, b] = k0[point, b, a] = value[last]
+    listed[point, a, b] = listed[point, b, a] = True
+    return k0, listed
 
 
 def write_samples(path, samples) -> int:
-    """Write samples one per line; returns the number written."""
+    """Write samples one per line; returns the number written.  A ``.gz`` file is
+    compressed at level 6, the default of zlib and gzip(1)."""
     count = 0
-    with _opener(path)(path, "wt", encoding="utf-8", newline="\n") as fh:
+    level = {"compresslevel": 6} if _opener(path) is gzip.open else {}
+    with _opener(path)(path, "wt", encoding="utf-8", newline="\n", **level) as fh:
         for sample in samples:
             fh.write(sample_to_json(sample))
             fh.write("\n")

@@ -19,7 +19,7 @@ from curvforms import cli, normal_forms, topology, zoo
 from curvforms.cli import main
 from curvforms.complex_forms import complex_case_matrix
 from curvforms.curvature import space_form
-from curvforms.exceptions import GeometryError, SampleFormatError
+from curvforms.exceptions import GeometryError, SampleFormatError, TensorValidationError
 from curvforms.normal_forms import canonical_pairs, preferred_normal_form_4
 from curvforms.topology import _CHUNK
 from curvforms.zoo import (
@@ -29,7 +29,9 @@ from curvforms.zoo import (
     gen_synthetic_star_h,
     gen_synthetic_star_L,
     read_samples,
+    sample_from_json,
     sample_to_json,
+    validate_sample,
     write_samples,
 )
 
@@ -586,6 +588,176 @@ class TestStackedReader:
         assert len(others) == 4
 
 
+def optional_key_lines():
+    """A point with h, T and coords, written with every subset of those keys, and
+    signed zeros: listed zero rows of both signs, and -0.0 in every field."""
+    full = json.loads(reader_lines()[-1])
+    full.update(rm=[[1, 2, 1, 2, 0.0], [1, 3, 2, 4, -0.0], [1, 4, 2, 3, -0.5], [2, 3, 1, 4, -0.5]])
+    full.update(T=[1, -0.0, 0, 0], coords=[-0.0, 0.5, 1e-310], weight=-0.0)
+    full["g"][1] = full["h"][3] = -0.0
+    lines = []
+    for keep in range(8):
+        sample = dict(full)
+        for bit, key in enumerate(("h", "T", "coords")):
+            if not keep >> bit & 1:
+                del sample[key]
+        lines.append(json.dumps(sample))
+    return lines
+
+
+class TestReadSamples:
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_samples_are_bit_identical_to_sample_from_json(self, tmp_path, monkeypatch, suffix, chunk):
+        monkeypatch.setattr(zoo, "_CHUNK", chunk)
+        lines = reader_lines() + optional_key_lines()
+        path = tmp_path / f"reader{suffix}"
+        with (gzip.open if suffix.endswith(".gz") else open)(path, "wt", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        samples = read_samples(path)
+        assert len(samples) == len(lines) == 40
+        for line, got in zip(lines, samples):
+            want = sample_from_json(line)
+            assert (got.dim, got.rm.dim) == (want.dim, want.rm.dim)
+            assert type(got.weight) is float and repr(got.weight) == repr(want.weight)
+            arrays = [(got.g, want.g), (got.rm.components, want.rm.components)]
+            for name in ("h", "t", "coords"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    arrays.append((a, b))
+            for a, b in arrays:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()  # the sign of every zero included
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert not samples[0].rm.components.flags.writeable
+
+    def test_listed_zeros_keep_their_sign(self, tmp_path):
+        path = tmp_path / "zeros.jsonl"
+        path.write_text("\n".join(optional_key_lines()) + "\n", encoding="utf-8")
+        r = read_samples(path)[0].rm.components
+        assert np.signbit(r[1, 0, 0, 1]) and not np.signbit(r[0, 1, 0, 1])  # [1, 2, 1, 2, 0.0]
+        assert not np.signbit(r[1, 0, 2, 3]) and not np.signbit(r[0, 0, 1, 2])  # not listed
+
+
+# ---- validate on the stacked reader ----
+
+BIANCHI_BREAKER = '{"dim": 4, "g": [1, 0, 1, 0, 0, 1, 0, 0, 0, 1], "rm": [[1, 2, 3, 4, 0.3]], "weight": 1}'
+FAILURE_KINDS = {
+    "first Bianchi identity": BIANCHI_BREAKER,
+    "indefinite g": BIANCHI_BREAKER.replace("0, 0, 0, 1]", "0, 0, 0, -1]"),
+    "g beyond the eigensolver": BIANCHI_BREAKER.replace("[1, 0, 1, 0, 0, 1, 0, 0, 0, 1]", "[1e308, 0, 1e308, 0, 0, 1e308, 0, 0, 0, 1e308]"),
+    "indefinite h": BIANCHI_BREAKER.replace("0.3]]", "0.0]]").replace(
+        '"rm"', '"h": [1, 0, 1, 0, 0, -2, 0, 0, 0, 1], "rm"'
+    ),
+    "non-unit T": BIANCHI_BREAKER.replace("0.3]]", "0.0]]").replace('"rm"', '"T": [0, 2, 0, 0], "rm"'),
+    "non-unit T before a negative weight": BIANCHI_BREAKER.replace("0.3]]", "0.0]]")
+    .replace('"rm"', '"T": [0.5, 0, 0, 0], "rm"')
+    .replace('"weight": 1', '"weight": -1'),
+    "negative weight": BIANCHI_BREAKER.replace("0.3]]", "0.0]]").replace('"weight": 1', '"weight": -0.25'),
+    "dimension 3": sample_to_json(next(iter(gen_space_form(3, 2.0, 2)))),
+    "dimension 3 with a negative weight": sample_to_json(next(iter(gen_space_form(3, 1.0, 2)))).replace(
+        '"weight": ', '"weight": -'
+    ),
+    "dimension 5": sample_to_json(next(iter(gen_space_form(5, 1.0, 1)))),
+}
+
+
+def failure_kinds_lines():
+    """The mixed file with one point of every kind that validate reports, spread
+    over the chunks of seven lines."""
+    lines = mixed_lines()
+    for k, line in enumerate(FAILURE_KINDS.values()):
+        lines.insert(2 * k + 3, line)
+    return lines
+
+
+def per_point_report(lines, path, tol=1e-9):
+    """The validate report built from sample_from_json and validate_sample, one line at a time."""
+    points = []
+    for index, line in enumerate(lines):
+        try:
+            validate_sample(sample_from_json(line), tol=tol)
+        except TensorValidationError as err:
+            points.append({
+                "index": index, "ok": False, "error": str(err),
+                "identity": err.identity, "indices": list(err.indices), "residual": err.residual,
+            })
+        except (GeometryError, ValueError) as err:
+            points.append({"index": index, "ok": False, "error": str(err)})
+        else:
+            points.append({"index": index, "ok": True})
+    failures = sum(not p["ok"] for p in points)
+    report = {
+        "command": "validate", "version": curvforms.__version__, "tolerances": {"tol": tol},
+        "file": str(path), "points": points, "aggregate": {"points": len(points), "failures": failures},
+    }
+    return report
+
+
+# the metric of 1e308 overflows its symmetrized sum, as intended
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestValidateChunks:
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    @pytest.mark.parametrize("chunk", [7, _CHUNK])
+    def test_reports_equal_the_per_point_verdicts(self, tmp_path, capsys, monkeypatch, suffix, chunk):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        lines = failure_kinds_lines()
+        path = tmp_path / f"kinds{suffix}"
+        with (gzip.open if suffix.endswith(".gz") else open)(path, "wt", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        expected = per_point_report(lines, path)
+        code, out, err = run(capsys, "validate", str(path), "--format", "json")
+        assert (code, out, err) == (1, cli.render_json(expected), "")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (1, cli.render_text(expected, ["index", "ok", "error"]), "")
+
+        errors = {p["index"]: p.get("error") for p in expected["points"]}
+        by_kind = {kind: errors[2 * k + 3] for k, kind in enumerate(FAILURE_KINDS)}
+        assert by_kind.pop("dimension 3 with a negative weight").startswith("weight must be a finite nonnegative")
+        assert by_kind == {
+            "first Bianchi identity": "first Bianchi identity violated at indices (1, 2, 3, 4) with residual 0.3",
+            "indefinite g": "g must be positive definite",
+            "g beyond the eigensolver": "Eigenvalues did not converge",
+            "indefinite h": "h must be positive definite",
+            "non-unit T": "g(T, T) = 4, expected 1",
+            "non-unit T before a negative weight": "g(T, T) = 0.25, expected 1",
+            "negative weight": "weight must be a finite nonnegative number, got -0.25",
+            "dimension 3": None,
+            "dimension 5": None,
+        }
+        assert expected["aggregate"]["failures"] == 8
+
+    def test_well_formed_dimension_4_lines_take_no_per_point_call(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-point call")
+
+        lines = [line for line in failure_kinds_lines() if json.loads(line)["dim"] == 4]
+        path = tmp_path / "four.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = cli.render_json(per_point_report(lines, path))
+        for name in ("sample_from_json", "validate_sample", "_sample_error"):
+            monkeypatch.setattr(zoo, name, refuse)
+        assert run(capsys, "validate", str(path), "--format", "json") == (1, expected, "")
+
+    def test_the_command_holds_one_chunk_at_a_time(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "read_samples", None, raising=False)
+        chunks = []
+
+        def counted(path, size):
+            for chunk in zoo._read_chunks(path, size):
+                chunks.append(chunk.size)
+                yield chunk
+
+        monkeypatch.setattr(cli, "_read_chunks", counted)
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+        lines = failure_kinds_lines()
+        path = tmp_path / "kinds.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, _ = run(capsys, "validate", str(path))
+        assert code == 1 and chunks == [7] * (len(lines) // 7) + [len(lines) % 7]
+
+
 GOOD_LINE = '{"dim": 4, "g": [1, 0, 1, 0, 0, 1, 0, 0, 0, 1], "rm": [[1, 2, 1, 2, -1.0]], "weight": 0.5}'
 
 MALFORMED_LINES = {
@@ -698,6 +870,25 @@ FILE_COMMANDS = [
     "petrov",
     "integrate",
 ]
+
+
+class TestReaderRejects:
+    @pytest.mark.parametrize("line, message", [
+        (GOOD_LINE.replace("0.5}", "true}"), "weight must be a number, got True"),
+        (GOOD_LINE.replace("}", ', "coords": null}'), "coords must be a list of numbers"),
+        (GOOD_LINE.replace("}", ', "h": null}'), "h must list the 10 lower-triangle entries"),
+        (GOOD_LINE.replace("}", ', "T": null}'), "T must list 4 components"),
+    ])
+    def test_every_reader_gives_the_line_s_error(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(GOOD_LINE + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(SampleFormatError) as info:
+            sample_from_json(line, line_number=2)
+        assert str(info.value) == f"line 2: {message}"
+        for command in FILE_COMMANDS:
+            assert run(capsys, *command.split(), str(path)) == (2, "", f"error: line 2: {message}\n"), command
+        with pytest.raises(SampleFormatError, match=message):
+            read_samples(path)
 
 
 class TestReports:

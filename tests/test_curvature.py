@@ -114,6 +114,40 @@ class TestValidation:
 # ---- space forms ----
 
 
+def loop_to_sparse(rm):
+    """The canonical rows by a plain loop over the index ranges."""
+    n, out = rm.dim, []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                for l in range(k + 1, n):
+                    if (i, j) <= (k, l):
+                        v = float(rm.components[i, j, k, l])
+                        if v != 0.0:
+                            out.append([i + 1, j + 1, k + 1, l + 1, v])
+    return out
+
+
+class TestToSparse:
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_rows_equal_the_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            r = random_valid_tensor(rng, dim).components.copy()
+            r[rng.random(r.shape) < 0.3] = 0.0  # zeros of both signs, and subnormals
+            r[rng.random(r.shape) < 0.1] = -0.0
+            r[rng.random(r.shape) < 0.1] = 5e-324
+            r[rng.random(r.shape) < 0.1] = -2.2e-310
+            r[0, 1, 0, 1], r[0, 2, 0, 2], r[0, 1, 1, 2] = 5e-324, -0.0, -2.2e-310
+            rm = curvature.CurvatureTensor(dim, r)
+            rows = rm.to_sparse()
+            assert rows == loop_to_sparse(rm)
+            assert all(type(x) is int for row in rows for x in row[:4])
+            assert all(type(row[4]) is float for row in rows)
+            assert any(0 < abs(row[4]) < 2.3e-308 for row in rows)
+        assert curvature.CurvatureTensor(dim, np.zeros((dim,) * 4)).to_sparse() == []
+
+
 class TestSpaceForm:
     def test_signs(self):
         rm = space_form(4, 1.0)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -323,6 +324,15 @@ class TestIntegrateSamples:
             integrate_samples([SimpleNamespace(rm=rm, g=np.eye(4), h=None, weight=None)])
         for weight in (-1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"sample 1 has invalid weight {weight!r}"):
+                integrate_samples([make_sample(rm, np.eye(4), None, 1.0), make_sample(rm, np.eye(4), None, weight)])
+
+    def test_numpy_weights_integrate_and_bool_weights_are_rejected(self):
+        rm = space_form(4, 1.0)
+        floats = integrate_samples([make_sample(rm, np.eye(4), None, w) for w in (2.0, 0.5)])
+        numpy = integrate_samples([make_sample(rm, np.eye(4), None, w) for w in (np.int64(2), np.float32(0.5))])
+        assert numpy == floats and floats.total_weight == 2.5
+        for weight in (True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match=re.escape(f"sample 1 has invalid weight {weight!r}")):
                 integrate_samples([make_sample(rm, np.eye(4), None, 1.0), make_sample(rm, np.eye(4), None, weight)])
 
     def test_dimension_guard(self):

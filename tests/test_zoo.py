@@ -1,6 +1,7 @@
 """Tests for sample generators and the point-sample line format."""
 
 import dataclasses
+import gzip
 import math
 import warnings
 
@@ -8,8 +9,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvforms import zoo
 from curvforms.complex_forms import classify_complex, complex_case_matrix
-from curvforms.curvature import component_matrix, operator_from, scalar_curvature
+from curvforms.curvature import CurvatureTensor, component_matrix, operator_from, scalar_curvature
 from curvforms.exceptions import (
     DegenerateMetricError,
     DimensionError,
@@ -106,6 +108,47 @@ class TestValidateSample:
         with pytest.raises(DimensionError):
             validate_sample(dataclasses.replace(sample, dim=5, g=np.eye(5)))
 
+    @pytest.mark.parametrize("weight", [np.int64(2), np.float32(0.5), 3, 0.0])
+    def test_real_weights_accepted(self, weight):
+        sample, _, _ = random_star_h_sample(np.random.default_rng(8))
+        validate_sample(dataclasses.replace(sample, weight=weight))
+        assert zoo._stack_errors(4, sample.g[None], None, None, [weight], 4, sample.rm.components[None], 1e-9) == [None]
+
+    @pytest.mark.parametrize("weight", [True, False, np.bool_(True), "1", None, 10**400, np.float32(-0.5), math.inf])
+    def test_weights_that_are_not_finite_nonnegative_reals_rejected(self, weight):
+        sample, _, _ = random_star_h_sample(np.random.default_rng(9))
+        message = f"weight must be a finite nonnegative number, got {weight!r}"
+        with pytest.raises(ValueError) as info:
+            validate_sample(dataclasses.replace(sample, weight=weight))
+        assert str(info.value) == message
+        (error,) = zoo._stack_errors(4, sample.g[None], None, None, [weight], 4, sample.rm.components[None], 1e-9)
+        assert str(error) == message
+
+    def test_the_stacked_check_keeps_each_point_s_first_violation(self):
+        rng = np.random.default_rng(10)
+        samples = [random_star_h_sample(rng)[0] for _ in range(6)]
+        samples[1] = dataclasses.replace(samples[1], weight=True)
+        samples[2] = dataclasses.replace(samples[2], g=np.diag([1.0, 1.0, 1.0, -1.0]), weight=-1.0)
+        samples[3] = dataclasses.replace(samples[3], h=np.diag([1.0, -1.0, 1.0, 1.0]))
+        broken = samples[4].rm.components.copy()
+        broken[0, 1, 2, 3] = broken[2, 3, 0, 1] = broken[1, 0, 3, 2] = broken[3, 2, 1, 0] = 1.0
+        broken[1, 0, 2, 3] = broken[0, 1, 3, 2] = broken[2, 3, 1, 0] = broken[3, 2, 0, 1] = -1.0
+        samples[4] = dataclasses.replace(samples[4], rm=CurvatureTensor(4, broken))
+        stack = [np.stack([getattr(s, name) for s in samples]) for name in ("g", "h")]
+        r = np.stack([s.rm.components for s in samples])
+        errors = zoo._stack_errors(4, *stack, None, [s.weight for s in samples], 4, r, 1e-9)
+        expected = []
+        for sample in samples:
+            try:
+                validate_sample(sample)
+                expected.append(None)
+            except ValueError as err:
+                expected.append((type(err), str(err)))
+        assert [None if e is None else (type(e), str(e)) for e in errors] == expected
+        assert [e is None for e in expected] == [True, False, False, False, False, True]
+        assert "g must be positive definite" in expected[2][1]
+        assert expected[4][1].startswith("first Bianchi identity")
+
 
 # ---- line format ----
 
@@ -164,6 +207,15 @@ class TestLineFormat:
         assert path.read_bytes()[:2] == b"\x1f\x8b"  # gzip magic
         back = read_samples(path)
         assert [b.rm.to_sparse() for b in back] == [a.rm.to_sparse() for a in samples]
+
+    def test_gzip_is_written_at_level_6(self, tmp_path):
+        samples = list(gen_space_form(4, 1.0, 2))
+        plain, packed = tmp_path / "s4.jsonl", tmp_path / "s4.jsonl.gz"
+        write_samples(plain, samples)
+        write_samples(packed, samples)
+        data = packed.read_bytes()
+        assert data[8] == 0  # the XFL byte: 2 at level 9, 4 at level 1, 0 in between
+        assert gzip.decompress(data) == plain.read_bytes()
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
