@@ -187,6 +187,18 @@ def _normal_form_entry(index, nf) -> dict:
     return entry
 
 
+def _stack_forms(k0, h, g, tol) -> list:
+    """``normal_forms._normal_forms`` of stacked points.  Where a LAPACK call fails
+    on the stack (a point whose values overflow), each point is solved alone, so
+    the failure is the note of that point only, as in ``preferred_normal_form_4``."""
+    try:
+        return normal_forms._normal_forms(normal_forms._lambda2_blocks(k0, h, g), h, g, tol)
+    except np.linalg.LinAlgError as err:
+        if len(k0) == 1:
+            return [err]
+        return [form for p in range(len(k0)) for form in _stack_forms(k0[p:p + 1], h[p:p + 1], g[p:p + 1], tol)]
+
+
 def _cmd_normal_form(args):
     indefinite = DegenerateMetricError("metric is not positive definite")  # h_orthonormal_frame's error
     points = []
@@ -196,9 +208,7 @@ def _cmd_normal_form(args):
         forms = {index: DimensionError(normal_forms._NOT_DIM_4) for index, _ in chunk.others}
         forms.update((index, indefinite) for index in chunk.index[~ok])
         if ok.any():
-            k0, h, g = chunk.k0[ok], chunk.h[ok], chunk.g[ok]
-            blocks = normal_forms._lambda2_blocks(k0, h, g)
-            forms.update(zip(chunk.index[ok], normal_forms._normal_forms(blocks, h, g, args.tol)))
+            forms.update(zip(chunk.index[ok], _stack_forms(chunk.k0[ok], chunk.h[ok], chunk.g[ok], args.tol)))
         points += [_normal_form_entry(i, forms[i]) for i in range(chunk.start, chunk.start + chunk.size)]
     available = sum(1 for p in points if p["available"])
     report = _base_report(

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivectors import bivector_basis, wedge_vectors
+from .bivectors import wedge_vectors
 from .curvature import (
     CurvatureTensor,
+    _dense,
     check_first_bianchi_4,
     component_matrix,
     curvature_from_frame_components,
@@ -303,15 +304,8 @@ def tensor_from_complex_form(c: np.ndarray, frame: np.ndarray | None = None) -> 
     a = -(c.real + c.real.T) / 2.0
     b = -(c.imag + c.imag.T) / 2.0
     b = b - (np.trace(b) / 3.0) * np.eye(3)  # exact Bianchi after rounding
-    k = np.block([[a, b], [b, -a]])
-    pairs = bivector_basis(4).pairs
-    rows = []
-    for alpha in range(6):
-        for beta in range(alpha, 6):
-            i, j = pairs[alpha]
-            kk, ll = pairs[beta]
-            rows.append([i, j, kk, ll, k[alpha, beta]])
-    rm = validate_curvature(rows, dim=4)
+    k0 = np.block([[a, b], [b, -a]])[None]
+    rm = validate_curvature(_dense(k0, np.ones(k0.shape, dtype=bool))[0])
     if frame is None:
         return rm
     return curvature_from_frame_components(rm.components, np.asarray(frame, dtype=float))

@@ -10,7 +10,9 @@ second metric sharing Levi-Civita connection, or a Lorentzian metric, simply
 by changing the Gram matrix used to raise the last index pair.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -111,65 +113,102 @@ class Lambda2Operator:
 # ---- validation ----
 
 
-def _canonicalize_index(i, j, k, l):
-    """Canonical representative and sign of a component index (0-based)."""
-    sign = 1
-    if i == j or k == l:
-        return None, 0
-    if i > j:
-        i, j, sign = j, i, -sign
-    if k > l:
-        k, l, sign = l, k, -sign
-    if (i, j) > (k, l):
-        i, j, k, l = k, l, i, j
-    return (i, j, k, l), sign
-
-
 # sparse rows: a repeated-index row may differ from zero, and duplicate rows
 # from each other, by this times max(largest |value|, 1)
 _SPARSE_SLACK = 1e-12
 
 
-def _complete_sparse(entries, dim: int) -> np.ndarray:
-    """Dense table from sparse ``[i, j, k, l, value]`` rows (1-based indices).
+@cache
+def _pair_tables(dim: int) -> tuple:
+    """The pair layout of dimension ``dim``: the basis position and orientation
+    sign of every ordered index pair (0-based), so that ``R_ijkl = sign[i, j]
+    sign[k, l] K_0[position[i, j], position[k, l]]`` for the pair matrix ``K_0``
+    over :func:`bivector_basis`; the sign is 0 where the indices repeat.  Below
+    dimension 3 (no basis) the pairs are lexicographic, so rows can be checked."""
+    pairs = bivector_basis(dim).pairs0 if dim >= 3 else np.argwhere(np.triu(np.ones((dim, dim)), 1))
+    (i, j), position, sign = pairs.T, np.zeros((dim, dim), dtype=int), np.zeros((dim, dim))
+    position[i, j] = position[j, i] = np.arange(len(pairs))
+    sign[i, j], sign[j, i] = 1.0, -1.0
+    position.flags.writeable = sign.flags.writeable = False  # shared by every caller
+    return position, sign
 
-    Entries are canonicalized first; a nonzero row with a repeated index and
-    duplicates that disagree are rejected, both beyond ``_SPARSE_SLACK``.
+
+def _pair_matrix(components: np.ndarray, basis: BivectorBasis | None = None) -> np.ndarray:
+    """Pair matrices ``K_0[a, b] = R_{p_a p_b}`` over the pairs ``p`` of ``basis``
+    (default :func:`bivector_basis`) of components (..., n, n, n, n)."""
+    if basis is None:
+        basis = bivector_basis(components.shape[-1])
+    i, j = basis.pairs0.T
+    return components[..., i[:, None], j[:, None], i, j]
+
+
+def _scatter_rows(rows: np.ndarray, counts: list, n: int, dim: int) -> tuple:
+    """Pair matrices (n, m, m) of ``n`` tensors of dimension ``dim`` from their
+    ``[i, j, k, l, value]`` rows (1-based indices), ``counts[p]`` rows for tensor
+    ``p`` in order, and the mask of the entries that the rows give.
+
+    A row needs its indices in ``1..dim``; a row with a repeated index must be
+    zero and duplicate rows must agree, both to ``_SPARSE_SLACK`` times the
+    tensor's largest ``|value|`` (at least 1); of agreeing duplicates the last
+    counts.  The first row that breaks a rule raises its
+    :class:`TensorValidationError`.
     """
-    canonical = {}
-    scale = max((abs(float(e[4])) for e in entries), default=0.0)
-    for e in entries:
-        i, j, k, l = (int(x) - 1 for x in e[:4])
-        v = float(e[4])
-        for idx in (i, j, k, l):
-            if not 0 <= idx < dim:
-                raise TensorValidationError("index range", (i + 1, j + 1, k + 1, l + 1), abs(v))
-        key, sign = _canonicalize_index(i, j, k, l)
-        if sign == 0:
-            if abs(v) > _SPARSE_SLACK * max(scale, 1.0):
-                raise TensorValidationError(
-                    "antisymmetry (repeated index)", (i + 1, j + 1, k + 1, l + 1), abs(v)
-                )
-            continue
-        v = sign * v
-        if key in canonical and abs(canonical[key] - v) > _SPARSE_SLACK * max(scale, 1.0):
-            raise TensorValidationError(
-                "duplicate entries disagree",
-                tuple(x + 1 for x in key),
-                abs(canonical[key] - v),
-            )
-        canonical[key] = v
-    r = np.zeros((dim,) * 4)
-    for (i, j, k, l), v in canonical.items():
-        r[i, j, k, l] = v
-        r[j, i, k, l] = -v
-        r[i, j, l, k] = -v
-        r[j, i, l, k] = v
-        r[k, l, i, j] = v
-        r[l, k, i, j] = -v
-        r[k, l, j, i] = -v
-        r[l, k, j, i] = v
-    return r
+    position, sign = (table.ravel() for table in _pair_tables(dim))
+    m = dim * (dim - 1) // 2
+    point, index, value = np.repeat(np.arange(n), counts), rows[:, :4], rows[:, 4]
+    in_range = np.ones(len(rows), dtype=bool)
+    if not (index.min(initial=1.0) >= 1 and index.max(initial=1.0) < dim + 1):  # NaN included
+        in_range = np.all((index >= 1) & (index < dim + 1), axis=1)
+        index = np.where(in_range[:, None], index, 1)
+    i, j, k, l = index.T.astype(int) - 1
+    scale = np.zeros(n)
+    np.fmax.at(scale, point, np.abs(value))
+    slack = _SPARSE_SLACK * np.maximum(scale, 1.0)[point]
+    repeated = in_range & ((i == j) | (k == l))
+
+    kept = np.flatnonzero(in_range & ~repeated)
+    first, second = i[kept] * dim + j[kept], k[kept] * dim + l[kept]
+    a, b = position[first], position[second]
+    # duplicates share a key; a stable sort keeps them in row order
+    key = (point[kept] * m + np.minimum(a, b)) * m + np.maximum(a, b)
+    order = np.argsort(key, kind="stable")
+    kept, key, a, b = kept[order], key[order], a[order], b[order]
+    v = (sign[first] * sign[second])[order] * value[kept]
+    same = key[1:] == key[:-1]
+    gap = np.abs(v[:-1] - v[1:])
+    disagree = same & (gap > slack[kept[1:]])
+    nonzero = repeated & (np.abs(value) > slack)
+    if not in_range.all() or nonzero.any() or disagree.any():
+        first = min(np.flatnonzero(~in_range | nonzero).tolist() + kept[1:][disagree].tolist())
+        indices, residual = tuple(int(x) for x in rows[first, :4]), abs(float(value[first]))
+        if not in_range[first]:
+            raise TensorValidationError("index range", indices, residual)
+        if nonzero[first]:
+            raise TensorValidationError("antisymmetry (repeated index)", indices, residual)
+        ij, kl = sorted(indices[:2]), sorted(indices[2:])
+        residual = float(gap[np.flatnonzero(kept[1:] == first)[0]])
+        raise TensorValidationError("duplicate entries disagree", tuple(min(ij, kl) + max(ij, kl)), residual)
+
+    last = np.ones(len(kept), dtype=bool)
+    last[:-1] = ~same
+    # flat positions of K_0[p, a, b] and K_0[p, b, a]
+    at, a, b = point[kept[last]] * m * m, a[last], b[last]
+    k0, listed = np.zeros(n * m * m), np.zeros(n * m * m, dtype=bool)
+    k0[at + a * m + b] = k0[at + b * m + a] = v[last]
+    listed[at + a * m + b] = listed[at + b * m + a] = True
+    return k0.reshape(n, m, m), listed.reshape(n, m, m)
+
+
+def _dense(k0: np.ndarray, listed: np.ndarray) -> np.ndarray:
+    """Dense components (N, n, n, n, n) of pair matrices ``k0`` (N, m, m) of a
+    dimension ``n >= 3``, bit for bit the completion of the rows they came from:
+    an entry the rows did not give (``listed`` False) is ``+0.0``, and a listed
+    zero keeps its sign in every position."""
+    position, sign = _pair_tables((1 + math.isqrt(1 + 8 * k0.shape[-1])) // 2)
+    a, b = position[:, :, None, None], position[None, None]
+    s = sign[:, :, None, None] * sign[None, None]
+    given = listed[:, a, b] & (s != 0)
+    return np.multiply(s, k0[:, a, b], out=np.zeros(given.shape), where=given)
 
 
 # the four identities as residuals of stacked tensors (N, n, n, n, n), in the order checked
@@ -192,10 +231,22 @@ def _worst(residual: np.ndarray):
 
 
 def _identity_violations(r: np.ndarray, tol: float):
-    """The checks of the four identities on dense tensors ``r`` (N >= 1, n, n, n, n), in
-    order: per identity the mask of the tensors whose worst residual exceeds ``tol``
-    times their ``max |R_ijkl|``, and the :class:`TensorValidationError` of tensor ``p``."""
-    threshold = tol * np.maximum(np.max(np.abs(r).reshape(len(r), -1), axis=1), 1e-300)
+    """The checks of dense tensors ``r`` (N >= 1, n, n, n, n), in order: per check
+    the mask of the tensors that fail it and the :class:`TensorValidationError` of
+    tensor ``p``.  The first check names a component that is not finite (every
+    comparison with NaN is False, so no identity could fail); then each of the
+    four identities fails where its worst residual exceeds ``tol`` times the
+    tensor's ``max |R_ijkl|``."""
+    values = r.reshape(len(r), -1)
+    finite = np.isfinite(values)
+
+    def not_finite(p):
+        at = int(np.argmin(finite[p]))
+        indices = tuple(int(x) + 1 for x in np.unravel_index(at, r.shape[1:]))
+        return TensorValidationError("finite components", indices, float(abs(values[p, at])))
+
+    yield ~finite.all(axis=1), not_finite
+    threshold = tol * np.maximum(np.max(np.abs(values), axis=1), 1e-300)
     for name, residual in _IDENTITIES:
         flat, worst = _worst(residual(r))
 
@@ -221,13 +272,19 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
     ----------
     components : ndarray or iterable
         Either a dense ``(dim,)*4`` array, or sparse rows ``[i, j, k, l, value]``
-        with 1-based indices; sparse rows are completed by the index symmetries.
+        with 1-based indices.  Sparse rows are completed by the index
+        symmetries through the pair matrix ``K_0`` over :func:`bivector_basis`
+        (:func:`_scatter_rows` for one tensor, the completion of the stacked
+        file reader): indices must lie in ``1..dim``, a row with a repeated
+        index must be zero and duplicate rows must agree, the last of them
+        counting.
     dim : int, optional
         Required for sparse input; inferred from dense input.
     tol : float
         Identity tolerance, absolute on the unit-scaled tensor
         (scale = max |R_ijkl|).  With ``inf`` no identity can fail, so none
-        is computed: sparse rows are only completed.
+        is computed: sparse rows are only completed.  Otherwise a component
+        that is not finite is rejected first.
 
     Returns
     -------
@@ -236,8 +293,9 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
     Raises
     ------
     TensorValidationError
-        Reporting the worst-violated identity, its 1-based indices and the
-        absolute residual.
+        Reporting the first rejected sparse row, a component that is not
+        finite, or the worst-violated identity, with its 1-based indices and
+        the absolute residual.
     """
     arr = np.asarray(components, dtype=float)
     if arr.ndim == 4:
@@ -248,8 +306,10 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
     elif arr.ndim == 2 and arr.shape[1] == 5 or arr.size == 0:
         if dim is None:
             raise DimensionError("dim is required for sparse component input")
-        r = _complete_sparse(arr.reshape(-1, 5).tolist(), dim)
-        _check_shape(r.shape, dim)
+        rows = arr.reshape(-1, 5)
+        k0, listed = _scatter_rows(rows, [len(rows)], 1, dim)
+        _check_shape((dim,) * 4, dim)
+        r = _dense(k0, listed)[0]
     else:
         raise DimensionError(
             "components must be a dense (dim,)*4 array or rows [i, j, k, l, value]"
@@ -321,11 +381,7 @@ _KINDS = ("via_g", "via_h", "via_lorentz")
 
 def component_matrix(rm: CurvatureTensor, basis: BivectorBasis | None = None) -> np.ndarray:
     """Symmetric matrix ``K[a, b] = R(pair_a; pair_b)`` in the canonical basis."""
-    if basis is None:
-        basis = bivector_basis(rm.dim)
-    p = basis.pairs0
-    i, j = p[:, 0], p[:, 1]
-    return rm.components[i[:, None], j[:, None], i[None, :], j[None, :]]
+    return _pair_matrix(rm.components, basis)
 
 
 def operator_from(rm: CurvatureTensor, metric: np.ndarray, kind: str) -> Lambda2Operator:

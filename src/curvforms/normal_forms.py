@@ -26,11 +26,12 @@ from .bivectors import bivector_basis, induced_gram, plane_matrix
 from .curvature import (
     CurvatureTensor,
     Lambda2Operator,
+    _dense,
+    _pair_matrix,
     check_first_bianchi_4,
     component_matrix,
     curvature_from_frame_components,
     transform_frame,
-    validate_curvature,
 )
 from .exceptions import (
     DegenerateMetricError,
@@ -290,13 +291,6 @@ def lambda2_blocks(
             "lambda2_blocks needs components (N, 4, 4, 4, 4) and metrics (N, 4, 4)"
         )
     return _lambda2_blocks(_pair_matrix(r), h, g)
-
-
-def _pair_matrix(components: np.ndarray) -> np.ndarray:
-    """Pair matrices ``K_0[a, b] = R_{p_a p_b}`` over the pairs ``p`` of the
-    dimension-4 basis, of 4-index components (stacks broadcast)."""
-    i, j = _BASIS.pairs0.T
-    return components[..., i[:, None], j[:, None], i[None, :], j[None, :]]
 
 
 def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None = None) -> Lambda2Blocks:
@@ -634,19 +628,15 @@ def _block_pattern(lambdas, mus) -> np.ndarray:
     return np.concatenate([np.concatenate([l, m], -1), np.concatenate([m, l], -1)], -2)
 
 
-def _tensor_from_pairs(k0: np.ndarray) -> CurvatureTensor:
-    """The tensor of a symmetric pair matrix ``K_0`` (:func:`_pair_matrix`),
-    completed by the index symmetries only."""
-    pairs = _BASIS.pairs
-    rows = [[*p, *q, k0[a, b]] for a, p in enumerate(pairs) for b, q in enumerate(pairs)]
-    return validate_curvature(rows, 4, np.inf)
+def _pattern_components(lambdas, mus) -> np.ndarray:
+    """Dense components, in its frame, of the normal form with values ``(lambdas, mus)``:
+    the pattern entries of :func:`_block_pattern`, completed by the index symmetries."""
+    return _dense(_block_pattern(lambdas, mus)[None], _block_pattern(1.0, 1.0)[None] != 0)[0]
 
 
 def rebuild_normal_form(nf: NormalForm4) -> CurvatureTensor:
     """Curvature tensor (in input coordinates) defined by a normal form."""
-    k = _tensor_from_pairs(_block_pattern(nf.lambdas, nf.mus))
-    # completion only: curvature_from_frame_components validates the result
-    return curvature_from_frame_components(k.components, nf.frame)
+    return curvature_from_frame_components(_pattern_components(nf.lambdas, nf.mus), nf.frame)
 
 
 def canonical_pairs(lambdas, mus) -> np.ndarray:

@@ -19,13 +19,14 @@ from itertools import chain, islice, product
 
 import numpy as np
 
-from .bivectors import bivector_basis
 from .complex_forms import tensor_from_complex_form
 from .curvature import (
-    _SPARSE_SLACK,
     CurvatureTensor,
     _check_shape,
+    _dense,
     _identity_violations,
+    _pair_matrix,
+    _scatter_rows,
     curvature_from_frame_components,
     space_form,
     validate_curvature,
@@ -38,7 +39,7 @@ from .exceptions import (
     SampleFormatError,
     TensorValidationError,
 )
-from .normal_forms import _pair_matrix, h_orthonormal_frame
+from .normal_forms import _pattern_components, h_orthonormal_frame
 
 __all__ = [
     "PointSample",
@@ -108,7 +109,7 @@ def _chunk_errors(chunk, tol: float) -> list:
     check of :func:`validate_sample` for each of the others."""
     errors = {index: _sample_error(sample, tol) for index, sample in chunk.others}
     if len(chunk.index):
-        weights, r = chunk.weights.tolist(), _dense_4(chunk.k0, chunk.listed)
+        weights, r = chunk.weights.tolist(), _dense(chunk.k0, chunk.listed)
         # h defaults to g, so checking it where it is absent repeats g's verdict
         stack = _stack_errors(4, chunk.g, chunk.h, chunk.t, weights, 4, r, tol)
         errors.update(zip(chunk.index.tolist(), stack))
@@ -375,7 +376,7 @@ def read_samples(path) -> list:
 def _chunk_samples(chunk) -> list:
     """The :class:`PointSample` of every point of ``chunk``, in order."""
     samples = dict(chunk.others)
-    rm = _dense_4(chunk.k0, chunk.listed)
+    rm = _dense(chunk.k0, chunk.listed)
     has_t = ~np.isnan(chunk.t[:, 0])
     for p, (index, weight, has_h, coords) in enumerate(
         zip(chunk.index.tolist(), chunk.weights.tolist(), chunk.has_h.tolist(), chunk.coords)
@@ -403,33 +404,6 @@ _REQUIRED_KEYS = frozenset(("dim", "g", "rm", "weight"))
 _TRIANGLE_4 = tuple(np.array([(i, j) for i in range(4) for j in range(i + 1)]).T)
 
 
-def _pair_tables():
-    """Basis position and orientation sign of every ordered index pair of dimension 4:
-    ``R_{ijkl} = sign[i, j] sign[k, l] K_0[position[i, j], position[k, l]]``."""
-    position, sign = np.zeros((4, 4), dtype=int), np.zeros((4, 4))
-    for a, (i, j) in enumerate(bivector_basis(4).pairs0):
-        position[i, j] = position[j, i] = a
-        sign[i, j], sign[j, i] = 1.0, -1.0
-    return position, sign
-
-
-_PAIR_POSITION, _PAIR_SIGN = _pair_tables()
-
-# R[..., i, j, k, l] = _DENSE_SIGN[i, j, k, l] K_0[..., _DENSE_A[i, j, k, l], _DENSE_B[i, j, k, l]];
-# the sign is 0 where an index repeats
-_DENSE_A = np.broadcast_to(_PAIR_POSITION[:, :, None, None], (4,) * 4)
-_DENSE_B = np.broadcast_to(_PAIR_POSITION[None, None], (4,) * 4)
-_DENSE_SIGN = _PAIR_SIGN[:, :, None, None] * _PAIR_SIGN[None, None]
-
-
-def _dense_4(k0: np.ndarray, listed: np.ndarray) -> np.ndarray:
-    """Dense components (N, 4, 4, 4, 4) from pair matrices ``k0`` (N, 6, 6), bit for
-    bit those of the sparse completion in :func:`validate_curvature`: an entry the rows
-    did not give is ``+0.0``, and a listed zero keeps its sign in every position."""
-    r = _DENSE_SIGN * k0[:, _DENSE_A, _DENSE_B]
-    return np.where(listed[:, _DENSE_A, _DENSE_B] & (_DENSE_SIGN != 0), r, r + 0.0)
-
-
 @dataclass(frozen=True)
 class _Chunk:
     """``size`` consecutive points of a sample file or stream, the first being point ``start``.
@@ -438,7 +412,9 @@ class _Chunk:
     their point indices (line number - 1), ``k0`` (N, 6, 6) their pair
     matrices ``K_0[a, b] = R_{p_a p_b}`` over the pairs of the dimension-4
     bivector basis, ``listed`` (N, 6, 6) which entries of ``k0`` the input
-    gives (all, for a dense tensor), ``g`` and ``h`` (N, 4, 4) their metrics
+    gives (all, for a dense tensor); ``curvature._dense`` expands the two
+    into the components that ``validate_curvature`` completes from the same
+    rows, bit for bit.  ``g`` and ``h`` (N, 4, 4) are their metrics
     (``h`` defaults to ``g``; ``has_h`` (N,) says where it was given), ``t``
     (N, 4) their ``T`` (NaN where absent), ``weights`` (N,) and ``coords``
     (a list of N, None where absent).  The points of other dimensions are
@@ -463,12 +439,14 @@ class _Chunk:
 def _read_chunks(path, size: int):
     """The points of a sample file, ``size`` lines per :class:`_Chunk`.
 
-    Each line is decoded once and its dimension-4 rows scattered straight
-    into ``K_0``, with no dense tensor and no :class:`PointSample`.  The
-    stacked path accepts exactly the lines :func:`sample_from_json` accepts;
-    a chunk it declines is read again through :func:`sample_from_json`, so
-    every :class:`SampleFormatError` (message and line number) is the one
-    that function raises for the first bad line.
+    Each line is decoded once and the dimension-4 rows of the chunk are
+    scattered straight into ``K_0`` by ``curvature._scatter_rows``, the
+    sparse completion of :func:`validate_curvature`, with no dense tensor and
+    no :class:`PointSample`.  The stacked path accepts exactly the lines
+    :func:`sample_from_json` accepts; a chunk it declines is read again
+    through :func:`sample_from_json`, so every :class:`SampleFormatError`
+    (message and line number) is the one that function raises for the first
+    bad line.
     """
     start = 0
     for lines in _line_chunks(path, size):
@@ -555,60 +533,20 @@ def _decode_chunk(lines, start: int) -> _Chunk:
     weights = np.array(weights, dtype=float)
     rows = np.array(flat, dtype=float).reshape(-1, 5)
     finite = (triangles, t_values, weights, rows[:, 4], np.array(list(chain.from_iterable(coords)), dtype=float))
-    if not all(np.isfinite(x).all() for x in finite) or np.any((rows[:, :4] < 1) | (rows[:, :4] > 4)):
-        raise ValueError("a number out of range")
+    if not all(np.isfinite(x).all() for x in finite):
+        raise ValueError("a number that is not finite")
 
     metrics = np.zeros((2, n4, 4, 4))
     metrics[:, :, _TRIANGLE_4[0], _TRIANGLE_4[1]] = triangles
     metrics[:, :, _TRIANGLE_4[1], _TRIANGLE_4[0]] = triangles
     t_all = np.full((n4, 4), np.nan)
     t_all[has_t] = t_values
-    k0, listed = _scatter_rows(rows, list(map(len, rm)), n4)
+    k0, listed = _scatter_rows(rows, list(map(len, rm)), n4, 4)
     index = np.array(positions, dtype=int)
     return _Chunk(
         start, len(lines), index, k0, listed, metrics[0], metrics[1], has_h, t_all, weights,
         [obj.get("coords") for obj in four], others,
     )
-
-
-def _scatter_rows(rows: np.ndarray, counts: list, n: int) -> tuple:
-    """Pair matrices ``(n, 6, 6)`` of ``n`` points from their ``[i, j, k, l, value]``
-    rows (1-based indices in range), ``counts[p]`` rows for point ``p`` in order,
-    and the mask of the entries that the rows give.
-
-    The checks and choices are those of the sparse completion in
-    :func:`validate_curvature`: a row with a repeated index must be zero and
-    duplicate rows must agree, both to ``_SPARSE_SLACK`` times the point's
-    largest value (at least 1), or a ``ValueError`` is raised; of agreeing
-    duplicates the last one counts.
-    """
-    point = np.repeat(np.arange(n), counts)
-    i, j, k, l = rows[:, :4].astype(int).T - 1
-    value = rows[:, 4]
-    scale = np.zeros(n)
-    np.maximum.at(scale, point, np.abs(value))
-    slack = _SPARSE_SLACK * np.maximum(scale, 1.0)[point]
-    repeated = (i == j) | (k == l)
-    if np.any(np.abs(value[repeated]) > slack[repeated]):
-        raise ValueError("a nonzero row with a repeated index")
-
-    point, i, j, k, l, value, slack = (x[~repeated] for x in (point, i, j, k, l, value, slack))
-    a, b = _PAIR_POSITION[i, j], _PAIR_POSITION[k, l]
-    value = _PAIR_SIGN[i, j] * _PAIR_SIGN[k, l] * value
-    # duplicates share a key; a stable sort keeps them in file order
-    key = (point * 6 + np.minimum(a, b)) * 6 + np.maximum(a, b)
-    order = np.argsort(key, kind="stable")
-    key, point, a, b, value, slack = (x[order] for x in (key, point, a, b, value, slack))
-    same = key[1:] == key[:-1]
-    if np.any(same & (np.abs(value[1:] - value[:-1]) > slack[1:])):
-        raise ValueError("duplicate rows disagree")
-    last = np.ones(len(key), dtype=bool)
-    last[:-1] = ~same
-    k0, listed = np.zeros((n, 6, 6)), np.zeros((n, 6, 6), dtype=bool)
-    point, a, b = point[last], a[last], b[last]
-    k0[point, a, b] = k0[point, b, a] = value[last]
-    listed[point, a, b] = listed[point, b, a] = True
-    return k0, listed
 
 
 def write_samples(path, samples) -> int:
@@ -775,17 +713,6 @@ def gen_product_spheres(a: float, b: float, grid_spec, h_scales=None):
 # ---- synthetic builders ----
 
 
-def _set_pair_component(r: np.ndarray, i: int, j: int, k: int, l: int, v: float) -> None:
-    for a, b, c, d, s in (
-        (i, j, k, l, v),
-        (j, i, k, l, -v),
-        (i, j, l, k, -v),
-        (j, i, l, k, v),
-    ):
-        r[a, b, c, d] = s
-        r[c, d, a, b] = s
-
-
 def gen_synthetic_star_h(
     lambdas, mus, h_diag, g_diag, frame_rotation=None, weight: float = 1.0
 ) -> PointSample:
@@ -829,19 +756,8 @@ def gen_synthetic_star_h(
             # a reflection relabels the orientation and negates every mu
             raise GeometryError("frame_rotation must be a proper rotation (det +1)")
 
-    pattern = np.zeros((4, 4, 4, 4))
-    _set_pair_component(pattern, 0, 1, 0, 1, lambdas[0])
-    _set_pair_component(pattern, 2, 3, 2, 3, lambdas[0])
-    _set_pair_component(pattern, 0, 2, 0, 2, lambdas[1])
-    _set_pair_component(pattern, 3, 1, 3, 1, lambdas[1])
-    _set_pair_component(pattern, 0, 3, 0, 3, lambdas[2])
-    _set_pair_component(pattern, 1, 2, 1, 2, lambdas[2])
-    _set_pair_component(pattern, 2, 3, 0, 1, mus[0])
-    _set_pair_component(pattern, 3, 1, 0, 2, mus[1])
-    _set_pair_component(pattern, 1, 2, 0, 3, mus[2])
-
     frame = h_orthonormal_frame(np.diag(h_diag)) @ q
-    rm = curvature_from_frame_components(pattern, frame)
+    rm = curvature_from_frame_components(_pattern_components(lambdas, mus), frame)
     return PointSample(
         dim=4, g=np.diag(g_diag), rm=rm, weight=float(weight), h=np.diag(h_diag)
     )

@@ -338,6 +338,29 @@ class TestNormalFormChunks:
         assert 0 < scaled < report["aggregate"]["available"] == _CHUNK + 38
         assert calls == [_CHUNK - 1, 39]  # the commuting points of each chunk
 
+    # the point's Lambda^2 components overflow, as intended
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_point_fails_alone(self, tmp_path, capsys, monkeypatch):
+        overflowing = PointSample(
+            dim=4, g=1e-300 * np.eye(4), rm=space_form(4, 1e300), weight=1.0, t=np.array([1e150, 0.0, 0.0, 0.0])
+        )
+        lines = star_h_lines(2, seed=19)
+        lines.insert(1, sample_to_json(overflowing))
+        path = tmp_path / "overflow.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(capsys, "validate", str(path))[0] == 0
+        reports = []
+        for chunk in (1, _CHUNK):
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            reports.append(run(capsys, "normal-form", str(path), "--format", "json"))
+        assert reports[0] == reports[1]
+        code, out, _ = reports[0]
+        points = json.loads(out)["points"]
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            preferred_normal_form_4(overflowing.rm, overflowing.g, overflowing.g)
+        assert points[1] == {"index": 1, "available": False, "note": str(err.value)}
+        assert code == 0 and points[0]["available"] and points[2]["available"]
+
     def test_round_s4_against_a_rotated_g_reports_scaled_values(self, tmp_path, capsys):
         q = np.linalg.qr(np.random.default_rng(61).normal(size=(4, 4)))[0]
         g = q @ np.diag([2.0, 1.0, 0.7, 1.5]) @ q.T

@@ -110,6 +110,119 @@ class TestValidation:
         back = validate_curvature(rm.to_sparse(), dim=4)
         npt.assert_allclose(back.components, rm.components, atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_components_rejected(self, bad):
+        r = random_valid_tensor(np.random.default_rng(8)).components.copy()
+        r[1, 2, 1, 3] = bad
+        rows = random_valid_tensor(np.random.default_rng(9)).to_sparse()
+        rows[5][4] = bad
+        for components, dim in ((r, None), (rows, 4)):
+            with pytest.raises(TensorValidationError) as err:
+                validate_curvature(components, dim=dim)
+            assert err.value.identity == "finite components"
+            dense = validate_curvature(components, dim=dim, tol=np.inf).components
+            assert not np.isfinite(dense[tuple(x - 1 for x in err.value.indices)])
+            assert str(err.value) == f"finite components violated at indices {err.value.indices} with residual {abs(bad)}"
+
+
+# ---- sparse completion ----
+
+
+def loop_complete(entries, dim):
+    """The sparse completion as a loop over the rows, one canonical key at a time."""
+    canonical = {}
+    scale = max((abs(float(e[4])) for e in entries), default=0.0)
+    slack = curvature._SPARSE_SLACK * max(scale, 1.0)
+    for e in entries:
+        i, j, k, l = (int(x) - 1 for x in e[:4])
+        v = float(e[4])
+        if not all(0 <= idx < dim for idx in (i, j, k, l)):
+            raise TensorValidationError("index range", (i + 1, j + 1, k + 1, l + 1), abs(v))
+        if i == j or k == l:
+            if abs(v) > slack:
+                raise TensorValidationError("antisymmetry (repeated index)", (i + 1, j + 1, k + 1, l + 1), abs(v))
+            continue
+        sign = 1
+        if i > j:
+            i, j, sign = j, i, -sign
+        if k > l:
+            k, l, sign = l, k, -sign
+        if (i, j) > (k, l):
+            i, j, k, l = k, l, i, j
+        key, v = (i, j, k, l), sign * v
+        if key in canonical and abs(canonical[key] - v) > slack:
+            raise TensorValidationError("duplicate entries disagree", tuple(x + 1 for x in key), abs(canonical[key] - v))
+        canonical[key] = v
+    r = np.zeros((dim,) * 4)
+    for (i, j, k, l), v in canonical.items():
+        for a, b, c, d, s in ((i, j, k, l, v), (j, i, k, l, -v), (i, j, l, k, -v), (j, i, l, k, v)):
+            r[a, b, c, d] = r[c, d, a, b] = s
+    return r
+
+
+def seeded_rows(rng, dim):
+    """Rows of a valid tensor, shuffled, with duplicates in every orientation (agreeing,
+    or off by 1e-14 or 1e-3), repeated indices, an index out of range now and then,
+    float indices and zeros of both signs."""
+    rows = random_valid_tensor(rng, dim).to_sparse()
+    rows = [row if rng.random() > 0.2 else [*row[:4], [0.0, -0.0][rng.integers(2)]] for row in rows]
+    for i, j, k, l, v in [rows[n] for n in rng.integers(len(rows), size=4)]:
+        orientations = [(i, j, k, l, 1), (j, i, k, l, -1), (i, j, l, k, -1), (j, i, l, k, 1)]
+        orientations += [(k, l, i, j, 1), (l, k, i, j, -1), (k, l, j, i, -1), (l, k, j, i, 1)]
+        *index, sign = orientations[rng.integers(8)]
+        shift = rng.choice([0.0, 1e-14, 1e-3], p=[0.5, 0.45, 0.05])
+        rows.append([*index, sign * (v + shift)])
+    for _ in range(rng.poisson(0.3)):
+        i, k, l = (int(x) for x in rng.integers(1, dim + 1, size=3))
+        rows.append([i, i, k, l, rng.choice([0.0, -0.0, 1e-15, 0.5])])
+    if rng.random() < 0.05:
+        rows.append([1, 2, rng.choice([0, dim + 1]), 1, 0.25])
+    rows = [rows[n] for n in rng.permutation(len(rows))]
+    if rng.random() < 0.3:
+        rows = [[float(x) for x in row[:4]] + [row[4]] for row in rows]  # 2.0 counts as the index 2
+    return rows
+
+
+def completion(complete, rows, dim):
+    """The completed components and their sign bits, or the error's type, message, indices and residual."""
+    try:
+        r = complete(rows, dim)
+    except TensorValidationError as err:
+        return type(err), str(err), err.indices, err.residual
+    return r.tobytes(), np.signbit(r).tobytes()
+
+
+class TestSparseCompletion:
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_equals_the_row_loop(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        outcomes = set()
+        for _ in range(400):
+            rows = seeded_rows(rng, dim)
+            expected = completion(loop_complete, rows, dim)
+            assert completion(lambda rows, dim: validate_curvature(rows, dim, np.inf).components, rows, dim) == expected
+            outcomes.add(expected[1].split(" violated")[0] if expected[0] is TensorValidationError else "completed")
+        assert outcomes == {"completed", "index range", "antisymmetry (repeated index)", "duplicate entries disagree"}
+
+    def test_a_stack_equals_its_tensors(self):
+        rng = np.random.default_rng(11)
+        sets = [seeded_rows(rng, 4) for _ in range(60)]
+        counts = [len(rows) for rows in sets]
+        stacked = np.array([row for rows in sets for row in rows], dtype=float)
+        first_bad = next((rows for rows in sets if completion(loop_complete, rows, 4)[0] is TensorValidationError), None)
+        assert first_bad is not None
+        with pytest.raises(TensorValidationError) as err:
+            curvature._scatter_rows(stacked, counts, len(sets), 4)
+        assert (type(err.value), str(err.value), err.value.indices, err.value.residual) == completion(loop_complete, first_bad, 4)
+
+        good = [rows for rows in sets if completion(loop_complete, rows, 4)[0] is not TensorValidationError]
+        k0, listed = curvature._scatter_rows(
+            np.array([row for rows in good for row in rows], dtype=float), [len(rows) for rows in good], len(good), 4
+        )
+        r = curvature._dense(k0, listed)
+        for p, rows in enumerate(good):
+            assert completion(lambda *_: r[p], rows, 4) == completion(loop_complete, rows, 4)
+
 
 # ---- space forms ----
 

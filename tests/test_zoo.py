@@ -124,6 +124,18 @@ class TestValidateSample:
         (error,) = zoo._stack_errors(4, sample.g[None], None, None, [weight], 4, sample.rm.components[None], 1e-9)
         assert str(error) == message
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_components_rejected(self, bad):
+        sample, _, _ = random_star_h_sample(np.random.default_rng(12))
+        r = sample.rm.components.copy()
+        r[0, 2, 1, 3] = bad
+        with pytest.raises(TensorValidationError) as err:
+            validate_sample(dataclasses.replace(sample, rm=CurvatureTensor(4, r)))
+        assert err.value.identity == "finite components" and err.value.indices == (1, 3, 2, 4)
+        g, stack = np.stack([sample.g] * 2), np.stack([sample.rm.components, r])
+        errors = zoo._stack_errors(4, g, None, None, [1.0, 1.0], 4, stack, 1e-9)
+        assert errors[0] is None and (type(errors[1]), str(errors[1])) == (TensorValidationError, str(err.value))
+
     def test_the_stacked_check_keeps_each_point_s_first_violation(self):
         rng = np.random.default_rng(10)
         samples = [random_star_h_sample(rng)[0] for _ in range(6)]
