@@ -19,26 +19,28 @@ The reader checks structure only and completes each tensor by its index
 symmetries.  ``validate`` checks every identity; ``einstein-check``,
 ``normal-form`` and ``petrov`` give a point that breaks the first Bianchi
 identity an ``error`` field and exit 1, and ``integrate`` stops with exit 1
-on it.  ``validate``, ``normal-form`` and ``integrate`` stream the file in
-chunks: each line's dimension-4 rows go straight into a stacked 6x6 pair
-matrix, and the checks of ``validate``, the Lambda^2 kernel and the
-normal-form frame choice run once per chunk, for every point of the chunk;
-``integrate`` runs the chunk driver of ``integrate_samples``.
-``einstein-check`` and ``petrov`` read through ``read_samples``, which
-builds its samples from the same stacked decoder.  ``integrate`` reads the
-whole file before it reports an analysis error, so a format error anywhere
-still exits 2.  ``--tol`` must be a finite non-negative number.
+on it.  Every file command streams the file in chunks (``zoo._read_chunks``):
+each line's dimension-4 rows go straight into a stacked 6x6 pair matrix, and
+each analysis runs once per chunk, for all of its dimension-4 points, in the
+stacked kernel whose one-point call is the library function (``validate_sample``,
+``is_star_h_einstein``, ``weyl_split_check``, ``preferred_normal_form_4``,
+``classify_complex``); ``integrate`` runs the chunk driver of
+``integrate_samples``.  Where a LAPACK call fails on a chunk, its points run
+one at a time, so the failure is the error of its point only.  ``integrate``
+reads the whole file before it reports an analysis error, so a format error
+anywhere still exits 2.  ``--tol`` must be a finite non-negative number.
 """
 
 import argparse
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
-from . import __version__, normal_forms
-from .complex_forms import classify_complex
+from . import __version__, complex_forms, normal_forms, topology, zoo
+from .curvature import _dense
 from .exceptions import (
     DegenerateMetricError,
     DimensionError,
@@ -46,10 +48,9 @@ from .exceptions import (
     NotCommutingError,
     SampleFormatError,
     TensorValidationError,
+    _stacked_or_alone,
 )
-from .normal_forms import is_star_h_einstein
-from .topology import _CHUNK, _integrate_chunks, connected_sum, weyl_split_check
-from .zoo import _chunk_errors, _read_chunks, read_samples
+from .zoo import _read_chunks
 
 __all__ = ["build_parser", "main"]
 
@@ -87,6 +88,40 @@ def _floats(values) -> list:
 
 # ---- commands ----
 
+# the per-point errors of a missing field or metric, as the library raises them
+_NO_H = GeometryError("sample has no h metric")
+_NO_T = GeometryError("sample has no T vector")
+_INDEFINITE = DegenerateMetricError("metric is not positive definite")  # h_orthonormal_frame's error
+
+
+def _chunk_entries(args, entry, other, stack) -> list:
+    """The report entries of every point of the file, in order, read chunk by
+    chunk: ``entry(index, result)`` of each point's result, which is
+    ``other(sample)`` for a point of another dimension than 4 and comes from
+    ``stack(chunk)``, a list in point order, for the dimension-4 points."""
+    points = []
+    for chunk in _read_chunks(args.file):
+        results = {index: other(sample) for index, sample in chunk.others}
+        if len(chunk.index):
+            results.update(zip(chunk.index.tolist(), stack(chunk)))
+        points += [entry(index, results[index]) for index in range(chunk.start, chunk.start + chunk.size)]
+    return points
+
+
+def _where(mask, results: list, fn, *stacks) -> list:
+    """``results`` with the points of ``mask`` given ``fn`` of their stacks, which
+    runs them one at a time where a LAPACK call fails on them (``_stacked_or_alone``)."""
+    results = list(results)
+    if mask.any():
+        for p, result in zip(np.flatnonzero(mask).tolist(), _stacked_or_alone(fn, *(s[mask] for s in stacks))):
+            results[p] = result
+    return results
+
+
+def _points_report(args, points: list, **aggregate) -> dict:
+    """The report of a command that reports every point of its file."""
+    return _base_report(args, file=str(args.file), points=points, aggregate={"points": len(points), **aggregate})
+
 
 def _validate_entry(index, error) -> dict:
     """The report entry of point ``index``: ok, or its first violation."""
@@ -99,71 +134,64 @@ def _validate_entry(index, error) -> dict:
 
 
 def _cmd_validate(args):
-    points = []
-    for chunk in _read_chunks(args.file, _CHUNK):
-        points += [_validate_entry(chunk.start + n, e) for n, e in enumerate(_chunk_errors(chunk, args.tol))]
-    failures = sum(1 for p in points if not p["ok"])
-    report = _base_report(
-        args,
-        file=str(args.file),
-        points=points,
-        aggregate={"points": len(points), "failures": failures},
+    points = _chunk_entries(
+        args, _validate_entry, lambda sample: zoo._sample_error(sample, args.tol),
+        lambda chunk: zoo._chunk_errors(chunk, args.tol),
     )
-    return (0 if failures == 0 else 1), report, ["index", "ok", "error"]
+    failures = sum(1 for p in points if not p["ok"])
+    return (0 if failures == 0 else 1), _points_report(args, points, failures=failures), ["index", "ok", "error"]
+
+
+def _einstein_entry(index, rep) -> dict:
+    """The report entry of point ``index``: its star-commuting test, or its error."""
+    if isinstance(rep, Exception):
+        return {"index": index, "error": str(rep)}
+    if isinstance(rep, topology.WeylSplitReport):
+        return {
+            "index": index,
+            "einstein": rep.commutes,
+            "residual": rep.commutator_residual,
+            "scal": rep.scal,
+            "f": rep.f_fitted,
+            "trace_residual": rep.lorentz_trace_residual,
+        }
+    return {
+        "index": index,
+        "einstein": rep.is_einstein,
+        "residual": rep.commutator_residual / max(rep.operator_norm, 1e-300),
+        "f": rep.f_fitted,
+        "trace_residual": rep.trace_residual,
+    }
 
 
 def _cmd_einstein_check(args):
-    samples = read_samples(args.file)
-    metric = args.metric
+    metric, tol = args.metric, args.tol
 
-    def check(index, sample):
-        try:
-            g = np.asarray(sample.g, dtype=float)
-            if metric == "lorentz":
-                if sample.t is None:
-                    raise GeometryError("sample has no T vector")
-                rep = weyl_split_check(
-                    sample.rm, g, np.asarray(sample.t, dtype=float), tol=args.tol
-                )
-                return {
-                    "index": index,
-                    "einstein": bool(rep.commutes),
-                    "residual": rep.commutator_residual,
-                    "scal": rep.scal,
-                    "f": rep.f_fitted,
-                    "trace_residual": rep.lorentz_trace_residual,
-                }
-            if metric == "h":
-                if sample.h is None:
-                    raise GeometryError("sample has no h metric")
-                hm = np.asarray(sample.h, dtype=float)
-            else:
-                hm = g
-            rep = is_star_h_einstein(sample.rm, hm, tol=args.tol)
-            return {
-                "index": index,
-                "einstein": bool(rep.is_einstein),
-                "residual": rep.commutator_residual / max(rep.operator_norm, 1e-300),
-                "f": rep.f_fitted,
-                "trace_residual": rep.trace_residual,
-            }
-        except (GeometryError, ValueError) as err:
-            return {"index": index, "error": str(err)}
+    def other(sample):
+        if metric == "lorentz":
+            return _NO_T if sample.t is None else DimensionError(topology._NOT_DIM_4)
+        return _NO_H if metric == "h" and sample.h is None else DimensionError(normal_forms._NOT_DIM_4)
 
-    points = [check(i, s) for i, s in enumerate(samples)]
-    histogram = {"true": 0, "false": 0, "error": 0}
-    for p in points:
-        histogram["error" if "error" in p else str(p["einstein"]).lower()] += 1
-    report = _base_report(
-        args,
-        file=str(args.file),
-        flags={"metric": metric},
-        points=points,
-        aggregate={"points": len(points), "histogram": histogram},
-    )
-    code = 0 if histogram["error"] == 0 else 1
+    def split(k0, listed, g, t):
+        return topology._weyl_splits(k0, _dense(k0, listed), g, t, tol)
+
+    def check(k0, listed, h):
+        return normal_forms._star_einstein(normal_forms._lambda2_blocks(k0, h), _dense(k0, listed), h, tol)
+
+    def stack(chunk):
+        if metric == "lorentz":
+            has_t = ~np.isnan(chunk.t[:, 0])
+            return _where(has_t, [_NO_T] * len(has_t), split, chunk.k0, chunk.listed, chunk.g, chunk.t)
+        h, given = (chunk.h, chunk.has_h) if metric == "h" else (chunk.g, np.ones(len(chunk.g), dtype=bool))
+        missing = [_INDEFINITE if has else _NO_H for has in given.tolist()]
+        return _where(given & normal_forms._positive_definite(h), missing, check, chunk.k0, chunk.listed, h)
+
+    points = _chunk_entries(args, _einstein_entry, other, stack)
+    verdicts = Counter("error" if "error" in p else str(p["einstein"]).lower() for p in points)
+    report = _points_report(args, points, histogram={"true": 0, "false": 0, "error": 0} | verdicts)
+    report["flags"] = {"metric": metric}
     columns = ["index", "einstein", "residual", "f", "trace_residual", "scal", "error"]
-    return code, report, columns
+    return (0 if verdicts["error"] == 0 else 1), report, columns
 
 
 def _normal_form_entry(index, nf) -> dict:
@@ -187,36 +215,17 @@ def _normal_form_entry(index, nf) -> dict:
     return entry
 
 
-def _stack_forms(k0, h, g, tol) -> list:
-    """``normal_forms._normal_forms`` of stacked points.  Where a LAPACK call fails
-    on the stack (a point whose values overflow), each point is solved alone, so
-    the failure is the note of that point only, as in ``preferred_normal_form_4``."""
-    try:
-        return normal_forms._normal_forms(normal_forms._lambda2_blocks(k0, h, g), h, g, tol)
-    except np.linalg.LinAlgError as err:
-        if len(k0) == 1:
-            return [err]
-        return [form for p in range(len(k0)) for form in _stack_forms(k0[p:p + 1], h[p:p + 1], g[p:p + 1], tol)]
-
-
 def _cmd_normal_form(args):
-    indefinite = DegenerateMetricError("metric is not positive definite")  # h_orthonormal_frame's error
-    points = []
-    for chunk in _read_chunks(args.file, _CHUNK):
+    def forms(k0, h, g):
+        return normal_forms._normal_forms(normal_forms._lambda2_blocks(k0, h, g), h, g, args.tol)
+
+    def stack(chunk):
         # one kernel call and frame choice per chunk, over the points whose h Cholesky takes
-        ok = normal_forms._positive_definite(chunk.h)
-        forms = {index: DimensionError(normal_forms._NOT_DIM_4) for index, _ in chunk.others}
-        forms.update((index, indefinite) for index in chunk.index[~ok])
-        if ok.any():
-            forms.update(zip(chunk.index[ok], _stack_forms(chunk.k0[ok], chunk.h[ok], chunk.g[ok], args.tol)))
-        points += [_normal_form_entry(i, forms[i]) for i in range(chunk.start, chunk.start + chunk.size)]
-    available = sum(1 for p in points if p["available"])
-    report = _base_report(
-        args,
-        file=str(args.file),
-        points=points,
-        aggregate={"points": len(points), "available": available},
-    )
+        indefinite = [_INDEFINITE] * len(chunk.index)
+        return _where(normal_forms._positive_definite(chunk.h), indefinite, forms, chunk.k0, chunk.h, chunk.g)
+
+    points = _chunk_entries(args, _normal_form_entry, lambda sample: DimensionError(normal_forms._NOT_DIM_4), stack)
+    report = _points_report(args, points, available=sum(1 for p in points if p["available"]))
     columns = [
         "index", "available", "lambdas", "mus",
         "lambdas_scaled", "kappas_scaled", "mus_scaled", "note", "error",
@@ -225,41 +234,29 @@ def _cmd_normal_form(args):
 
 
 def _cmd_petrov(args):
-    samples = read_samples(args.file)
+    def classify(k0, g, t):
+        return complex_forms._jordan_forms(k0, g, t, args.tol)
 
-    def run(index, sample):
-        try:
-            if sample.t is None:
-                raise GeometryError("sample has no T vector")
-            form = classify_complex(
-                sample.rm,
-                np.asarray(sample.g, dtype=float),
-                np.asarray(sample.t, dtype=float),
-                tol=args.tol,
-            )
-            return {"index": index, "case": form.case_id}
-        except (GeometryError, ValueError) as err:
-            return {"index": index, "error": str(err)}
+    def stack(chunk):
+        has_t = ~np.isnan(chunk.t[:, 0])
+        return _where(has_t, [_NO_T] * len(has_t), classify, chunk.k0, chunk.g, chunk.t)
 
-    points = [run(i, s) for i, s in enumerate(samples)]
-    histogram = {}
-    for p in points:
-        key = "error" if "error" in p else f"case {p['case']}"
-        histogram[key] = histogram.get(key, 0) + 1
-    report = _base_report(
-        args,
-        file=str(args.file),
-        points=points,
-        aggregate={"points": len(points), "histogram": histogram},
-    )
-    code = 0 if histogram.get("error", 0) == 0 else 1
-    return code, report, ["index", "case", "error"]
+    def entry(index, form):
+        return {"index": index, **({"error": str(form)} if isinstance(form, Exception) else {"case": form.case_id})}
+
+    def other(sample):
+        return _NO_T if sample.t is None else DimensionError(complex_forms._NOT_DIM_4)
+
+    points = _chunk_entries(args, entry, other, stack)
+    histogram = Counter("error" if "error" in p else f"case {p['case']}" for p in points)
+    report = _points_report(args, points, histogram=dict(histogram))
+    return (0 if histogram["error"] == 0 else 1), report, ["index", "case", "error"]
 
 
 def _cmd_integrate(args):
-    chunks = _read_chunks(args.file, _CHUNK)
+    chunks = _read_chunks(args.file)
     try:
-        result = _integrate_chunks(chunks, tol=args.tol)
+        result = topology._integrate_chunks(chunks, tol=args.tol)
     except (GeometryError, ValueError):
         for _ in chunks:  # read on: a format error anywhere in the file comes first
             pass
@@ -288,7 +285,7 @@ def _cmd_integrate(args):
 
 def _cmd_sums(args):
     try:
-        result = connected_sum(args.expression)
+        result = topology.connected_sum(args.expression)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2, None, None

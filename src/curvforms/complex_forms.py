@@ -32,7 +32,8 @@ from .bivectors import wedge_vectors
 from .curvature import (
     CurvatureTensor,
     _dense,
-    check_first_bianchi_4,
+    _first_bianchi_4,
+    _first_bianchi_errors,
     component_matrix,
     curvature_from_frame_components,
     validate_curvature,
@@ -42,8 +43,9 @@ from .exceptions import (
     DimensionError,
     GeometryError,
     NonUnitVectorError,
+    _alone,
 )
-from .hodge import HodgeStar, complexify
+from .hodge import HodgeStar, _complexify
 from .normal_forms import _BASIS, _in_frame
 
 __all__ = [
@@ -65,6 +67,8 @@ CASE_DESCRIPTIONS = {
 }
 
 CASE_CRITICAL_COUNTS = {1: 3.0, 2: math.inf, 3: 1.0, 4: 0.0}
+
+_NOT_DIM_4 = "complex classification is specific to dim 4"
 
 # eigenvalues of a defective (Jordan) block computed in floating point smear
 # by O(eps^(1/m)); clusters tighter than this cannot be told apart from a
@@ -104,42 +108,68 @@ class ComplexNormalForm:
 def adapted_frame(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Positively-oriented g-orthonormal frame whose first vector is ``t``.
 
-    ``t`` must be a g-unit vector within ``tol``.
+    ``t`` must be a g-unit vector within ``tol``.  Gram-Schmidt runs over the
+    basis vectors in order and takes each whose remainder has g-length squared
+    above 1e-12, until the frame is complete.  This is :func:`_adapted_frames`
+    for one point.
     """
-    g = np.asarray(g, dtype=float)
-    t = np.asarray(t, dtype=float)
-    n = g.shape[0]
-    tt = float(t @ g @ t)
-    if abs(tt - 1.0) > tol:
-        raise NonUnitVectorError(f"g(T, T) = {tt:.12g}, expected 1")
-    cols = [t / np.sqrt(tt)]
-    for candidate in np.eye(n):
-        v = candidate.copy()
-        for e in cols:
-            v = v - (e @ g @ v) * e
-        norm2 = float(v @ g @ v)
-        if norm2 > 1e-12:
-            cols.append(v / np.sqrt(norm2))
-        if len(cols) == n:
+    g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
+    frames, errors = _adapted_frames(g[None], t[None], tol)
+    return _alone([errors[0] or frames[0]])
+
+
+def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
+    """The adapted frames (N, n, n) of stacked metrics ``g`` (N, n, n) and vectors
+    ``t`` (N, n), and each point's error, or None where it has its frame:
+    ``|g(t, t) - 1| > tol``, then a frame that cannot be completed.
+
+    Each candidate basis vector is projected against the point's frame vectors
+    so far and taken where its g-length squared exceeds 1e-12, for all points at
+    once.  A column not yet filled is zero, so projecting on it changes nothing;
+    a point's frame is zero where it has none.
+    """
+    n, dim = t.shape
+    tt = ((t[:, None] @ g) @ t[:, :, None])[:, 0, 0]
+    unit = ~(np.abs(tt - 1.0) > tol)
+    g_u = g[unit]
+    # column k of cols is frame vector e_k, eg[:, k] is e_k^T g
+    cols, eg = np.zeros((len(g_u), dim, dim)), np.zeros((len(g_u), dim, 1, dim))
+    cols[:, :, 0] = t[unit] / np.sqrt(tt[unit])[:, None]
+    eg[:, 0] = cols[:, None, :, 0] @ g_u
+    count = np.ones(len(g_u), dtype=int)
+    for candidate in np.eye(dim)[:, :, None]:
+        if len(g_u) == 0 or count.min() == dim:
             break
-    if len(cols) < n:
-        raise DegenerateMetricError("could not complete t to a g-orthonormal frame")
-    frame = np.stack(cols, axis=1)
-    if np.linalg.det(frame) < 0:
-        frame[:, -1] = -frame[:, -1]
-    return frame
+        v = candidate
+        for k in range(count.max()):
+            v = v - (eg[:, k] @ v) * cols[:, :, k:k + 1]
+        norm2 = ((np.swapaxes(v, -1, -2) @ g_u) @ v)[:, 0, 0]
+        taken = np.flatnonzero((count < dim) & (norm2 > 1e-12))
+        cols[taken, :, count[taken]] = e = v[taken, :, 0] / np.sqrt(norm2[taken])[:, None]
+        eg[taken, count[taken]] = e[:, None] @ g_u[taken]
+        count[taken] += 1
+    flip = np.linalg.det(cols) < 0
+    cols[flip, :, -1] = -cols[flip, :, -1]
+    frames = np.zeros((n, dim, dim))
+    frames[unit] = cols
+    complete = np.ones(n, dtype=bool)
+    complete[unit] = count == dim
+    errors = [
+        NonUnitVectorError(f"g(T, T) = {x:.12g}, expected 1") if not u
+        else None if c else DegenerateMetricError("could not complete t to a g-orthonormal frame")
+        for x, u, c in zip(tt.tolist(), unit.tolist(), complete.tolist())
+    ]
+    return frames, errors
 
 
-def _adapted_components(rm: CurvatureTensor, g, t, tol: float = 1e-9, unit_tol: float = 1e-9):
-    """The adapted frame ``f`` of ``(g, t)`` and the 6x6 components ``K`` of ``rm`` in it.
-
-    Raises :class:`TensorValidationError` first if ``rm`` breaks first Bianchi
-    beyond ``tol`` times its largest component; ``unit_tol`` bounds ``|g(t, t) - 1|``.
-    """
-    r = rm.components
-    check_first_bianchi_4(r[0, 1, 2, 3] + r[0, 2, 3, 1] + r[0, 3, 1, 2], rm.scale, tol)
-    frame = adapted_frame(g, t, unit_tol)
-    return frame, _in_frame(component_matrix(rm), frame)
+def _adapted(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float, unit_tol: float = 1e-9) -> tuple:
+    """``K = (Lambda^2 f)^T K_0 (Lambda^2 f)`` of stacked pair matrices ``k0``
+    (N, 6, 6) in the adapted frames ``f`` of ``(g, t)``, the frames, and each
+    point's error, or None: a first-Bianchi break beyond ``tol`` times the largest
+    component, then those of :func:`_adapted_frames` at ``unit_tol``."""
+    frames, errors = _adapted_frames(g, t, unit_tol)
+    bianchi = _first_bianchi_errors(*_first_bianchi_4(k0), tol)
+    return _in_frame(k0, frames), frames, [b or e for b, e in zip(bianchi, errors)]
 
 
 def _cluster_eigenvalues(vals: np.ndarray, width: float):
@@ -163,8 +193,10 @@ def classify_complex(
 ) -> ComplexNormalForm:
     """Classify the complexified Lorentz operator of ``rm`` by Jordan type.
 
-    ``C`` is :func:`complexify` of ``G_L K``, with ``K`` read in the adapted
-    frame of ``(g, t)`` (see the module docstring).
+    ``C`` is ``complexify`` of ``G_L K``, with ``K`` read in the adapted frame
+    of ``(g, t)`` (see the module docstring).  This is :func:`_jordan_forms`
+    for one point, the stacked classification that ``curvforms petrov`` runs
+    on each chunk of a file.
 
     Parameters
     ----------
@@ -188,14 +220,34 @@ def classify_complex(
         For a flat tensor (no classification).
     """
     if rm.dim != 4:
-        raise DimensionError("complex classification is specific to dim 4")
-    if rm.scale == 0.0:
-        raise GeometryError("flat tensors have no complex classification")
-    _, k = _adapted_components(rm, g, t, tol)
-    c = complexify(_GRAM_L @ k, _STAR_L, tol=tol)
+        raise DimensionError(_NOT_DIM_4)
+    g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
+    return _alone(_jordan_forms(component_matrix(rm)[None], g[None], t[None], tol))
 
-    vals = np.linalg.eigvals(c)
-    rho = float(np.max(np.abs(vals)))
+
+def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> list:
+    """Per point of stacked pair matrices ``k0`` (N, 6, 6), metrics ``g`` and
+    vectors ``t``: its :class:`ComplexNormalForm`, or its first error: a flat
+    tensor, those of :func:`_adapted` (``g(t, t)`` within 1e-9), an operator
+    that does not commute with the Lorentz star.  ``C`` and its eigenvalues are
+    taken for the stack; the clustering and the rank counts run per point."""
+    k, _, errors = _adapted(k0, g, t, tol)
+    c, commuting = _complexify(_GRAM_L @ k, _STAR_L.matrix, tol)
+    results = [
+        GeometryError("flat tensors have no complex classification") if flat else error or not_commuting
+        for flat, error, not_commuting in zip((~k0.any(axis=(1, 2))).tolist(), errors, commuting)
+    ]
+    ok = np.array([r is None for r in results], dtype=bool)
+    if ok.any():
+        c = c[ok]
+        vals = np.linalg.eigvals(c)
+        for p, cp, vp, rho in zip(np.flatnonzero(ok).tolist(), c, vals, np.max(np.abs(vals), axis=1).tolist()):
+            results[p] = _jordan_form(cp, vp, rho)
+    return results
+
+
+def _jordan_form(c: np.ndarray, vals: np.ndarray, rho: float) -> ComplexNormalForm:
+    """The classification of one complex matrix ``c`` with eigenvalues ``vals`` of largest modulus ``rho``."""
     width = max(1e-8, 1e-8 * rho, _JORDAN_SMEAR * max(1.0, rho))
     reps, algs = _cluster_eigenvalues(vals, width)
 
@@ -447,7 +499,9 @@ def count_spacelike_critical(
     """
     if rm.dim != 4:
         raise DimensionError("the critical-plane counter is specific to dim 4")
-    _, k = _adapted_components(rm, g, t)
+    g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
+    k, _, errors = _adapted(component_matrix(rm)[None], g[None], t[None], 1e-9)
+    k = _alone([errors[0] or k[0]])
     gram, mmat, smat = _GRAM_L, _GRAM_L @ k, _STAR_L.matrix
     chart = _start_chart(n_starts)
 

@@ -330,12 +330,25 @@ def check_first_bianchi_4(residual, scale, tol: float) -> None:
     the one first-Bianchi residual their pair symmetries leave, and ``scale``
     their ``max |R_ijkl|`` (both scalars or arrays of one length).
     """
+    error = next(filter(None, _first_bianchi_errors(residual, scale, tol)), None)
+    if error is not None:
+        raise error
+
+
+def _first_bianchi_errors(residual, scale, tol: float) -> list:
+    """Per tensor: the error of :func:`check_first_bianchi_4`, or None where it passes."""
     residual = np.atleast_1d(residual)
-    broken = np.flatnonzero(np.abs(residual) > tol * np.asarray(scale))
-    if broken.size:
-        raise TensorValidationError(
-            "first Bianchi identity", (1, 2, 3, 4), float(abs(residual[broken[0]]))
-        )
+    broken = np.broadcast_to(np.abs(residual) > tol * np.asarray(scale), residual.shape)
+    return [
+        TensorValidationError("first Bianchi identity", (1, 2, 3, 4), abs(value)) if bad else None
+        for value, bad in zip(residual.tolist(), broken.tolist())
+    ]
+
+
+def _first_bianchi_4(k0: np.ndarray) -> tuple:
+    """``R_1234 + R_1342 + R_1423 = tr B_0`` and ``max |K_0|`` (at least 1e-300)
+    of stacked 4-dimensional pair matrices ``k0`` (N, 6, 6)."""
+    return np.trace(k0[:, :3, 3:], axis1=1, axis2=2), np.maximum(np.max(np.abs(k0), axis=(1, 2)), 1e-300)
 
 
 # ---- constructions ----

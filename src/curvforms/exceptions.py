@@ -1,8 +1,23 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the per-point errors of stacked kernels.
 
 All errors derive from :class:`GeometryError` (a ``ValueError``), so callers
-that do not care about the distinction can catch a single class.
+that do not care about the distinction can catch a single class.  A stacked
+kernel returns one result per point, an error where the point has one.
 """
+
+import numpy as np
+
+__all__ = [
+    "GeometryError",
+    "DimensionError",
+    "DegenerateMetricError",
+    "NonUnitVectorError",
+    "LightlikePlaneError",
+    "NotCommutingError",
+    "TensorValidationError",
+    "FrameReconstructionError",
+    "SampleFormatError",
+]
 
 
 class GeometryError(ValueError):
@@ -79,3 +94,38 @@ class SampleFormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+# ---- per-point results of stacked kernels ----
+
+
+def _stacked_or_alone(fn, *stacks):
+    """``fn(*stacks)``, one result per point of the stacks (N, ...).
+
+    The stack runs with floating-point overflow, division by zero and invalid
+    operations raising.  Where one does, or a LAPACK call fails, each point runs
+    alone (N = 1) with the caller's floating-point handling, so a failed stacked
+    attempt shows no warnings and each point shows its own, as when it runs
+    alone; a point whose LAPACK call fails alone gets that
+    :class:`numpy.linalg.LinAlgError` as its result.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return fn(*stacks)
+    except (FloatingPointError, np.linalg.LinAlgError) as err:
+        if len(stacks[0]) > 1:
+            return [r for p in range(len(stacks[0])) for r in _stacked_or_alone(fn, *(s[p:p + 1] for s in stacks))]
+        if isinstance(err, np.linalg.LinAlgError):
+            return [err]
+    try:
+        return fn(*stacks)
+    except np.linalg.LinAlgError as err:
+        return [err]
+
+
+def _alone(results: list):
+    """The result of an N = 1 call of a stacked kernel, raised if it is an error."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result

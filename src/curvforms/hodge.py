@@ -21,6 +21,7 @@ from .exceptions import (
     DimensionError,
     NonUnitVectorError,
     NotCommutingError,
+    _alone,
 )
 
 __all__ = [
@@ -220,22 +221,34 @@ def complexify(op_matrix: np.ndarray, star_l: HodgeStar, tol: float = 1e-9) -> n
     """
     if star_l.signature != "lorentzian":
         raise DegenerateMetricError("complexification needs a Lorentzian star")
-    m = np.asarray(op_matrix, dtype=float)
-    j = star_l.matrix
-    norm = np.linalg.norm(m)
-    resid = np.linalg.norm(m @ j - j @ m)
-    if resid > tol * max(norm, 1e-300):
-        raise NotCommutingError(
-            f"operator does not commute with the star: relative residual "
-            f"{resid / max(norm, 1e-300):.3e} > {tol:g}",
-            residual=resid / max(norm, 1e-300),
-        )
+    c, errors = _complexify(np.asarray(op_matrix, dtype=float)[None], star_l.matrix, tol)
+    return _alone([errors[0] or c[0]])
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms of stacked matrices, each as ``np.linalg.norm`` takes it for
+    one matrix: the square root of the dot product of its raveled entries."""
+    x = x.reshape(len(x), -1)
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _complexify(m: np.ndarray, j: np.ndarray, tol: float) -> tuple:
+    """:func:`complexify` of stacked operators ``m`` (N, 6, 6) and the Lorentzian
+    star ``j``: the complex matrices, and each operator's
+    :class:`NotCommutingError`, or None where it commutes."""
+    resid, norm = _frobenius(m @ j - j @ m), np.maximum(_frobenius(m), 1e-300)
+    errors = [
+        NotCommutingError(
+            f"operator does not commute with the star: relative residual {r / n:.3e} > {tol:g}", residual=r / n
+        ) if r > tol * n else None
+        for r, n in zip(resid, norm)
+    ]
     # real basis of Lambda^2 as a complex 3-space: b1, b2, b3, j b1, j b2, j b3
     b = np.eye(6)[:, :3]
     t_mat = np.hstack([b, j @ b])
-    if np.linalg.cond(t_mat) > _COND_LIMIT:
+    if None in errors and np.linalg.cond(t_mat) > _COND_LIMIT:
         raise DegenerateMetricError(
             "e1^e2, e1^e3, e1^e4 do not span Lambda^2 over C for this star"
         )
     coords = np.linalg.solve(t_mat, m @ b)
-    return coords[:3, :] + 1j * coords[3:, :]
+    return coords[:, :3] + 1j * coords[:, 3:], errors

@@ -27,6 +27,8 @@ from .curvature import (
     CurvatureTensor,
     Lambda2Operator,
     _dense,
+    _first_bianchi_4,
+    _first_bianchi_errors,
     _pair_matrix,
     check_first_bianchi_4,
     component_matrix,
@@ -37,9 +39,9 @@ from .exceptions import (
     DegenerateMetricError,
     DimensionError,
     FrameReconstructionError,
-    GeometryError,
     NotCommutingError,
-    TensorValidationError,
+    _alone,
+    _stacked_or_alone,
 )
 from .hodge import HodgeStar
 
@@ -306,8 +308,7 @@ def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None = None) 
     half, sym = (a + d) / 2.0, (b + bt) / 2.0
     evp, up = np.linalg.eigh(half + sym)
     evm, um = np.linalg.eigh(half - sym)
-    bianchi = np.trace(k0[:, :3, 3:], axis1=1, axis2=2)
-    scale = np.maximum(np.max(np.abs(k0), axis=(1, 2)), 1e-300)
+    bianchi, scale = _first_bianchi_4(k0)
     gram = np.swapaxes(v, 1, 2) @ g @ v
     return Lambda2Blocks(
         frames=v, k=k, residual=residual, norm=norm,
@@ -317,18 +318,12 @@ def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None = None) 
 
 def _positive_definite(h: np.ndarray) -> np.ndarray:
     """Per metric of a stack, whether :func:`h_orthonormal_frame` takes it."""
-    try:
+
+    def factor(h):
         np.linalg.cholesky(h)
-        return np.ones(len(h), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    ok = np.ones(len(h), dtype=bool)
-    for n, m in enumerate(h):
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            ok[n] = False
-    return ok
+        return [True] * len(h)
+
+    return np.array([r is True for r in _stacked_or_alone(factor, h)], dtype=bool)
 
 
 # ---- star-h Einstein test ----
@@ -340,7 +335,8 @@ def is_star_h_einstein(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) ->
     Equivalent characterizations, all reported: the commutator with the star
     vanishes; the h-orthonormal block form ``[[A, B], [B^T, D]]`` has
     ``B = B^T`` and ``D = A``; the h-trace of the tensor is proportional
-    to ``h``.
+    to ``h``.  This is :func:`_star_einstein` for one point, the stacked test
+    that ``curvforms einstein-check --metric g|h`` runs on each chunk of a file.
 
     Parameters
     ----------
@@ -353,26 +349,33 @@ def is_star_h_einstein(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) ->
 
     Raises
     ------
+    DegenerateMetricError
+        If ``h`` is not positive definite.
     TensorValidationError
         If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
     """
     if rm.dim != 4:
         raise DimensionError(_NOT_DIM_4)
-    h = np.asarray(h, dtype=float)
-    blocks = lambda2_blocks(rm.components[None], h[None])
-    blocks.check_bianchi(tol)
+    r, h = rm.components[None], np.asarray(h, dtype=float)[None]
+    return _alone(_star_einstein(lambda2_blocks(r, h), r, h, tol))
+
+
+def _star_einstein(blocks: Lambda2Blocks, r: np.ndarray, h: np.ndarray, tol: float) -> list:
+    """Per point of ``blocks`` (:func:`lambda2_blocks` of the dense components
+    ``r`` (N, 4, 4, 4, 4) against the metrics ``h`` (N, 4, 4)): its
+    :class:`StarEinsteinReport`, or its first-Bianchi error.  The h-trace
+    ``h^{jl} R_{jabl}``, ``f`` and the trace residual are taken for the stack."""
     hinv = np.linalg.inv(h)
-    trace = np.einsum("jl,jabl->ab", hinv, rm.components, optimize=True)
-    f = float(np.trace(hinv @ trace)) / 4.0
-    trace_residual = float(np.max(np.abs(trace - f * h)))
-    return StarEinsteinReport(
-        is_einstein=bool(blocks.commuting(tol)[0]),
-        commutator_residual=float(blocks.residual[0]),
-        operator_norm=float(blocks.norm[0]),
-        f_fitted=f,
-        trace_residual=trace_residual,
-        h_trace=trace,
-    )
+    trace = np.einsum("njl,njabl->nab", hinv, r, optimize=True)
+    f = np.trace(hinv @ trace, axis1=1, axis2=2) / 4.0
+    trace_residual = np.max(np.abs(trace - f[:, None, None] * h), axis=(1, 2))
+    columns = (blocks.commuting(tol), blocks.residual, blocks.norm, f, trace_residual)
+    return [
+        error or StarEinsteinReport(*values, h_trace=hn)
+        for error, *values, hn in zip(
+            _first_bianchi_errors(blocks.bianchi, blocks.scale, tol), *(c.tolist() for c in columns), trace
+        )
+    ]
 
 
 # ---- 4-dimensional normal form ----
@@ -486,19 +489,14 @@ def _normal_forms(blocks: Lambda2Blocks, h, g, tol) -> list:
     :func:`scaled_normal_form`'s check wins.  Pairing 0 gives the plain form;
     ``g=None`` asks for it alone.
     """
-    results = [None] * len(blocks.k)
-    valid = ~(np.abs(blocks.bianchi) > tol * blocks.scale) & blocks.commuting(tol)
-    for n in np.flatnonzero(~valid):
-        try:
-            check_first_bianchi_4(blocks.bianchi[n], blocks.scale[n], tol)
-            raise NotCommutingError(
-                "operator does not commute with the h-star; no normal form",
-                residual=float(blocks.residual[n] / max(blocks.norm[n], 1e-300)),
-            )
-        except (TensorValidationError, NotCommutingError) as err:
-            results[n] = err
+    results = _first_bianchi_errors(blocks.bianchi, blocks.scale, tol)
+    for n in np.flatnonzero(~blocks.commuting(tol)).tolist():
+        results[n] = results[n] or NotCommutingError(
+            "operator does not commute with the h-star; no normal form",
+            residual=float(blocks.residual[n] / max(blocks.norm[n], 1e-300)),
+        )
 
-    points = np.flatnonzero(valid)
+    points = np.flatnonzero([r is None for r in results])
     frames = _pairing_frames(blocks.up[points], blocks.um[points])
     # g-orthogonal candidates: the six pairings, then the eigenframe of g
     candidate = np.zeros((len(points), len(_PAIRINGS) + 1), dtype=bool)
@@ -567,10 +565,7 @@ def normal_form_4(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) -> Norm
     FrameReconstructionError
         If the components in the frame miss the pattern; carries diagnostics.
     """
-    nf = _normal_form_of(rm, h, None, tol)[1]
-    if isinstance(nf, GeometryError):
-        raise nf
-    return nf
+    return _alone([_normal_form_of(rm, h, None, tol)[1]])
 
 
 def orthogonal_normal_form_4(
@@ -616,10 +611,7 @@ def preferred_normal_form_4(
     :func:`_normal_forms` for one point; the errors are those of
     :func:`normal_form_4`.
     """
-    nf = _normal_form_of(rm, h, g, tol)[1]
-    if isinstance(nf, GeometryError):
-        raise nf
-    return nf
+    return _alone([_normal_form_of(rm, h, g, tol)[1]])
 
 
 def _block_pattern(lambdas, mus) -> np.ndarray:

@@ -34,16 +34,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_forms import _ETA, _GRAM_L, _STAR_L, _adapted_components
-from .curvature import CurvatureTensor
-from .exceptions import DegenerateMetricError, DimensionError, GeometryError
+from .complex_forms import _ETA, _GRAM_L, _STAR_L, _adapted
+from .curvature import CurvatureTensor, component_matrix
+from .exceptions import DegenerateMetricError, DimensionError, GeometryError, _alone
+from .hodge import _frobenius
 from .normal_forms import (
     NormalForm4,
     ScaledNormalForm,
     _lambda2_blocks,
     _normal_forms,
 )
-from .zoo import _CHUNK, _sample_chunks
+from .zoo import _sample_chunks
 
 __all__ = [
     "IntegrandValue",
@@ -336,7 +337,7 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
         4-dimensional (``DimensionError``); the first such sample raises,
         after the points before it.
     """
-    return _integrate_chunks(_sample_chunks(samples, _CHUNK), tol)
+    return _integrate_chunks(_sample_chunks(samples), tol)
 
 
 def _integrate_chunks(chunks, tol: float = 1e-9) -> IntegrationResult:
@@ -438,6 +439,9 @@ class WeylSplitReport:
     lorentz_trace_residual: float
 
 
+_NOT_DIM_4 = "the Weyl split is specific to dim 4"
+
+
 def weyl_split_check(
     rm: CurvatureTensor, g: np.ndarray, t: np.ndarray, tol: float = 1e-9
 ) -> WeylSplitReport:
@@ -449,42 +453,50 @@ def weyl_split_check(
     anti-self-dual bivectors are ``(A + D)/2 +- sym(B) + (scal/12) I``.  All
     residuals are reported (never assumed): the commutator with the Lorentz
     star, the scalar curvature, ``w_plus + w_minus``, and the deviation of
-    the Lorentz trace from a multiple of the Lorentz metric.
+    the Lorentz trace from a multiple of the Lorentz metric.  This is
+    :func:`_weyl_splits` for one point, the stacked check that
+    ``curvforms einstein-check --metric lorentz`` runs on each chunk of a file.
 
     Raises
     ------
     TensorValidationError
         If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
+    NonUnitVectorError
+        If ``g(t, t)`` differs from 1 by more than ``tol``.
     """
     if rm.dim != 4:
-        raise DimensionError("the Weyl split is specific to dim 4")
-    r = rm.components
-    frame, k = _adapted_components(rm, g, t, tol, tol)
+        raise DimensionError(_NOT_DIM_4)
+    g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
+    return _alone(_weyl_splits(component_matrix(rm)[None], rm.components[None], g[None], t[None], tol))
 
-    scal = 0.0 - 2.0 * float(np.trace(k))  # +0.0, not -0.0, for a flat tensor
-    a, b, d = k[:3, :3], k[:3, 3:], k[3:, 3:]
-    half, sym = (a + d) / 2.0 + (scal / 12.0) * np.eye(3), (b + b.T) / 2.0
+
+def _weyl_splits(k0: np.ndarray, r: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> list:
+    """Per point of stacked pair matrices ``k0`` (N, 6, 6), dense components ``r``,
+    metrics ``g`` and vectors ``t``: its :class:`WeylSplitReport`, or its error
+    from :func:`curvforms.complex_forms._adapted` (``g(t, t)`` within ``tol``)."""
+    k, frames, errors = _adapted(k0, g, t, tol, tol)
+    scal = 0.0 - 2.0 * np.trace(k, axis1=1, axis2=2)  # +0.0, not -0.0, for a flat tensor
+    a, b, d = k[:, :3, :3], k[:, :3, 3:], k[:, 3:, 3:]
+    half = (a + d) / 2.0 + (scal / 12.0)[:, None, None] * np.eye(3)
+    sym = (b + np.swapaxes(b, 1, 2)) / 2.0
     w_plus, w_minus = half + sym, half - sym
     relation = w_plus + w_minus
 
     ml, sl = _GRAM_L @ k, _STAR_L.matrix
-    norm = max(float(np.linalg.norm(ml)), 1e-300)
-    commutator_residual = float(np.linalg.norm(ml @ sl - sl @ ml)) / norm
+    commutator = _frobenius(ml @ sl - sl @ ml) / np.maximum(_frobenius(ml), 1e-300)
 
     # the Lorentz trace read in the frame; g_L^-1 = f eta f^T in input coordinates
-    trace = frame.T @ np.einsum("jl,jabl->ab", frame @ _ETA @ frame.T, r, optimize=True) @ frame
-    f = float(np.trace(_ETA @ trace)) / 4.0
-    return WeylSplitReport(
-        w_plus=w_plus,
-        w_minus=w_minus,
-        relation=relation,
-        relation_residual=float(np.max(np.abs(relation))),
-        commutes=commutator_residual <= tol,
-        commutator_residual=commutator_residual,
-        scal=scal,
-        f_fitted=f,
-        lorentz_trace_residual=float(np.max(np.abs(trace - f * _ETA))),
+    ft = np.swapaxes(frames, 1, 2)
+    trace = ft @ np.einsum("njl,njabl->nab", frames @ _ETA @ ft, r, optimize=True) @ frames
+    f = np.trace(_ETA @ trace, axis1=1, axis2=2) / 4.0
+    columns = (
+        np.max(np.abs(relation), axis=(1, 2)), commutator <= tol, commutator, scal, f,
+        np.max(np.abs(trace - f[:, None, None] * _ETA), axis=(1, 2)),
     )
+    return [
+        error or WeylSplitReport(wp, wm, rel, *values)
+        for error, wp, wm, rel, *values in zip(errors, w_plus, w_minus, relation, *(c.tolist() for c in columns))
+    ]
 
 
 # ---- connected sums ----

@@ -38,6 +38,7 @@ from .exceptions import (
     NonUnitVectorError,
     SampleFormatError,
     TensorValidationError,
+    _stacked_or_alone,
 )
 from .normal_forms import _pattern_components, h_orthonormal_frame
 
@@ -82,12 +83,12 @@ class PointSample:
 def validate_sample(sample: PointSample, tol: float = 1e-9) -> None:
     """Check every invariant of a sample; raise on the first violation.
 
-    The metrics must be symmetric positive definite, ``t`` (when present)
-    must be a g-unit vector within ``tol``, the weight must be a real number
-    (not a ``bool``) that is finite and nonnegative, and the curvature
-    components must pass :func:`validate_curvature` at ``tol``.  This is the
-    one-point call of the stacked check that ``curvforms validate`` runs on
-    each chunk of a file.
+    The metrics must be finite, symmetric and positive definite, ``t`` (when
+    present) must be a finite g-unit vector within ``tol``, the weight must be
+    a real number (not a ``bool``) that is finite and nonnegative, and the
+    curvature components must pass :func:`validate_curvature` at ``tol``.
+    This is the one-point call of the stacked check that ``curvforms
+    validate`` runs on each chunk of a file.
     """
     error = _sample_error(sample, tol)
     if error is not None:
@@ -104,29 +105,25 @@ def _sample_error(sample: PointSample, tol: float):
 
 
 def _chunk_errors(chunk, tol: float) -> list:
-    """The first violation of every point of a :class:`_Chunk` (None where it has
-    none), in point order: one stacked check of its dimension-4 points, and the
-    check of :func:`validate_sample` for each of the others."""
-    errors = {index: _sample_error(sample, tol) for index, sample in chunk.others}
-    if len(chunk.index):
-        weights, r = chunk.weights.tolist(), _dense(chunk.k0, chunk.listed)
-        # h defaults to g, so checking it where it is absent repeats g's verdict
-        stack = _stack_errors(4, chunk.g, chunk.h, chunk.t, weights, 4, r, tol)
-        errors.update(zip(chunk.index.tolist(), stack))
-    return [errors[index] for index in range(chunk.start, chunk.start + chunk.size)]
+    """The first violation of every dimension-4 point of a :class:`_Chunk` (None
+    where it has none), in order: one stacked check."""
+    r, has_t = _dense(chunk.k0, chunk.listed), ~np.isnan(chunk.t[:, 0])
+    # h defaults to g, so checking it where it is absent repeats g's verdict
+    return _stack_errors(4, chunk.g, chunk.h, chunk.t, chunk.weights.tolist(), 4, r, tol, has_t)
 
 
-def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float) -> list:
+def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float, has_t=None) -> list:
     """The first violation of every point of a stack, or None where it has none.
 
     ``g`` and ``h`` are (N, dim, dim) (``h`` None when no point has one), ``t``
-    (N, dim) or None (a row of NaN, an absent ``T``, passes), ``weights`` a list,
-    ``r`` the dense curvature components (N, dim, dim, dim, dim) of dimension
+    (N, dim) or None, ``has_t`` (N,) where ``t`` is given (default: every row;
+    the other rows, NaN in a :class:`_Chunk`, pass), ``weights`` a list, ``r``
+    the dense curvature components (N, dim, dim, dim, dim) of dimension
     ``rm_dim``.  The checks and their order are :func:`validate_sample`'s; a
     check runs only while some point has passed every check before it.
     """
     errors = [None] * len(weights)
-    for bad, error in _violations(dim, g, h, t, weights, rm_dim, r, tol):
+    for bad, error in _violations(dim, g, h, t, has_t, weights, rm_dim, r, tol):
         for p in np.flatnonzero(np.broadcast_to(bad, len(errors))).tolist():
             if errors[p] is None:
                 errors[p] = error(p)
@@ -135,7 +132,7 @@ def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float) -> lis
     return errors
 
 
-def _violations(dim, g, h, t, weights, rm_dim, r, tol):
+def _violations(dim, g, h, t, has_t, weights, rm_dim, r, tol):
     """The checks of :func:`_stack_errors`, in order: a mask of the points that fail
     (a plain ``True`` when all do), and the error of failing point ``p``."""
     yield from _metric_violations(g, dim, "g", tol)
@@ -145,6 +142,8 @@ def _violations(dim, g, h, t, weights, rm_dim, r, tol):
         if t.shape[1:] != (dim,):
             yield True, lambda p: DimensionError(f"T must have {dim} components")
             return
+        finite = np.isfinite(t).all(axis=1)
+        yield ~finite if has_t is None else has_t & ~finite, lambda p: NonUnitVectorError("T must be finite")
         tt = ((t[:, None] @ g) @ t[:, :, None])[:, 0, 0]
         yield np.abs(tt - 1.0) > tol, lambda p: NonUnitVectorError(f"g(T, T) = {tt[p]:.12g}, expected 1")
     yield (
@@ -166,23 +165,18 @@ def _metric_violations(m: np.ndarray, dim: int, name: str, tol: float):
     if m.shape[1:] != (dim, dim):
         yield True, lambda p: DimensionError(f"{name} must be {dim}x{dim}, got {m.shape[1:]}")
         return
+    yield ~np.isfinite(m).all(axis=(1, 2)), lambda p: DegenerateMetricError(f"{name} must be finite")
     mt = np.swapaxes(m, 1, 2)
     scale = np.maximum(np.max(np.abs(m), axis=(1, 2)), 1e-300)
     yield (
         np.max(np.abs(m - mt), axis=(1, 2)) > tol * scale,
         lambda p: DegenerateMetricError(f"{name} must be symmetric"),
     )
-    sym = 0.5 * (m + mt)
-    try:
-        lowest = np.linalg.eigvalsh(sym)[:, 0]
-    except np.linalg.LinAlgError:  # a point's failure to converge is that point's error
-        lowest, failures = np.zeros(len(m)), {}
-        for p, matrix in enumerate(sym):
-            try:
-                lowest[p] = np.linalg.eigvalsh(matrix)[0]
-            except np.linalg.LinAlgError as err:
-                failures[p] = err
-        yield np.isin(np.arange(len(m)), list(failures)), failures.get
+    lowest = _stacked_or_alone(lambda s: np.linalg.eigvalsh(s)[:, 0], 0.5 * (m + mt))
+    if isinstance(lowest, list):  # a point's failure to converge is that point's error
+        failed = [isinstance(x, np.linalg.LinAlgError) for x in lowest]
+        yield failed, lowest.__getitem__
+        lowest = np.array([0.0 if f else x for f, x in zip(failed, lowest)])
     yield lowest <= 0, lambda p: DegenerateMetricError(f"{name} must be positive definite")
 
 
@@ -370,7 +364,7 @@ def read_samples(path) -> list:
     sample is bit-identical to :func:`sample_from_json` of its line, and every
     :class:`SampleFormatError` is the one that function raises.
     """
-    return [sample for chunk in _read_chunks(path, _CHUNK) for sample in _chunk_samples(chunk)]
+    return [sample for chunk in _read_chunks(path) for sample in _chunk_samples(chunk)]
 
 
 def _chunk_samples(chunk) -> list:
@@ -395,7 +389,7 @@ def _chunk_samples(chunk) -> list:
 
 # ---- stacked dimension-4 reading ----
 
-# lines per chunk of the stacked reader: a streamed file is never held whole
+# points per chunk of every stacked reader: a streamed file is never held whole
 _CHUNK = 256
 
 _REQUIRED_KEYS = frozenset(("dim", "g", "rm", "weight"))
@@ -436,8 +430,8 @@ class _Chunk:
     others: list
 
 
-def _read_chunks(path, size: int):
-    """The points of a sample file, ``size`` lines per :class:`_Chunk`.
+def _read_chunks(path, size: int | None = None):
+    """The points of a sample file, ``size`` (default :data:`_CHUNK`) lines per :class:`_Chunk`.
 
     Each line is decoded once and the dimension-4 rows of the chunk are
     scattered straight into ``K_0`` by ``curvature._scatter_rows``, the
@@ -449,7 +443,7 @@ def _read_chunks(path, size: int):
     bad line.
     """
     start = 0
-    for lines in _line_chunks(path, size):
+    for lines in _line_chunks(path, size or _CHUNK):
         try:
             chunk = _decode_chunk(lines, start)
         except (ValueError, TypeError, OverflowError):
@@ -460,12 +454,12 @@ def _read_chunks(path, size: int):
         start += len(lines)
 
 
-def _sample_chunks(samples, size: int):
-    """The points of ``samples`` (any iterable), ``size`` per :class:`_Chunk`; a sample
+def _sample_chunks(samples):
+    """The points of ``samples`` (any iterable), :data:`_CHUNK` per :class:`_Chunk`; a sample
     of another dimension than 4, or whose weight is not a real number (a ``bool`` is
     not), is one of ``others``."""
     samples, start = iter(samples), 0
-    while batch := list(islice(samples, size)):
+    while batch := list(islice(samples, _CHUNK)):
         four, weights, others = [], [], []
         for n, sample in enumerate(batch, start):
             weight = _real(getattr(sample, "weight", None))

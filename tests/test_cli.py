@@ -1,5 +1,6 @@
 """Tests for the batch command line."""
 
+import dataclasses
 import gzip
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import zlib
 from pathlib import Path
 
@@ -15,14 +17,15 @@ import numpy.testing as npt
 import pytest
 
 import curvforms
-from curvforms import cli, normal_forms, topology, zoo
+from curvforms import cli, complex_forms, normal_forms, topology, zoo
 from curvforms.cli import main
-from curvforms.complex_forms import complex_case_matrix
+from curvforms.complex_forms import classify_complex, complex_case_matrix
 from curvforms.curvature import space_form
 from curvforms.exceptions import GeometryError, SampleFormatError, TensorValidationError
-from curvforms.normal_forms import canonical_pairs, preferred_normal_form_4
-from curvforms.topology import _CHUNK
+from curvforms.normal_forms import canonical_pairs, is_star_h_einstein, preferred_normal_form_4
+from curvforms.topology import weyl_split_check
 from curvforms.zoo import (
+    _CHUNK,
     PointSample,
     gen_product_spheres,
     gen_space_form,
@@ -277,6 +280,12 @@ def chunked_file(tmp_path):
     return str(path)
 
 
+# a point whose Lambda^2 values overflow, so that the eigensolver fails on it
+OVERFLOWING = PointSample(
+    dim=4, g=1e-300 * np.eye(4), rm=space_form(4, 1e300), weight=1.0, t=np.array([1e150, 0.0, 0.0, 0.0])
+)
+
+
 class TestNormalFormChunks:
     def test_entries_equal_the_per_point_path(self, tmp_path, capsys):
         path = chunked_file(tmp_path)
@@ -341,9 +350,7 @@ class TestNormalFormChunks:
     # the point's Lambda^2 components overflow, as intended
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_an_overflowing_point_fails_alone(self, tmp_path, capsys, monkeypatch):
-        overflowing = PointSample(
-            dim=4, g=1e-300 * np.eye(4), rm=space_form(4, 1e300), weight=1.0, t=np.array([1e150, 0.0, 0.0, 0.0])
-        )
+        overflowing = OVERFLOWING
         lines = star_h_lines(2, seed=19)
         lines.insert(1, sample_to_json(overflowing))
         path = tmp_path / "overflow.jsonl"
@@ -351,7 +358,7 @@ class TestNormalFormChunks:
         assert run(capsys, "validate", str(path))[0] == 0
         reports = []
         for chunk in (1, _CHUNK):
-            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            monkeypatch.setattr(zoo, "_CHUNK", chunk)
             reports.append(run(capsys, "normal-form", str(path), "--format", "json"))
         assert reports[0] == reports[1]
         code, out, _ = reports[0]
@@ -479,8 +486,7 @@ class TestIntegrate:
     def test_the_first_error_is_that_of_integrate_samples(
         self, tmp_path, capsys, monkeypatch, chunk, bad
     ):
-        monkeypatch.setattr(topology, "_CHUNK", chunk)
-        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        monkeypatch.setattr(zoo, "_CHUNK", chunk)
         lines = star_h_lines(20)
         replacement = {
             "dim 3": sample_to_json(next(iter(gen_space_form(3, 1.0, 2)))),
@@ -718,13 +724,24 @@ def per_point_report(lines, path, tol=1e-9):
     return report
 
 
+# the commands that read a file chunk by chunk and report every point
+STREAMED_COMMANDS = [
+    "validate",
+    "einstein-check --metric g",
+    "einstein-check --metric h",
+    "einstein-check --metric lorentz",
+    "normal-form",
+    "petrov",
+]
+
+
 # the metric of 1e308 overflows its symmetrized sum, as intended
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestValidateChunks:
     @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
     @pytest.mark.parametrize("chunk", [7, _CHUNK])
     def test_reports_equal_the_per_point_verdicts(self, tmp_path, capsys, monkeypatch, suffix, chunk):
-        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        monkeypatch.setattr(zoo, "_CHUNK", chunk)
         lines = failure_kinds_lines()
         path = tmp_path / f"kinds{suffix}"
         with (gzip.open if suffix.endswith(".gz") else open)(path, "wt", encoding="utf-8") as fh:
@@ -763,22 +780,253 @@ class TestValidateChunks:
             monkeypatch.setattr(zoo, name, refuse)
         assert run(capsys, "validate", str(path), "--format", "json") == (1, expected, "")
 
-    def test_the_command_holds_one_chunk_at_a_time(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "read_samples", None, raising=False)
+    @pytest.mark.parametrize("command", STREAMED_COMMANDS)
+    def test_the_command_holds_one_chunk_at_a_time(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the whole file was read")
+
+        monkeypatch.setattr(zoo, "read_samples", refuse)
         chunks = []
 
-        def counted(path, size):
+        def counted(path, size=None):
             for chunk in zoo._read_chunks(path, size):
                 chunks.append(chunk.size)
                 yield chunk
 
         monkeypatch.setattr(cli, "_read_chunks", counted)
-        monkeypatch.setattr(cli, "_CHUNK", 7)
+        monkeypatch.setattr(zoo, "_CHUNK", 7)
         lines = failure_kinds_lines()
         path = tmp_path / "kinds.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code, _, _ = run(capsys, "validate", str(path))
+        code, _, _ = run(capsys, *command.split(), str(path))
         assert code == 1 and chunks == [7] * (len(lines) // 7) + [len(lines) % 7]
+
+
+# ---- einstein-check and petrov on the stacked reader ----
+
+def analysis_kinds_lines():
+    """failure_kinds_lines and a point of every error branch of einstein-check and
+    petrov: first-Bianchi breakers with T (one also with a non-unit T), an
+    indefinite g with a unit T, flat tensors with T (one non-unit), product
+    spheres with T (not Lorentz-commuting), a star-L point whose g(T, T) is
+    1 + 4e-9, a dimension-3 point with h and T, and a point whose Lambda^2
+    values overflow."""
+    with_t = BIANCHI_BREAKER.replace('"rm"', '"T": [1, 0, 0, 0], "rm"')
+    product = next(iter(gen_product_spheres(1.0, 2.0, 2)))
+    star_l = json.loads(next(line for line in mixed_lines() if '"T"' in line))
+    star_l["T"] = [x * (1.0 + 2e-9) for x in star_l["T"]]
+    dim3 = next(iter(gen_space_form(3, 1.0, 2)))
+    extra = [
+        with_t,
+        with_t.replace("[1, 0, 0, 0]", "[0, 2, 0, 0]"),
+        with_t.replace("0.3]]", "0.0]]").replace("0, 0, 0, 1]", "0, 0, 0, -1]"),
+        '{"dim": 4, "g": [1, 0, 1, 0, 0, 1, 0, 0, 0, 1], "T": [1, 0, 0, 0], "rm": [], "weight": 1}',
+        '{"dim": 4, "g": [1, 0, 1, 0, 0, 1, 0, 0, 0, 1], "T": [3, 0, 0, 0], "rm": [], "weight": 1}',
+        sample_to_json(dataclasses.replace(product, t=np.array([0.0, 1.0, 0.0, 0.0]))),
+        json.dumps(star_l),
+        sample_to_json(dataclasses.replace(dim3, h=2.0 * np.eye(3), t=np.array([1.0, 0.0, 0.0]))),
+        sample_to_json(OVERFLOWING),
+    ]
+    lines = failure_kinds_lines()
+    for k, line in enumerate(extra):
+        lines.insert(3 * k + 1, line)
+    return lines
+
+
+def einstein_reference(index, sample, metric, tol):
+    """The entry of the per-point einstein-check closure that the command ran before it streamed."""
+    try:
+        g = np.asarray(sample.g, dtype=float)
+        if metric == "lorentz":
+            if sample.t is None:
+                raise GeometryError("sample has no T vector")
+            rep = weyl_split_check(sample.rm, g, np.asarray(sample.t, dtype=float), tol=tol)
+            return {
+                "index": index,
+                "einstein": bool(rep.commutes),
+                "residual": rep.commutator_residual,
+                "scal": rep.scal,
+                "f": rep.f_fitted,
+                "trace_residual": rep.lorentz_trace_residual,
+            }
+        if metric == "h":
+            if sample.h is None:
+                raise GeometryError("sample has no h metric")
+            hm = np.asarray(sample.h, dtype=float)
+        else:
+            hm = g
+        rep = is_star_h_einstein(sample.rm, hm, tol=tol)
+        return {
+            "index": index,
+            "einstein": bool(rep.is_einstein),
+            "residual": rep.commutator_residual / max(rep.operator_norm, 1e-300),
+            "f": rep.f_fitted,
+            "trace_residual": rep.trace_residual,
+        }
+    except (GeometryError, ValueError) as err:
+        return {"index": index, "error": str(err)}
+
+
+def petrov_reference(index, sample, tol):
+    """The entry of the per-point petrov closure that the command ran before it streamed."""
+    try:
+        if sample.t is None:
+            raise GeometryError("sample has no T vector")
+        form = classify_complex(
+            sample.rm, np.asarray(sample.g, dtype=float), np.asarray(sample.t, dtype=float), tol=tol
+        )
+        return {"index": index, "case": form.case_id}
+    except (GeometryError, ValueError) as err:
+        return {"index": index, "error": str(err)}
+
+
+def reference_report(command, path, tol):
+    """The report of ``command`` built one point at a time from read_samples and the library."""
+    name, *flags = command.split()
+    samples = read_samples(path)
+    if name == "petrov":
+        points = [petrov_reference(i, s, tol) for i, s in enumerate(samples)]
+        histogram, extra = {}, {}
+        for p in points:
+            key = "error" if "error" in p else f"case {p['case']}"
+            histogram[key] = histogram.get(key, 0) + 1
+        columns = ["index", "case", "error"]
+    else:
+        metric = flags[-1]
+        points = [einstein_reference(i, s, metric, tol) for i, s in enumerate(samples)]
+        histogram, extra = {"true": 0, "false": 0, "error": 0}, {"flags": {"metric": metric}}
+        for p in points:
+            histogram["error" if "error" in p else str(p["einstein"]).lower()] += 1
+        columns = ["index", "einstein", "residual", "f", "trace_residual", "scal", "error"]
+    report = {
+        "command": name, "version": curvforms.__version__, "tolerances": {"tol": tol}, "file": str(path),
+        **extra, "points": points, "aggregate": {"points": len(points), "histogram": histogram},
+    }
+    return (0 if histogram.get("error", 0) == 0 else 1), report, columns
+
+
+ANALYSES = [
+    "einstein-check --metric g",
+    "einstein-check --metric h",
+    "einstein-check --metric lorentz",
+    "petrov",
+]
+
+
+# the overflowing point and the metric of 1e308 overflow, as intended
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestAnalysisChunks:
+    @pytest.mark.parametrize("command", ANALYSES)
+    @pytest.mark.parametrize("lines", ["chunked", "kinds"])
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_reports_equal_the_per_point_closures(self, tmp_path, capsys, monkeypatch, command, lines, chunk):
+        if lines == "chunked":
+            path, tols = chunked_file(tmp_path), [1e-9]
+        else:
+            path, tols = tmp_path / "kinds.jsonl", [1e-9, 1e-6]
+            path.write_text("\n".join(analysis_kinds_lines()) + "\n", encoding="utf-8")
+        monkeypatch.setattr(zoo, "_CHUNK", chunk)
+        for tol in tols:
+            code, report, columns = reference_report(command, path, tol)
+            got = run(capsys, *command.split(), str(path), "--tol", repr(tol), "--format", "json")
+            assert got == (code, cli.render_json(report), ""), tol
+            got = run(capsys, *command.split(), str(path), "--tol", repr(tol))
+            assert got == (code, cli.render_text(report, columns), ""), tol
+
+    def test_every_error_branch_is_reached(self, tmp_path):
+        path = tmp_path / "kinds.jsonl"
+        path.write_text("\n".join(analysis_kinds_lines()) + "\n", encoding="utf-8")
+        branches = [
+            "sample has no h metric", "sample has no T vector", "metric is not positive definite",
+            "first Bianchi identity violated", "g(T, T) = ", "could not complete t to a g-orthonormal frame",
+            "flat tensors have no complex classification", "operator does not commute with the star",
+            "the star-commuting test is specific to dim 4", "the Weyl split is specific to dim 4",
+            "complex classification is specific to dim 4", "Eigenvalues did not converge",
+        ]
+        errors = set()
+        for command in ANALYSES:
+            for tol in (1e-9, 1e-6):
+                points = reference_report(command, path, tol)[1]["points"]
+                assert any("error" not in p for p in points), command
+                errors.update(p["error"] for p in points if "error" in p)
+        for branch in branches:
+            assert any(e.startswith(branch) for e in errors), branch
+        assert all(any(e.startswith(branch) for branch in branches) for e in errors), errors
+
+    def test_the_added_points_meet_their_branches_in_order(self, tmp_path):
+        path = tmp_path / "kinds.jsonl"
+        path.write_text("\n".join(analysis_kinds_lines()) + "\n", encoding="utf-8")
+        bianchi, incomplete, off_unit = "first Bianchi identity", "could not complete", "g(T, T) = 1.0000000"
+        expected = {
+            "einstein-check --metric g": [
+                bianchi, bianchi, "metric is not positive definite", None, None, None, None,
+                "the star-commuting test", "Eigenvalues did not converge",
+            ],
+            "einstein-check --metric h": ["sample has no h metric"] * 7 + ["the star-commuting test", "sample has no h"],
+            "einstein-check --metric lorentz": [
+                bianchi, bianchi, incomplete, None, "g(T, T) = 9,", None, off_unit, "the Weyl split", incomplete,
+            ],
+            "petrov": [
+                bianchi, bianchi, "flat tensors", "flat tensors", "flat tensors", "operator does not commute",
+                off_unit, "complex classification", incomplete,
+            ],
+        }
+        for command, prefixes in expected.items():
+            for tol in (1e-9, 1e-6):
+                points = reference_report(command, path, tol)[1]["points"]
+                if command.endswith("lorentz") and tol == 1e-6:
+                    prefixes = prefixes[:6] + [None] + prefixes[7:]  # g(T, T) is within this tol
+                got = [points[3 * k + 1].get("error") for k in range(len(prefixes))]
+                assert [e if p is None else e and e[:len(p)] for e, p in zip(got, prefixes)] == prefixes, command
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_the_commands_read_no_sample_and_call_no_one_point_analysis(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-point call")
+
+        lines = [line for line in analysis_kinds_lines() if json.loads(line)["dim"] == 4]
+        path = tmp_path / "four.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = run(capsys, *command.split(), str(path), "--format", "json")
+        names = ("read_samples", "sample_from_json", "is_star_h_einstein", "weyl_split_check", "classify_complex")
+        for module in (curvforms, cli, zoo, normal_forms, topology, complex_forms):
+            for name in names:
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert run(capsys, *command.split(), str(path), "--format", "json") == expected
+
+    @pytest.mark.parametrize("command", ["normal-form", "einstein-check --metric g", *ANALYSES[2:]])
+    def test_an_overflowing_point_warns_once(self, tmp_path, capsys, monkeypatch, command):
+        lines = star_h_lines(2, seed=19)
+        lines.insert(1, sample_to_json(OVERFLOWING))
+        path = tmp_path / "overflow.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        reports, shown = [], []
+        for chunk in (1, _CHUNK):
+            monkeypatch.setattr(zoo, "_CHUNK", chunk)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                reports.append(run(capsys, *command.split(), str(path), "--format", "json"))
+            shown.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+        assert reports[0] == reports[1] and shown[0] == shown[1]
+        assert len(set(shown[0])) == len(shown[0])
+        if command in ("normal-form", "einstein-check --metric g"):
+            assert len(shown[0]) == 3 and reports[0][0] == (0 if command == "normal-form" else 1)
+            point = json.loads(reports[0][1])["points"][1]
+            assert point.get("note", point.get("error")) == "Eigenvalues did not converge"
+
+    def test_overflowing_points_in_many_chunks_warn_once_under_the_default_filters(self, tmp_path):
+        lines = star_h_lines(2, seed=19)
+        lines.insert(1, sample_to_json(OVERFLOWING))
+        path = tmp_path / "overflows.jsonl"
+        path.write_text("\n".join(lines * 100) + "\n", encoding="utf-8")  # two chunks, 100 overflowing points
+        env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        out = subprocess.run(
+            [sys.executable, "-m", "curvforms", "normal-form", str(path), "--format", "json"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        shown = [line for line in out.stderr.splitlines() if "RuntimeWarning" in line]
+        assert out.returncode == 0 and len(shown) == len(set(shown)) == 3, out.stderr
 
 
 GOOD_LINE = '{"dim": 4, "g": [1, 0, 1, 0, 0, 1, 0, 0, 0, 1], "rm": [[1, 2, 1, 2, -1.0]], "weight": 0.5}'
@@ -865,8 +1113,7 @@ class TestFormatErrors:
 
     def test_integrate_memory_does_not_grow_with_the_file(self, tmp_path, capsys, monkeypatch):
         chunk = 64  # a smaller chunk keeps the files small
-        monkeypatch.setattr(topology, "_CHUNK", chunk)
-        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        monkeypatch.setattr(zoo, "_CHUNK", chunk)
         lines = [sample_to_json(s) for s in gen_space_form(4, 1.0, (2, 2, 4, 4))]
 
         def peak(copies):
@@ -928,11 +1175,20 @@ class TestReports:
             return code, out.replace(json.dumps(str(path)), '"FILE"')
 
         reports = [report(plain), report(packed)]
-        # cli binds its own name for the chunk size of normal-form
+        chunks, line_chunks = [], zoo._line_chunks
+
+        def counted(path, size):
+            for lines in line_chunks(path, size):
+                chunks.append(len(lines))
+                yield lines
+
+        monkeypatch.setattr(zoo, "_line_chunks", counted)
+        lines = text.count("\n")
         for chunk in (1, 7):
-            monkeypatch.setattr(topology, "_CHUNK", chunk)
-            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            monkeypatch.setattr(zoo, "_CHUNK", chunk)  # the one chunk size of every reader
+            chunks.clear()
             reports.append(report(plain))
+            assert chunks == [chunk] * (lines // chunk) + [lines % chunk] * (lines % chunk > 0), chunk
         assert '"FILE"' in reports[0][1]
         assert reports[1:] == reports[:1] * 3
 

@@ -1,5 +1,6 @@
 """Tests for the complex 3x3 classification and the spacelike critical counter."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -33,6 +34,7 @@ from curvforms.curvature import (
     weyl_operator,
 )
 from curvforms.exceptions import (
+    DegenerateMetricError,
     GeometryError,
     NonUnitVectorError,
     NotCommutingError,
@@ -71,6 +73,92 @@ class TestAdaptedFrame:
     def test_non_unit_rejected(self):
         with pytest.raises(NonUnitVectorError):
             adapted_frame(np.eye(4), np.array([2.0, 0, 0, 0]))
+
+
+def adapted_frame_loop(g, t, tol=1e-9):
+    """The frame of :func:`adapted_frame` built one candidate at a time, as it was
+    before the stacked Gram-Schmidt, and the number of candidates rejected."""
+    n = g.shape[0]
+    tt = float(t @ g @ t)
+    if abs(tt - 1.0) > tol:
+        raise NonUnitVectorError(f"g(T, T) = {tt:.12g}, expected 1")
+    cols, rejected = [t / np.sqrt(tt)], 0
+    for candidate in np.eye(n):
+        v = candidate.copy()
+        for e in cols:
+            v = v - (e @ g @ v) * e
+        norm2 = float(v @ g @ v)
+        if norm2 > 1e-12:
+            cols.append(v / np.sqrt(norm2))
+        else:
+            rejected += 1
+        if len(cols) == n:
+            break
+    if len(cols) < n:
+        raise DegenerateMetricError("could not complete t to a g-orthonormal frame")
+    frame = np.stack(cols, axis=1)
+    if np.linalg.det(frame) < 0:
+        frame[:, -1] = -frame[:, -1]
+    return frame, rejected
+
+
+def adapted_inputs(rng, count):
+    """Seeded (g, t): random, along a basis vector (its candidate is rejected), in
+    the plane of two basis vectors (some near one of them), not g-unit, and with
+    an indefinite g."""
+    pairs = []
+    for k in range(count):
+        g = random_spd(rng, 4, spread=1.5)
+        kind = k % 5
+        t = rng.normal(size=4)
+        if kind == 1:
+            t = np.eye(4)[k % 4]
+        elif kind == 2:  # near a basis vector, its candidate's remainder near the 1e-12 bound
+            t = np.eye(4)[k % 4] + (rng.normal(), 3e-6, 5e-7)[k % 3] * np.eye(4)[(k + 1) % 4]
+        elif kind == 4:
+            g = np.diag(rng.uniform(0.5, 2.0, 4)) * np.array([1.0, 1.0, 1.0, -1.0])
+            t = np.eye(4)[k % 3]
+        t = t / np.sqrt(abs(t @ g @ t))
+        if kind == 3:
+            t = t * (1.0 + 1e-6 * rng.normal())
+        pairs.append((g, t))
+    return pairs
+
+
+class TestStackedAdaptedFrames:
+    def test_frames_and_errors_equal_the_loop_bit_for_bit(self):
+        pairs = adapted_inputs(np.random.default_rng(140), 400)
+        frames, errors = complex_forms._adapted_frames(
+            np.stack([g for g, _ in pairs]), np.stack([t for _, t in pairs]), 1e-9
+        )
+        outcomes = set()
+        for (g, t), frame, error in zip(pairs, frames, errors):
+            try:
+                want, rejected = adapted_frame_loop(g, t)
+            except (NonUnitVectorError, DegenerateMetricError) as err:
+                assert (type(error), str(error)) == (type(err), str(err))
+                outcomes.add(type(err))
+                continue
+            assert error is None and frame.tobytes() == want.tobytes()
+            assert adapted_frame(g, t).tobytes() == want.tobytes()
+            outcomes.add(rejected)
+        assert outcomes == {0, 1, NonUnitVectorError, DegenerateMetricError}
+
+    def test_k_of_the_criterion_07_instances_and_of_framed_samples_equals_the_loop_s(self):
+        samples = []
+        for case_id in (1, 2, 3, 4):
+            for i in range(100):
+                c = complex_case_matrix(case_id, np.random.default_rng(700_000 + 1000 * case_id + i))
+                samples.append(gen_synthetic_star_L(0.5 * (-c.real - c.real.T), 0.5 * (-c.imag - c.imag.T)))
+        samples += [star_l_sample(seed) for seed in range(100)]
+        stack = [np.stack(x) for x in zip(*((curvature.component_matrix(s.rm), s.g, s.t) for s in samples))]
+        k, frames, errors = complex_forms._adapted(*stack, 1e-9)
+        assert errors == [None] * len(samples)
+        for sample, kn, frame in zip(samples, k, frames):
+            want, _ = adapted_frame_loop(sample.g, sample.t)
+            assert frame.tobytes() == want.tobytes()
+            # the counter reads K alone, so equal K gives equal counts
+            assert kn.tobytes() == normal_forms._in_frame(curvature.component_matrix(sample.rm), want).tobytes()
 
 
 class TestCaseMatrices:
@@ -279,7 +367,7 @@ class TestCounter:
             rng = np.random.default_rng(700_000 + 1000 * case_id + i)
             c = complex_case_matrix(case_id, rng)
             sample = gen_synthetic_star_L(0.5 * (-c.real - c.real.T), 0.5 * (-c.imag - c.imag.T))
-            _, k = complex_forms._adapted_components(sample.rm, sample.g, sample.t)
+            k = complex_forms._adapted(curvature.component_matrix(sample.rm)[None], sample.g[None], sample.t[None], 1e-9)[0][0]
             norm_scale = max(1.0, float(np.linalg.norm(complex_forms._GRAM_L @ k)))
             for n_starts in (64, 128, 192):
                 count, planes = count_spacelike_critical(
@@ -346,6 +434,88 @@ def reference_weyl_split(rm, g, t, tol=1e-9):
         "f_fitted": f,
         "lorentz_trace_residual": np.max(np.abs(trace - f * ETA)),
     }
+
+
+def adapted_k_per_point(rm, g, t, tol=1e-9, unit_tol=1e-9):
+    """The adapted frame and K of one point as read before the stacked kernels."""
+    r = rm.components
+    curvature.check_first_bianchi_4(r[0, 1, 2, 3] + r[0, 2, 3, 1] + r[0, 3, 1, 2], rm.scale, tol)
+    frame, _ = adapted_frame_loop(g, t, unit_tol)
+    return frame, normal_forms._in_frame(curvature.component_matrix(rm), frame)
+
+
+def weyl_split_per_point(rm, g, t, tol=1e-9):
+    """The fields of :func:`weyl_split_check` as it computed them one point at a time."""
+    frame, k = adapted_k_per_point(rm, g, t, tol, tol)
+    scal = 0.0 - 2.0 * float(np.trace(k))
+    a, b, d = k[:3, :3], k[:3, 3:], k[3:, 3:]
+    half, sym = (a + d) / 2.0 + (scal / 12.0) * np.eye(3), (b + b.T) / 2.0
+    w_plus, w_minus = half + sym, half - sym
+    ml, sl = complex_forms._GRAM_L @ k, complex_forms._STAR_L.matrix
+    commutator = float(np.linalg.norm(ml @ sl - sl @ ml)) / max(float(np.linalg.norm(ml)), 1e-300)
+    trace = frame.T @ np.einsum("jl,jabl->ab", frame @ ETA @ frame.T, rm.components, optimize=True) @ frame
+    f = float(np.trace(ETA @ trace)) / 4.0
+    return [
+        w_plus, w_minus, w_plus + w_minus, float(np.max(np.abs(w_plus + w_minus))), commutator <= tol,
+        commutator, scal, f, float(np.max(np.abs(trace - f * ETA))),
+    ]
+
+
+def classification_per_point(rm, g, t, tol=1e-9):
+    """``C`` and the eigenvalue clusters of :func:`classify_complex` as it computed them one point at a time."""
+    if rm.scale == 0.0:
+        raise GeometryError("flat tensors have no complex classification")
+    _, k = adapted_k_per_point(rm, g, t, tol)
+    m, j = complex_forms._GRAM_L @ k, complex_forms._STAR_L.matrix
+    norm, resid = np.linalg.norm(m), np.linalg.norm(m @ j - j @ m)
+    if resid > tol * max(norm, 1e-300):
+        raise NotCommutingError(
+            f"operator does not commute with the star: relative residual {resid / max(norm, 1e-300):.3e} > {tol:g}"
+        )
+    b = np.eye(6)[:, :3]
+    coords = np.linalg.solve(np.hstack([b, j @ b]), m @ b)
+    c = coords[:3, :] + 1j * coords[3:, :]
+    vals = np.linalg.eigvals(c)
+    rho = float(np.max(np.abs(vals)))
+    width = max(1e-8, 1e-8 * rho, complex_forms._JORDAN_SMEAR * max(1.0, rho))
+    return c, complex_forms._cluster_eigenvalues(vals, width)
+
+
+class TestStackedLorentzReaders:
+    def test_the_stacks_equal_the_per_point_readers_bit_for_bit(self):
+        samples = [star_l_sample(seed) for seed in range(120)]
+        flat = dataclasses.replace(samples[0], rm=space_form(4, 0.0))
+        samples += [
+            flat, dataclasses.replace(flat, t=2.0 * flat.t), dataclasses.replace(samples[1], t=1.5 * samples[1].t),
+            dataclasses.replace(samples[2], rm=space_form(4, 1.0)),
+            dataclasses.replace(samples[3], rm=CurvatureTensor(4, samples[3].rm.components + space_form(4, 0.5).components)),
+            dataclasses.replace(samples[4], rm=validate_curvature([[1, 2, 3, 4, 0.5]], dim=4, tol=math.inf)),
+        ]
+        k0, r, g, t = (np.stack(x) for x in zip(*(
+            (curvature.component_matrix(s.rm), s.rm.components, s.g, s.t) for s in samples
+        )))
+        splits = topology._weyl_splits(k0, r, g, t, 1e-9)
+        forms = complex_forms._jordan_forms(k0, g, t, 1e-9)
+        outcomes = set()
+        for sample, split, form in zip(samples, splits, forms):
+            for stacked, reference in ((split, weyl_split_per_point), (form, classification_per_point)):
+                try:
+                    want = reference(sample.rm, sample.g, sample.t)
+                except GeometryError as err:
+                    assert (type(stacked), str(stacked)) == (type(err), str(err))
+                    outcomes.add(type(err))
+                    continue
+                if reference is classification_per_point:
+                    c, (reps, algs) = want
+                    assert stacked.c_matrix.tobytes() == c.tobytes()
+                    assert (repr(stacked.eigenvalues), stacked.algebraic_multiplicities) == (repr(tuple(reps)), tuple(algs))
+                    outcomes.add(stacked.case_id)
+                else:
+                    got = list(vars(stacked).values())
+                    assert [x.tobytes() for x in got[:3]] == [x.tobytes() for x in want[:3]]
+                    assert repr(got[3:]) == repr(want[3:])
+                    outcomes.add(stacked.commutes)
+        assert outcomes == {1, 2, 3, 4, True, False, GeometryError, TensorValidationError, NotCommutingError, NonUnitVectorError}
 
 
 class TestAdaptedFrameReading:

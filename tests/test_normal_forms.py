@@ -183,6 +183,47 @@ def random_generic_tensor(rng):
     return CurvatureTensor(dim=4, components=dense_from_entries(4, entries))
 
 
+def star_test_per_point(rm, h, tol=1e-9):
+    """The fields of :func:`is_star_h_einstein` as it computed them one point at a
+    time, before it became the one-point call of the stacked test."""
+    blocks = lambda2_blocks(rm.components[None], h[None])
+    blocks.check_bianchi(tol)
+    hinv = np.linalg.inv(h)
+    trace = np.einsum("jl,jabl->ab", hinv, rm.components, optimize=True)
+    f = float(np.trace(hinv @ trace)) / 4.0
+    fields = (bool(blocks.commuting(tol)[0]), float(blocks.residual[0]), float(blocks.norm[0]), f)
+    return fields + (float(np.max(np.abs(trace - f * h))), trace)
+
+
+class TestStackedStarTest:
+    def test_the_stack_equals_the_per_point_test_bit_for_bit(self):
+        rng = np.random.default_rng(1400)
+        rms, hs = [], []
+        for k in range(150):
+            h = random_spd(rng, 4)
+            rm = build_normal_form_tensor(rng, *random_lambda_mu(rng), h)[0] if k % 3 else random_generic_tensor(rng)
+            if k % 10 == 7:  # a first-Bianchi breaker
+                rm = CurvatureTensor(4, rm.components + dense_from_entries(4, [(0, 1, 2, 3, 0.1)]))
+            rms.append(rm)
+            hs.append(h)
+        r, h = np.stack([rm.components for rm in rms]), np.stack(hs)
+        reports = normal_forms._star_einstein(lambda2_blocks(r, h), r, h, 1e-9)
+        outcomes = set()
+        for rm, hn, report in zip(rms, hs, reports):
+            try:
+                *want, trace = star_test_per_point(rm, hn)
+            except TensorValidationError as err:
+                assert (type(report), str(report)) == (type(err), str(err))
+                outcomes.add("bianchi")
+                continue
+            got = [report.is_einstein, report.commutator_residual, report.operator_norm, report.f_fitted]
+            assert repr(got + [report.trace_residual]) == repr(want)
+            assert report.h_trace.tobytes() == trace.tobytes()
+            assert repr(vars(is_star_h_einstein(rm, hn))) == repr(vars(report))
+            outcomes.add(report.is_einstein)
+        assert outcomes == {True, False, "bianchi"}
+
+
 class TestLambda2Blocks:
     def test_matches_four_index_frame_change(self):
         # reference: K from the 256-entry frame change, blocks split by hand

@@ -16,7 +16,6 @@ from curvforms.curvature import space_form, validate_curvature
 from curvforms.exceptions import DegenerateMetricError, DimensionError, TensorValidationError
 from curvforms.normal_forms import NormalForm4, orthogonal_normal_form_4
 from curvforms.topology import (
-    _CHUNK,
     BUILDING_BLOCKS,
     BuildingBlock,
     chi_tau_densities,
@@ -26,7 +25,7 @@ from curvforms.topology import (
     parse_block_expression,
     weyl_split_check,
 )
-from curvforms.zoo import PointSample, gen_space_form, gen_synthetic_star_h
+from curvforms.zoo import _CHUNK, PointSample, gen_space_form, gen_synthetic_star_h
 
 RNG = np.random.default_rng(20260701)
 

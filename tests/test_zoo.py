@@ -136,6 +136,30 @@ class TestValidateSample:
         errors = zoo._stack_errors(4, g, None, None, [1.0, 1.0], 4, stack, 1e-9)
         assert errors[0] is None and (type(errors[1]), str(errors[1])) == (TensorValidationError, str(err.value))
 
+    # an infinite metric entry makes its symmetry residual inf - inf, as intended
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t_and_metric_entries_rejected(self, bad):
+        sample = next(iter(gen_space_form(4, 1.0, 2)))
+        g, h = np.eye(4), np.eye(4)
+        g[0, 0], h[2, 1] = bad, bad
+        cases = [
+            (dataclasses.replace(sample, t=np.array([bad, 0.0, 0.0, 0.0])), NonUnitVectorError, "T must be finite"),
+            (dataclasses.replace(sample, g=g), DegenerateMetricError, "g must be finite"),
+            (dataclasses.replace(sample, h=h), DegenerateMetricError, "h must be finite"),
+        ]
+        for broken, kind, message in cases:
+            with pytest.raises(kind, match=f"^{message}$"):
+                validate_sample(broken)
+        # in a stack, a row of NaN where has_t is False is an absent T and passes
+        t = np.array([[np.nan] * 4, [1.0, 0.0, 0.0, 0.0], [bad, 0.0, 0.0, 0.0], [np.nan] * 4])
+        r = np.stack([sample.rm.components] * 4)
+        has_t = np.array([False, True, True, True])
+        errors = zoo._stack_errors(4, np.stack([np.eye(4)] * 4), None, t, [1.0] * 4, 4, r, 1e-9, has_t)
+        assert [None if e is None else (type(e), str(e)) for e in errors] == [
+            None, None, (NonUnitVectorError, "T must be finite"), (NonUnitVectorError, "T must be finite")
+        ]
+
     def test_the_stacked_check_keeps_each_point_s_first_violation(self):
         rng = np.random.default_rng(10)
         samples = [random_star_h_sample(rng)[0] for _ in range(6)]
