@@ -10,9 +10,9 @@ integrate        weighted Euler/signature totals and the identity residual
 sums             connected-sum bookkeeping and the obstruction verdict
 
 Reports are deterministic: the same input file and flags produce
-byte-identical output.  Point analyses run on one thread in index order;
-``--threads`` is still accepted and validated but changes nothing.  Exit codes:
-0 analysis complete, 1 analysis-level failure, 2 usage or format error.
+byte-identical output.  Point analyses run on one thread in index order.
+Exit codes: 0 analysis complete, 1 analysis-level failure, 2 usage or format
+error.
 Non-finite report values serialize as ``null`` in JSON and ``-`` in text.
 
 The reader checks structure only and completes each tensor by its index
@@ -56,13 +56,6 @@ __all__ = ["build_parser", "main"]
 
 
 # ---- shared plumbing ----
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
 
 
 def _tolerance(text: str) -> float:
@@ -387,12 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=_tolerance, default=1e-9, help="analysis tolerance")
     common.add_argument(
         "--format", choices=("json", "text"), default="text", help="report format"
-    )
-    common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=None,
-        help="accepted for compatibility; has no effect (analyses run on one thread)",
     )
     common.add_argument(
         "-o", "--output", metavar="FILE", default=None, help="write the report to FILE"

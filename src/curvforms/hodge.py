@@ -182,11 +182,11 @@ def sd_asd_basis(star: HodgeStar, tol: float = 1e-12) -> SdAsdBasis:
         and np.max(np.abs(star.gram - np.eye(6))) <= tol
     ):
         return SdAsdBasis(plus=_CANONICAL_PLUS.copy(), minus=_CANONICAL_MINUS.copy())
-    import scipy.linalg  # a third of the package's import time; only this split needs it
-
-    # star is gram-self-adjoint, so gram @ star is symmetric: generalized
-    # symmetric eigenproblem returns gram-orthonormal eigenvectors
-    vals, vecs = scipy.linalg.eigh(star.gram @ star.matrix, star.gram)
+    # star is gram-self-adjoint, so with gram = L L^T the eigenvectors y of the
+    # symmetric L^-1 (gram @ star) L^-T give gram-orthonormal ones, L^-T y
+    chol = np.linalg.cholesky(star.gram)
+    vals, y = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, star.gram @ star.matrix).T))
+    vecs = np.linalg.solve(chol.T, y)
     order = np.argsort(vals)
     vecs = vecs[:, order]
     vals = vals[order]

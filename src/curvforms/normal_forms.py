@@ -175,10 +175,12 @@ class ScaledNormalForm:
 
     @classmethod
     def rescale(cls, c, lambdas, mus) -> "ScaledNormalForm":
-        """The rescaled triples of the values ``(lambdas, mus)`` for the lengths ``c``."""
+        """The rescaled triples of the values ``(lambdas, mus)``, shape (..., 3), for
+        the lengths ``c``, shape (..., 4): one normal form, or a stack of them
+        (leading axes broadcast)."""
         l, c2 = np.asarray(lambdas, dtype=float), c**2
-        lt, kt = c2[0] * c2[1:] * l, c2[[2, 1, 1]] * c2[[3, 3, 2]] * l
-        return cls(c, lt, kt, float(np.prod(c)) * np.asarray(mus, dtype=float))
+        lt, kt = c2[..., :1] * c2[..., 1:] * l, c2[..., [2, 1, 1]] * c2[..., [3, 3, 2]] * l
+        return cls(c, lt, kt, np.prod(c, axis=-1)[..., None] * np.asarray(mus, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .complex_forms import _ETA, _GRAM_L, _STAR_L, _adapted
 from .curvature import CurvatureTensor, component_matrix
-from .exceptions import DegenerateMetricError, DimensionError, GeometryError, _alone
+from .exceptions import DegenerateMetricError, DimensionError, GeometryError, _alone, _stacked_or_alone
 from .hodge import _frobenius
 from .normal_forms import (
     NormalForm4,
@@ -91,9 +91,8 @@ class IntegrandValue:
     scaled: ScaledNormalForm | None = None
 
 
-def _det_minor(gi: np.ndarray, i: int, j: int) -> float:
-    # det C_ij = g^ii g^jj - (g^ij)^2, a 2x2 principal minor of the inverse
-    return float(gi[i, i] * gi[j, j] - gi[i, j] ** 2)
+# the fields of IntegrandValue that every frame has; the others need a g-orthogonal one
+_FRAME_TERMS = ("chi_density", "tau_density", "sqrt_det_g", "tau_density_gvol")
 
 
 def chi_tau_densities(
@@ -135,87 +134,83 @@ def chi_tau_densities(
 
     both per unit frame volume.  For a g-orthonormal frame these collapse to
     ``(1/4 pi^2) sum (l_i^2 + m_i^2)`` and ``(1/3 pi^2) sum l_i m_i``.
+
+    This is the N = 1 call of :func:`_densities`, the stacked density that
+    :func:`integrate_samples` and ``curvforms integrate`` run on the
+    general-frame points of each chunk.
     """
     gi = np.asarray(g_inverse_in_frame, dtype=float)
     if gi.shape != (4, 4):
         raise DimensionError("g_inverse_in_frame must be 4x4")
-    if np.max(np.abs(gi - gi.T)) > tol * max(1.0, float(np.max(np.abs(gi)))):
-        raise DegenerateMetricError("inverse metric must be symmetric")
-    gi = 0.5 * (gi + gi.T)
-    eigs = np.linalg.eigvalsh(gi)
-    if eigs[0] <= 0:
-        raise DegenerateMetricError("inverse metric must be positive definite")
+    l, m = (np.asarray(v, dtype=float)[None] for v in (nf.lambdas, nf.mus))
+    terms, scaled, (orthogonal,), (error,) = _densities(l, m, gi[None], tol)
+    return _alone([error or IntegrandValue(
+        **{k: float(v[0]) for k, v in terms.items() if orthogonal or k in _FRAME_TERMS},
+        orthogonal=bool(orthogonal),
+        scaled=ScaledNormalForm(*(getattr(scaled, f.name)[0] for f in fields(scaled))) if orthogonal else None,
+    )])
 
-    l = np.asarray(nf.lambdas, dtype=float)
-    m = np.asarray(nf.mus, dtype=float)
-    sq = l**2 + m**2
 
-    c12, c13, c14 = (_det_minor(gi, 0, j) for j in (1, 2, 3))
-    c23, c24, c34 = _det_minor(gi, 1, 2), _det_minor(gi, 1, 3), _det_minor(gi, 2, 3)
-    x1 = gi[1, 2] * gi[3, 0] - gi[0, 2] * gi[1, 3]
-    x2 = gi[0, 1] * gi[2, 3] - gi[0, 3] * gi[2, 1]
-    x3 = gi[1, 3] * gi[0, 2] - gi[0, 1] * gi[2, 3]
+def _densities(lambdas: np.ndarray, mus: np.ndarray, gi: np.ndarray, tol: float) -> tuple:
+    """:func:`chi_tau_densities` of stacked values ``lambdas``, ``mus`` (N, 3) and
+    inverse metrics ``gi`` (N, 4, 4): the float fields of :class:`IntegrandValue`
+    as (N,) arrays in a dict, the stacked :class:`ScaledNormalForm`, the
+    ``orthogonal`` mask and each point's error, or None: an asymmetric ``gi``, a
+    failed eigensolve, then one not positive definite.  The terms of a point
+    with an error are those of ``gi = I``, ``l = m = 0``."""
+    gt = np.swapaxes(gi, 1, 2)
+    asymmetric = np.max(np.abs(gi - gt), axis=(1, 2)) > tol * np.maximum(1.0, np.max(np.abs(gi), axis=(1, 2)))
+    gi = 0.5 * (gi + gt)
+    lowest = _stacked_or_alone(lambda s: np.linalg.eigvalsh(s)[:, :1], gi)  # or a point's LinAlgError
+    errors = [
+        DegenerateMetricError("inverse metric must be symmetric") if a else e if isinstance(e, Exception)
+        else DegenerateMetricError("inverse metric must be positive definite") if e[0] <= 0 else None
+        for a, e in zip(asymmetric.tolist(), lowest)
+    ]
+    ok = np.array([e is None for e in errors], dtype=bool)[:, None]
+    gi = np.where(ok[:, :, None], gi, np.eye(4))
+    l, m = np.where(ok, lambdas, 0.0), np.where(ok, mus, 0.0)
+    (l1, l2, l3), (m1, m2, m3), (s1, s2, s3) = l.T, m.T, (l**2 + m**2).T
+
+    d = np.diagonal(gi, axis1=1, axis2=2)
+    minors = d[:, :, None] * d[:, None, :] - gi**2  # det C_ij at [:, i - 1, j - 1]
+    c12, c13, c14, c23, c24, c34 = minors[:, [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]].T
+    x1 = gi[:, 1, 2] * gi[:, 3, 0] - gi[:, 0, 2] * gi[:, 1, 3]
+    x2 = gi[:, 0, 1] * gi[:, 2, 3] - gi[:, 0, 3] * gi[:, 2, 1]
+    x3 = gi[:, 1, 3] * gi[:, 0, 2] - gi[:, 0, 1] * gi[:, 2, 3]
 
     chi_bracket = (
-        (c13 + c23 + c14 + c24) * sq[0]
-        + (c14 + c34 + c12 + c23) * sq[1]
-        + (c34 + c24 + c12 + c13) * sq[2]
-        + 4.0 * x1 * l[0] * m[0]
-        + 4.0 * x2 * l[1] * m[1]
-        + 4.0 * x3 * l[2] * m[2]
+        (c13 + c23 + c14 + c24) * s1 + (c14 + c34 + c12 + c23) * s2 + (c34 + c24 + c12 + c13) * s3
+        + 4.0 * x1 * l1 * m1 + 4.0 * x2 * l2 * m2 + 4.0 * x3 * l3 * m3
     )
-    chi_density = 8.0 * chi_bracket / (2.0**7 * math.pi**2)
-
     tau_bracket = (
-        x1 * sq[0]
-        + x2 * sq[1]
-        + x3 * sq[2]
-        - (c12 + c34) * l[0] * m[0]
-        - (c13 + c24) * l[1] * m[1]
-        - (c14 + c23) * l[2] * m[2]
+        x1 * s1 + x2 * s2 + x3 * s3
+        - (c12 + c34) * l1 * m1 - (c13 + c24) * l2 * m2 - (c14 + c23) * l3 * m3
     )
     tau_density = -16.0 * tau_bracket / (3.0 * 2.0**5 * math.pi**2)
-
     # dV_g = sqrt(det g_frame) E^1234 and det g_frame = 1/det(g_inverse)
-    sqrt_det_g = 1.0 / math.sqrt(float(np.linalg.det(gi)))
-    tau_density_gvol = tau_density / sqrt_det_g
+    sqrt_det_g = 1.0 / np.sqrt(np.linalg.det(gi))
 
-    diag = np.diag(gi)
-    off = float(np.max(np.abs(gi - np.diag(diag))))
-    orthogonal = off <= max(tol, 1e-12) * float(np.max(diag))
-    if not orthogonal:
-        return IntegrandValue(
-            chi_density=chi_density,
-            tau_density=tau_density,
-            sqrt_det_g=sqrt_det_g,
-            tau_density_gvol=tau_density_gvol,
-            orthogonal=False,
-        )
-
-    g11, g22, g33, g44 = diag
+    off = np.max(np.abs(np.where(np.eye(4, dtype=bool), 0.0, gi)), axis=(1, 2))
+    orthogonal = off <= max(tol, 1e-12) * np.max(d, axis=1)
+    g11, g22, g33, g44 = d.T
     chi_reduced = (
-        (g11 + g22) * (g33 + g44) * sq[0]
-        + (g11 + g33) * (g22 + g44) * sq[1]
-        + (g11 + g44) * (g22 + g33) * sq[2]
+        (g11 + g22) * (g33 + g44) * s1 + (g11 + g33) * (g22 + g44) * s2 + (g11 + g44) * (g22 + g33) * s3
     ) / (2.0**4 * math.pi**2)
 
     # c_i = 1/sqrt(g_ii) = sqrt(g^ii) for a diagonal Gram matrix
-    scaled = ScaledNormalForm.rescale(np.sqrt(diag), l, m)
+    scaled = ScaledNormalForm.rescale(np.sqrt(d), l, m)
     lt, kt, mt = scaled.lambdas_scaled, scaled.kappas_scaled, scaled.mus_scaled
-
-    chi_gvol = float(np.sum(lt * kt) + np.sum(mt**2)) / (4.0 * math.pi**2)
-    correction = float(np.sum((lt - mt) * (kt - mt))) / (4.0 * math.pi**2)
-    return IntegrandValue(
-        chi_density=chi_density,
-        tau_density=tau_density,
-        sqrt_det_g=sqrt_det_g,
-        tau_density_gvol=tau_density_gvol,
-        orthogonal=True,
-        chi_density_reduced=chi_reduced,
-        chi_density_gvol=chi_gvol,
-        ht_correction_density=correction,
-        scaled=scaled,
-    )
+    terms = {
+        "chi_density": 8.0 * chi_bracket / (2.0**7 * math.pi**2),
+        "tau_density": tau_density,
+        "sqrt_det_g": sqrt_det_g,
+        "tau_density_gvol": tau_density / sqrt_det_g,
+        "chi_density_reduced": chi_reduced,
+        "chi_density_gvol": (np.sum(lt * kt, axis=1) + np.sum(mt**2, axis=1)) / (4.0 * math.pi**2),
+        "ht_correction_density": np.sum((lt - mt) * (kt - mt), axis=1) / (4.0 * math.pi**2),
+    }
+    return terms, scaled, orthogonal, errors
 
 
 # ---- quadrature ----
@@ -368,16 +363,14 @@ def _integrate_chunks(chunks, tol: float = 1e-9) -> IntegrationResult:
 
 
 def _integrate_stack(k0, h, g, weights, tol, terms: _Terms) -> None:
-    """Add the terms of stacked points: pair matrices ``k0`` (N, 6, 6),
-    metrics ``h``, ``g`` and weights."""
+    """Add the terms of stacked points: pair matrices ``k0`` (N, 6, 6), metrics
+    ``h``, ``g`` and weights.  The first point whose normal form or densities
+    fail raises, and no term is added."""
     if not len(k0):
         return
     blocks = _lambda2_blocks(k0, h, g)
     blocks.check_bianchi(tol)
-
-    terms.weights.extend(weights.tolist())
     commuting = blocks.commuting(tol)
-    terms.skipped += int(np.count_nonzero(~commuting))
 
     # g = s h makes every normal-form frame g-orthogonal with g^ii = 1/s, so
     # lt = kt = l/s^2 and mt = m/s^2: with l + m and l - m running over the
@@ -385,35 +378,45 @@ def _integrate_stack(k0, h, g, weights, tol, terms: _Terms) -> None:
     s = np.trace(blocks.gram, axis1=1, axis2=2) / 4.0
     off = np.max(np.abs(blocks.gram - s[:, None, None] * np.eye(4)), axis=(1, 2))
     proportional = commuting & (s > 0) & (off <= _PROPORTIONAL_RTOL * s)
-    idx = np.flatnonzero(proportional)
-    terms.orthogonal += idx.size
-    plus = np.sum(blocks.evp[idx] ** 2, axis=1)
-    minus = np.sum(blocks.evm[idx] ** 2, axis=1)
-    s4, w = s[idx] ** 4, weights[idx]
-    chi = (w * ((plus + minus) / 2.0 / s4 / (4.0 * math.pi**2))).tolist()
-    tau = (w * ((plus - minus) / 4.0 / s4 / (3.0 * math.pi**2))).tolist()
-    terms.chi.extend(chi)
-    terms.orth_chi.extend(chi)
-    terms.tau.extend(tau)
-    terms.orth_tau.extend(tau)
-    terms.corr.extend((w * (minus / s4 / (4.0 * math.pi**2))).tolist())
+    closed = np.flatnonzero(proportional)
+    plus = np.sum(blocks.evp[closed] ** 2, axis=1)
+    minus = np.sum(blocks.evm[closed] ** 2, axis=1)
+    s4, w = s[closed] ** 4, weights[closed]
+    chi = w * ((plus + minus) / 2.0 / s4 / (4.0 * math.pi**2))
+    tau = w * ((plus - minus) / 4.0 / s4 / (3.0 * math.pi**2))
+    corr = w * (minus / s4 / (4.0 * math.pi**2))
 
+    # the other points through their normal-form frames: every Gram inverse and
+    # every density at once, each error its point's own
     general = np.flatnonzero(commuting & ~proportional)
-    for i, nf in zip(general, _normal_forms(blocks.take(general), h[general], g[general], tol)):
-        if isinstance(nf, GeometryError):
-            raise nf
-        value = chi_tau_densities(nf, np.linalg.inv(nf.frame.T @ g[i] @ nf.frame), tol)
-        weight = weights[i]
-        terms.tau.append(weight * value.tau_density_gvol)
-        if value.orthogonal:
-            terms.orthogonal += 1
-            terms.chi.append(weight * value.chi_density_gvol)
-            terms.corr.append(weight * value.ht_correction_density)
-            terms.orth_chi.append(weight * value.chi_density_gvol)
-            terms.orth_tau.append(weight * value.tau_density_gvol)
-        else:
-            terms.general_frame += 1
-            terms.chi.append(weight * value.chi_density / value.sqrt_det_g)
+    forms = _normal_forms(blocks.take(general), h[general], g[general], tol)
+    framed = [p for p, nf in enumerate(forms) if isinstance(nf, NormalForm4)]
+    f = np.array([forms[p].frame for p in framed]).reshape(-1, 4, 4)
+    inverses = _stacked_or_alone(np.linalg.inv, np.swapaxes(f, 1, 2) @ g[general[framed]] @ f)
+    gi = np.array([np.eye(4) if isinstance(x, Exception) else x for x in inverses]).reshape(-1, 4, 4)
+    lambdas, mus = (np.array([getattr(forms[p], a) for p in framed]).reshape(-1, 3) for a in ("lambdas", "mus"))
+    values, _, orthogonal, errors = _densities(lambdas, mus, gi, tol)
+    for p, inverse, error in zip(framed, inverses, errors):
+        forms[p] = inverse if isinstance(inverse, Exception) else error
+    error = next((e for e in forms if e is not None), None)
+    if error is not None:
+        raise error
+
+    w = weights[general[framed]]
+    frame_chi = w * values["chi_density"] / values["sqrt_det_g"]
+    chi = np.concatenate([chi, np.where(orthogonal, w * values["chi_density_gvol"], frame_chi)])
+    tau = np.concatenate([tau, w * values["tau_density_gvol"]])
+    corr = np.concatenate([corr, (w * values["ht_correction_density"])[orthogonal]])
+    orthogonal = np.concatenate([np.ones(len(closed), dtype=bool), orthogonal])
+    terms.weights.extend(weights.tolist())
+    terms.chi.extend(chi.tolist())
+    terms.tau.extend(tau.tolist())
+    terms.corr.extend(corr.tolist())
+    terms.orth_chi.extend(chi[orthogonal].tolist())
+    terms.orth_tau.extend(tau[orthogonal].tolist())
+    terms.skipped += int(np.count_nonzero(~commuting))
+    terms.orthogonal += int(np.count_nonzero(orthogonal))
+    terms.general_frame += int(np.count_nonzero(~orthogonal))
 
 
 # ---- commuting Weyl split ----

@@ -260,6 +260,28 @@ def star_h_lines(count, seed=17):
     return lines
 
 
+def general_frame_samples(count=40, seed=31):
+    """Seeded star-h samples with weights, in turn aligned, rotated, with g
+    proportional to h, and rotated with an h that the tensor does not commute
+    with; the rotated ones with a commuting h are general frames."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for k in range(count):
+        lam, mu = rng.normal(size=3), rng.normal(size=3)
+        mu[2] = -mu[0] - mu[1]
+        h_diag = rng.uniform(0.5, 2.0, 4)
+        g_diag = rng.uniform(0.5, 2.0) * h_diag if k % 4 == 2 else rng.uniform(0.5, 2.0, 4)
+        rotation = None
+        if k % 2:
+            rotation = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+            rotation[:, 0] *= np.sign(np.linalg.det(rotation))
+        sample = gen_synthetic_star_h(lam, mu, h_diag, g_diag, frame_rotation=rotation, weight=rng.uniform(0.2, 2.0))
+        if k % 4 == 3:
+            sample = dataclasses.replace(sample, h=np.diag(rng.uniform(0.5, 2.0, 4)))
+        samples.append(sample)
+    return samples
+
+
 def chunked_file(tmp_path):
     """More than one kernel chunk of star-h points, with points the stacked
     kernel cannot take at the boundary: a dim-3 point, non-commuting points and
@@ -501,6 +523,68 @@ class TestIntegrate:
         with pytest.raises(ValueError) as expected:
             topology.integrate_samples(read_samples(path))
         assert run(capsys, "integrate", str(path)) == (1, "", f"error: {expected.value}\n")
+
+    @pytest.mark.parametrize("bad", [
+        {}, {17: "indefinite"}, {20: "singular"}, {9: "singular", 30: "indefinite"}, {9: "indefinite", 30: "singular"},
+    ])
+    def test_general_frames_agree_across_chunks(self, tmp_path, capsys, monkeypatch, bad):
+        # an indefinite g fails in the densities; a zero g makes the frame Gram singular
+        samples = general_frame_samples()
+        metric = {"indefinite": np.diag([1.0, 2.0, 1.5, -1.0]), "singular": np.zeros((4, 4))}
+        for at, kind in bad.items():
+            samples[at] = dataclasses.replace(samples[at], g=metric[kind])
+        path = tmp_path / "general.jsonl"
+        write_samples(path, samples)
+        samples = read_samples(path)  # the values the command reads
+        expected = None  # the error of the first point that fails alone
+        for sample in samples:
+            try:
+                topology.integrate_samples([sample])
+            except ValueError as err:
+                expected = err
+                break
+        assert (expected is None) == (not bad)
+        outcomes = []
+        for chunk in (1, 7, 256):
+            monkeypatch.setattr(zoo, "_CHUNK", chunk)
+            try:
+                outcomes.append(topology.integrate_samples(iter(samples)))
+            except ValueError as err:
+                outcomes.append((type(err), str(err)))
+            code, out, err = run(capsys, "integrate", str(path), "--format", "json")
+            if expected is None:
+                assert code == 0 and json.loads(out)["aggregate"] == {
+                    "points": 40, "skipped_points": outcomes[-1].skipped_points,
+                    "general_frame_points": outcomes[-1].general_frame_points,
+                    "total_weight": outcomes[-1].total_weight, "chi": outcomes[-1].chi_estimate,
+                    "tau": outcomes[-1].tau_estimate, "correction": outcomes[-1].correction_estimate,
+                    "ht_identity_residual": outcomes[-1].ht_identity_residual,
+                }
+            else:
+                assert (code, out, err) == (1, "", f"error: {expected}\n")
+        assert outcomes == outcomes[:1] * 3
+        if expected is None:
+            result = outcomes[0]
+            assert 0 < result.general_frame_points and 0 < result.skipped_points
+            assert result.general_frame_points + result.skipped_points < result.points
+        else:
+            assert outcomes[0] == (type(expected), str(expected))
+            assert str(expected) == {"indefinite": "inverse metric must be positive definite",
+                                     "singular": "Singular matrix"}[bad[min(bad)]]
+
+    def test_general_frames_do_not_call_the_one_point_density(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "general.jsonl"
+        write_samples(path, general_frame_samples())
+        samples = read_samples(path)
+        before = topology.integrate_samples(samples)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("chi_tau_densities called")
+
+        monkeypatch.setattr(topology, "chi_tau_densities", refuse)
+        assert topology.integrate_samples(samples) == before and before.general_frame_points > 0
+        code, out, _ = run(capsys, "integrate", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["aggregate"]["chi"] == before.chi_estimate
 
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         path = s4_file(tmp_path)
@@ -1192,15 +1276,6 @@ class TestReports:
         assert '"FILE"' in reports[0][1]
         assert reports[1:] == reports[:1] * 3
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, capsys):
-        path = field_file(tmp_path)
-        for command in (["einstein-check", path, "--metric", "h"], ["integrate", path]):
-            outputs = []
-            for threads in ("1", "4"):
-                _, out, _ = run(capsys, *command, "--threads", threads, "--format", "json")
-                outputs.append(out)
-            assert outputs[0] == outputs[1]
-
     def test_repeated_runs_are_byte_identical(self, tmp_path, capsys):
         path = field_file(tmp_path)
         _, first, _ = run(capsys, "normal-form", path)
@@ -1228,6 +1303,32 @@ class TestReports:
             assert row.index("yes") == header.index("einstein")
 
 
+def test_file_commands_load_no_scipy(tmp_path):
+    # importing scipy costs most of a second per process; the package and every
+    # file command run without it (only the star-L generators need it)
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("\n".join(mixed_lines()) + "\n", encoding="utf-8")
+    commands = [
+        ["validate"], ["einstein-check", "--metric", "g"], ["einstein-check", "--metric", "h"],
+        ["einstein-check", "--metric", "lorentz"], ["normal-form"], ["petrov"], ["integrate"],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "import curvforms\n"
+        "from curvforms.cli import main\n"
+        "codes = []\n"
+        f"for command in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        codes.append(main([command[0], {str(path)!r}, *command[1:], '--format', 'json']))\n"
+        "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout == "[0, 0, 1, 1, 0, 1, 0] []\n"
+
+
 # ---- usage errors ----
 
 
@@ -1242,10 +1343,12 @@ class TestUsage:
             main(["integrate", str(tmp_path / "x.jsonl"), "--quantity", "bogus"])
         assert err.value.code == 2
 
-    def test_bad_thread_count_exits_two(self, tmp_path):
+    def test_bad_thread_count_exits_two(self, tmp_path, capsys):
+        # --threads is gone: even a valid count is an unknown argument
         with pytest.raises(SystemExit) as err:
-            main(["validate", str(tmp_path / "x.jsonl"), "--threads", "0"])
+            main(["validate", s4_file(tmp_path), "--threads", "1"])
         assert err.value.code == 2
+        assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-0.5"])
     def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):

@@ -616,8 +616,8 @@ class TestLorentzProperties:
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats and scipy.linalg dominate import time; only the general SD/ASD
-    # split and the star-L generators need scipy, and nothing needs scipy.stats.
+    # scipy.stats and scipy.linalg dominate import time; only the star-L
+    # generators need scipy, and nothing needs scipy.stats.
     # The import makes no numpy.linalg call either: one LAPACK call at import
     # raises the peak RSS of every command by about 1 MiB
     env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))

@@ -14,7 +14,7 @@ from curvforms import topology
 from curvforms.complex_forms import adapted_frame, complex_case_matrix, tensor_from_complex_form
 from curvforms.curvature import space_form, validate_curvature
 from curvforms.exceptions import DegenerateMetricError, DimensionError, TensorValidationError
-from curvforms.normal_forms import NormalForm4, orthogonal_normal_form_4
+from curvforms.normal_forms import NormalForm4, ScaledNormalForm, orthogonal_normal_form_4, preferred_normal_form_4
 from curvforms.topology import (
     BUILDING_BLOCKS,
     BuildingBlock,
@@ -248,6 +248,180 @@ class TestChiTauDensities:
             chi_tau_densities(nf, np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
+def reference_densities(lambdas, mus, gi, tol=1e-9):
+    """The per-point density that preceded the stacked one, kept as the reference:
+    the fields of IntegrandValue, with ``scaled`` as a tuple of arrays, and the
+    largest term of each bracket."""
+    gi = np.asarray(gi, dtype=float)
+    if gi.shape != (4, 4):
+        raise DimensionError("g_inverse_in_frame must be 4x4")
+    if np.max(np.abs(gi - gi.T)) > tol * max(1.0, float(np.max(np.abs(gi)))):
+        raise DegenerateMetricError("inverse metric must be symmetric")
+    gi = 0.5 * (gi + gi.T)
+    if np.linalg.eigvalsh(gi)[0] <= 0:
+        raise DegenerateMetricError("inverse metric must be positive definite")
+
+    def minor(i, j):  # a numpy scalar squared: libm pow, not x * x
+        return float(gi[i, i] * gi[j, j] - gi[i, j] ** 2)
+
+    l, m = np.asarray(lambdas, dtype=float), np.asarray(mus, dtype=float)
+    sq = l**2 + m**2
+    c12, c13, c14 = (minor(0, j) for j in (1, 2, 3))
+    c23, c24, c34 = minor(1, 2), minor(1, 3), minor(2, 3)
+    x1 = gi[1, 2] * gi[3, 0] - gi[0, 2] * gi[1, 3]
+    x2 = gi[0, 1] * gi[2, 3] - gi[0, 3] * gi[2, 1]
+    x3 = gi[1, 3] * gi[0, 2] - gi[0, 1] * gi[2, 3]
+    chi_bracket = (
+        (c13 + c23 + c14 + c24) * sq[0]
+        + (c14 + c34 + c12 + c23) * sq[1]
+        + (c34 + c24 + c12 + c13) * sq[2]
+        + 4.0 * x1 * l[0] * m[0]
+        + 4.0 * x2 * l[1] * m[1]
+        + 4.0 * x3 * l[2] * m[2]
+    )
+    tau_bracket = (
+        x1 * sq[0]
+        + x2 * sq[1]
+        + x3 * sq[2]
+        - (c12 + c34) * l[0] * m[0]
+        - (c13 + c24) * l[1] * m[1]
+        - (c14 + c23) * l[2] * m[2]
+    )
+    x = np.array([x1, x2, x3])
+    chi_terms = np.array([c13 + c23 + c14 + c24, c14 + c34 + c12 + c23, c34 + c24 + c12 + c13]) * sq, 4.0 * x * l * m
+    tau_terms = x * sq, np.array([c12 + c34, c13 + c24, c14 + c23]) * l * m
+    tau_density = -16.0 * tau_bracket / (3.0 * 2.0**5 * math.pi**2)
+    sqrt_det_g = 1.0 / math.sqrt(float(np.linalg.det(gi)))
+    value = {
+        "chi_density": 8.0 * chi_bracket / (2.0**7 * math.pi**2),
+        "tau_density": tau_density,
+        "sqrt_det_g": sqrt_det_g,
+        "tau_density_gvol": tau_density / sqrt_det_g,
+        "chi_largest": np.max(np.abs(chi_terms)),
+        "tau_largest": np.max(np.abs(tau_terms)),
+    }
+    diag = np.diag(gi)
+    value["orthogonal"] = float(np.max(np.abs(gi - np.diag(diag)))) <= max(tol, 1e-12) * float(np.max(diag))
+    if value["orthogonal"]:
+        g11, g22, g33, g44 = diag
+        value["chi_density_reduced"] = (
+            (g11 + g22) * (g33 + g44) * sq[0] + (g11 + g33) * (g22 + g44) * sq[1] + (g11 + g44) * (g22 + g33) * sq[2]
+        ) / (2.0**4 * math.pi**2)
+        c = np.sqrt(diag)
+        c2 = c**2
+        lt, kt, mt = c2[0] * c2[1:] * l, c2[[2, 1, 1]] * c2[[3, 3, 2]] * l, float(np.prod(c)) * m
+        value["chi_density_gvol"] = float(np.sum(lt * kt) + np.sum(mt**2)) / (4.0 * math.pi**2)
+        value["ht_correction_density"] = float(np.sum((lt - mt) * (kt - mt))) / (4.0 * math.pi**2)
+        value["scaled"] = (c, lt, kt, mt)
+    return value
+
+
+def density_corpus(count, seed):
+    """Seeded (lambdas, mus, g^-1): values of either sign from 1e-8 to 1e8 with
+    zeros and -0.0; g^-1 diagonal at odd points, a general SPD matrix at even ones."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], size=(count, 2, 3)) * 10.0 ** rng.uniform(-8, 8, size=(count, 2, 3))
+    kind = rng.random(size=values.shape)
+    values[kind < 0.05] = 0.0
+    values[(kind >= 0.05) & (kind < 0.1)] = -0.0
+    gi = np.empty((count, 4, 4))
+    for n in range(count):
+        if n % 2:
+            gi[n] = np.diag(10.0 ** rng.uniform(-4, 4, size=4))
+        else:
+            a = rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-2, 2)
+            gi[n] = a @ a.T + 1e-3 * np.abs(a).max() ** 2 * np.eye(4)
+    return values[:, 0], values[:, 1], gi
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestStackedDensities:
+    """The stacked density against the per-point reference it replaced."""
+
+    # each density's bracket and the constant factor that scales it
+    BRACKET = {"chi_density": ("chi_largest", 8.0 / (2.0**7 * math.pi**2)),
+               "tau_density": ("tau_largest", 16.0 / (3.0 * 2.0**5 * math.pi**2))}
+
+    def test_fields_equal_the_reference_bit_for_bit(self):
+        lambdas, mus, gi = density_corpus(4000, seed=1601)
+        terms, scaled, orthogonal, errors = topology._densities(lambdas, mus, gi, 1e-9)
+        assert errors == [None] * len(gi)
+        rounded = 0
+        for n in range(len(gi)):
+            want = reference_densities(lambdas[n], mus[n], gi[n])
+            assert bool(orthogonal[n]) == want["orthogonal"]
+            stacked = topology.chi_tau_densities(nf_of(lambdas[n], mus[n]), gi[n])
+            for name in ("sqrt_det_g", "chi_density_reduced", "chi_density_gvol", "ht_correction_density"):
+                if name in want:
+                    assert same_bits(terms[name][n], want[name]), (n, name)
+                    assert same_bits(getattr(stacked, name), want[name]), (n, name)
+            if want["orthogonal"]:
+                for f, ref in zip(("c", "lambdas_scaled", "kappas_scaled", "mus_scaled"), want["scaled"]):
+                    assert same_bits(getattr(scaled, f)[n], ref) and same_bits(getattr(stacked.scaled, f), ref), (n, f)
+            else:
+                assert stacked.scaled is None and stacked.chi_density_gvol is None
+            # the reference squares g^ij with libm pow, the stack as x * x: the two
+            # may round apart in the last bit, and the brackets with them
+            exact = True
+            for name, (largest, factor) in self.BRACKET.items():
+                for got in (terms[name][n], getattr(stacked, name)):
+                    if not same_bits(got, want[name]):
+                        exact = False
+                        assert abs(got - want[name]) <= 2 * np.spacing(want[largest] * factor), (n, name)
+            if not same_bits(terms["tau_density_gvol"][n], want["tau_density_gvol"]):
+                exact = False
+                bound = 2 * np.spacing(want["tau_largest"] * self.BRACKET["tau_density"][1] / want["sqrt_det_g"])
+                assert abs(terms["tau_density_gvol"][n] - want["tau_density_gvol"]) <= bound, n
+            rounded += not exact
+        assert rounded <= len(gi) // 500, rounded  # 1 of 4000 at this seed
+
+    def test_errors_are_each_points_own(self):
+        lambdas, mus, gi = density_corpus(6, seed=1602)
+        gi[1, 0, 1] += 0.5 * abs(gi[1, 0, 1]) + 1.0  # asymmetric
+        gi[3] = np.diag([1.0, 2.0, 3.0, -1.0])  # not positive definite
+        gi[4] = np.diag([1.0, 2.0, 3.0, 0.0])  # singular
+        terms, _, _, errors = topology._densities(lambdas, mus, gi, 1e-9)
+        for n in range(len(gi)):
+            try:
+                want = reference_densities(lambdas[n], mus[n], gi[n])
+            except DegenerateMetricError as err:
+                assert type(errors[n]) is DegenerateMetricError and str(errors[n]) == str(err), n
+                with pytest.raises(DegenerateMetricError, match=str(err)):
+                    chi_tau_densities(nf_of(lambdas[n], mus[n]), gi[n])
+            else:
+                assert errors[n] is None
+                assert same_bits(terms["sqrt_det_g"][n], want["sqrt_det_g"])
+        assert [type(e).__name__ for e in errors] == ["NoneType", "DegenerateMetricError", "NoneType",
+                                                      "DegenerateMetricError", "DegenerateMetricError", "NoneType"]
+        for shape in ((3, 3), (4, 5), (16,)):
+            with pytest.raises(DimensionError, match="must be 4x4"):
+                chi_tau_densities(nf_of(lambdas[0], mus[0]), np.ones(shape))
+            with pytest.raises(DimensionError, match="must be 4x4"):
+                reference_densities(lambdas[0], mus[0], np.ones(shape))
+
+    def test_a_failed_eigensolve_is_its_points_error(self):
+        lambdas, mus, gi = density_corpus(3, seed=1603)
+        gi[1, 2, 2] = math.nan
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            reference_densities(lambdas[1], mus[1], gi[1])
+        _, _, _, errors = topology._densities(lambdas, mus, gi, 1e-9)
+        assert errors[0] is None and errors[2] is None
+        assert type(errors[1]) is np.linalg.LinAlgError and str(errors[1]) == str(want.value)
+
+    def test_rescale_takes_stacks(self):
+        lambdas, mus, gi = density_corpus(5, seed=1604)
+        c = np.sqrt(np.diagonal(gi, axis1=1, axis2=2))
+        stacked = ScaledNormalForm.rescale(c, lambdas, mus)
+        for n in range(5):
+            one = ScaledNormalForm.rescale(c[n], lambdas[n], mus[n])
+            for f in ("c", "lambdas_scaled", "kappas_scaled", "mus_scaled"):
+                assert same_bits(getattr(stacked, f)[n], getattr(one, f)), (n, f)
+
+
 # ---- quadrature ----
 
 
@@ -308,6 +482,44 @@ class TestIntegrateSamples:
         assert result.ht_identity_residual <= 1e-9
         npt.assert_allclose(result.chi_estimate, math.fsum(expected_chi), rtol=1e-10,
                             err_msg="weighted per-volume Euler densities must add up")
+
+    def test_frame_terms_equal_the_per_point_reference(self):
+        # reference: the loop the stack replaced, one normal form, Gram inverse and
+        # chi_tau_densities per point; aligned and rotated points, values over 16
+        # decades, so both the g-orthogonal and the general-frame terms are summed
+        rng = np.random.default_rng(1605)
+        samples, chi, tau, corr, orth_chi, orth_tau, general = [], [], [], [], [], [], 0
+        for k in range(300):
+            lam, mu = random_lambda_mu(rng)
+            rotation = np.linalg.qr(rng.normal(size=(4, 4)))[0] if k % 2 else None
+            if rotation is not None and np.linalg.det(rotation) < 0:
+                rotation[:, 0] = -rotation[:, 0]
+            sample = gen_synthetic_star_h(
+                lam * 10.0 ** rng.integers(-8, 8), mu * 10.0 ** rng.integers(-8, 8), rng.uniform(0.5, 2.0, size=4),
+                rng.uniform(0.5, 2.0, size=4), frame_rotation=rotation, weight=rng.uniform(0.2, 2.0),
+            )
+            samples.append(sample)
+            nf = preferred_normal_form_4(sample.rm, sample.h, sample.g)
+            value = chi_tau_densities(nf, np.linalg.inv(nf.frame.T @ sample.g @ nf.frame))
+            weight = np.float64(sample.weight)
+            tau.append(weight * value.tau_density_gvol)
+            if value.orthogonal:
+                chi.append(weight * value.chi_density_gvol)
+                corr.append(weight * value.ht_correction_density)
+                orth_chi.append(chi[-1])
+                orth_tau.append(tau[-1])
+            else:
+                general += 1
+                chi.append(weight * value.chi_density / value.sqrt_det_g)
+            alone = integrate_samples([sample])  # each total is its one term
+            assert (alone.chi_estimate, alone.tau_estimate) == (chi[-1], tau[-1]), k
+            assert alone.correction_estimate == (corr[-1] if value.orthogonal else 0.0), k
+        result = integrate_samples(samples)
+        assert 50 < general < 250 and result.general_frame_points == general
+        assert result.chi_estimate == math.fsum(chi)
+        assert result.tau_estimate == math.fsum(tau)
+        assert result.correction_estimate == math.fsum(corr)
+        assert result.ht_identity_residual == abs(math.fsum(orth_chi) - 1.5 * math.fsum(orth_tau) - math.fsum(corr))
 
     def test_general_frame_point_is_counted(self):
         lam, mu = random_lambda_mu(RNG)
