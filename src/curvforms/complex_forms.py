@@ -45,7 +45,7 @@ from .exceptions import (
     NonUnitVectorError,
     _alone,
 )
-from .hodge import HodgeStar, _complexify
+from .hodge import HodgeStar, _complexify, _frobenius
 from .normal_forms import _BASIS, _in_frame
 
 __all__ = [
@@ -172,31 +172,18 @@ def _adapted(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float, unit_tol:
     return _in_frame(k0, frames), frames, [b or e for b, e in zip(bianchi, errors)]
 
 
-def _cluster_eigenvalues(vals: np.ndarray, width: float):
-    """Greedy clustering of complex eigenvalues by distance to cluster mean."""
-    order = np.lexsort((vals.imag, vals.real))
-    clusters = []
-    for v in vals[order]:
-        for c in clusters:
-            if abs(v - np.mean(c)) <= width:
-                c.append(v)
-                break
-        else:
-            clusters.append([v])
-    reps = [complex(np.mean(c)) for c in clusters]
-    algs = [len(c) for c in clusters]
-    return reps, algs
-
-
 def classify_complex(
     rm: CurvatureTensor, g: np.ndarray, t: np.ndarray, tol: float = 1e-9
 ) -> ComplexNormalForm:
     """Classify the complexified Lorentz operator of ``rm`` by Jordan type.
 
     ``C`` is ``complexify`` of ``G_L K``, with ``K`` read in the adapted frame
-    of ``(g, t)`` (see the module docstring).  This is :func:`_jordan_forms`
-    for one point, the stacked classification that ``curvforms petrov`` runs
-    on each chunk of a file.
+    of ``(g, t)`` (see the module docstring).  Its eigenvalues are clustered
+    within a width that absorbs the rounding smear of a Jordan block, and each
+    cluster's geometric multiplicity is a rank count of ``C - z I``; the number
+    of clusters and the largest geometric multiplicity give the case.  This is
+    :func:`_jordan_forms` for one point, the stacked classification that
+    ``curvforms petrov`` runs on each chunk of a file.
 
     Parameters
     ----------
@@ -229,51 +216,56 @@ def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> l
     """Per point of stacked pair matrices ``k0`` (N, 6, 6), metrics ``g`` and
     vectors ``t``: its :class:`ComplexNormalForm`, or its first error: a flat
     tensor, those of :func:`_adapted` (``g(t, t)`` within 1e-9), an operator
-    that does not commute with the Lorentz star.  ``C`` and its eigenvalues are
-    taken for the stack; the clustering and the rank counts run per point."""
+    that does not commute with the Lorentz star.
+
+    The commuting points are classified together.  Each point's eigenvalues are
+    sorted by (real, imag) and clustered greedily: a value joins the first
+    cluster whose mean (sum / count) lies within the point's width
+    ``max(1e-8, 1e-8 rho, _JORDAN_SMEAR max(1, rho))``, ``rho`` the largest
+    modulus, or starts a new one.  A cluster's geometric multiplicity is the
+    count of singular values of ``C - z I`` at most ``max(1e-8, 1e-8 |C|_F)``,
+    at least 1, for its mean ``z``; all of them come from one ``svd``.  Only
+    the :class:`ComplexNormalForm` objects are built per point."""
     k, _, errors = _adapted(k0, g, t, tol)
     c, commuting = _complexify(_GRAM_L @ k, _STAR_L.matrix, tol)
     results = [
         GeometryError("flat tensors have no complex classification") if flat else error or not_commuting
         for flat, error, not_commuting in zip((~k0.any(axis=(1, 2))).tolist(), errors, commuting)
     ]
-    ok = np.array([r is None for r in results], dtype=bool)
-    if ok.any():
-        c = c[ok]
-        vals = np.linalg.eigvals(c)
-        for p, cp, vp, rho in zip(np.flatnonzero(ok).tolist(), c, vals, np.max(np.abs(vals), axis=1).tolist()):
-            results[p] = _jordan_form(cp, vp, rho)
+    ok = np.flatnonzero([r is None for r in results])
+    if not ok.size:
+        return results
+    c = c[ok]
+    vals = np.linalg.eigvals(c)
+    rho = np.max(np.abs(vals), axis=1)
+    width = np.maximum(np.maximum(1e-8, 1e-8 * rho), _JORDAN_SMEAR * np.maximum(1.0, rho))[:, None]
+    rows = np.arange(len(c))
+    sums, algs = np.zeros((len(c), 3), dtype=complex), np.zeros((len(c), 3), dtype=int)
+    means = sums
+    for v in np.sort(vals, axis=1, kind="stable").T:
+        # clusters fill from the left: the first within the width, else the first empty
+        j = ((algs == 0) | (np.abs(v[:, None] - means) <= width)).argmax(axis=1)
+        sums[rows, j] += v
+        algs[rows, j] += 1
+        means = sums / np.maximum(algs, 1)
+    p, j = np.nonzero(algs)
+    sv = np.linalg.svd(c[p] - means[p, j, None, None] * np.eye(3), compute_uv=False)
+    geos = np.zeros_like(algs)
+    geos[p, j] = np.maximum(1, np.sum(sv <= np.maximum(1e-8, 1e-8 * _frobenius(c))[p, None], axis=1))
+    count = (algs > 0).sum(axis=1)
+    case_ids = np.where(count == 3, 1, np.where(geos.max(axis=1) >= 2, 2, np.where(count == 2, 3, 4)))
+    for point, cp, case_id, n, z, alg, geo in zip(
+        ok.tolist(), c, case_ids.tolist(), count.tolist(), means.tolist(), algs.tolist(), geos.tolist()
+    ):
+        results[point] = ComplexNormalForm(
+            case_id=case_id,
+            eigenvalues=tuple(z[:n]),
+            algebraic_multiplicities=tuple(alg[:n]),
+            geometric_multiplicities=tuple(geo[:n]),
+            expected_spacelike_critical=CASE_CRITICAL_COUNTS[case_id],
+            c_matrix=cp,
+        )
     return results
-
-
-def _jordan_form(c: np.ndarray, vals: np.ndarray, rho: float) -> ComplexNormalForm:
-    """The classification of one complex matrix ``c`` with eigenvalues ``vals`` of largest modulus ``rho``."""
-    width = max(1e-8, 1e-8 * rho, _JORDAN_SMEAR * max(1.0, rho))
-    reps, algs = _cluster_eigenvalues(vals, width)
-
-    rank_tol = max(1e-8, 1e-8 * float(np.linalg.norm(c)))
-    geos = []
-    for z in reps:
-        sv = np.linalg.svd(c - z * np.eye(3), compute_uv=False)
-        geos.append(max(1, int(np.sum(sv <= rank_tol))))
-
-    k = len(reps)
-    if k == 3:
-        case_id = 1
-    elif max(geos) >= 2:
-        case_id = 2
-    elif k == 2:
-        case_id = 3
-    else:
-        case_id = 4
-    return ComplexNormalForm(
-        case_id=case_id,
-        eigenvalues=tuple(reps),
-        algebraic_multiplicities=tuple(algs),
-        geometric_multiplicities=tuple(geos),
-        expected_spacelike_critical=CASE_CRITICAL_COUNTS[case_id],
-        c_matrix=c,
-    )
 
 
 # ---- synthetic instances ----
@@ -494,9 +486,13 @@ def count_spacelike_critical(
 
     Raises
     ------
+    ValueError
+        If ``n_starts`` is not an integer of at least 1 (a bool is not).
     TensorValidationError
         If ``rm`` breaks first Bianchi beyond 1e-9 times its largest component.
     """
+    if not isinstance(n_starts, (int, np.integer)) or isinstance(n_starts, bool) or n_starts < 1:
+        raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
     if rm.dim != 4:
         raise DimensionError("the critical-plane counter is specific to dim 4")
     g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)

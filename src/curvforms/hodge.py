@@ -226,10 +226,14 @@ def complexify(op_matrix: np.ndarray, star_l: HodgeStar, tol: float = 1e-9) -> n
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
-    """Frobenius norms of stacked matrices, each as ``np.linalg.norm`` takes it for
-    one matrix: the square root of the dot product of its raveled entries."""
+    """Frobenius norms of stacked real or complex matrices, each as
+    ``np.linalg.norm`` takes it for one matrix: the square root of the dot
+    product of its raveled real parts, plus that of its imaginary parts."""
     x = x.reshape(len(x), -1)
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    sq = (x.real[:, None, :] @ x.real[:, :, None])[:, 0, 0]
+    if np.iscomplexobj(x):
+        sq = sq + (x.imag[:, None, :] @ x.imag[:, :, None])[:, 0, 0]
+    return np.sqrt(sq)
 
 
 def _complexify(m: np.ndarray, j: np.ndarray, tol: float) -> tuple:

@@ -545,7 +545,7 @@ def parse_block_expression(expr: str) -> list[BuildingBlock]:
     """Parse a ``#``-separated list of building-block names.
 
     Accepts the table names (``S4``, ``CP2``, ``S1xS3``, ``K3``, ``T4``) and
-    ``HYP(d)`` for positive integer ``d``.
+    ``HYP(d)`` for a positive integer ``d`` written in the digits 0-9.
     """
     names = [part.strip() for part in expr.split("#")]
     if any(not name for name in names):
@@ -558,13 +558,9 @@ def parse_block_expression(expr: str) -> list[BuildingBlock]:
         match = _HYP_RE.match(name)
         if match:
             raw = match.group(1)
-            try:
-                degree = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"hypersurface degree must be a positive integer, got {raw!r}"
-                ) from None
-            blocks.append(hypersurface_block(degree))
+            if not re.fullmatch(r"-?[0-9]+", raw):
+                raise ValueError(f"hypersurface degree must be a positive integer, got {raw!r}")
+            blocks.append(hypersurface_block(int(raw)))
             continue
         known = ", ".join(sorted(BUILDING_BLOCKS)) + ", HYP(d)"
         raise ValueError(f"unknown building block {name!r}; known blocks: {known}")

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +428,20 @@ def test_first_bianchi_violation_is_a_point_error(tmp_path, capsys, command):
 
 
 class TestPetrov:
+    def test_one_eigvals_and_one_svd_per_chunk(self, tmp_path, capsys, monkeypatch):
+        # 320 points are two chunks; the per-point classification ran svd up to 3 times a point
+        assert zoo._CHUNK < 320 <= 2 * zoo._CHUNK
+        path = star_l_file(tmp_path, cases=(1, 2, 3, 4) * 80)
+        calls = Counter()
+        for name in ("svd", "eigvals"):
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        code, out, _ = run(capsys, "petrov", path, "--format", "json")
+        assert code == 0 and json.loads(out)["aggregate"]["points"] == 320
+        assert calls == {"svd": 2, "eigvals": 2}
+
     def test_one_of_each_case(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "petrov", star_l_file(tmp_path), "--format", "json"
@@ -623,7 +638,9 @@ class TestSums:
         d = degree
         assert (agg["chi"], agg["tau"]) == ((d * d - 4 * d + 6) * d, (4 - d * d) * d // 3)
 
-    @pytest.mark.parametrize("expr", ["BAD", "HYP(0)", "HYP(x)", "K3 # # CP2"])
+    @pytest.mark.parametrize(
+        "expr", ["BAD", "HYP(0)", "HYP(x)", "K3 # # CP2", "HYP(1_0)", "HYP(+3)", "HYP(\u0663)", "HYP(-3)"]
+    )
     def test_bad_expression_exits_two(self, capsys, expr):
         code, _, err = run(capsys, "sums", expr)
         assert code == 2

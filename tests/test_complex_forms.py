@@ -292,6 +292,16 @@ class TestCounter:
             fit = critical_point_residual(op, star, p)
             assert fit.residual <= 1e-6, "reported planes must actually be critical"
 
+    @pytest.mark.parametrize("n_starts", [0, -1, 2.5, True])
+    def test_rejects_a_start_count_that_is_not_a_positive_integer(self, n_starts):
+        rm = tensor_from_complex_form(np.diag([0.3 + 0j, 0.7, 1.2]))
+        with pytest.raises(ValueError, match=f"n_starts must be an integer >= 1, got {n_starts!r}"):
+            count_spacelike_critical(rm, np.eye(4), np.eye(4)[0], n_starts=n_starts)
+
+    def test_accepts_a_numpy_integer_start_count(self):
+        rm = tensor_from_complex_form(np.diag([0.3 + 0j, 0.7, 1.2]))
+        assert count_spacelike_critical(rm, np.eye(4), np.eye(4)[0], n_starts=np.int64(64)) == 3
+
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
     def test_counts_match_prediction(self, case_id):
         for seed in range(5):
@@ -461,6 +471,50 @@ def weyl_split_per_point(rm, g, t, tol=1e-9):
     ]
 
 
+def cluster_eigenvalues_per_point(vals, width):
+    """Greedy clustering of complex eigenvalues by distance to cluster mean, one
+    point at a time: the reference of the clustering in :func:`_jordan_forms`."""
+    order = np.lexsort((vals.imag, vals.real))
+    clusters = []
+    for v in vals[order]:
+        for c in clusters:
+            if abs(v - np.mean(c)) <= width:
+                c.append(v)
+                break
+        else:
+            clusters.append([v])
+    reps = [complex(np.mean(c)) for c in clusters]
+    algs = [len(c) for c in clusters]
+    return reps, algs
+
+
+def jordan_form_per_point(c, vals, rho):
+    """The classification of one complex matrix ``c`` with eigenvalues ``vals``
+    of largest modulus ``rho``, as :func:`_jordan_forms` computed it one point at a time."""
+    width = max(1e-8, 1e-8 * rho, complex_forms._JORDAN_SMEAR * max(1.0, rho))
+    reps, algs = cluster_eigenvalues_per_point(vals, width)
+    rank_tol = max(1e-8, 1e-8 * float(np.linalg.norm(c)))
+    geos = []
+    for z in reps:
+        sv = np.linalg.svd(c - z * np.eye(3), compute_uv=False)
+        geos.append(max(1, int(np.sum(sv <= rank_tol))))
+    k = len(reps)
+    case_id = 1 if k == 3 else 2 if max(geos) >= 2 else 3 if k == 2 else 4
+    return complex_forms.ComplexNormalForm(
+        case_id, tuple(reps), tuple(algs), tuple(geos), CASE_CRITICAL_COUNTS[case_id], c
+    )
+
+
+def jordan_forms_per_point(k0, g, t, tol=1e-9):
+    """:func:`_jordan_forms` of points that all classify, with ``C`` and its
+    eigenvalues taken for the stack and :func:`jordan_form_per_point` run on each."""
+    k, _, errors = complex_forms._adapted(k0, g, t, tol)
+    c, commuting = hodge._complexify(complex_forms._GRAM_L @ k, complex_forms._STAR_L.matrix, tol)
+    assert errors == commuting == [None] * len(k0)
+    vals = np.linalg.eigvals(c)
+    return [jordan_form_per_point(*x) for x in zip(c, vals, np.max(np.abs(vals), axis=1).tolist())]
+
+
 def classification_per_point(rm, g, t, tol=1e-9):
     """``C`` and the eigenvalue clusters of :func:`classify_complex` as it computed them one point at a time."""
     if rm.scale == 0.0:
@@ -478,7 +532,7 @@ def classification_per_point(rm, g, t, tol=1e-9):
     vals = np.linalg.eigvals(c)
     rho = float(np.max(np.abs(vals)))
     width = max(1e-8, 1e-8 * rho, complex_forms._JORDAN_SMEAR * max(1.0, rho))
-    return c, complex_forms._cluster_eigenvalues(vals, width)
+    return c, cluster_eigenvalues_per_point(vals, width)
 
 
 class TestStackedLorentzReaders:
@@ -516,6 +570,57 @@ class TestStackedLorentzReaders:
                     assert repr(got[3:]) == repr(want[3:])
                     outcomes.add(stacked.commutes)
         assert outcomes == {1, 2, 3, 4, True, False, GeometryError, TensorValidationError, NotCommutingError, NonUnitVectorError}
+
+
+Q3 = np.array([[0, 1.0, 0], [1.0, 0, 1j], [0, 1j, 0]])  # symmetric, Q3^3 = 0
+
+
+def jordan_corpus():
+    """Pair matrices of the 400 criterion-07 instances, then of complex forms at
+    the edges of the clustering: Jordan blocks lambda I + s Q3, diagonal pairs
+    whose separation runs from 1e-12 past the width, and lambda I."""
+    k0 = []
+    for case in (1, 2, 3, 4):
+        for i in range(100):
+            c = complex_case_matrix(case, np.random.default_rng(700_000 + 1000 * case + i))
+            rm = gen_synthetic_star_L(0.5 * (-c.real - c.real.T), 0.5 * (-c.imag - c.imag.T)).rm
+            k0.append(curvature.component_matrix(rm))
+    rng = np.random.default_rng(17)
+    forms = [rng.uniform(-2.0, 2.0) * np.eye(3) + rng.uniform(0.6, 1.4) * Q3 for _ in range(200)]
+    for _ in range(200):
+        z, w = rng.uniform(-2.0, 2.0, 2) + 1j * rng.uniform(-2.0, 2.0, 2)
+        rho = max(abs(z), abs(w))
+        near_width = complex_forms._JORDAN_SMEAR * max(1.0, rho) * (1.0 + rng.uniform(-1e-6, 1e-6))
+        size = 10.0 ** rng.uniform(-12.0, -2.0) if rng.random() < 0.75 else near_width
+        delta = size * np.exp(2j * np.pi * rng.random())
+        forms.append(np.diag([z, z + delta, w.real - 1j * (2.0 * z.imag + delta.imag)]))
+    forms += [lam * np.eye(3) for lam in rng.uniform(-2.0, 2.0, 20)]
+    k0 += [curvature.component_matrix(tensor_from_complex_form(c)) for c in forms]
+    k0 = np.stack(k0)
+    return k0, np.broadcast_to(np.eye(4), (len(k0), 4, 4)), np.broadcast_to(np.eye(4)[0], (len(k0), 4))
+
+
+class TestStackedClassification:
+    def test_the_stack_equals_the_per_point_classification(self):
+        k0, g, t = jordan_corpus()
+        forms = complex_forms._jordan_forms(k0, g, t, 1e-9)
+        want = jordan_forms_per_point(k0, g, t)
+        fields = ("case_id", "algebraic_multiplicities", "geometric_multiplicities", "expected_spacelike_critical")
+        for got, ref in zip(forms, want, strict=True):
+            assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
+            assert repr(got.eigenvalues) == repr(ref.eigenvalues)
+            assert got.c_matrix.tobytes() == ref.c_matrix.tobytes()
+        assert [f.case_id for f in forms[:400]] == [case for case in (1, 2, 3, 4) for _ in range(100)]
+        assert {f.geometric_multiplicities for f in forms[-20:]} == {(3,)}
+        pairs = forms[600:800]
+        assert {f.case_id for f in pairs} == {1, 2, 3}
+        # the rank tolerance reads |C|_F of the stack as np.linalg.norm reads it for one C
+        c = np.stack([f.c_matrix for f in forms])
+        npt.assert_array_max_ulp(hodge._frobenius(c), np.array([np.linalg.norm(x) for x in c]), maxulp=1)
+
+    def test_the_per_point_helpers_are_gone(self):
+        assert not hasattr(complex_forms, "_jordan_form")
+        assert not hasattr(complex_forms, "_cluster_eigenvalues")
 
 
 class TestAdaptedFrameReading:

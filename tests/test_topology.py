@@ -764,3 +764,14 @@ class TestConnectedSum:
             hypersurface_block(0)
         with pytest.raises(ValueError):
             hypersurface_block(2.0)
+
+    @pytest.mark.parametrize(
+        "raw, shown",
+        [
+            ("0", "0"), ("-3", "-3"), ("00", "0"),
+            ("1_0", "'1_0'"), ("+3", "'+3'"), ("\u0663", "'\u0663'"), ("2.5", "'2.5'"),
+        ],
+    )
+    def test_hypersurface_degree_must_be_ascii_digits(self, raw, shown):
+        with pytest.raises(ValueError, match=re.escape(f"hypersurface degree must be a positive integer, got {shown}")):
+            parse_block_expression(f"HYP({raw})")
