@@ -27,7 +27,6 @@ __all__ = [
     "wedge_vectors",
     "is_decomposable",
     "plane_matrix",
-    "plane_span",
 ]
 
 # canonical pair order for n = 4 (1-based); note the (4, 2) pair
@@ -184,19 +183,3 @@ def plane_matrix(xi: np.ndarray, basis: BivectorBasis) -> np.ndarray:
         x[j, i] -= xi[a]
     return x
 
-
-def plane_span(xi: np.ndarray, basis: BivectorBasis):
-    """Spanning pair ``(u, w)`` of the 2-plane of a decomposable bivector.
-
-    ``u`` is a Euclidean unit vector in the plane and ``w = -X u`` for the
-    antisymmetric matrix ``X`` of ``xi``, so that ``u ^ w == xi`` up to
-    rounding.  For a unit decomposable ``xi`` the pair is orthonormal.
-    """
-    x = plane_matrix(xi, basis)
-    # -x @ x is |xi|^2 times the Euclidean projector onto the plane
-    _, vecs = np.linalg.eigh(-x @ x)
-    u = vecs[:, -1]
-    w = -x @ u
-    if np.linalg.norm(w) < 1e-12:
-        raise DimensionError("bivector is numerically zero or not decomposable")
-    return u, w

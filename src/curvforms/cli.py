@@ -13,7 +13,8 @@ Reports are deterministic: the same input file and flags produce
 byte-identical output.  Point analyses run on one thread in index order.
 Exit codes: 0 analysis complete, 1 analysis-level failure, 2 usage or format
 error.
-Non-finite report values serialize as ``null`` in JSON and ``-`` in text.
+Reports are built as JSON values, each float that can be non-finite through
+``_num``, so a non-finite value is ``null`` in JSON and ``-`` in text.
 
 The reader checks structure only and completes each tensor by its index
 symmetries.  ``validate`` checks every identity; ``einstein-check``,
@@ -75,8 +76,13 @@ def _base_report(args, **extra) -> dict:
     return report
 
 
+def _num(x):
+    """``x`` as a float where it is finite, else ``None`` (``null`` in JSON, ``-`` in text)."""
+    return float(x) if math.isfinite(x) else None
+
+
 def _floats(values) -> list:
-    return [float(v) for v in np.asarray(values).ravel()]
+    return [_num(v) for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
 # ---- commands ----
@@ -122,7 +128,7 @@ def _validate_entry(index, error) -> dict:
         return {"index": index, "ok": True}
     entry = {"index": index, "ok": False, "error": str(error)}
     if isinstance(error, TensorValidationError):
-        entry.update(identity=error.identity, indices=list(error.indices), residual=error.residual)
+        entry.update(identity=error.identity, indices=list(error.indices), residual=_num(error.residual))
     return entry
 
 
@@ -143,17 +149,17 @@ def _einstein_entry(index, rep) -> dict:
         return {
             "index": index,
             "einstein": rep.commutes,
-            "residual": rep.commutator_residual,
-            "scal": rep.scal,
-            "f": rep.f_fitted,
-            "trace_residual": rep.lorentz_trace_residual,
+            "residual": _num(rep.commutator_residual),
+            "scal": _num(rep.scal),
+            "f": _num(rep.f_fitted),
+            "trace_residual": _num(rep.lorentz_trace_residual),
         }
     return {
         "index": index,
         "einstein": rep.is_einstein,
-        "residual": rep.commutator_residual / max(rep.operator_norm, 1e-300),
-        "f": rep.f_fitted,
-        "trace_residual": rep.trace_residual,
+        "residual": _num(rep.commutator_residual / max(rep.operator_norm, 1e-300)),
+        "f": _num(rep.f_fitted),
+        "trace_residual": _num(rep.trace_residual),
     }
 
 
@@ -258,15 +264,15 @@ def _cmd_integrate(args):
         "points": result.points,
         "skipped_points": result.skipped_points,
         "general_frame_points": result.general_frame_points,
-        "total_weight": result.total_weight,
+        "total_weight": _num(result.total_weight),
     }
     if args.quantity in ("chi", "ht"):
-        aggregate["chi"] = result.chi_estimate
+        aggregate["chi"] = _num(result.chi_estimate)
     if args.quantity in ("tau", "ht"):
-        aggregate["tau"] = result.tau_estimate
+        aggregate["tau"] = _num(result.tau_estimate)
     if args.quantity == "ht":
-        aggregate["correction"] = result.correction_estimate
-        aggregate["ht_identity_residual"] = result.ht_identity_residual
+        aggregate["correction"] = _num(result.correction_estimate)
+        aggregate["ht_identity_residual"] = _num(result.ht_identity_residual)
     report = _base_report(
         args,
         file=str(args.file),
@@ -297,28 +303,11 @@ def _cmd_sums(args):
 # ---- rendering ----
 
 
-def _jsonable(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        value = float(value)
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def render_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _text_value(value) -> str:
-    value = _jsonable(value)
     if value is None:
         return "-"
     if isinstance(value, bool):

@@ -366,6 +366,12 @@ _SOBOL_BITS = 30
 # the step fractions 2^-1 .. 2^-24 a Gauss-Newton step backtracks through
 _HALVINGS = 0.5 ** np.arange(1, 25)
 
+# a converged plane's residual bound (relative to max(1, |G op|)), the projector
+# distance beyond which two planes are distinct, and the iteration cap
+_RESIDUAL_TOL = 1e-7
+_DEDUP_TOL = 1e-4
+_MAX_ITER = 200
+
 
 def _sobol_4(n: int) -> np.ndarray:
     """The first ``n`` points of the unscrambled 4-D Sobol sequence, in Gray-code
@@ -467,9 +473,6 @@ def count_spacelike_critical(
     g: np.ndarray,
     t: np.ndarray,
     n_starts: int = 64,
-    residual_tol: float = 1e-7,
-    dedup_tol: float = 1e-4,
-    max_iter: int = 200,
     return_planes: bool = False,
 ):
     """Count spacelike critical 2-planes of the Lorentz-realized operator.
@@ -512,14 +515,14 @@ def count_spacelike_critical(
         q = ((p_raw @ gram) * p_raw).sum(axis=1)
         good = q > q_min
         p, sp, _, _, _, r = _plane_fit(p_raw[good], np.sqrt(q[good]), mmat, smat)
-        ok = np.linalg.norm(r, axis=1) <= residual_tol * norm_scale
+        ok = np.linalg.norm(r, axis=1) <= _RESIDUAL_TOL * norm_scale
         p, sp = p[ok], sp[ok]
         # projectors onto span{P, *P}; first come, first kept
         qmat = np.linalg.qr(np.stack([p, sp], axis=2))[0]
         projectors = qmat @ np.swapaxes(qmat, 1, 2)
         kept = []
         for n, proj in enumerate(projectors):
-            if all(np.linalg.norm(proj - projectors[j]) > dedup_tol for j in kept):
+            if all(np.linalg.norm(proj - projectors[j]) > _DEDUP_TOL for j in kept):
                 kept.append(n)
         count = len(kept)
         return (math.inf if count > 3 else count), p[kept]
@@ -531,7 +534,7 @@ def count_spacelike_critical(
     best_res = np.full(n_starts, np.inf)
     stalled_for = np.zeros(n_starts, dtype=int)
 
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -553,8 +556,8 @@ def count_spacelike_critical(
         p, sp, gmp, a, b, r = _plane_fit(p_raw, sq, mmat, smat)
         rn = np.linalg.norm(r, axis=1)
         # far from the acceptance gate, sub-3%-per-iteration decay can never
-        # reach it within max_iter, so such starts count as stalled
-        far = rn > 100.0 * residual_tol * norm_scale
+        # reach it within _MAX_ITER, so such starts count as stalled
+        far = rn > 100.0 * _RESIDUAL_TOL * norm_scale
         lenient = np.minimum(
             best_res[idx] * (1.0 - 1e-3), best_res[idx] - 1e-12 * norm_scale
         )

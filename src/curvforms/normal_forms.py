@@ -514,7 +514,7 @@ def _normal_forms(blocks: Lambda2Blocks, h, g, tol) -> list:
     n = points[at]
     f, lambdas, mus, residual, matched = _read_off(blocks.k[n], frames[at, c], blocks.scale[n], tol)
     f = blocks.frames[n] @ f
-    orthogonal = candidate[at, c] & matched
+    orthogonal, lengths = candidate[at, c] & matched, np.ones((len(at), 4))
     if g is not None:
         lengths, _, g_orthogonal = _g_lengths(f, g[n], tol)
         orthogonal &= g_orthogonal
@@ -523,12 +523,19 @@ def _normal_forms(blocks: Lambda2Blocks, h, g, tol) -> list:
     first = np.flatnonzero(orthogonal)
     point, at_first = np.unique(at[first], return_index=True)
     chosen[point] = first[at_first]
-    for e, i in zip(chosen, points):
+    # every chosen form rescaled at once, with lengths of 1 where it is not
+    # g-orthogonal, so that no sqrt of a non-positive length is taken
+    scaled = ScaledNormalForm.rescale(
+        1.0 / np.sqrt(np.where(orthogonal[chosen, None], lengths[chosen], 1.0)), lambdas[chosen], mus[chosen]
+    )
+    for j, (e, i) in enumerate(zip(chosen, points)):
         if matched[e]:
-            scaled = None
+            rows = None
             if orthogonal[e]:
-                scaled = ScaledNormalForm.rescale(1.0 / np.sqrt(lengths[e]), lambdas[e], mus[e])
-            results[i] = NormalForm4(f[e], lambdas[e], mus[e], h[i], scaled)
+                rows = ScaledNormalForm(
+                    scaled.c[j], scaled.lambdas_scaled[j], scaled.kappas_scaled[j], scaled.mus_scaled[j]
+                )
+            results[i] = NormalForm4(f[e], lambdas[e], mus[e], h[i], rows)
         else:
             results[i] = FrameReconstructionError(
                 "components in the reconstructed frame do not match the normal-form "

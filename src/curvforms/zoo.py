@@ -189,7 +189,8 @@ def _fmt(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise SampleFormatError("sample numbers must be finite")
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text  # JSON reads "-0" as the integer 0
 
 
 def _fmt_list(values) -> str:

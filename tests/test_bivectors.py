@@ -5,7 +5,6 @@ Identities exercised:
   * induced Gram = 2x2 determinant of metric pairings, symmetric
   * wedge-to-volume coefficients against a permutation-parity oracle
   * decomposability: xi ^ xi = 0 detects 2-planes in dimension 4
-  * plane_span factors a decomposable bivector exactly
 """
 
 import itertools
@@ -18,7 +17,6 @@ from curvforms.bivectors import (
     bivector_basis,
     induced_gram,
     is_decomposable,
-    plane_span,
     wedge_matrix,
     wedge_to_volume,
     wedge_vectors,
@@ -189,11 +187,3 @@ class TestDecomposable:
     def test_dim3_always_true(self):
         basis = bivector_basis(3)
         assert is_decomposable(RNG.normal(size=3), basis)
-
-    def test_plane_span_roundtrip(self):
-        basis = bivector_basis(4)
-        for _ in range(50):
-            q, _ = np.linalg.qr(RNG.normal(size=(4, 2)))
-            xi = wedge_vectors(q[:, 0], q[:, 1], basis)
-            u, w = plane_span(xi, basis)
-            npt.assert_allclose(wedge_vectors(u, w, basis), xi, atol=1e-12)

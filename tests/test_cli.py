@@ -1320,6 +1320,164 @@ class TestReports:
             assert row.index("yes") == header.index("einstein")
 
 
+# ---- reports are built as JSON values ----
+
+
+def _jsonable(value):
+    """The renderer's pass over every value before reports were built as JSON
+    values: numpy scalars and arrays to Python, tuples to lists, non-finite
+    floats to None.  The reference of the renderings below."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        value = float(value)
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, np.ndarray):
+        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def reference_text_value(value) -> str:
+    """A text cell as the renderer wrote it with ``_jsonable`` on every cell."""
+    value = _jsonable(value)
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    if isinstance(value, list):
+        sep = "; " if any(isinstance(v, dict) for v in value) else ", "
+        return "[" + sep.join(reference_text_value(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return ", ".join(f"{k}: {reference_text_value(value[k])}" for k in sorted(value))
+    return str(value)
+
+
+def reference_renderings(report, columns):
+    """The JSON and text of ``report`` through ``_jsonable``, as the renderer gave them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_text_value", reference_text_value)
+        text = cli.render_text(report, columns)
+    return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n", text
+
+
+def json_clean(value) -> bool:
+    """Whether ``value`` holds only dict, list, str, int, float, bool and None, every float finite."""
+    if type(value) is dict:
+        return all(type(k) is str and json_clean(v) for k, v in value.items())
+    if type(value) is list:
+        return all(json_clean(v) for v in value)
+    if type(value) is float:
+        return math.isfinite(value)
+    return value is None or type(value) in (str, int, bool)
+
+
+def corpus_file(tmp_path, corpus) -> str:
+    if corpus == "chunked":
+        return chunked_file(tmp_path)
+    if corpus == "no g-orthogonal point":
+        return star_l_file(tmp_path)  # every point skipped by integrate
+    lines = analysis_kinds_lines() if corpus == "kinds" else star_h_lines(2, seed=19)
+    if corpus == "overflowing":
+        lines.insert(1, sample_to_json(OVERFLOWING))
+    if corpus == "huge":
+        lines.insert(1, sample_to_json(HUGE))
+    path = tmp_path / f"{corpus}.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+# a round S^4 whose traces and residuals overflow to inf or NaN
+HUGE = PointSample(
+    dim=4, g=np.eye(4), rm=space_form(4, 1.5e308), weight=1.0, h=np.eye(4), t=np.array([1.0, 0.0, 0.0, 0.0])
+)
+
+
+def captured_reports(monkeypatch) -> list:
+    """The arguments of every call of either renderer, in call order."""
+    calls = []
+
+    def capture(render):
+        def wrapper(*args):
+            calls.append(args)
+            return render(*args)
+        return wrapper
+
+    for name in ("render_json", "render_text"):
+        monkeypatch.setattr(cli, name, capture(getattr(cli, name)))
+    return calls
+
+
+REPORTED_COMMANDS = [
+    *STREAMED_COMMANDS, "integrate --quantity chi", "integrate --quantity tau", "integrate --quantity ht",
+]
+
+
+# the overflowing point and the metric of 1e308 overflow, as intended
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestJsonValues:
+    @pytest.mark.parametrize("corpus", ["chunked", "kinds", "overflowing", "huge", "no g-orthogonal point"])
+    @pytest.mark.parametrize("command", REPORTED_COMMANDS)
+    def test_reports_reach_the_renderer_as_json_values(self, tmp_path, capsys, monkeypatch, command, corpus):
+        path = corpus_file(tmp_path, corpus)
+        calls = captured_reports(monkeypatch)
+        code, out_json, err = run(capsys, *command.split(), path, "--format", "json")
+        text_code, out_text, _ = run(capsys, *command.split(), path)
+        assert text_code == code
+        if not calls:  # integrate stops at an analysis error before it reports
+            assert command.startswith("integrate") and code == 1 and out_json == "" and err.startswith("error:")
+            return
+        (report,), (again, columns) = calls
+        assert again == report and json_clean(report)
+        assert (out_json, out_text) == reference_renderings(report, columns)
+        if command == "integrate --quantity ht" and corpus == "no g-orthogonal point":
+            assert report["aggregate"]["ht_identity_residual"] is None
+            assert '"ht_identity_residual": null' in out_json
+
+    @pytest.mark.parametrize("expression", ["K3 # CP2", "S1xS3 # S1xS3", "K3 # HYP(3) # S4"])
+    def test_sums_reports_are_json_values(self, capsys, monkeypatch, expression):
+        calls = captured_reports(monkeypatch)
+        _, out_json, _ = run(capsys, "sums", expression, "--format", "json")
+        _, out_text, _ = run(capsys, "sums", expression)
+        (report,), (again, columns) = calls
+        assert again == report and json_clean(report)
+        assert (out_json, out_text) == reference_renderings(report, columns)
+
+    @pytest.mark.parametrize("command", ["einstein-check --metric g", "einstein-check --metric lorentz", "integrate"])
+    def test_non_finite_values_are_null_and_dash(self, tmp_path, capsys, command):
+        path = corpus_file(tmp_path, "huge")
+        report = json.loads(run(capsys, *command.split(), path, "--format", "json")[1])
+        values = report["points"][1] if "points" in report else report["aggregate"]
+        assert values["trace_residual" if "points" in report else "chi"] is None
+        text = run(capsys, *command.split(), path)[1]
+        assert "  -" in text if "points" in report else "  chi = -" in text
+
+    def test_normal_form_rescales_once_per_chunk(self, tmp_path, capsys, monkeypatch):
+        path = chunked_file(tmp_path)
+        expected = run(capsys, "normal-form", path, "--format", "json")
+        calls, rescale = [], normal_forms.ScaledNormalForm.rescale
+
+        def counted(cls, c, lambdas, mus):
+            calls.append(len(c))
+            return rescale(c, lambdas, mus)
+
+        monkeypatch.setattr(normal_forms.ScaledNormalForm, "rescale", classmethod(counted))
+        monkeypatch.setattr(zoo, "_CHUNK", 7)
+        assert run(capsys, "normal-form", path, "--format", "json") == expected
+        lines = _CHUNK + 44
+        assert 0 < len(calls) <= -(-lines // 7) and max(calls) > 1
+        assert '"lambdas_scaled"' in expected[1]
+
+    def test_the_per_value_pass_is_gone(self):
+        assert not hasattr(cli, "_jsonable")
+
+
 def test_file_commands_load_no_scipy(tmp_path):
     # importing scipy costs most of a second per process; the package and every
     # file command run without it (only the star-L generators need it)

@@ -302,6 +302,12 @@ class TestCounter:
         rm = tensor_from_complex_form(np.diag([0.3 + 0j, 0.7, 1.2]))
         assert count_spacelike_critical(rm, np.eye(4), np.eye(4)[0], n_starts=np.int64(64)) == 3
 
+    @pytest.mark.parametrize("name", ["residual_tol", "dedup_tol", "max_iter"])
+    def test_fixed_settings_are_not_arguments(self, name):
+        rm = tensor_from_complex_form(np.diag([0.3 + 0j, 0.7, 1.2]))
+        with pytest.raises(TypeError, match=name):
+            count_spacelike_critical(rm, np.eye(4), np.eye(4)[0], **{name: 1})
+
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
     def test_counts_match_prediction(self, case_id):
         for seed in range(5):

@@ -1,6 +1,7 @@
 """Tests for curvature normal forms in dimensions 4, 3 and n."""
 
 import itertools
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -544,6 +545,14 @@ class TestGEigenframe:
             assert nf.scaled is None
             with pytest.raises(FrameReconstructionError, match="no pairing"):
                 orthogonal_normal_form_4(sample.rm, sample.h, sample.g)
+
+    def test_an_indefinite_g_gives_the_plain_form_without_a_warning(self):
+        # a frame whose g-lengths are not all positive is not rescaled, so no sqrt of them is taken
+        sample = gen_synthetic_star_h([0.9, -0.4, 0.2], [0.5, -0.3, -0.2], [1, 2, 0.5, 1.5], [2, 1, 1, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nf = preferred_normal_form_4(sample.rm, sample.h, np.diag([1.0, 1.0, 1.0, -1.0]))
+        assert nf.scaled is None
 
 
 # coordinate changes of the property test below: P = Q1 diag(s) Q2 with

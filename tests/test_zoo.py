@@ -11,7 +11,7 @@ import pytest
 
 from curvforms import zoo
 from curvforms.complex_forms import classify_complex, complex_case_matrix
-from curvforms.curvature import CurvatureTensor, component_matrix, operator_from, scalar_curvature
+from curvforms.curvature import CurvatureTensor, component_matrix, operator_from, scalar_curvature, space_form
 from curvforms.exceptions import (
     DegenerateMetricError,
     DimensionError,
@@ -207,6 +207,40 @@ class TestLineFormat:
         sample, _, _ = random_star_h_sample(np.random.default_rng(12), weight=1.0 / 3.0)
         line = sample_to_json(sample)
         assert '"weight": 0.33333333333333331' in line
+
+    def test_numbers_keep_their_17_digit_bytes_and_negative_zero_its_sign(self):
+        # format(-0.0, ".17g") is "-0", which JSON reads as the integer 0
+        values = (0.0, -0.0, -1.0, 1.0 / 3.0, -5e-324, 1e300)
+        assert [zoo._fmt(x) for x in values] == [
+            "0", "-0.0", "-1", "0.33333333333333331", "-4.9406564584124654e-324", "1.0000000000000001e+300",
+        ]
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    def test_negative_zero_keeps_its_sign(self, tmp_path, suffix):
+        samples = []
+        for dim in (4, 3):
+            g, h = np.eye(dim), 2.0 * np.eye(dim)
+            g[1, 0] = g[0, 1] = h[2, 1] = h[1, 2] = -0.0
+            t, coords = np.zeros(dim), np.arange(dim, dtype=float)
+            t[0], t[1], coords[0] = 1.0, -0.0, -0.0
+            samples.append(PointSample(dim=dim, g=g, rm=space_form(dim, 1.0), weight=-0.0, h=h, t=t, coords=coords))
+
+        def signs(sample):
+            return [np.signbit(np.asarray(x)).tolist() for x in (sample.g, sample.h, sample.t, sample.weight, sample.coords)]
+
+        lines = [sample_to_json(sample) for sample in samples]
+        assert all('"weight": -0.0' in line for line in lines)
+        for sample, line in zip(samples, lines):
+            assert signs(sample_from_json(line)) == signs(sample)
+        path = tmp_path / f"zeros{suffix}"
+        write_samples(path, samples)
+        back = read_samples(path)
+        assert [signs(sample) for sample in back] == [signs(sample) for sample in samples]
+        again = tmp_path / f"again{suffix}"
+        write_samples(again, back)
+        opener = gzip.open if suffix.endswith(".gz") else open
+        with opener(path, "rb") as fh, opener(again, "rb") as gh:
+            assert fh.read() == gh.read() == ("\n".join(lines) + "\n").encode()
 
     def test_key_order_fixed(self):
         sample = gen_synthetic_star_L(np.diag([1.0, -1.0, 0.0]), np.zeros((3, 3)))
