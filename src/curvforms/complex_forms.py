@@ -45,7 +45,7 @@ from .exceptions import (
     NonUnitVectorError,
     _alone,
 )
-from .hodge import HodgeStar, _complexify, _frobenius
+from .hodge import HodgeStar, _complexify
 from .normal_forms import _BASIS, _in_frame
 
 __all__ = [
@@ -223,9 +223,12 @@ def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> l
     cluster whose mean (sum / count) lies within the point's width
     ``max(1e-8, 1e-8 rho, _JORDAN_SMEAR max(1, rho))``, ``rho`` the largest
     modulus, or starts a new one.  A cluster's geometric multiplicity is the
-    count of singular values of ``C - z I`` at most ``max(1e-8, 1e-8 |C|_F)``,
-    at least 1, for its mean ``z``; all of them come from one ``svd``.  Only
-    the :class:`ComplexNormalForm` objects are built per point."""
+    count of singular values of ``C - z I`` at most that same width, at least
+    1, for its mean ``z``; all of them come from one ``svd``.  One tolerance
+    thus decides both: eigenvalues closer than the width are one cluster, and
+    a Jordan block whose nilpotent part is below the width reads as
+    diagonalizable (case 2).  Only the :class:`ComplexNormalForm` objects are
+    built per point."""
     k, _, errors = _adapted(k0, g, t, tol)
     c, commuting = _complexify(_GRAM_L @ k, _STAR_L.matrix, tol)
     results = [
@@ -251,7 +254,7 @@ def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> l
     p, j = np.nonzero(algs)
     sv = np.linalg.svd(c[p] - means[p, j, None, None] * np.eye(3), compute_uv=False)
     geos = np.zeros_like(algs)
-    geos[p, j] = np.maximum(1, np.sum(sv <= np.maximum(1e-8, 1e-8 * _frobenius(c))[p, None], axis=1))
+    geos[p, j] = np.maximum(1, np.sum(sv <= width[p], axis=1))
     count = (algs > 0).sum(axis=1)
     case_ids = np.where(count == 3, 1, np.where(geos.max(axis=1) >= 2, 2, np.where(count == 2, 3, 4)))
     for point, cp, case_id, n, z, alg, geo in zip(
@@ -271,11 +274,20 @@ def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> l
 # ---- synthetic instances ----
 
 
-def _random_complex_orthogonal(rng, scale=0.25) -> np.ndarray:
-    from scipy.linalg import expm  # scipy.linalg is slow to import; only generators need it
+def _exp_antisymmetric(x: np.ndarray) -> np.ndarray:
+    """``exp X`` of a complex antisymmetric 3x3 ``X`` by Rodrigues' formula over C:
+    with ``X v = w x v`` and ``theta^2 = w . w`` (bilinear),
+    ``exp X = I + (sin theta / theta) X + ((1 - cos theta) / theta^2) X^2``.
+    Both coefficients are even in theta, so the branch of the root does not
+    matter; written through ``np.sinc`` they are exact at theta = 0, where an
+    isotropic ``w`` (``w . w = 0``, ``w != 0``) makes X nilpotent."""
+    theta = np.sqrt(x[2, 1] ** 2 + x[0, 2] ** 2 + x[1, 0] ** 2)
+    return np.eye(3) + np.sinc(theta / np.pi) * x + 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2 * (x @ x)
 
+
+def _random_complex_orthogonal(rng, scale=0.25) -> np.ndarray:
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    return expm(scale * (a - a.T))
+    return _exp_antisymmetric(scale * (a - a.T))
 
 
 def _separated_eigenvalues(rng, count, min_sep=0.4):

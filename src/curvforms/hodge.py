@@ -226,14 +226,15 @@ def complexify(op_matrix: np.ndarray, star_l: HodgeStar, tol: float = 1e-9) -> n
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
-    """Frobenius norms of stacked real or complex matrices, each as
-    ``np.linalg.norm`` takes it for one matrix: the square root of the dot
-    product of its raveled real parts, plus that of its imaginary parts."""
+    """Frobenius norms of stacked real matrices, each as ``np.linalg.norm``
+    takes it for one matrix: the square root of the dot product of its raveled
+    entries.  Each matrix is first scaled by the power of two of its largest
+    entry, which is exact, so a huge but finite matrix does not overflow and
+    the result is bit-identical wherever no square over- or underflows."""
     x = x.reshape(len(x), -1)
-    sq = (x.real[:, None, :] @ x.real[:, :, None])[:, 0, 0]
-    if np.iscomplexobj(x):
-        sq = sq + (x.imag[:, None, :] @ x.imag[:, :, None])[:, 0, 0]
-    return np.sqrt(sq)
+    _, e = np.frexp(np.max(np.abs(x), axis=1))
+    x = np.ldexp(x, -e[:, None])
+    return np.ldexp(np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]), e)
 
 
 def _complexify(m: np.ndarray, j: np.ndarray, tol: float) -> tuple:

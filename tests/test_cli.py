@@ -471,6 +471,23 @@ class TestPetrov:
         assert report["aggregate"]["histogram"]["error"] == report["aggregate"]["points"]
 
 
+# a round S^4 does not commute with the Lorentz star: its relative commutator is
+# 2, however large its curvature, as long as the commutator itself is finite
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kappa", [1e300, 1e307])
+def test_a_huge_finite_lorentz_commutator_does_not_overflow(tmp_path, capsys, kappa):
+    path = tmp_path / "huge.jsonl"
+    write_samples(path, [PointSample(dim=4, g=np.eye(4), rm=space_form(4, kappa), weight=1.0, t=np.eye(4)[0])])
+    code, out, err = run(capsys, "petrov", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["points"] == [
+        {"index": 0, "error": "operator does not commute with the star: relative residual 2.000e+00 > 1e-09"}
+    ]
+    code, out, err = run(capsys, "einstein-check", str(path), "--metric", "lorentz", "--format", "json")
+    point = json.loads(out)["points"][0]
+    assert (code, err, point["einstein"], point["residual"]) == (0, "", False, 2.0)
+
+
 # ---- integrate ----
 
 
@@ -1480,7 +1497,7 @@ class TestJsonValues:
 
 def test_file_commands_load_no_scipy(tmp_path):
     # importing scipy costs most of a second per process; the package and every
-    # file command run without it (only the star-L generators need it)
+    # file command run without it
     path = tmp_path / "mixed.jsonl"
     path.write_text("\n".join(mixed_lines()) + "\n", encoding="utf-8")
     commands = [
@@ -1502,6 +1519,45 @@ def test_file_commands_load_no_scipy(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
     )
     assert out.stdout == "[0, 0, 1, 1, 0, 1, 0] []\n"
+
+
+def test_the_package_runs_on_numpy_alone(tmp_path):
+    # with scipy blocked, every import of it fails: the generators, the file
+    # round trip, every command and the star-L demo still run
+    demo = Path(__file__).resolve().parents[1] / "demos" / "04_lorentz_classification.py"
+    path = tmp_path / "mixed.jsonl.gz"
+    commands = [
+        ["validate", path], ["einstein-check", path, "--metric", "lorentz"], ["normal-form", path],
+        ["petrov", path], ["integrate", path, "--quantity", "ht"], ["sums", "K3 # CP2"],
+    ]
+    probe = (
+        "import contextlib, io, runpy, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "import curvforms as cf\n"
+        "from curvforms.cli import main\n"
+        "rng = np.random.default_rng(5)\n"
+        "samples = []\n"
+        "for case in (1, 2, 3, 4):\n"
+        "    c = cf.complex_case_matrix(case, rng)\n"
+        "    samples.append(cf.gen_synthetic_star_L(0.5 * (-c.real - c.real.T), 0.5 * (-c.imag - c.imag.T)))\n"
+        "samples += list(cf.gen_space_form(4, 1.0, 2))\n"
+        f"cf.write_samples({str(path)!r}, samples)\n"
+        f"assert len(list(cf.read_samples({str(path)!r}))) == len(samples)\n"
+        "codes = []\n"
+        f"for command in {[[str(a) for a in c] for c in commands]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main([*command, '--format', 'json']))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    runpy.run_path({str(demo)!r}, run_name='__main__')\n"
+        "print(codes, sys.modules['scipy'], [m for m in sys.modules if m.startswith('scipy.')])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, cwd=tmp_path, timeout=120
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout == "[0, 1, 0, 1, 0, 0] None []\n"
 
 
 # ---- usage errors ----

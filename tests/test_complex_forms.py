@@ -173,6 +173,24 @@ class TestCaseMatrices:
         with pytest.raises(ValueError):
             complex_case_matrix(5)
 
+    def test_the_closed_form_rotation_equals_expm(self):
+        from scipy.linalg import expm  # the oracle only; the package does not import scipy
+
+        def cross(w):
+            return np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0]], dtype=complex)
+
+        pairs = []
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            pairs.append((complex_forms._random_complex_orthogonal(np.random.default_rng(seed)), 0.25 * (a - a.T)))
+        # w . w = 0 at an isotropic w, where X is nilpotent, and nearly so beside it
+        pairs += [(complex_forms._exp_antisymmetric(x), x) for x in map(cross, [(1, 1j, 0), (1, 1j + 1e-9, 0), (0, 0, 0)])]
+        for q, x in pairs:
+            assert np.max(np.abs(q - expm(x))) <= 1e-14
+            npt.assert_allclose(q.T @ q, np.eye(3), rtol=0, atol=1e-13)
+            assert abs(np.linalg.det(q) - 1.0) <= 1e-13
+
 
 class TestTensorRoundTrip:
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
@@ -499,11 +517,10 @@ def jordan_form_per_point(c, vals, rho):
     of largest modulus ``rho``, as :func:`_jordan_forms` computed it one point at a time."""
     width = max(1e-8, 1e-8 * rho, complex_forms._JORDAN_SMEAR * max(1.0, rho))
     reps, algs = cluster_eigenvalues_per_point(vals, width)
-    rank_tol = max(1e-8, 1e-8 * float(np.linalg.norm(c)))
     geos = []
     for z in reps:
         sv = np.linalg.svd(c - z * np.eye(3), compute_uv=False)
-        geos.append(max(1, int(np.sum(sv <= rank_tol))))
+        geos.append(max(1, int(np.sum(sv <= width))))  # one tolerance merges and counts
     k = len(reps)
     case_id = 1 if k == 3 else 2 if max(geos) >= 2 else 3 if k == 2 else 4
     return complex_forms.ComplexNormalForm(
@@ -618,11 +635,24 @@ class TestStackedClassification:
             assert got.c_matrix.tobytes() == ref.c_matrix.tobytes()
         assert [f.case_id for f in forms[:400]] == [case for case in (1, 2, 3, 4) for _ in range(100)]
         assert {f.geometric_multiplicities for f in forms[-20:]} == {(3,)}
+        # a pair closer than the width is one cluster of geometric multiplicity 2
         pairs = forms[600:800]
-        assert {f.case_id for f in pairs} == {1, 2, 3}
-        # the rank tolerance reads |C|_F of the stack as np.linalg.norm reads it for one C
-        c = np.stack([f.c_matrix for f in forms])
-        npt.assert_array_max_ulp(hodge._frobenius(c), np.array([np.linalg.norm(x) for x in c]), maxulp=1)
+        assert {f.case_id for f in pairs} == {1, 2}
+        # the commuting test reads |M|_F of a stack as np.linalg.norm reads it for one M
+        npt.assert_array_max_ulp(hodge._frobenius(k0), np.array([np.linalg.norm(x) for x in k0]), maxulp=1)
+
+    @pytest.mark.parametrize(
+        "d, case_id",
+        [(1e-12, 2), (1e-8, 2), (1e-7, 2), (1e-5, 2), (1e-4, 2), (3.1e-4, 2), (4e-4, 1), (1e-3, 1)],
+    )
+    def test_one_tolerance_merges_and_counts(self, d, case_id):
+        # diag(z, z + d, w) is diagonalizable: two eigenvalues closer than the
+        # width (about 3.5e-4 here) are one cluster of geometric multiplicity 2,
+        # never a Jordan block
+        c = np.diag([0.5 + 0.3j, 0.5 + 0.3j + d, 1.0 - 0.6j])
+        form = classify_complex(tensor_from_complex_form(c), np.eye(4), np.eye(4)[0])
+        assert form.case_id == case_id
+        assert max(form.geometric_multiplicities) == (2 if case_id == 2 else 1)
 
     def test_the_per_point_helpers_are_gone(self):
         assert not hasattr(complex_forms, "_jordan_form")
@@ -727,8 +757,8 @@ class TestLorentzProperties:
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats and scipy.linalg dominate import time; only the star-L
-    # generators need scipy, and nothing needs scipy.stats.
+    # scipy.stats and scipy.linalg dominate import time, and the package and
+    # its generators run on numpy alone.
     # The import makes no numpy.linalg call either: one LAPACK call at import
     # raises the peak RSS of every command by about 1 MiB
     env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
