@@ -45,7 +45,7 @@ from .exceptions import (
     NonUnitVectorError,
     _alone,
 )
-from .hodge import HodgeStar, _complexify
+from .hodge import HodgeStar, _complexify, _frobenius
 from .normal_forms import _BASIS, _in_frame
 
 __all__ = [
@@ -71,8 +71,8 @@ CASE_CRITICAL_COUNTS = {1: 3.0, 2: math.inf, 3: 1.0, 4: 0.0}
 _NOT_DIM_4 = "complex classification is specific to dim 4"
 
 # eigenvalues of a defective (Jordan) block computed in floating point smear
-# by O(eps^(1/m)); clusters tighter than this cannot be told apart from a
-# single defective eigenvalue, so they are merged
+# by O(eps^(1/m)) relative to |C|; clusters tighter than this cannot be told
+# apart from a single defective eigenvalue, so they are merged
 _JORDAN_SMEAR = 50.0 * float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 # the Lorentz metric of an adapted frame, its Lambda^2 Gram and its star: the
@@ -221,14 +221,15 @@ def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> l
     The commuting points are classified together.  Each point's eigenvalues are
     sorted by (real, imag) and clustered greedily: a value joins the first
     cluster whose mean (sum / count) lies within the point's width
-    ``max(1e-8, 1e-8 rho, _JORDAN_SMEAR max(1, rho))``, ``rho`` the largest
-    modulus, or starts a new one.  A cluster's geometric multiplicity is the
-    count of singular values of ``C - z I`` at most that same width, at least
-    1, for its mean ``z``; all of them come from one ``svd``.  One tolerance
-    thus decides both: eigenvalues closer than the width are one cluster, and
-    a Jordan block whose nilpotent part is below the width reads as
-    diagonalizable (case 2).  Only the :class:`ComplexNormalForm` objects are
-    built per point."""
+    ``_JORDAN_SMEAR |C|_F``, or starts a new one.  A cluster's geometric
+    multiplicity is the count of singular values of ``C - z I`` at most that
+    same width, at least 1, for its mean ``z``; all of them come from one
+    ``svd``.  One tolerance thus decides both: eigenvalues closer than the
+    width are one cluster, and a Jordan block whose nilpotent part is below
+    the width reads as diagonalizable (case 2).  The width scales with ``C``
+    (``|C|_F`` bounds every eigenvalue and the smear of a defective one), so
+    ``s C`` reads as ``C`` at every scale ``s``.  Only the
+    :class:`ComplexNormalForm` objects are built per point."""
     k, _, errors = _adapted(k0, g, t, tol)
     c, commuting = _complexify(_GRAM_L @ k, _STAR_L.matrix, tol)
     results = [
@@ -240,8 +241,7 @@ def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> l
         return results
     c = c[ok]
     vals = np.linalg.eigvals(c)
-    rho = np.max(np.abs(vals), axis=1)
-    width = np.maximum(np.maximum(1e-8, 1e-8 * rho), _JORDAN_SMEAR * np.maximum(1.0, rho))[:, None]
+    width = _JORDAN_SMEAR * _frobenius(c.view(float))[:, None]  # the float view: real and imaginary parts
     rows = np.arange(len(c))
     sums, algs = np.zeros((len(c), 3), dtype=complex), np.zeros((len(c), 3), dtype=int)
     means = sums

@@ -1496,68 +1496,53 @@ class TestJsonValues:
 
 
 def test_file_commands_load_no_scipy(tmp_path):
-    # importing scipy costs most of a second per process; the package and every
-    # file command run without it
-    path = tmp_path / "mixed.jsonl"
+    # importing scipy costs most of a second per process: the file commands
+    # load none of it, and with every import of it blocked the generators, the
+    # file round trip, every command and the star-L demo still run
+    path, made = tmp_path / "mixed.jsonl", tmp_path / "made.jsonl.gz"
     path.write_text("\n".join(mixed_lines()) + "\n", encoding="utf-8")
+    demo = Path(__file__).resolve().parents[1] / "demos" / "04_lorentz_classification.py"
     commands = [
         ["validate"], ["einstein-check", "--metric", "g"], ["einstein-check", "--metric", "h"],
         ["einstein-check", "--metric", "lorentz"], ["normal-form"], ["petrov"], ["integrate"],
     ]
-    probe = (
-        "import contextlib, io, sys\n"
-        "import curvforms\n"
-        "from curvforms.cli import main\n"
-        "codes = []\n"
-        f"for command in {commands!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"        codes.append(main([command[0], {str(path)!r}, *command[1:], '--format', 'json']))\n"
-        "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
-    )
-    assert out.stdout == "[0, 0, 1, 1, 0, 1, 0] []\n"
-
-
-def test_the_package_runs_on_numpy_alone(tmp_path):
-    # with scipy blocked, every import of it fails: the generators, the file
-    # round trip, every command and the star-L demo still run
-    demo = Path(__file__).resolve().parents[1] / "demos" / "04_lorentz_classification.py"
-    path = tmp_path / "mixed.jsonl.gz"
-    commands = [
-        ["validate", path], ["einstein-check", path, "--metric", "lorentz"], ["normal-form", path],
-        ["petrov", path], ["integrate", path, "--quantity", "ht"], ["sums", "K3 # CP2"],
+    on_made = [
+        ["validate", made], ["einstein-check", made, "--metric", "lorentz"], ["normal-form", made],
+        ["petrov", made], ["integrate", made, "--quantity", "ht"], ["sums", "K3 # CP2"],
     ]
     probe = (
         "import contextlib, io, runpy, sys\n"
-        "sys.modules['scipy'] = None\n"
         "import numpy as np\n"
         "import curvforms as cf\n"
         "from curvforms.cli import main\n"
+        "def run(commands):\n"
+        "    codes = []\n"
+        "    for command in commands:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            codes.append(main([*command, '--format', 'json']))\n"
+        "    return codes\n"
+        f"print(run({[[c[0], str(path), *c[1:]] for c in commands]!r}),"
+        " sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        "sys.modules['scipy'] = None\n"
         "rng = np.random.default_rng(5)\n"
         "samples = []\n"
         "for case in (1, 2, 3, 4):\n"
         "    c = cf.complex_case_matrix(case, rng)\n"
         "    samples.append(cf.gen_synthetic_star_L(0.5 * (-c.real - c.real.T), 0.5 * (-c.imag - c.imag.T)))\n"
         "samples += list(cf.gen_space_form(4, 1.0, 2))\n"
-        f"cf.write_samples({str(path)!r}, samples)\n"
-        f"assert len(list(cf.read_samples({str(path)!r}))) == len(samples)\n"
-        "codes = []\n"
-        f"for command in {[[str(a) for a in c] for c in commands]!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        codes.append(main([*command, '--format', 'json']))\n"
+        f"cf.write_samples({str(made)!r}, samples)\n"
+        f"assert len(list(cf.read_samples({str(made)!r}))) == len(samples)\n"
+        f"print(run({[[str(a) for a in c] for c in on_made]!r}))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    runpy.run_path({str(demo)!r}, run_name='__main__')\n"
-        "print(codes, sys.modules['scipy'], [m for m in sys.modules if m.startswith('scipy.')])\n"
+        "print(sys.modules['scipy'], [m for m in sys.modules if m.startswith('scipy.')])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, cwd=tmp_path, timeout=120
     )
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout == "[0, 1, 0, 1, 0, 0] None []\n"
+    assert out.stdout == "[0, 0, 1, 1, 0, 1, 0] []\n[0, 1, 0, 1, 0, 0]\nNone []\n"
 
 
 # ---- usage errors ----

@@ -512,10 +512,10 @@ def cluster_eigenvalues_per_point(vals, width):
     return reps, algs
 
 
-def jordan_form_per_point(c, vals, rho):
-    """The classification of one complex matrix ``c`` with eigenvalues ``vals``
-    of largest modulus ``rho``, as :func:`_jordan_forms` computed it one point at a time."""
-    width = max(1e-8, 1e-8 * rho, complex_forms._JORDAN_SMEAR * max(1.0, rho))
+def jordan_form_per_point(c, vals):
+    """The classification of one complex matrix ``c`` with eigenvalues ``vals``,
+    as :func:`_jordan_forms` computed it one point at a time."""
+    width = complex_forms._JORDAN_SMEAR * float(np.linalg.norm(c))
     reps, algs = cluster_eigenvalues_per_point(vals, width)
     geos = []
     for z in reps:
@@ -535,7 +535,7 @@ def jordan_forms_per_point(k0, g, t, tol=1e-9):
     c, commuting = hodge._complexify(complex_forms._GRAM_L @ k, complex_forms._STAR_L.matrix, tol)
     assert errors == commuting == [None] * len(k0)
     vals = np.linalg.eigvals(c)
-    return [jordan_form_per_point(*x) for x in zip(c, vals, np.max(np.abs(vals), axis=1).tolist())]
+    return [jordan_form_per_point(*x) for x in zip(c, vals)]
 
 
 def classification_per_point(rm, g, t, tol=1e-9):
@@ -552,10 +552,8 @@ def classification_per_point(rm, g, t, tol=1e-9):
     b = np.eye(6)[:, :3]
     coords = np.linalg.solve(np.hstack([b, j @ b]), m @ b)
     c = coords[:3, :] + 1j * coords[3:, :]
-    vals = np.linalg.eigvals(c)
-    rho = float(np.max(np.abs(vals)))
-    width = max(1e-8, 1e-8 * rho, complex_forms._JORDAN_SMEAR * max(1.0, rho))
-    return c, cluster_eigenvalues_per_point(vals, width)
+    width = complex_forms._JORDAN_SMEAR * float(np.linalg.norm(c))
+    return c, cluster_eigenvalues_per_point(np.linalg.eigvals(c), width)
 
 
 class TestStackedLorentzReaders:
@@ -612,11 +610,17 @@ def jordan_corpus():
     forms = [rng.uniform(-2.0, 2.0) * np.eye(3) + rng.uniform(0.6, 1.4) * Q3 for _ in range(200)]
     for _ in range(200):
         z, w = rng.uniform(-2.0, 2.0, 2) + 1j * rng.uniform(-2.0, 2.0, 2)
-        rho = max(abs(z), abs(w))
-        near_width = complex_forms._JORDAN_SMEAR * max(1.0, rho) * (1.0 + rng.uniform(-1e-6, 1e-6))
-        size = 10.0 ** rng.uniform(-12.0, -2.0) if rng.random() < 0.75 else near_width
-        delta = size * np.exp(2j * np.pi * rng.random())
-        forms.append(np.diag([z, z + delta, w.real - 1j * (2.0 * z.imag + delta.imag)]))
+        jitter, near, turn = 1.0 + rng.uniform(-1e-6, 1e-6), rng.random() >= 0.75, np.exp(2j * np.pi * rng.random())
+
+        def pair(size):
+            delta = size * turn
+            return np.diag([z, z + delta, w.real - 1j * (2.0 * z.imag + delta.imag)])
+
+        size = 10.0 ** rng.uniform(-12.0, -2.0)
+        if near:  # the width of the pair itself: a fixed point, since |C|_F moves with the separation
+            for _ in range(3):
+                size = complex_forms._JORDAN_SMEAR * np.linalg.norm(pair(size)) * jitter
+        forms.append(pair(size))
     forms += [lam * np.eye(3) for lam in rng.uniform(-2.0, 2.0, 20)]
     k0 += [curvature.component_matrix(tensor_from_complex_form(c)) for c in forms]
     k0 = np.stack(k0)
@@ -638,21 +642,52 @@ class TestStackedClassification:
         # a pair closer than the width is one cluster of geometric multiplicity 2
         pairs = forms[600:800]
         assert {f.case_id for f in pairs} == {1, 2}
-        # the commuting test reads |M|_F of a stack as np.linalg.norm reads it for one M
+        # the commuting test reads |M|_F of a stack as np.linalg.norm reads it
+        # for one M; the width reads |C|_F of the float view, whose real and
+        # imaginary parts sum interleaved, within 2 ulp of it
+        c = np.stack([f.c_matrix for f in forms])
         npt.assert_array_max_ulp(hodge._frobenius(k0), np.array([np.linalg.norm(x) for x in k0]), maxulp=1)
+        npt.assert_array_max_ulp(hodge._frobenius(c.view(float)), np.array([np.linalg.norm(x) for x in c]), maxulp=2)
 
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
     @pytest.mark.parametrize(
         "d, case_id",
-        [(1e-12, 2), (1e-8, 2), (1e-7, 2), (1e-5, 2), (1e-4, 2), (3.1e-4, 2), (4e-4, 1), (1e-3, 1)],
+        [(1e-12, 2), (1e-8, 2), (1e-7, 2), (1e-5, 2), (1e-4, 2), (4.3e-4, 2), (4.4e-4, 1), (1e-3, 1)],
     )
-    def test_one_tolerance_merges_and_counts(self, d, case_id):
+    def test_one_tolerance_merges_and_counts(self, d, case_id, scale):
         # diag(z, z + d, w) is diagonalizable: two eigenvalues closer than the
-        # width (about 3.5e-4 here) are one cluster of geometric multiplicity 2,
-        # never a Jordan block
-        c = np.diag([0.5 + 0.3j, 0.5 + 0.3j + d, 1.0 - 0.6j])
+        # width (3.03e-4 |C|_F, 4.325e-4 times the scale here) are one cluster
+        # of geometric multiplicity 2, never a Jordan block, at every scale
+        c = scale * np.diag([0.5 + 0.3j, 0.5 + 0.3j + d, 1.0 - 0.6j])
         form = classify_complex(tensor_from_complex_form(c), np.eye(4), np.eye(4)[0])
         assert form.case_id == case_id
         assert max(form.geometric_multiplicities) == (2 if case_id == 2 else 1)
+
+    def test_conjugated_pairs_inside_the_width_read_case_2(self):
+        # Q^T diag(z, z + d, w) Q with Q complex orthogonal but not unitary is
+        # diagonalizable too, but the small singular values of C - z I grow to
+        # |Q|^2 d / 2 (|Q|_2 <= 3.45 here): a pair within a tenth of the width
+        # reads case 2 and one past the width case 1
+        z, w = 0.5 + 0.3j, 1.0 - 0.6j
+        cases = {}
+        for seed in range(100):
+            q = complex_forms._random_complex_orthogonal(np.random.default_rng(seed))
+            assert np.linalg.norm(q, 2) <= 3.45
+            width = complex_forms._JORDAN_SMEAR * np.linalg.norm(q.T @ np.diag([z, z, w]) @ q)
+            for fraction in (1e-8, 1e-4, 0.1, 1.5, 3.0):
+                c = q.T @ np.diag([z, z + fraction * width, w]) @ q
+                form = classify_complex(tensor_from_complex_form(c), np.eye(4), np.eye(4)[0])
+                cases.setdefault(fraction, set()).add(form.case_id)
+        assert cases == {1e-8: {2}, 1e-4: {2}, 0.1: {2}, 1.5: {1}, 3.0: {1}}
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-4, 1e4, 1e100])
+    def test_the_case_does_not_depend_on_scale(self, scale):
+        # the width scales with C: the criterion-07 instances and a nilpotent
+        # s Q3 keep their case at any scale, small or large
+        k0, g, t = jordan_corpus()
+        k0 = np.concatenate([k0[:400], curvature.component_matrix(tensor_from_complex_form(Q3))[None]])
+        forms = complex_forms._jordan_forms(scale * k0, g[:401], t[:401], 1e-9)
+        assert [f.case_id for f in forms] == [case for case in (1, 2, 3, 4) for _ in range(100)] + [4]
 
     def test_the_per_point_helpers_are_gone(self):
         assert not hasattr(complex_forms, "_jordan_form")
