@@ -79,7 +79,8 @@ _JORDAN_SMEAR = 50.0 * float(np.finfo(float).eps) ** (1.0 / 3.0)
 # values of hodge_star(_ETA), written out because a LAPACK call at import
 # raises the peak memory of every command by about 1 MiB
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
-_GRAM_L = np.diag([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+_GRAM_L_DIAG = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+_GRAM_L = np.diag(_GRAM_L_DIAG)
 _STAR_L = HodgeStar(np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(3)), _GRAM_L, "lorentzian", 1)
 
 
@@ -378,8 +379,12 @@ _SOBOL_BITS = 30
 # the step fractions 2^-1 .. 2^-24 a Gauss-Newton step backtracks through
 _HALVINGS = 0.5 ** np.arange(1, 25)
 
-# a converged plane's residual bound (relative to max(1, |G op|)), the projector
-# distance beyond which two planes are distinct, and the iteration cap
+# the signs of x3, x2, x1, x0 in the chart's derivative columns (see _chart_tangents)
+_CHART_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+# a converged plane's residual bound (relative to max(1, |G op|), once an op
+# below norm 1 is scaled into [1, 2)), the projector distance beyond which two
+# planes are distinct, and the iteration cap
 _RESIDUAL_TOL = 1e-7
 _DEDUP_TOL = 1e-4
 _MAX_ITER = 200
@@ -428,26 +433,34 @@ def _spacelike_starts(n_starts: int):
     return u0, w0
 
 
-def _start_chart(n_starts: int):
-    """The starts ``(u0, w0)`` with their chart directions ``(n1, n2)``: a basis
-    of the Lorentz-orthogonal complement of each start."""
+def _start_chart(n_starts: int) -> np.ndarray:
+    """The chart of each start, shape (n_starts, 6, 6): the bivectors
+    ``(c0 .. c5) = (u0 ^ w0, n1 ^ w0, n2 ^ w0, u0 ^ n1, u0 ^ n2, n1 ^ n2)`` of the
+    start pair ``(u0, w0)`` and a basis ``(n1, n2)`` of its Lorentz-orthogonal
+    complement.  The plane at chart coordinates ``x`` is spanned by
+    ``u = u0 + x0 n1 + x1 n2`` and ``w = w0 + x2 n1 + x3 n2``, and
+    ``u ^ w = c0 + x0 c1 + x1 c2 + x2 c3 + x3 c4 + (x0 x3 - x1 x2) c5``."""
     u0, w0 = _spacelike_starts(n_starts)
     _, _, vh = np.linalg.svd(np.stack([u0 @ _ETA, w0 @ _ETA], axis=1))
-    return u0, w0, vh[:, 2, :], vh[:, 3, :]
+    n1, n2 = vh[:, 2], vh[:, 3]
+    v, w = np.stack([u0, n1, n2, u0, u0, n1], axis=1), np.stack([w0, w0, w0, n1, n2, n2], axis=1)
+    return wedge_vectors(v, w, _BASIS)
 
 
-def _planes_at(x, chart):
-    """Spanning pairs ``(u, w)`` at chart coordinates ``x``; rows broadcast."""
-    u0, w0, n1, n2 = chart
-    u = u0 + x[..., 0:1] * n1 + x[..., 1:2] * n2
-    w = w0 + x[..., 2:3] * n1 + x[..., 3:4] * n2
-    return u, w
+def _chart_planes(x, chart):
+    """The unnormalised planes ``u ^ w`` at chart coordinates ``x``, shape (n, 4)
+    or (n, k, 4), of the n starts of ``chart``: their monomials
+    ``(1, x0, x1, x2, x3, x0 x3 - x1 x2)`` times the chart."""
+    mono = np.ones(x.shape[:-1] + (6,))
+    mono[..., 1:5] = x
+    mono[..., 5] = x[..., 0] * x[..., 3] - x[..., 1] * x[..., 2]
+    return (mono.reshape(len(x), -1, 6) @ chart).reshape(mono.shape)
 
 
 def _lorentz_norms(x, chart):
     """``<u ^ w, u ^ w>_L`` of the unnormalised planes at chart coordinates ``x``."""
-    p_raw = wedge_vectors(*_planes_at(x, chart), _BASIS)
-    return ((p_raw @ _GRAM_L) * p_raw).sum(axis=-1)
+    p_raw = _chart_planes(x, chart)
+    return (p_raw * p_raw * _GRAM_L_DIAG).sum(axis=-1)
 
 
 def _backtrack(x, delta, chart, q_min):
@@ -462,7 +475,7 @@ def _backtrack(x, delta, chart, q_min):
     bad = np.flatnonzero(_lorentz_norms(x + delta, chart) <= q_min)
     if bad.size:
         trials = x[bad, None, :] + delta[bad, None, :] * _HALVINGS[:, None]
-        passes = ~(_lorentz_norms(trials, [c[bad, None, :] for c in chart]) <= q_min)
+        passes = ~(_lorentz_norms(trials, chart[bad]) <= q_min)
         k = np.where(passes.any(axis=1), passes.argmax(axis=1) + 1, len(_HALVINGS) + 1)
         delta[bad] *= 0.5 ** k[:, None]
     return delta
@@ -474,10 +487,45 @@ def _plane_fit(p_raw, sq, mmat, smat):
     p = p_raw / sq[:, None]
     mp = p @ mmat.T
     sp = p @ smat.T
-    gmp = mp @ _GRAM_L
+    gmp = mp * _GRAM_L_DIAG
     a = (gmp * p).sum(axis=1)
     b = -(gmp * sp).sum(axis=1)
     return p, sp, gmp, a, b, mp - a[:, None] * p - b[:, None] * sp
+
+
+def _chart_tangents(x, chart):
+    """The derivatives (n, 6, 4) of the planes ``u ^ w`` at chart coordinates ``x``
+    (n, 4) in ``x``: ``(c1 + x3 c5, c2 - x2 c5, c3 - x1 c5, c4 + x0 c5)``."""
+    return np.swapaxes(chart[:, 1:5], 1, 2) + chart[:, 5, :, None] * (x[:, ::-1] * _CHART_SIGNS)[:, None, :]
+
+
+def _linearised(x, chart, mmat, smat, q_min):
+    """One Gauss-Newton linearisation at chart coordinates ``x`` (n, 4) of the
+    starts of ``chart``: the residual ``r`` (n, 6) of :func:`_plane_fit` at the
+    plane ``p = u ^ w / sqrt(max(<u ^ w, u ^ w>_L, q_min))`` and its Jacobian
+    (n, 6, 4) in ``x``: ``d(op p) - p da - a dp - (*_L p) db - b d(*_L p)`` with
+    ``dp = (d(u ^ w) - p (G p)^T d(u ^ w)) / sqrt(...)``."""
+    p_raw = _chart_planes(x, chart)
+    pg = p_raw * _GRAM_L_DIAG
+    sq = np.sqrt(np.maximum((pg * p_raw).sum(axis=1), q_min))
+    p, sp, gmp, a, b, r = _plane_fit(p_raw, sq, mmat, smat)
+    d_raw = _chart_tangents(x, chart)
+    dp = (d_raw - p[:, :, None] * np.matmul((pg / sq[:, None])[:, None, :], d_raw)) / sq[:, None, None]
+    dmp = np.matmul(mmat, dp)
+    dsp = np.matmul(smat, dp)
+    da = 2.0 * np.matmul(gmp[:, None, :], dp)[:, 0, :]
+    db = (
+        -np.matmul(gmp[:, None, :], dsp)[:, 0, :]
+        - np.matmul((sp * _GRAM_L_DIAG)[:, None, :], dmp)[:, 0, :]
+    )
+    jac = (
+        dmp
+        - p[:, :, None] * da[:, None, :]
+        - a[:, None, None] * dp
+        - sp[:, :, None] * db[:, None, :]
+        - b[:, None, None] * dsp
+    )
+    return r, jac
 
 
 def count_spacelike_critical(
@@ -495,6 +543,10 @@ def count_spacelike_critical(
     4-parameter chart of the spacelike Grassmannian; converged planes are
     deduplicated through the projectors onto ``span{P, *_L P}``.  More than
     three distinct planes means a continuum (``math.inf`` is returned).
+    Critical planes of ``s op`` are those of ``op`` for ``s > 0``, and so is
+    the count: an operator of norm below 1 is first scaled by a power of two
+    into [1, 2), where the residual bound is relative.  Past a norm of about
+    1e150 the normal equations overflow and the count is wrong.
 
     With ``return_planes=True``, returns ``(count, planes)`` where planes are
     unit spacelike bivectors in the adapted frame (one per cluster).
@@ -513,18 +565,19 @@ def count_spacelike_critical(
     g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
     k, _, errors = _adapted(component_matrix(rm)[None], g[None], t[None], 1e-9)
     k = _alone([errors[0] or k[0]])
-    gram, mmat, smat = _GRAM_L, _GRAM_L @ k, _STAR_L.matrix
-    chart = _start_chart(n_starts)
-
+    mmat, smat = _GRAM_L @ k, _STAR_L.matrix
+    norm = float(np.linalg.norm(mmat))
+    if 0.0 < norm < 1.0:
+        mmat = np.ldexp(mmat, 1 - np.frexp(norm)[1])
     norm_scale = max(1.0, float(np.linalg.norm(mmat)))
+    chart = _start_chart(n_starts)
     x = np.zeros((n_starts, 4))
     q_min = 1e-6
     eye4 = np.eye(4)
 
     def tally(xs):
-        u, w = _planes_at(xs, chart)
-        p_raw = wedge_vectors(u, w, _BASIS)
-        q = ((p_raw @ gram) * p_raw).sum(axis=1)
+        p_raw = _chart_planes(xs, chart)
+        q = (p_raw * p_raw * _GRAM_L_DIAG).sum(axis=1)
         good = q > q_min
         p, sp, _, _, _, r = _plane_fit(p_raw[good], np.sqrt(q[good]), mmat, smat)
         ok = np.linalg.norm(r, axis=1) <= _RESIDUAL_TOL * norm_scale
@@ -558,14 +611,8 @@ def count_spacelike_critical(
                     return count, planes
                 return count
         xa = x[idx]
-        chart_a = [c[idx] for c in chart]
-        m1, m2 = chart_a[2:]
-        u, w = _planes_at(xa, chart_a)
-        p_raw = wedge_vectors(u, w, _BASIS)
-        pg = p_raw @ gram
-        q = (pg * p_raw).sum(axis=1)
-        sq = np.sqrt(np.maximum(q, q_min))
-        p, sp, gmp, a, b, r = _plane_fit(p_raw, sq, mmat, smat)
+        chart_a = chart[idx]
+        r, jac = _linearised(xa, chart_a, mmat, smat, q_min)
         rn = np.linalg.norm(r, axis=1)
         # far from the acceptance gate, sub-3%-per-iteration decay can never
         # reach it within _MAX_ITER, so such starts count as stalled
@@ -577,28 +624,6 @@ def count_spacelike_critical(
         stalled_for[idx] = np.where(gained, 0, stalled_for[idx] + 1)
         best_res[idx] = np.minimum(best_res[idx], rn)
 
-        vfac = np.stack([m1, m2, u, u], axis=1)
-        wfac = np.stack([w, w, m1, m2], axis=1)
-        d_raw = np.transpose(wedge_vectors(vfac, wfac, _BASIS), (0, 2, 1))  # (starts, 6, 4)
-        dq = 2.0 * np.matmul(pg[:, None, :], d_raw)[:, 0, :]
-        dp = (
-            d_raw / sq[:, None, None]
-            - p_raw[:, :, None] * dq[:, None, :] / (2.0 * sq**3)[:, None, None]
-        )
-        dmp = np.matmul(mmat, dp)
-        dsp = np.matmul(smat, dp)
-        da = 2.0 * np.matmul(gmp[:, None, :], dp)[:, 0, :]
-        db = (
-            -np.matmul(gmp[:, None, :], dsp)[:, 0, :]
-            - np.matmul((sp @ gram)[:, None, :], dmp)[:, 0, :]
-        )
-        jac = (
-            dmp
-            - p[:, :, None] * da[:, None, :]
-            - a[:, None, None] * dp
-            - sp[:, :, None] * db[:, None, :]
-            - b[:, None, None] * dsp
-        )
         jact = np.transpose(jac, (0, 2, 1))
         jtj = np.matmul(jact, jac)
         jtr = np.matmul(jact, r[:, :, None])[:, :, 0]

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import curvforms
-from curvforms import complex_forms, curvature, hodge, normal_forms, topology
+from curvforms import bivectors, complex_forms, curvature, hodge, normal_forms, topology
 from curvforms.complex_forms import (
     CASE_CRITICAL_COUNTS,
     adapted_frame,
@@ -352,6 +352,18 @@ class TestCounter:
         second = count_spacelike_critical(rm, np.eye(4), np.eye(4)[0])
         assert first == second == 1
 
+    @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+    def test_the_count_does_not_depend_on_a_positive_scale(self, case_id):
+        # critical planes of s op are those of op; below norm 1 the residual
+        # bound used to be absolute, which read a continuum at s = 1e-6
+        for i in range(5):
+            c = complex_case_matrix(case_id, np.random.default_rng(700_000 + 1000 * case_id + i))
+            counts = [
+                count_spacelike_critical(tensor_from_complex_form(s * c), np.eye(4), np.eye(4)[0])
+                for s in (1.0, 1e-12, 1e-6, 1e-3, 1e3, 1e6)
+            ]
+            assert counts[1:] == [counts[0]] * 5, f"seed {i}: {counts}"
+
     @pytest.mark.parametrize("n_starts", [1, 2, 16, 64, 128, 192, 256])
     def test_sobol_points_equal_scipy(self, n_starts):
         from scipy.stats import qmc  # the reference only; the counter does not import it
@@ -384,6 +396,47 @@ class TestCounter:
         assert (halvings == 0).sum() >= 10
         assert ((halvings > 0) & (halvings < 25)).sum() >= 10
         assert ((halvings == 25) & start_outside).sum() >= 10
+
+    def test_the_chart_evaluates_the_wedge_of_the_spanning_pair(self):
+        u0, w0 = complex_forms._spacelike_starts(192)
+        _, _, vh = np.linalg.svd(np.stack([u0 @ ETA, w0 @ ETA], axis=1))
+        n1, n2 = vh[:, 2], vh[:, 3]
+        x = np.random.default_rng(18).uniform(-3.0, 3.0, size=(192, 4))
+        u = u0 + x[:, 0:1] * n1 + x[:, 1:2] * n2
+        w = w0 + x[:, 2:3] * n1 + x[:, 3:4] * n2
+        chart = complex_forms._start_chart(192)
+        # u ^ w and the four derivative columns n1 ^ w, n2 ^ w, u ^ n1, u ^ n2
+        want = bivectors.wedge_vectors(
+            np.stack([u, n1, n2, u, u], axis=1), np.stack([w, w, w, n1, n2], axis=1), normal_forms._BASIS
+        )
+        got = np.concatenate(
+            [complex_forms._chart_planes(x, chart)[:, None], np.swapaxes(complex_forms._chart_tangents(x, chart), 1, 2)],
+            axis=1,
+        )
+        assert (np.abs(got - want) <= 1e-13 * np.linalg.norm(want, axis=2, keepdims=True)).all()
+
+    @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+    def test_the_jacobian_equals_central_differences_of_the_residual(self, case_id):
+        c = complex_case_matrix(case_id, np.random.default_rng(700_000 + 1000 * case_id))
+        k = complex_forms._adapted(
+            curvature.component_matrix(tensor_from_complex_form(c))[None], np.eye(4)[None], np.eye(4)[:1], 1e-9
+        )[0][0]
+        mmat, smat = complex_forms._GRAM_L @ k, complex_forms._STAR_L.matrix
+        chart = complex_forms._start_chart(64)
+        x = np.random.default_rng(case_id).uniform(-1.0, 1.0, size=(64, 4))
+        # inside the spacelike cone, away from the clamp of <P, P>_L at q_min
+        inside = complex_forms._lorentz_norms(x, chart) > 1e-2
+        x, chart = x[inside], chart[inside]
+        assert len(x) >= 16
+
+        def residual(xs):
+            return complex_forms._linearised(xs, chart, mmat, smat, 1e-6)[0]
+
+        _, jac = complex_forms._linearised(x, chart, mmat, smat, 1e-6)
+        h = 1e-6
+        for i, e in enumerate(np.eye(4) * h):
+            fd = (residual(x + e) - residual(x - e)) / (2.0 * h)
+            npt.assert_allclose(jac[:, :, i], fd, rtol=0.0, atol=1e-6 * np.abs(jac).max())
 
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
     def test_stacked_dedup_equals_the_per_plane_loop(self, case_id, monkeypatch):
