@@ -25,6 +25,7 @@ multi-start Gauss-Newton search over the spacelike Grassmannian.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -353,7 +354,7 @@ def tensor_from_complex_form(c: np.ndarray, frame: np.ndarray | None = None) -> 
     coordinates.
     """
     c = np.asarray(c, dtype=complex)
-    scale = max(float(np.linalg.norm(c)), 1e-300)
+    scale = max(float(_frobenius(np.stack([c.real, c.imag])[None])[0]), 1e-300)
     if np.max(np.abs(c - c.T)) > 1e-9 * scale:
         raise GeometryError("complex form must be symmetric")
     if abs(np.trace(c).imag) > 1e-9 * scale:
@@ -433,18 +434,24 @@ def _spacelike_starts(n_starts: int):
     return u0, w0
 
 
+@lru_cache(maxsize=4)
 def _start_chart(n_starts: int) -> np.ndarray:
     """The chart of each start, shape (n_starts, 6, 6): the bivectors
     ``(c0 .. c5) = (u0 ^ w0, n1 ^ w0, n2 ^ w0, u0 ^ n1, u0 ^ n2, n1 ^ n2)`` of the
     start pair ``(u0, w0)`` and a basis ``(n1, n2)`` of its Lorentz-orthogonal
     complement.  The plane at chart coordinates ``x`` is spanned by
     ``u = u0 + x0 n1 + x1 n2`` and ``w = w0 + x2 n1 + x3 n2``, and
-    ``u ^ w = c0 + x0 c1 + x1 c2 + x2 c3 + x3 c4 + (x0 x3 - x1 x2) c5``."""
+    ``u ^ w = c0 + x0 c1 + x1 c2 + x2 c3 + x3 c4 + (x0 x3 - x1 x2) c5``.
+
+    Built once per start count (the last few counts are cached) and returned
+    read-only, since every caller shares it."""
     u0, w0 = _spacelike_starts(n_starts)
     _, _, vh = np.linalg.svd(np.stack([u0 @ _ETA, w0 @ _ETA], axis=1))
     n1, n2 = vh[:, 2], vh[:, 3]
     v, w = np.stack([u0, n1, n2, u0, u0, n1], axis=1), np.stack([w0, w0, w0, n1, n2, n2], axis=1)
-    return wedge_vectors(v, w, _BASIS)
+    chart = wedge_vectors(v, w, _BASIS)
+    chart.flags.writeable = False
+    return chart
 
 
 def _chart_planes(x, chart):
@@ -491,6 +498,25 @@ def _plane_fit(p_raw, sq, mmat, smat):
     a = (gmp * p).sum(axis=1)
     b = -(gmp * sp).sum(axis=1)
     return p, sp, gmp, a, b, mp - a[:, None] * p - b[:, None] * sp
+
+
+def _row_norms(v):
+    """``np.linalg.norm(v, axis=1)`` of a real (n, k) array, bit for bit, without
+    its argument handling."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
+def _first_kept(projectors, tol):
+    """The indices of the projectors (m, 6, 6) kept first come, first kept: each
+    one farther than ``tol`` (Frobenius, as ``np.linalg.norm``) from every
+    projector kept before it.  One stacked distance per kept projector drops
+    it and the later ones within ``tol`` of it; the first left is the next one
+    kept."""
+    kept, rest = [], np.arange(len(projectors))
+    while rest.size:
+        kept.append(rest[0])
+        rest = rest[_frobenius(projectors[rest] - projectors[rest[0]]) > tol]
+    return kept
 
 
 def _chart_tangents(x, chart):
@@ -544,9 +570,10 @@ def count_spacelike_critical(
     deduplicated through the projectors onto ``span{P, *_L P}``.  More than
     three distinct planes means a continuum (``math.inf`` is returned).
     Critical planes of ``s op`` are those of ``op`` for ``s > 0``, and so is
-    the count: an operator of norm below 1 is first scaled by a power of two
-    into [1, 2), where the residual bound is relative.  Past a norm of about
-    1e150 the normal equations overflow and the count is wrong.
+    the count: an operator of norm below 1 or above 2^64 is first scaled by a
+    power of two into [1, 2), where the residual bound is relative, so the
+    normal equations do not overflow at any finite scale.  The start chart is
+    built once per start count and shared by later calls.
 
     With ``return_planes=True``, returns ``(count, planes)`` where planes are
     unit spacelike bivectors in the adapted frame (one per cluster).
@@ -566,8 +593,8 @@ def count_spacelike_critical(
     k, _, errors = _adapted(component_matrix(rm)[None], g[None], t[None], 1e-9)
     k = _alone([errors[0] or k[0]])
     mmat, smat = _GRAM_L @ k, _STAR_L.matrix
-    norm = float(np.linalg.norm(mmat))
-    if 0.0 < norm < 1.0:
+    norm = float(_frobenius(mmat[None])[0])
+    if 0.0 < norm < 1.0 or norm > 2.0**64:
         mmat = np.ldexp(mmat, 1 - np.frexp(norm)[1])
     norm_scale = max(1.0, float(np.linalg.norm(mmat)))
     chart = _start_chart(n_starts)
@@ -575,54 +602,54 @@ def count_spacelike_critical(
     q_min = 1e-6
     eye4 = np.eye(4)
 
-    def tally(xs):
+    def converged(xs):
         p_raw = _chart_planes(xs, chart)
         q = (p_raw * p_raw * _GRAM_L_DIAG).sum(axis=1)
         good = q > q_min
         p, sp, _, _, _, r = _plane_fit(p_raw[good], np.sqrt(q[good]), mmat, smat)
-        ok = np.linalg.norm(r, axis=1) <= _RESIDUAL_TOL * norm_scale
-        p, sp = p[ok], sp[ok]
+        ok = _row_norms(r) <= _RESIDUAL_TOL * norm_scale
+        return p[ok], sp[ok]
+
+    def tally(p, sp):
         # projectors onto span{P, *P}; first come, first kept
         qmat = np.linalg.qr(np.stack([p, sp], axis=2))[0]
-        projectors = qmat @ np.swapaxes(qmat, 1, 2)
-        kept = []
-        for n, proj in enumerate(projectors):
-            if all(np.linalg.norm(proj - projectors[j]) > _DEDUP_TOL for j in kept):
-                kept.append(n)
+        kept = _first_kept(qmat @ np.swapaxes(qmat, 1, 2), _DEDUP_TOL)
         count = len(kept)
         return (math.inf if count > 3 else count), p[kept]
 
     # starts freeze individually once converged (tiny step) or stalled (best
-    # residual no longer improving by 0.1%); late iterations then only touch
-    # the stragglers
-    active = np.ones(n_starts, dtype=bool)
+    # residual no longer improving by 0.1%).  The loop keeps only the live
+    # starts (indices `live` into x) in its working arrays, drops a start when
+    # it freezes, and writes the live coordinates back into x before each
+    # continuum check and at the end
+    live = np.arange(n_starts)
+    xa, chart_a = x.copy(), chart
     best_res = np.full(n_starts, np.inf)
     stalled_for = np.zeros(n_starts, dtype=int)
 
     for it in range(_MAX_ITER):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if live.size == 0:
             break
         if it and it % 16 == 0:
-            # a continuum already in hand needs no further polishing
-            count, planes = tally(x)
-            if math.isinf(count):
-                if return_planes:
-                    return count, planes
-                return count
-        xa = x[idx]
-        chart_a = chart[idx]
+            # a continuum already in hand needs no further polishing; it
+            # takes more than three converged planes
+            x[live] = xa
+            p, sp = converged(x)
+            if len(p) > 3:
+                count, planes = tally(p, sp)
+                if math.isinf(count):
+                    if return_planes:
+                        return count, planes
+                    return count
         r, jac = _linearised(xa, chart_a, mmat, smat, q_min)
-        rn = np.linalg.norm(r, axis=1)
+        rn = _row_norms(r)
         # far from the acceptance gate, sub-3%-per-iteration decay can never
         # reach it within _MAX_ITER, so such starts count as stalled
         far = rn > 100.0 * _RESIDUAL_TOL * norm_scale
-        lenient = np.minimum(
-            best_res[idx] * (1.0 - 1e-3), best_res[idx] - 1e-12 * norm_scale
-        )
-        gained = rn < np.where(far, best_res[idx] * 0.97, lenient)
-        stalled_for[idx] = np.where(gained, 0, stalled_for[idx] + 1)
-        best_res[idx] = np.minimum(best_res[idx], rn)
+        lenient = np.minimum(best_res * (1.0 - 1e-3), best_res - 1e-12 * norm_scale)
+        gained = rn < np.where(far, best_res * 0.97, lenient)
+        stalled_for = np.where(gained, 0, stalled_for + 1)
+        best_res = np.minimum(best_res, rn)
 
         jact = np.transpose(jac, (0, 2, 1))
         jtj = np.matmul(jact, jac)
@@ -633,16 +660,21 @@ def count_spacelike_critical(
             delta = np.linalg.solve(jtj, -jtr[..., None])[..., 0]
         except np.linalg.LinAlgError:
             break
-        step = np.linalg.norm(delta, axis=1)
+        step = _row_norms(delta)
         shrink = np.where(step > 2.0, 2.0 / np.maximum(step, 1e-300), 1.0)
         delta = delta * shrink[:, None]
         # Backtrack any step that would cross into the non-spacelike cone.
         delta = _backtrack(xa, delta, chart_a, q_min)
-        x[idx] = xa + delta
-        done = (np.linalg.norm(delta, axis=1) < 1e-13) | (stalled_for[idx] >= 12)
-        active[idx[done]] = False
+        xa = xa + delta
+        done = (_row_norms(delta) < 1e-13) | (stalled_for >= 12)
+        if done.any():
+            x[live[done]] = xa[done]
+            keep = ~done
+            live, xa, chart_a = live[keep], xa[keep], chart_a[keep]
+            best_res, stalled_for = best_res[keep], stalled_for[keep]
 
-    count, planes = tally(x)
+    x[live] = xa
+    count, planes = tally(*converged(x))
     if return_planes:
         return count, planes
     return count

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -355,14 +356,18 @@ class TestCounter:
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
     def test_the_count_does_not_depend_on_a_positive_scale(self, case_id):
         # critical planes of s op are those of op; below norm 1 the residual
-        # bound used to be absolute, which read a continuum at s = 1e-6
+        # bound used to be absolute, which read a continuum at s = 1e-6; above
+        # about 1e150 the normal equations overflowed
+        scales = (1.0, 1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e160, 1e200)
         for i in range(5):
             c = complex_case_matrix(case_id, np.random.default_rng(700_000 + 1000 * case_id + i))
-            counts = [
-                count_spacelike_critical(tensor_from_complex_form(s * c), np.eye(4), np.eye(4)[0])
-                for s in (1.0, 1e-12, 1e-6, 1e-3, 1e3, 1e6)
-            ]
-            assert counts[1:] == [counts[0]] * 5, f"seed {i}: {counts}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                counts = [
+                    count_spacelike_critical(tensor_from_complex_form(s * c), np.eye(4), np.eye(4)[0])
+                    for s in scales
+                ]
+            assert counts[1:] == [counts[0]] * (len(scales) - 1), f"seed {i}: {counts}"
 
     @pytest.mark.parametrize("n_starts", [1, 2, 16, 64, 128, 192, 256])
     def test_sobol_points_equal_scipy(self, n_starts):
@@ -396,6 +401,58 @@ class TestCounter:
         assert (halvings == 0).sum() >= 10
         assert ((halvings > 0) & (halvings < 25)).sum() >= 10
         assert ((halvings == 25) & start_outside).sum() >= 10
+
+    def test_the_chart_cache_holds_no_state(self):
+        complex_forms._start_chart.cache_clear()
+        for n_starts in (64, 128, 192):
+            chart = complex_forms._start_chart(n_starts)
+            assert chart.tobytes() == complex_forms._start_chart.__wrapped__(n_starts).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                chart[0, 0, 0] = 1.0
+        # a call with another start count in between changes nothing, and a
+        # cached chart gives what a freshly built one gave
+        complex_forms._start_chart.cache_clear()
+        for case_id in (1, 2, 3, 4):
+            c = complex_case_matrix(case_id, np.random.default_rng(700_000 + 1000 * case_id))
+            sample = gen_synthetic_star_L(0.5 * (-c.real - c.real.T), 0.5 * (-c.imag - c.imag.T))
+            runs = [
+                count_spacelike_critical(sample.rm, sample.g, sample.t, n_starts=n_starts, return_planes=True)
+                for n_starts in (64, 128, 64)
+            ]
+            assert runs[2][0] == runs[0][0]
+            assert runs[2][1].shape == runs[0][1].shape and runs[2][1].tobytes() == runs[0][1].tobytes()
+
+    def test_the_dedup_helper_keeps_first_come_first_kept(self):
+        tol = complex_forms._DEDUP_TOL
+
+        def projector(angle):
+            # onto span{e0 cos a + e2 sin a, e1}: |P(a) - P(b)|_F = sqrt(2) |sin(a - b)|
+            q = np.zeros((6, 2))
+            q[[0, 2], 0] = np.cos(angle), np.sin(angle)
+            q[1, 1] = 1.0
+            return q @ q.T
+
+        def at(distance):
+            return np.arcsin(distance / np.sqrt(2.0))
+
+        def kept(*angles):
+            return [int(i) for i in complex_forms._first_kept(np.array([projector(a) for a in angles]).reshape(-1, 6, 6), tol)]
+
+        assert kept() == []
+        assert kept(0.0) == [0]
+        assert kept(0.0, at(0.5 * tol)) == [0]  # a duplicate
+        assert kept(0.0, at(2.0 * tol)) == [0, 1]  # a distinct plane
+        assert kept(0.0, at(0.5 * tol), at(2.0 * tol), at(2.3 * tol)) == [0, 2]
+        # a chain A - B - C with |A - B| and |B - C| within tol and |A - C|
+        # beyond: greedy order keeps A and C (clustering would merge all three);
+        # with B first, B alone is kept
+        a, b, c = 0.0, at(0.8 * tol), 2.0 * at(0.8 * tol)
+        assert np.linalg.norm(projector(a) - projector(b)) <= tol
+        assert np.linalg.norm(projector(b) - projector(c)) <= tol
+        assert np.linalg.norm(projector(a) - projector(c)) > tol
+        assert kept(a, b, c) == [0, 2]
+        assert kept(b, a, c) == [0]
+        assert kept(c, b, a) == [0, 2]
 
     def test_the_chart_evaluates_the_wedge_of_the_spanning_pair(self):
         u0, w0 = complex_forms._spacelike_starts(192)
