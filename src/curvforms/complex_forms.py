@@ -20,7 +20,9 @@ the Lorentz star is ``[[0, I], [-I, 0]]``; they commute when ``D = -A`` and
 ``B = B^T``, and then ``C = -(A + iB)``.
 
 ``count_spacelike_critical`` verifies the prediction numerically with a
-multi-start Gauss-Newton search over the spacelike Grassmannian.
+multi-start Levenberg-Marquardt search over the spacelike Grassmannian,
+damped by ``lambda = |r|^2`` plus a small floor, with a 6-iteration stall
+window.
 """
 
 import math
@@ -377,7 +379,7 @@ def tensor_from_complex_form(c: np.ndarray, frame: np.ndarray | None = None) -> 
 _SOBOL_DIMS = ((1, 0, (1,)), (2, 1, (1, 3)), (3, 1, (1, 3, 1)))
 _SOBOL_BITS = 30
 
-# the step fractions 2^-1 .. 2^-24 a Gauss-Newton step backtracks through
+# the step fractions 2^-1 .. 2^-24 a Levenberg-Marquardt step backtracks through
 _HALVINGS = 0.5 ** np.arange(1, 25)
 
 # the signs of x3, x2, x1, x0 in the chart's derivative columns (see _chart_tangents)
@@ -564,10 +566,13 @@ def count_spacelike_critical(
     """Count spacelike critical 2-planes of the Lorentz-realized operator.
 
     A plane ``P`` (unit spacelike bivector) is critical when
-    ``op P = a P + b (*_L P)``.  The residual of that equation is driven to
-    zero by Gauss-Newton from ``n_starts`` quasi-random starts in a local
-    4-parameter chart of the spacelike Grassmannian; converged planes are
-    deduplicated through the projectors onto ``span{P, *_L P}``.  More than
+    ``op P = a P + b (*_L P)``.  The residual ``r`` of that equation is driven
+    to zero by Levenberg-Marquardt from ``n_starts`` quasi-random starts in a
+    local 4-parameter chart of the spacelike Grassmannian, with damping
+    ``lambda = |r|^2 + 1e-10 (tr J^T J / 4 + 1)``; a start stops once its step
+    is tiny or its best residual has not improved for 6 iterations.
+    Converged planes are deduplicated through the projectors onto
+    ``span{P, *_L P}``.  More than
     three distinct planes means a continuum (``math.inf`` is returned).
     Critical planes of ``s op`` are those of ``op`` for ``s > 0``, and so is
     the count: an operator of norm below 1 or above 2^64 is first scaled by a
@@ -618,10 +623,12 @@ def count_spacelike_critical(
         return (math.inf if count > 3 else count), p[kept]
 
     # starts freeze individually once converged (tiny step) or stalled (best
-    # residual no longer improving by 0.1%).  The loop keeps only the live
-    # starts (indices `live` into x) in its working arrays, drops a start when
-    # it freezes, and writes the live coordinates back into x before each
-    # continuum check and at the end
+    # residual not gaining for 6 iterations; under lambda = |r|^2 a start
+    # that converges keeps gaining, so the window stops only the starts that
+    # find no plane).  The loop keeps only the live starts (indices `live`
+    # into x) in its working arrays, drops a start when it freezes, and
+    # writes the live coordinates back into x before each continuum check
+    # and at the end
     live = np.arange(n_starts)
     xa, chart_a = x.copy(), chart
     best_res = np.full(n_starts, np.inf)
@@ -654,7 +661,11 @@ def count_spacelike_critical(
         jact = np.transpose(jac, (0, 2, 1))
         jtj = np.matmul(jact, jac)
         jtr = np.matmul(jact, r[:, :, None])[:, :, 0]
-        damping = 1e-10 * (np.trace(jtj, axis1=1, axis2=2) / 4.0 + 1.0)
+        # lambda = |r|^2 converges quadratically under a local error bound
+        # even where J^T J is singular along a continuum of solutions (N.
+        # Yamashita and M. Fukushima, Computing Suppl. 15 (2001) 239-249);
+        # the constant term is a floor once r vanishes
+        damping = rn * rn + 1e-10 * (np.trace(jtj, axis1=1, axis2=2) / 4.0 + 1.0)
         jtj = jtj + damping[:, None, None] * eye4
         try:
             delta = np.linalg.solve(jtj, -jtr[..., None])[..., 0]
@@ -666,7 +677,7 @@ def count_spacelike_critical(
         # Backtrack any step that would cross into the non-spacelike cone.
         delta = _backtrack(xa, delta, chart_a, q_min)
         xa = xa + delta
-        done = (_row_norms(delta) < 1e-13) | (stalled_for >= 12)
+        done = (_row_norms(delta) < 1e-13) | (stalled_for >= 6)
         if done.any():
             x[live[done]] = xa[done]
             keep = ~done

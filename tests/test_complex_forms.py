@@ -369,6 +369,33 @@ class TestCounter:
                 ]
             assert counts[1:] == [counts[0]] * (len(scales) - 1), f"seed {i}: {counts}"
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-3, 2.0**5])
+    def test_every_case_2_bench_operator_reads_a_continuum_at_64_starts(self, scale):
+        # the continuum used to depend on rounding: under a constant damping
+        # 20 of these 100 read 2 or 3 planes, a different 20 at each scale
+        wrong = []
+        for i in range(100):
+            c = complex_case_matrix(2, np.random.default_rng(702_000 + i))
+            count = count_spacelike_critical(tensor_from_complex_form(scale * c), np.eye(4), np.eye(4)[0])
+            if not math.isinf(count):
+                wrong.append((i, count))
+        assert wrong == []
+
+    @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+    def test_held_out_counts_are_right_at_64_starts(self, case_id):
+        # seeds apart from the criterion-07 ones, each C in the identity frame
+        # and in a seeded rotated and scaled frame; no retry with more starts
+        wrong = []
+        for i in range(25):
+            seed = 900_000 + 1000 * case_id + i
+            c = complex_case_matrix(case_id, np.random.default_rng(seed))
+            plain = gen_synthetic_star_L(0.5 * (-c.real - c.real.T), 0.5 * (-c.imag - c.imag.T))
+            for name, s in (("identity", plain), ("framed", star_l_sample(seed, case_id))):
+                count = count_spacelike_critical(s.rm, s.g, s.t)
+                if count != CASE_CRITICAL_COUNTS[case_id]:
+                    wrong.append((i, name, count))
+        assert wrong == []
+
     @pytest.mark.parametrize("n_starts", [1, 2, 16, 64, 128, 192, 256])
     def test_sobol_points_equal_scipy(self, n_starts):
         from scipy.stats import qmc  # the reference only; the counter does not import it
