@@ -22,7 +22,8 @@ the Lorentz star is ``[[0, I], [-I, 0]]``; they commute when ``D = -A`` and
 ``count_spacelike_critical`` verifies the prediction numerically with a
 multi-start Levenberg-Marquardt search over the spacelike Grassmannian,
 damped by ``lambda = |r|^2`` plus a small floor, with a 6-iteration stall
-window.
+window.  Every start runs until it stops, and the planes are counted in one
+final tally.
 """
 
 import math
@@ -387,10 +388,12 @@ _CHART_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 # a converged plane's residual bound (relative to max(1, |G op|), once an op
 # below norm 1 is scaled into [1, 2)), the projector distance beyond which two
-# planes are distinct, and the iteration cap
+# planes are distinct, the iteration cap, and the least <u ^ w, u ^ w>_L of a
+# spacelike plane (the floor of its normalisation and of a backtracked step)
 _RESIDUAL_TOL = 1e-7
 _DEDUP_TOL = 1e-4
 _MAX_ITER = 200
+_Q_MIN = 1e-6
 
 
 def _sobol_4(n: int) -> np.ndarray:
@@ -570,10 +573,11 @@ def count_spacelike_critical(
     to zero by Levenberg-Marquardt from ``n_starts`` quasi-random starts in a
     local 4-parameter chart of the spacelike Grassmannian, with damping
     ``lambda = |r|^2 + 1e-10 (tr J^T J / 4 + 1)``; a start stops once its step
-    is tiny or its best residual has not improved for 6 iterations.
-    Converged planes are deduplicated through the projectors onto
-    ``span{P, *_L P}``.  More than
-    three distinct planes means a continuum (``math.inf`` is returned).
+    is tiny or its best residual has not improved for 6 iterations.  Every
+    start runs until it stops; the planes are then counted in one final
+    tally, which deduplicates the converged planes through the projectors
+    onto ``span{P, *_L P}``.  More than three distinct planes means a
+    continuum (``math.inf`` is returned).
     Critical planes of ``s op`` are those of ``op`` for ``s > 0``, and so is
     the count: an operator of norm below 1 or above 2^64 is first scaled by a
     power of two into [1, 2), where the residual bound is relative, so the
@@ -604,51 +608,23 @@ def count_spacelike_critical(
     norm_scale = max(1.0, float(np.linalg.norm(mmat)))
     chart = _start_chart(n_starts)
     x = np.zeros((n_starts, 4))
-    q_min = 1e-6
     eye4 = np.eye(4)
-
-    def converged(xs):
-        p_raw = _chart_planes(xs, chart)
-        q = (p_raw * p_raw * _GRAM_L_DIAG).sum(axis=1)
-        good = q > q_min
-        p, sp, _, _, _, r = _plane_fit(p_raw[good], np.sqrt(q[good]), mmat, smat)
-        ok = _row_norms(r) <= _RESIDUAL_TOL * norm_scale
-        return p[ok], sp[ok]
-
-    def tally(p, sp):
-        # projectors onto span{P, *P}; first come, first kept
-        qmat = np.linalg.qr(np.stack([p, sp], axis=2))[0]
-        kept = _first_kept(qmat @ np.swapaxes(qmat, 1, 2), _DEDUP_TOL)
-        count = len(kept)
-        return (math.inf if count > 3 else count), p[kept]
 
     # starts freeze individually once converged (tiny step) or stalled (best
     # residual not gaining for 6 iterations; under lambda = |r|^2 a start
     # that converges keeps gaining, so the window stops only the starts that
     # find no plane).  The loop keeps only the live starts (indices `live`
     # into x) in its working arrays, drops a start when it freezes, and
-    # writes the live coordinates back into x before each continuum check
-    # and at the end
+    # writes the live coordinates back into x at the end
     live = np.arange(n_starts)
     xa, chart_a = x.copy(), chart
     best_res = np.full(n_starts, np.inf)
     stalled_for = np.zeros(n_starts, dtype=int)
 
-    for it in range(_MAX_ITER):
+    for _ in range(_MAX_ITER):
         if live.size == 0:
             break
-        if it and it % 16 == 0:
-            # a continuum already in hand needs no further polishing; it
-            # takes more than three converged planes
-            x[live] = xa
-            p, sp = converged(x)
-            if len(p) > 3:
-                count, planes = tally(p, sp)
-                if math.isinf(count):
-                    if return_planes:
-                        return count, planes
-                    return count
-        r, jac = _linearised(xa, chart_a, mmat, smat, q_min)
+        r, jac = _linearised(xa, chart_a, mmat, smat, _Q_MIN)
         rn = _row_norms(r)
         # far from the acceptance gate, sub-3%-per-iteration decay can never
         # reach it within _MAX_ITER, so such starts count as stalled
@@ -671,11 +647,8 @@ def count_spacelike_critical(
             delta = np.linalg.solve(jtj, -jtr[..., None])[..., 0]
         except np.linalg.LinAlgError:
             break
-        step = _row_norms(delta)
-        shrink = np.where(step > 2.0, 2.0 / np.maximum(step, 1e-300), 1.0)
-        delta = delta * shrink[:, None]
         # Backtrack any step that would cross into the non-spacelike cone.
-        delta = _backtrack(xa, delta, chart_a, q_min)
+        delta = _backtrack(xa, delta, chart_a, _Q_MIN)
         xa = xa + delta
         done = (_row_norms(delta) < 1e-13) | (stalled_for >= 6)
         if done.any():
@@ -685,7 +658,17 @@ def count_spacelike_critical(
             best_res, stalled_for = best_res[keep], stalled_for[keep]
 
     x[live] = xa
-    count, planes = tally(*converged(x))
+    # the planes that pass the residual gate, deduplicated through their
+    # projectors onto span{P, *P}; first come, first kept
+    p_raw = _chart_planes(x, chart)
+    q = (p_raw * p_raw * _GRAM_L_DIAG).sum(axis=1)
+    good = q > _Q_MIN
+    p, sp, _, _, _, r = _plane_fit(p_raw[good], np.sqrt(q[good]), mmat, smat)
+    ok = _row_norms(r) <= _RESIDUAL_TOL * norm_scale
+    p, sp = p[ok], sp[ok]
+    qmat = np.linalg.qr(np.stack([p, sp], axis=2))[0]
+    kept = _first_kept(qmat @ np.swapaxes(qmat, 1, 2), _DEDUP_TOL)
+    count = math.inf if len(kept) > 3 else len(kept)
     if return_planes:
-        return count, planes
+        return count, p[kept]
     return count

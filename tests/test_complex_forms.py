@@ -321,7 +321,7 @@ class TestCounter:
         rm = tensor_from_complex_form(np.diag([0.3 + 0j, 0.7, 1.2]))
         assert count_spacelike_critical(rm, np.eye(4), np.eye(4)[0], n_starts=np.int64(64)) == 3
 
-    @pytest.mark.parametrize("name", ["residual_tol", "dedup_tol", "max_iter"])
+    @pytest.mark.parametrize("name", ["residual_tol", "dedup_tol", "max_iter", "q_min"])
     def test_fixed_settings_are_not_arguments(self, name):
         rm = tensor_from_complex_form(np.diag([0.3 + 0j, 0.7, 1.2]))
         with pytest.raises(TypeError, match=name):
@@ -396,6 +396,17 @@ class TestCounter:
                     wrong.append((i, name, count))
         assert wrong == []
 
+    @pytest.mark.parametrize("seed, boost", [(951086, 0.75), (961029, 1.0), (961046, 1.0), (961050, 0.5)])
+    def test_boosted_case_1_reads_three_planes(self, seed, boost):
+        # converged copies of one plane pass the residual gate here before
+        # they are polished to within the dedup distance of one another, so
+        # a tally taken before every start stops reads a continuum
+        rng = np.random.default_rng(seed)
+        c = complex_case_matrix(1, rng)
+        q = complex_forms._random_complex_orthogonal(rng, boost)
+        rm = tensor_from_complex_form(q.T @ c @ q)
+        assert count_spacelike_critical(rm, np.eye(4), np.eye(4)[0]) == 3
+
     @pytest.mark.parametrize("n_starts", [1, 2, 16, 64, 128, 192, 256])
     def test_sobol_points_equal_scipy(self, n_starts):
         from scipy.stats import qmc  # the reference only; the counter does not import it
@@ -408,11 +419,11 @@ class TestCounter:
         chart = complex_forms._start_chart(192)
         rng = np.random.default_rng(17)
         # a third of the starts moved off their chart origin, some far enough
-        # to leave the spacelike cone; steps up to 30, past the counter's cap
-        # of 2, so that many cross the cone and need a few halvings
+        # to leave the spacelike cone; steps up to 30, so that many cross the
+        # cone and need a few halvings
         x = rng.normal(size=(192, 4)) * np.where(rng.random((192, 1)) < 0.33, 3.0, 0.0)
         delta = rng.normal(size=(192, 4)) * 10.0 ** rng.uniform(-2.0, 1.5, (192, 1))
-        q_min = 1e-6
+        q_min = complex_forms._Q_MIN
 
         want = delta.copy()
         halvings = np.zeros(192, dtype=int)
