@@ -13,6 +13,7 @@ is lexicographic ``i < j``.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -105,13 +106,7 @@ def induced_gram(g: np.ndarray, basis: BivectorBasis) -> np.ndarray:
 
 def _perm_sign(perm) -> int:
     """Sign of a permutation given as a tuple of distinct integers."""
-    sign = 1
-    seen = list(perm)
-    for a in range(len(seen)):
-        for b in range(a + 1, len(seen)):
-            if seen[a] > seen[b]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
 
 
 def wedge_matrix(basis: BivectorBasis) -> np.ndarray:

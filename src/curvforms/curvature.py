@@ -80,17 +80,13 @@ class CurvatureTensor:
         return [[*rows[p], v] for p, v in zip(kept.tolist(), values[kept].tolist())]
 
 
-_CANONICAL = {}
-
-
+@cache
 def _canonical_positions(dim: int):
     """The canonical component positions of dimension ``dim``, in order: as an index
     tuple of four arrays (0-based) and as rows ``(i, j, k, l)`` (1-based); built once."""
-    if dim not in _CANONICAL:
-        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-        rows = [(i + 1, j + 1, k + 1, l + 1) for a, (i, j) in enumerate(pairs) for k, l in pairs[a:]]
-        _CANONICAL[dim] = tuple(np.array(rows, dtype=int).reshape(-1, 4).T - 1), rows
-    return _CANONICAL[dim]
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    rows = [(i + 1, j + 1, k + 1, l + 1) for a, (i, j) in enumerate(pairs) for k, l in pairs[a:]]
+    return tuple(np.array(rows, dtype=int).reshape(-1, 4).T - 1), rows
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ the only nonzero components are
 up to index symmetries.  This module tests for the commuting property,
 reconstructs such frames, and provides the analogous (always available)
 3-dimensional normal form plus the n-dimensional critical-frame machinery.
+The 3-dimensional frame is made of the normals of the operator's
+eigenplanes, so its coordinate planes are the eigenplanes, with no search.
 
 The first Bianchi identity forces ``m1 + m2 + m3 = 0``; the triple ``(l, m)``
 is recovered up to a simultaneous permutation of the three pairs (the
@@ -22,7 +24,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .bivectors import bivector_basis, induced_gram, plane_matrix
+from .bivectors import bivector_basis, induced_gram, wedge_vectors
 from .curvature import (
     CurvatureTensor,
     Lambda2Operator,
@@ -747,54 +749,30 @@ def critical_point_residual(
 def normal_form_3(rm: CurvatureTensor, tol: float = 1e-9) -> NormalForm3:
     """Eigenframe normal form of a 3-dimensional tensor (orthonormal input frame).
 
-    Every 3-dimensional curvature operator is symmetric on Lambda^2 and its
-    eigenplanes share vectors pairwise; the frame is rebuilt from them.  The
-    critical planes of the quadratic form are exactly the eigenplanes.
+    The eigenplanes of the (symmetric) operator on Lambda^2 are exactly the
+    critical planes of the quadratic form.  The frame holds the normals
+    ``(-c23, c13, -c12)`` of the eigenplanes ``(c12, c13, c23)``, top eigenvalue
+    first, so its planes (1,2), (1,3), (2,3) are the eigenplanes in ascending
+    order; then column 1's first nonzero entry is made positive and det +1.
     """
     if rm.dim != 3:
         raise DimensionError("normal_form_3 needs a 3-dimensional tensor")
     basis = bivector_basis(3)
     k = component_matrix(rm, basis)
-    vals, vecs = np.linalg.eigh(k)
-
-    # dual (axis) vectors of the eigenplanes: plane of (c12, c13, c23) is the
-    # orthogonal complement of (c23, -c13, c12)
-    def axis(c):
-        return np.array([c[2], -c[1], c[0]])
-
-    n1, n2 = axis(vecs[:, 0]), axis(vecs[:, 1])
-    e1 = np.cross(n1, n2)
-    norm = np.linalg.norm(e1)
-    if norm < 1e-10:
-        raise FrameReconstructionError("eigenplanes are parallel; degenerate input")
-    e1 = e1 / norm
-    e2 = -plane_matrix(vecs[:, 0], basis) @ e1
-    e3 = -plane_matrix(vecs[:, 1], basis) @ e1
-    f = np.stack([e1, e2, e3], axis=1)
-    uq, _, vq = np.linalg.svd(f)
-    f = uq @ vq
+    diag, vecs = np.linalg.eigh(k)
+    f = np.array([[-1.0], [1.0], [-1.0]]) * vecs[::-1, ::-1]
+    # checked before the sign rules, which leave it unchanged; a NaN fails too
+    resid = np.max(np.abs(_in_frame(k, f, basis) - np.diag(diag)))
+    if not resid <= max(tol, 1e-8) * max(rm.scale, 1e-300):
+        raise FrameReconstructionError(
+            f"3-dimensional normal form residual {resid:.3e}",
+            diagnostics={"diag": diag.tolist()},
+        )
     first = np.flatnonzero(np.abs(f[:, 0]) > 1e-12)[0]
     if f[first, 0] < 0:
         f[:, 0] = -f[:, 0]
     if np.linalg.det(f) < 0:
         f[:, 2] = -f[:, 2]
-
-    kf = _in_frame(k, f, basis)
-    order = np.argsort(np.diag(kf))
-    if not np.array_equal(order, [0, 1, 2]):
-        # plane q of the new frame, (1,2), (1,3) or (2,3), is the complement of
-        # axis 2 - q; it must be old plane order[q], the complement of 2 - order[q]
-        f = f[:, 2 - order[::-1]]
-        if np.linalg.det(f) < 0:
-            f[:, 2] = -f[:, 2]
-        kf = _in_frame(k, f, basis)
-    diag = np.diag(kf).copy()
-    resid = np.max(np.abs(kf - np.diag(diag)))
-    if resid > max(tol, 1e-8) * max(rm.scale, 1e-300):
-        raise FrameReconstructionError(
-            f"3-dimensional normal form residual {resid:.3e}",
-            diagnostics={"diag": diag.tolist()},
-        )
     return NormalForm3(frame=f, diag=diag)
 
 
@@ -811,16 +789,10 @@ def signed_curvature_3(rm: CurvatureTensor, samples: int = 10000, seed: int = 0)
     basis = bivector_basis(3)
     k = component_matrix(rm, basis)
     crit = -np.linalg.eigvalsh(k)[::-1]  # classical sectional values, ascending
-    crit = np.sort(crit)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(samples, 3))
     w = rng.normal(size=(samples, 3))
-    p = np.stack(
-        [v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0],
-         v[:, 0] * w[:, 2] - v[:, 2] * w[:, 0],
-         v[:, 1] * w[:, 2] - v[:, 2] * w[:, 1]],
-        axis=1,
-    )
+    p = wedge_vectors(v, w, basis)
     norms = np.linalg.norm(p, axis=1)
     keep = norms > 1e-8
     p = p[keep] / norms[keep, None]
@@ -841,35 +813,37 @@ def signed_curvature_3(rm: CurvatureTensor, samples: int = 10000, seed: int = 0)
 # ---- n dimensions ----
 
 
+def _frame_components(rm: CurvatureTensor, frame: np.ndarray | None) -> np.ndarray:
+    """The components of ``rm`` (dim >= 3) in the orthonormal ``frame``, or as
+    stored when ``frame`` is None."""
+    if rm.dim < 3:
+        raise DimensionError("critical frames need dim >= 3")
+    if frame is None:
+        return rm.components
+    frame = np.asarray(frame, dtype=float)
+    if np.max(np.abs(frame.T @ frame - np.eye(rm.dim))) > 1e-8:
+        raise DegenerateMetricError("frame must be orthonormal")
+    return transform_frame(rm, frame)
+
+
 def critical_frame_check_n(rm: CurvatureTensor, frame: np.ndarray | None = None, tol: float = 1e-9):
     """Check the component conditions making every coordinate plane critical.
 
     In an orthonormal frame the planes ``e_i ^ e_j`` are all critical for the
     sectional-curvature functional iff ``R_ijkj = R_ijik = 0`` for all
     ``i < j`` and ``k`` distinct from both.  Returns ``(ok, violations)``
-    where violations are ``((i, j, k, l), value)`` with 1-based indices.
+    where violations are ``((i, j, k, l), value)`` with 1-based indices, in
+    the order of ``(i, j, k)`` and, for each, ``R_ijkj`` before ``R_ijik``.
     """
-    if rm.dim < 3:
-        raise DimensionError("critical frames need dim >= 3")
-    if frame is not None:
-        frame = np.asarray(frame, dtype=float)
-        if np.max(np.abs(frame.T @ frame - np.eye(rm.dim))) > 1e-8:
-            raise DegenerateMetricError("frame must be orthonormal")
-    r = rm.components if frame is None else transform_frame(rm, frame)
-    n = rm.dim
+    r = _frame_components(rm, frame)
     scale = max(float(np.max(np.abs(r))), 1e-300)
-    violations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                v1 = r[i, j, k, j]
-                if abs(v1) > tol * scale:
-                    violations.append(((i + 1, j + 1, k + 1, j + 1), float(v1)))
-                v2 = r[i, j, i, k]
-                if abs(v2) > tol * scale:
-                    violations.append(((i + 1, j + 1, i + 1, k + 1), float(v2)))
+    # t = 0 reads R_ijkj, t = 1 reads R_ijik
+    i, j, k, t = np.indices((rm.dim,) * 3 + (2,))
+    a, b = np.where(t == 0, k, i), np.where(t == 0, j, k)
+    values = r[i, j, a, b]
+    bad = (i < j) & (k != i) & (k != j) & (np.abs(values) > tol * scale)
+    quads = np.stack([i, j, a, b], axis=-1)[bad] + 1
+    violations = [(tuple(q), v) for q, v in zip(quads.tolist(), values[bad].tolist())]
     return len(violations) == 0, violations
 
 
@@ -880,14 +854,13 @@ def ricci_from_critical_frame(rm: CurvatureTensor, frame: np.ndarray | None = No
     quadratic forms of the planes through ``e_k``, and every off-diagonal
     contraction term vanishes individually (reported for inspection).
     """
-    ok, violations = critical_frame_check_n(rm, frame, tol=tol)
+    r = _frame_components(rm, frame)
+    ok, violations = critical_frame_check_n(CurvatureTensor(dim=rm.dim, components=r), tol=tol)
     if not ok:
         raise FrameReconstructionError(
             f"frame is not critical ({len(violations)} component violations)",
             diagnostics={"violations": violations[:10]},
         )
-    r = rm.components if frame is None else transform_frame(rm, np.asarray(frame, dtype=float))
-    n = rm.dim
     plane_values = np.einsum("ikik->ki", r).copy()  # R_ikik as [k, i]
     np.fill_diagonal(plane_values, 0.0)
     terms = np.einsum("jabj->jab", r).copy()

@@ -431,8 +431,8 @@ class _Chunk:
     others: list
 
 
-def _read_chunks(path, size: int | None = None):
-    """The points of a sample file, ``size`` (default :data:`_CHUNK`) lines per :class:`_Chunk`.
+def _read_chunks(path):
+    """The points of a sample file, :data:`_CHUNK` lines per :class:`_Chunk`.
 
     Each line is decoded once and the dimension-4 rows of the chunk are
     scattered straight into ``K_0`` by ``curvature._scatter_rows``, the
@@ -444,7 +444,7 @@ def _read_chunks(path, size: int | None = None):
     bad line.
     """
     start = 0
-    for lines in _line_chunks(path, size or _CHUNK):
+    for lines in _line_chunks(path, _CHUNK):
         try:
             chunk = _decode_chunk(lines, start)
         except (ValueError, TypeError, OverflowError):

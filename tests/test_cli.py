@@ -707,10 +707,11 @@ def reader_lines():
 
 class TestStackedReader:
     @pytest.mark.parametrize("size", [1, 7, 256])
-    def test_stacks_equal_the_gather_over_read_samples(self, tmp_path, size):
+    def test_stacks_equal_the_gather_over_read_samples(self, tmp_path, monkeypatch, size):
         path = tmp_path / "reader.jsonl"
         path.write_text("\n".join(reader_lines()) + "\n", encoding="utf-8")
-        chunks = list(zoo._read_chunks(path, size))
+        monkeypatch.setattr(zoo, "_CHUNK", size)
+        chunks = list(zoo._read_chunks(path))
         samples = read_samples(path)
         assert [c.start for c in chunks] == list(range(0, len(samples), size))
         assert sum(c.size for c in chunks) == len(samples)
@@ -906,8 +907,8 @@ class TestValidateChunks:
         monkeypatch.setattr(zoo, "read_samples", refuse)
         chunks = []
 
-        def counted(path, size=None):
-            for chunk in zoo._read_chunks(path, size):
+        def counted(path):
+            for chunk in zoo._read_chunks(path):
                 chunks.append(chunk.size)
                 yield chunk
 

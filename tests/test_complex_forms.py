@@ -433,7 +433,7 @@ class TestCounter:
                 break
             want[bad] *= 0.5
             halvings += bad
-        got = complex_forms._backtrack(x, delta.copy(), chart, q_min)
+        got = complex_forms._backtrack(x, delta.copy(), chart)
         assert np.array_equal(got, want)
         start_outside = complex_forms._lorentz_norms(x, chart) <= q_min
         assert (halvings == 0).sum() >= 10
@@ -519,15 +519,15 @@ class TestCounter:
         mmat, smat = complex_forms._GRAM_L @ k, complex_forms._STAR_L.matrix
         chart = complex_forms._start_chart(64)
         x = np.random.default_rng(case_id).uniform(-1.0, 1.0, size=(64, 4))
-        # inside the spacelike cone, away from the clamp of <P, P>_L at q_min
+        # inside the spacelike cone, away from the clamp of <P, P>_L at _Q_MIN
         inside = complex_forms._lorentz_norms(x, chart) > 1e-2
         x, chart = x[inside], chart[inside]
         assert len(x) >= 16
 
         def residual(xs):
-            return complex_forms._linearised(xs, chart, mmat, smat, 1e-6)[0]
+            return complex_forms._linearised(xs, chart, mmat, smat)[0]
 
-        _, jac = complex_forms._linearised(x, chart, mmat, smat, 1e-6)
+        _, jac = complex_forms._linearised(x, chart, mmat, smat)
         h = 1e-6
         for i, e in enumerate(np.eye(4) * h):
             fd = (residual(x + e) - residual(x - e)) / (2.0 * h)

@@ -828,6 +828,36 @@ class TestNormalForm3:
         if abs(vals[0] - vals[1]) > 1e-6:
             assert fit.residual > 1e-8
 
+    @pytest.mark.parametrize("spectrum", [(1.0, 1.0, 2.0), (0.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_tied_spectra_come_out_ascending(self, spectrum, rotated):
+        rm = pair_matrix_tensor_3(np.diag(spectrum))
+        if rotated:
+            rm = curvature_from_frame_components(
+                rm.components, random_rotation(np.random.default_rng(2403), 3))
+        self.check_ascending_round_trip(rm)
+
+    @pytest.mark.parametrize("kappa", [-2.0, 0.0, 1.0])
+    def test_space_forms_come_out_ascending(self, kappa):
+        self.check_ascending_round_trip(space_form(3, kappa))
+
+    @staticmethod
+    def check_ascending_round_trip(rm):
+        nf = normal_form_3(rm)
+        assert np.all(np.diff(nf.diag) >= 0)
+        npt.assert_allclose(nf.frame.T @ nf.frame, np.eye(3), atol=1e-12)
+        assert np.linalg.det(nf.frame) > 0
+        entries = [(0, 1, 0, 1, nf.diag[0]), (0, 2, 0, 2, nf.diag[1]), (1, 2, 1, 2, nf.diag[2])]
+        rebuilt = curvature_from_frame_components(dense_from_entries(3, entries), nf.frame)
+        npt.assert_allclose(rebuilt.components, rm.components, rtol=0, atol=1e-9)
+
+    def test_a_nan_component_fails_the_residual_check(self):
+        r = space_form(3, 1.0).components.copy()
+        r[0, 1, 0, 1] = r[1, 0, 1, 0] = np.nan
+        r[0, 1, 1, 0] = r[1, 0, 0, 1] = np.nan
+        with pytest.raises(FrameReconstructionError, match="residual nan"):
+            normal_form_3(CurvatureTensor(dim=3, components=r))
+
     def test_signed_curvature_positive(self):
         rm = pair_matrix_tensor_3(-np.diag([1.0, 2.0, 3.0]))
         report = signed_curvature_3(rm, samples=2000, seed=3)
@@ -846,7 +876,68 @@ class TestNormalForm3:
         assert report["max_sampled"] <= report["critical_values"][-1] + 1e-9
 
 
+def loop_critical_violations(rm, frame=None, tol=1e-9):
+    """The violations of critical_frame_check_n, read one index triple at a time."""
+    r = rm.components if frame is None else transform_frame(rm, frame)
+    n = rm.dim
+    scale = max(float(np.max(np.abs(r))), 1e-300)
+    violations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k in (i, j):
+                    continue
+                v1 = r[i, j, k, j]
+                if abs(v1) > tol * scale:
+                    violations.append(((i + 1, j + 1, k + 1, j + 1), float(v1)))
+                v2 = r[i, j, i, k]
+                if abs(v2) > tol * scale:
+                    violations.append(((i + 1, j + 1, i + 1, k + 1), float(v2)))
+    return len(violations) == 0, violations
+
+
+def damaged_space_form(rng, n):
+    """A space form with three symmetric R_ijik perturbations of mixed size."""
+    r = space_form(n, rng.normal()).components.copy()
+    for _ in range(3):
+        i, j, k = rng.choice(n, size=3, replace=False)
+        value = rng.normal() * 10.0 ** rng.integers(-12, 0)
+        for (a, b, c, d), s in (
+            ((i, j, i, k), 1), ((j, i, i, k), -1), ((i, j, k, i), -1), ((j, i, k, i), 1),
+            ((i, k, i, j), 1), ((k, i, i, j), -1), ((i, k, j, i), -1), ((k, i, j, i), 1),
+        ):
+            r[a, b, c, d] += s * value
+    return CurvatureTensor(dim=n, components=r)
+
+
 class TestCriticalFrameN:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_violations_match_the_index_loop(self, n, rotated):
+        rng = np.random.default_rng(2400 + 10 * n + rotated)
+        found = 0
+        for _ in range(5):
+            rm = damaged_space_form(rng, n)
+            frame = random_rotation(rng, n) if rotated else None
+            want = loop_critical_violations(rm, frame)
+            assert critical_frame_check_n(rm, frame) == want
+            found += len(want[1])
+        assert found > 0
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_ricci_changes_frame_at_most_once(self, monkeypatch, rotated):
+        calls = []
+
+        def counted(rm, frame):
+            calls.append(frame)
+            return transform_frame(rm, frame)
+
+        monkeypatch.setattr(normal_forms, "transform_frame", counted)
+        frame = random_rotation(np.random.default_rng(2404), 5) if rotated else None
+        report = ricci_from_critical_frame(space_form(5, 1.0), frame)
+        npt.assert_allclose(report.matrix, 4.0 * np.eye(5), atol=1e-12)
+        assert len(calls) == int(rotated)
+
     def test_space_form_critical_in_any_rotation(self):
         rm = space_form(5, 1.0)
         ok, violations = critical_frame_check_n(rm)
