@@ -8,12 +8,13 @@ basis of ``Lambda^2``.  In dimension 4 the canonical order is
 
 (chosen so that the Hodge star of a Riemannian orthonormal frame swaps the
 first and last three basis vectors without signs); in every other dimension it
-is lexicographic ``i < j``.
+is lexicographic ``i < j``.  In this order the dimension-4 wedge pairing
+``Lambda^2 x Lambda^2 -> Lambda^4`` is the constant ``[[0, I], [I, 0]]``, which
+is also the Hodge star of an orthonormal Riemannian frame.
 """
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 import numpy as np
 
@@ -32,6 +33,11 @@ __all__ = [
 
 # canonical pair order for n = 4 (1-based); note the (4, 2) pair
 _PAIRS_4 = ((1, 2), (1, 3), (1, 4), (3, 4), (4, 2), (2, 3))
+
+# the wedge pairing into e1^e2^e3^e4 over _PAIRS_4: each pair wedges to +1
+# with its complement three places on, and to 0 with every other pair
+_WEDGE_4 = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(3))
+_WEDGE_4.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -104,27 +110,29 @@ def induced_gram(g: np.ndarray, basis: BivectorBasis) -> np.ndarray:
     return g[..., i, i.T] * g[..., j, j.T] - g[..., i, j.T] * g[..., j, i.T]
 
 
-def _perm_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of distinct integers."""
-    return (-1) ** sum(a > b for a, b in combinations(perm, 2))
+def _bivector(xi, basis: BivectorBasis) -> np.ndarray:
+    """``xi`` as a float coefficient vector, which must have one entry per basis pair."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (len(basis),):
+        raise DimensionError(f"a bivector in dim {basis.dim} has {len(basis)} coefficients, got shape {xi.shape}")
+    return xi
+
+
+def _check_dim_4(basis: BivectorBasis) -> None:
+    if basis.dim != 4:
+        raise DimensionError("wedge pairing into a single volume form needs dim == 4")
 
 
 def wedge_matrix(basis: BivectorBasis) -> np.ndarray:
     """Matrix of the wedge pairing into Lambda^4, for ``dim == 4`` only.
 
     Entry ``(a, b)`` is the coefficient of ``e1^e2^e3^e4`` in the wedge of
-    basis bivectors ``a`` and ``b``.  The matrix is symmetric.
+    basis bivectors ``a`` and ``b``.  In the canonical order this is the
+    symmetric ``[[0, I], [I, 0]]``, also the Hodge star of an orthonormal
+    Riemannian frame; a fresh copy is returned.
     """
-    if basis.dim != 4:
-        raise DimensionError("wedge pairing into a single volume form needs dim == 4")
-    m = len(basis)
-    w = np.zeros((m, m))
-    for a, (i, j) in enumerate(basis.pairs):
-        for b, (k, l) in enumerate(basis.pairs):
-            idx = (i, j, k, l)
-            if len(set(idx)) == 4:
-                w[a, b] = _perm_sign(idx)
-    return w
+    _check_dim_4(basis)
+    return _WEDGE_4.copy()
 
 
 def wedge_to_volume(xi: np.ndarray, eta: np.ndarray, basis: BivectorBasis) -> float:
@@ -132,8 +140,8 @@ def wedge_to_volume(xi: np.ndarray, eta: np.ndarray, basis: BivectorBasis) -> fl
 
     Symmetric in its two arguments since both factors are 2-forms.
     """
-    w = wedge_matrix(basis)
-    return float(np.asarray(xi, dtype=float) @ w @ np.asarray(eta, dtype=float))
+    _check_dim_4(basis)
+    return float(_bivector(xi, basis) @ _WEDGE_4 @ _bivector(eta, basis))
 
 
 def wedge_vectors(v: np.ndarray, w: np.ndarray, basis: BivectorBasis) -> np.ndarray:
@@ -156,12 +164,11 @@ def is_decomposable(xi: np.ndarray, basis: BivectorBasis, tol: float = 1e-9) -> 
     ``|xi ^ xi| <= tol * |xi|^2`` with Euclidean coefficient norms.  In higher
     dimensions the rank of the associated antisymmetric matrix is used.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = _bivector(xi, basis)
     if basis.dim == 3:
         return True
     if basis.dim == 4:
-        self_wedge = abs(wedge_to_volume(xi, xi, basis))
-        return self_wedge <= tol * float(xi @ xi)
+        return abs(wedge_to_volume(xi, xi, basis)) <= tol * float(xi @ xi)
     sv = np.linalg.svd(plane_matrix(xi, basis), compute_uv=False)
     return sv[2] <= tol * max(sv[0], 1e-300)
 
@@ -171,10 +178,10 @@ def plane_matrix(xi: np.ndarray, basis: BivectorBasis) -> np.ndarray:
 
     For a decomposable unit bivector ``u ^ w`` this is ``u w^T - w u^T``.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = _bivector(xi, basis)
+    i, j = basis.pairs0.T
     x = np.zeros((basis.dim, basis.dim))
-    for a, (i, j) in enumerate(basis.pairs0):
-        x[i, j] += xi[a]
-        x[j, i] -= xi[a]
+    x[i, j] += xi
+    x[j, i] -= xi
     return x
 

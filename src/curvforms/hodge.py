@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivectors import BivectorBasis, bivector_basis, induced_gram, wedge_matrix
+from .bivectors import _WEDGE_4, bivector_basis, induced_gram
 from .exceptions import (
     DegenerateMetricError,
     DimensionError,
@@ -108,11 +108,9 @@ def hodge_star(g: np.ndarray, orientation_sign: int = 1) -> HodgeStar:
     if orientation_sign not in (1, -1):
         raise ValueError("orientation_sign must be +1 or -1")
     signature = _signature_of(g)
-    basis = bivector_basis(4)
-    gram = induced_gram(g, basis)
-    w = wedge_matrix(basis)
+    gram = induced_gram(g, bivector_basis(4))
     scale = orientation_sign / np.sqrt(abs(np.linalg.det(g)))
-    matrix = scale * np.linalg.solve(w, gram)
+    matrix = scale * np.linalg.solve(_WEDGE_4, gram)
     return HodgeStar(
         matrix=matrix, gram=gram, signature=signature, orientation_sign=orientation_sign
     )
@@ -145,21 +143,9 @@ def lorentz_metric_from_unit(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) ->
     return g - 2.0 * np.outer(gt, gt)
 
 
-# the canonical orthonormal-frame star and its closed-form eigenbasis
-_CANONICAL_PLUS = np.array(
-    [
-        [1, 0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 1, 0],
-        [0, 0, 1, 0, 0, 1],
-    ]
-) / np.sqrt(2.0)
-_CANONICAL_MINUS = np.array(
-    [
-        [1, 0, 0, -1, 0, 0],
-        [0, 1, 0, 0, -1, 0],
-        [0, 0, 1, 0, 0, -1],
-    ]
-) / np.sqrt(2.0)
+# the closed-form eigenbasis of the canonical orthonormal-frame star _WEDGE_4
+_CANONICAL_PLUS = (np.eye(6) + _WEDGE_4)[:3] / np.sqrt(2.0)
+_CANONICAL_MINUS = (np.eye(6) - _WEDGE_4)[:3] / np.sqrt(2.0)
 
 
 def sd_asd_basis(star: HodgeStar, tol: float = 1e-12) -> SdAsdBasis:
@@ -174,11 +160,8 @@ def sd_asd_basis(star: HodgeStar, tol: float = 1e-12) -> SdAsdBasis:
         raise DegenerateMetricError(
             "self-dual/anti-self-dual split needs a Riemannian star (star^2 = +I)"
         )
-    canonical = np.zeros((6, 6))
-    canonical[:3, 3:] = np.eye(3)
-    canonical[3:, :3] = np.eye(3)
     if (
-        np.max(np.abs(star.matrix - canonical)) <= tol
+        np.max(np.abs(star.matrix - _WEDGE_4)) <= tol
         and np.max(np.abs(star.gram - np.eye(6))) <= tol
     ):
         return SdAsdBasis(plus=_CANONICAL_PLUS.copy(), minus=_CANONICAL_MINUS.copy())

@@ -15,6 +15,7 @@ import math
 import warnings
 import zlib
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, islice, product
 
 import numpy as np
@@ -197,8 +198,13 @@ def _fmt_list(values) -> str:
     return "[" + ", ".join(_fmt(v) for v in values) + "]"
 
 
-def _lower_triangle(m: np.ndarray, n: int):
-    return [m[i, j] for i in range(n) for j in range(i + 1)]
+@cache
+def _triangle(n: int) -> tuple:
+    """Row and column indices of an n x n metric's lower triangle in sample-line
+    (row-major) order; read-only, shared by every caller."""
+    rows, cols = np.tril_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def sample_to_json(sample: PointSample) -> str:
@@ -211,9 +217,9 @@ def sample_to_json(sample: PointSample) -> str:
     """
     n = int(sample.dim)
     g = np.asarray(sample.g, dtype=float)
-    parts = [f'"dim": {n}', f'"g": {_fmt_list(_lower_triangle(g, n))}']
+    parts = [f'"dim": {n}', f'"g": {_fmt_list(g[_triangle(n)])}']
     if sample.h is not None:
-        parts.append(f'"h": {_fmt_list(_lower_triangle(np.asarray(sample.h, dtype=float), n))}')
+        parts.append(f'"h": {_fmt_list(np.asarray(sample.h, dtype=float)[_triangle(n)])}')
     if sample.t is not None:
         parts.append(f'"T": {_fmt_list(np.asarray(sample.t, dtype=float))}')
     rows = ", ".join(
@@ -255,11 +261,9 @@ def _triangle_to_metric(values, n: int, what: str, line) -> np.ndarray:
         raise SampleFormatError(
             f"{what} must list the {expected} lower-triangle entries", line=line
         )
+    rows, cols = _triangle(n)
     m = np.zeros((n, n))
-    it = iter(values)
-    for i in range(n):
-        for j in range(i + 1):
-            m[i, j] = m[j, i] = _require_number(next(it), what, line)
+    m[rows, cols] = m[cols, rows] = [_require_number(x, what, line) for x in values]
     return m
 
 
@@ -395,9 +399,6 @@ _CHUNK = 256
 
 _REQUIRED_KEYS = frozenset(("dim", "g", "rm", "weight"))
 
-# the metric entries of a lower-triangle list, in file order
-_TRIANGLE_4 = tuple(np.array([(i, j) for i in range(4) for j in range(i + 1)]).T)
-
 
 @dataclass(frozen=True)
 class _Chunk:
@@ -531,9 +532,9 @@ def _decode_chunk(lines, start: int) -> _Chunk:
     if not all(np.isfinite(x).all() for x in finite):
         raise ValueError("a number that is not finite")
 
+    i, j = _triangle(4)
     metrics = np.zeros((2, n4, 4, 4))
-    metrics[:, :, _TRIANGLE_4[0], _TRIANGLE_4[1]] = triangles
-    metrics[:, :, _TRIANGLE_4[1], _TRIANGLE_4[0]] = triangles
+    metrics[:, :, i, j] = metrics[:, :, j, i] = triangles
     t_all = np.full((n4, 4), np.nan)
     t_all[has_t] = t_values
     k0, listed = _scatter_rows(rows, list(map(len, rm)), n4, 4)
@@ -589,13 +590,16 @@ def _sin_power_antideriv(power: int, theta: np.ndarray) -> np.ndarray:
     return f
 
 
-def _axis_cells(edges: np.ndarray, antideriv) -> tuple:
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    values = antideriv(edges)
-    return centers, values[1:] - values[:-1]
+def _axis_cells(count: int, power: int) -> tuple:
+    """Centers and exact ``sin^power`` weights of ``count`` equal cells: of a
+    polar angle over (0, pi), or of an azimuth over (0, 2 pi) for power 0."""
+    edges = np.linspace(0.0, math.pi if power else 2.0 * math.pi, count + 1)
+    values = _sin_power_antideriv(power, edges)
+    return 0.5 * (edges[:-1] + edges[1:]), values[1:] - values[:-1]
 
 
-def _grid_stream(dim, g, h, rm, scale, centers, diffs):
+def _grid_stream(dim, g, h, rm, scale, cells):
+    centers, diffs = zip(*cells)
     for idx in product(*(range(len(c)) for c in centers)):
         w = scale
         for ax, i in enumerate(idx):
@@ -641,28 +645,10 @@ def gen_space_form(dim: int, kappa: float, grid_spec):
     g = np.eye(dim)
     rm = space_form(dim, float(kappa))
 
-    centers, diffs = [], []
-    if kappa == 0:
-        for c in counts:
-            edges = np.linspace(0.0, 2.0 * math.pi, c + 1)
-            ctr, d = _axis_cells(edges, lambda th: th)
-            centers.append(ctr)
-            diffs.append(d)
-        scale = 1.0
-    else:
-        radius = 1.0 / math.sqrt(kappa)
-        for ax, c in enumerate(counts[:-1]):  # polar angles, powers dim-1 .. 1
-            power = dim - 1 - ax
-            edges = np.linspace(0.0, math.pi, c + 1)
-            ctr, d = _axis_cells(edges, lambda th, p=power: _sin_power_antideriv(p, th))
-            centers.append(ctr)
-            diffs.append(d)
-        edges = np.linspace(0.0, 2.0 * math.pi, counts[-1] + 1)
-        ctr, d = _axis_cells(edges, lambda th: th)
-        centers.append(ctr)
-        diffs.append(d)
-        scale = radius**dim
-    return _grid_stream(dim, g, None, rm, scale, centers, diffs)
+    # the sphere's polar angles carry sin^(dim-1) .. sin^1, its azimuth and every torus axis sin^0
+    powers = [0] * dim if kappa == 0 else range(dim - 1, -1, -1)
+    scale = 1.0 if kappa == 0 else (1.0 / math.sqrt(kappa)) ** dim
+    return _grid_stream(dim, g, None, rm, scale, [_axis_cells(c, p) for c, p in zip(counts, powers)])
 
 
 def gen_product_spheres(a: float, b: float, grid_spec, h_scales=None):
@@ -692,17 +678,8 @@ def gen_product_spheres(a: float, b: float, grid_spec, h_scales=None):
         [[1, 2, 1, 2, -1.0 / a**2], [3, 4, 3, 4, -1.0 / b**2]], dim=4
     )
 
-    centers, diffs = [], []
-    for ax, c in enumerate(counts):
-        if ax % 2 == 0:  # polar angle of one factor
-            edges = np.linspace(0.0, math.pi, c + 1)
-            ctr, d = _axis_cells(edges, lambda th: -np.cos(th))
-        else:
-            edges = np.linspace(0.0, 2.0 * math.pi, c + 1)
-            ctr, d = _axis_cells(edges, lambda th: th)
-        centers.append(ctr)
-        diffs.append(d)
-    return _grid_stream(4, g, h, rm, float(a**2 * b**2), centers, diffs)
+    cells = [_axis_cells(c, 1 - ax % 2) for ax, c in enumerate(counts)]  # (polar, azimuth) per factor
+    return _grid_stream(4, g, h, rm, float(a**2 * b**2), cells)
 
 
 # ---- synthetic builders ----

@@ -4,7 +4,10 @@ Identities exercised:
   * canonical basis order and length n(n-1)/2
   * induced Gram = 2x2 determinant of metric pairings, symmetric
   * wedge-to-volume coefficients against a permutation-parity oracle
-  * decomposability: xi ^ xi = 0 detects 2-planes in dimension 4
+  * decomposability: xi ^ xi = 0 detects 2-planes in dimension 4, the rank of
+    the plane matrix above it
+  * plane matrix of u ^ w is u w^T - w u^T, and matches a per-pair loop
+  * a bivector of the wrong length is rejected
 """
 
 import itertools
@@ -17,6 +20,7 @@ from curvforms.bivectors import (
     bivector_basis,
     induced_gram,
     is_decomposable,
+    plane_matrix,
     wedge_matrix,
     wedge_to_volume,
     wedge_vectors,
@@ -53,6 +57,15 @@ def wedge_oracle(pair_a, pair_b):
         if perm == (i, j, k, l):
             total += perm_sign_oracle(perm)
     return total
+
+
+def plane_matrix_oracle(xi, basis):
+    """Antisymmetric matrix of ``xi``, filled one basis pair at a time."""
+    x = np.zeros((basis.dim, basis.dim))
+    for a, (i, j) in enumerate(basis.pairs0):
+        x[i, j] += xi[a]
+        x[j, i] -= xi[a]
+    return x
 
 
 def gram_oracle(g, pair_a, pair_b):
@@ -187,3 +200,69 @@ class TestDecomposable:
     def test_dim3_always_true(self):
         basis = bivector_basis(3)
         assert is_decomposable(RNG.normal(size=3), basis)
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_rank_test_above_dim4(self, dim):
+        basis = bivector_basis(dim)
+        for _ in range(20):
+            u, w = RNG.normal(size=(2, dim))
+            assert is_decomposable(wedge_vectors(u, w, basis), basis)
+        xi = np.zeros(len(basis))
+        xi[basis.pairs.index((1, 2))] = 1.0
+        xi[basis.pairs.index((3, 4))] = 1.0
+        assert not is_decomposable(xi, basis)
+
+
+# ---- plane matrix ----
+
+
+class TestPlaneMatrix:
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_wedge_of_vectors(self, dim):
+        basis = bivector_basis(dim)
+        for _ in range(20):
+            u, w = RNG.normal(size=(2, dim))
+            npt.assert_array_equal(
+                plane_matrix(wedge_vectors(u, w, basis), basis), np.outer(u, w) - np.outer(w, u)
+            )
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_matches_per_pair_oracle_bitwise(self, dim):
+        # bytes, so the signs of zeros count too
+        basis = bivector_basis(dim)
+        signed_zeros = np.where(np.arange(len(basis)) % 2, 0.0, -0.0)
+        for xi in [*RNG.normal(size=(10, len(basis))), signed_zeros]:
+            assert plane_matrix(xi, basis).tobytes() == plane_matrix_oracle(xi, basis).tobytes()
+
+
+# ---- bivector length ----
+
+
+class TestWrongLength:
+    @pytest.mark.parametrize(
+        "dim, size",
+        [(3, 2), (3, 6), (4, 1), (4, 7), (5, 6), (5, 11), (6, 14)],
+    )
+    def test_rejected_by_every_bivector_helper(self, dim, size):
+        basis = bivector_basis(dim)
+        xi = RNG.normal(size=size)
+        with pytest.raises(DimensionError):
+            plane_matrix(xi, basis)
+        with pytest.raises(DimensionError):
+            is_decomposable(xi, basis)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (5,), (2, 6), ()])
+    def test_wedge_to_volume_rejects_either_factor(self, shape):
+        basis = bivector_basis(4)
+        bad, good = np.ones(shape), np.ones(6)
+        with pytest.raises(DimensionError):
+            wedge_to_volume(bad, good, basis)
+        with pytest.raises(DimensionError):
+            wedge_to_volume(good, bad, basis)
+
+    def test_wedge_needs_dim4_whatever_the_length(self):
+        basis = bivector_basis(5)
+        with pytest.raises(DimensionError, match="needs dim == 4"):
+            wedge_to_volume(np.ones(10), np.ones(10), basis)
+        with pytest.raises(DimensionError, match="needs dim == 4"):
+            wedge_matrix(basis)

@@ -942,8 +942,11 @@ class TestLorentzProperties:
 def test_package_import_leaves_scipy_stats_unloaded():
     # scipy.stats and scipy.linalg dominate import time, and the package and
     # its generators run on numpy alone.
-    # The import makes no numpy.linalg call either: one LAPACK call at import
-    # raises the peak RSS of every command by about 1 MiB
+    # Neither the package nor its command line makes a numpy.linalg call at
+    # import, so module constants such as the wedge pairing, the canonical
+    # star's eigenbasis and the Lorentz tables are written out, not solved
+    # for: one LAPACK call at import raises the peak RSS of every command by
+    # about 1 MiB
     env = dict(os.environ, PYTHONPATH=str(Path(curvforms.__file__).parents[1]))
     probe = (
         "import sys, numpy as np\n"
@@ -957,7 +960,7 @@ def test_package_import_leaves_scipy_stats_unloaded():
         "    f = getattr(np.linalg, name)\n"
         "    if callable(f) and not isinstance(f, type):\n"
         "        setattr(np.linalg, name, wrap(name, f))\n"
-        "import curvforms as cf\n"
+        "import curvforms as cf, curvforms.cli\n"
         "print(calls or 'none', 'scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)\n"
         "rm = cf.tensor_from_complex_form(np.diag([0.3 + 0j, 0.7, 1.2]))\n"
         "assert cf.count_spacelike_critical(rm, np.eye(4), np.eye(4)[0], n_starts=16) == 3\n"

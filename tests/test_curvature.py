@@ -30,7 +30,12 @@ from curvforms.curvature import (
     validate_curvature,
     weyl_operator,
 )
-from curvforms.exceptions import DimensionError, LightlikePlaneError, TensorValidationError
+from curvforms.exceptions import (
+    DegenerateMetricError,
+    DimensionError,
+    LightlikePlaneError,
+    TensorValidationError,
+)
 from curvforms.hodge import hodge_star, lorentz_metric_from_unit
 
 RNG = np.random.default_rng(7)
@@ -326,6 +331,19 @@ class TestOperators:
         op = operator_from(rm, g, "via_g")
         gm = op.gram @ op.matrix
         npt.assert_allclose(gm, gm.T, atol=1e-11)
+
+    @pytest.mark.parametrize("kind", ["via_g", "via_h", "via_lorentz"])
+    def test_metric_signature_is_checked_by_the_hodge_rule(self, kind):
+        # one signature rule for stars and operators: a singular metric, the
+        # wrong one of the two supported signatures, or an unsupported one
+        rm = space_form(4, 1.0)
+        with pytest.raises(DegenerateMetricError, match="numerically singular"):
+            operator_from(rm, np.diag([1.0, 1.0, 1.0, 1e-13]), kind)
+        wrong = np.eye(4) if kind == "via_lorentz" else np.diag([-1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(DegenerateMetricError, match="needs a"):
+            operator_from(rm, wrong, kind)
+        with pytest.raises(DegenerateMetricError, match="unsupported metric signature with 2 negative"):
+            operator_from(rm, np.diag([-1.0, -1.0, 1.0, 1.0]), kind)
 
 
 # ---- quadratic forms ----
