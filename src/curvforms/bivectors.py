@@ -170,7 +170,7 @@ def is_decomposable(xi: np.ndarray, basis: BivectorBasis, tol: float = 1e-9) -> 
     if basis.dim == 4:
         return abs(wedge_to_volume(xi, xi, basis)) <= tol * float(xi @ xi)
     sv = np.linalg.svd(plane_matrix(xi, basis), compute_uv=False)
-    return sv[2] <= tol * max(sv[0], 1e-300)
+    return bool(sv[2] <= tol * max(sv[0], 1e-300))
 
 
 def plane_matrix(xi: np.ndarray, basis: BivectorBasis) -> np.ndarray:

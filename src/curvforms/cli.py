@@ -90,7 +90,7 @@ def _floats(values) -> list:
 # the per-point errors of a missing field or metric, as the library raises them
 _NO_H = GeometryError("sample has no h metric")
 _NO_T = GeometryError("sample has no T vector")
-_INDEFINITE = DegenerateMetricError("metric is not positive definite")  # h_orthonormal_frame's error
+_INDEFINITE = DegenerateMetricError(normal_forms._NOT_POSITIVE_DEFINITE)  # h_orthonormal_frame's error
 
 
 def _chunk_entries(args, entry, other, stack) -> list:
@@ -107,10 +107,10 @@ def _chunk_entries(args, entry, other, stack) -> list:
     return points
 
 
-def _where(mask, results: list, fn, *stacks) -> list:
-    """``results`` with the points of ``mask`` given ``fn`` of their stacks, which
+def _where(results: list, fn, *stacks) -> list:
+    """``results`` with each None replaced by ``fn`` of its point's stacks, which
     runs them one at a time where a LAPACK call fails on them (``_stacked_or_alone``)."""
-    results = list(results)
+    mask = np.array([r is None for r in results], dtype=bool)
     if mask.any():
         for p, result in zip(np.flatnonzero(mask).tolist(), _stacked_or_alone(fn, *(s[mask] for s in stacks))):
             results[p] = result
@@ -179,11 +179,12 @@ def _cmd_einstein_check(args):
 
     def stack(chunk):
         if metric == "lorentz":
-            has_t = ~np.isnan(chunk.t[:, 0])
-            return _where(has_t, [_NO_T] * len(has_t), split, chunk.k0, chunk.listed, chunk.g, chunk.t)
-        h, given = (chunk.h, chunk.has_h) if metric == "h" else (chunk.g, np.ones(len(chunk.g), dtype=bool))
-        missing = [_INDEFINITE if has else _NO_H for has in given.tolist()]
-        return _where(given & normal_forms._positive_definite(h), missing, check, chunk.k0, chunk.listed, h)
+            missing = [None if has else _NO_T for has in chunk.has_t.tolist()]
+            return _where(missing, split, chunk.k0, chunk.listed, chunk.g, chunk.t)
+        h, given = (chunk.h, chunk.has_h.tolist()) if metric == "h" else (chunk.g, [True] * len(chunk.g))
+        errors = normal_forms._metric_errors(h, "metric", tol)
+        missing = [_NO_H if not has else _INDEFINITE if e else None for has, e in zip(given, errors)]
+        return _where(missing, check, chunk.k0, chunk.listed, h)
 
     points = _chunk_entries(args, _einstein_entry, other, stack)
     verdicts = Counter("error" if "error" in p else str(p["einstein"]).lower() for p in points)
@@ -219,9 +220,9 @@ def _cmd_normal_form(args):
         return normal_forms._normal_forms(normal_forms._lambda2_blocks(k0, h, g), h, g, args.tol)
 
     def stack(chunk):
-        # one kernel call and frame choice per chunk, over the points whose h Cholesky takes
-        indefinite = [_INDEFINITE] * len(chunk.index)
-        return _where(normal_forms._positive_definite(chunk.h), indefinite, forms, chunk.k0, chunk.h, chunk.g)
+        # one kernel call and frame choice per chunk, over the points whose h meets the metric rule
+        indefinite = [_INDEFINITE if e else None for e in normal_forms._metric_errors(chunk.h, "metric", args.tol)]
+        return _where(indefinite, forms, chunk.k0, chunk.h, chunk.g)
 
     points = _chunk_entries(args, _normal_form_entry, lambda sample: DimensionError(normal_forms._NOT_DIM_4), stack)
     report = _points_report(args, points, available=sum(1 for p in points if p["available"]))
@@ -237,8 +238,7 @@ def _cmd_petrov(args):
         return complex_forms._jordan_forms(k0, g, t, args.tol)
 
     def stack(chunk):
-        has_t = ~np.isnan(chunk.t[:, 0])
-        return _where(has_t, [_NO_T] * len(has_t), classify, chunk.k0, chunk.g, chunk.t)
+        return _where([None if has else _NO_T for has in chunk.has_t.tolist()], classify, chunk.k0, chunk.g, chunk.t)
 
     def entry(index, form):
         return {"index": index, **({"error": str(form)} if isinstance(form, Exception) else {"case": form.case_id})}

@@ -46,10 +46,9 @@ from .exceptions import (
     DegenerateMetricError,
     DimensionError,
     GeometryError,
-    NonUnitVectorError,
     _alone,
 )
-from .hodge import HodgeStar, _complexify, _frobenius
+from .hodge import HodgeStar, _complexify, _frobenius, _unit_errors
 from .normal_forms import _BASIS, _in_frame
 
 __all__ = [
@@ -113,10 +112,10 @@ class ComplexNormalForm:
 def adapted_frame(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Positively-oriented g-orthonormal frame whose first vector is ``t``.
 
-    ``t`` must be a g-unit vector within ``tol``.  Gram-Schmidt runs over the
-    basis vectors in order and takes each whose remainder has g-length squared
-    above 1e-12, until the frame is complete.  This is :func:`_adapted_frames`
-    for one point.
+    ``t`` must be finite and g-unit within ``tol`` (``hodge._unit_errors``), or
+    :class:`NonUnitVectorError` is raised.  Gram-Schmidt runs over the basis
+    vectors in order and takes each whose remainder has g-length squared above
+    1e-12, until the frame is complete.  This is :func:`_adapted_frames` for one point.
     """
     g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
     frames, errors = _adapted_frames(g[None], t[None], tol)
@@ -125,8 +124,8 @@ def adapted_frame(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> np.ndarray
 
 def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
     """The adapted frames (N, n, n) of stacked metrics ``g`` (N, n, n) and vectors
-    ``t`` (N, n), and each point's error, or None where it has its frame:
-    ``|g(t, t) - 1| > tol``, then a frame that cannot be completed.
+    ``t`` (N, n), and each point's error, or None where it has its frame: that of
+    ``hodge._unit_errors`` at ``tol``, then a frame that cannot be completed.
 
     Each candidate basis vector is projected against the point's frame vectors
     so far and taken where its g-length squared exceeds 1e-12, for all points at
@@ -134,8 +133,8 @@ def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
     a point's frame is zero where it has none.
     """
     n, dim = t.shape
-    tt = ((t[:, None] @ g) @ t[:, :, None])[:, 0, 0]
-    unit = ~(np.abs(tt - 1.0) > tol)
+    tt, errors = _unit_errors(g, t, tol)
+    unit = np.array([e is None for e in errors], dtype=bool)
     g_u = g[unit]
     # column k of cols is frame vector e_k, eg[:, k] is e_k^T g
     cols, eg = np.zeros((len(g_u), dim, dim)), np.zeros((len(g_u), dim, 1, dim))
@@ -157,13 +156,8 @@ def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
     cols[flip, :, -1] = -cols[flip, :, -1]
     frames = np.zeros((n, dim, dim))
     frames[unit] = cols
-    complete = np.ones(n, dtype=bool)
-    complete[unit] = count == dim
-    errors = [
-        NonUnitVectorError(f"g(T, T) = {x:.12g}, expected 1") if not u
-        else None if c else DegenerateMetricError("could not complete t to a g-orthonormal frame")
-        for x, u, c in zip(tt.tolist(), unit.tolist(), complete.tolist())
-    ]
+    for p in np.flatnonzero(unit)[count < dim].tolist():
+        errors[p] = DegenerateMetricError("could not complete t to a g-orthonormal frame")
     return frames, errors
 
 

@@ -124,7 +124,7 @@ def lorentz_metric_from_unit(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) ->
     g : ndarray
         Positive-definite metric.
     t : ndarray
-        Vector with ``g(t, t) == 1`` within ``tol``.
+        Finite vector with ``g(t, t) == 1`` within ``tol`` (:func:`_unit_errors`).
 
     Returns
     -------
@@ -132,15 +132,33 @@ def lorentz_metric_from_unit(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) ->
         Metric of signature (-, +, +, +) that agrees with ``g`` on the
         orthogonal complement of ``t`` and gives ``t`` squared length -1.
     """
-    g = np.asarray(g, dtype=float)
-    t = np.asarray(t, dtype=float)
     if _signature_of(g) != "riemannian":
         raise DegenerateMetricError("base metric must be positive definite")
-    tt = float(t @ g @ t)
-    if abs(tt - 1.0) > tol:
-        raise NonUnitVectorError(f"g(t, t) = {tt:.12g}, expected 1 within {tol:g}")
+    return _deformed(g, t, -2.0, tol)
+
+
+def _unit_errors(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
+    """``g(t, t)`` of stacked metrics ``g`` (N, n, n) and vectors ``t`` (N, n), and each
+    point's :class:`NonUnitVectorError`, or None where ``t`` is finite with
+    ``|g(t, t) - 1| <= tol``: the one unit rule (a non-finite ``t`` counts as 0, with no warning)."""
+    finite = np.isfinite(t).all(axis=1)
+    t = np.where(finite[:, None], t, 0.0)
+    tt = ((t[:, None] @ g) @ t[:, :, None])[:, 0, 0]
+    errors = [
+        NonUnitVectorError("T must be finite") if not f
+        else None if abs(x - 1.0) <= tol else NonUnitVectorError(f"g(T, T) = {x:.12g}, expected 1")
+        for f, x in zip(finite.tolist(), tt.tolist())
+    ]
+    return tt, errors
+
+
+def _deformed(g, t, f: float, tol: float) -> np.ndarray:
+    """``g + f (g t)(g t)^T`` for a ``t`` that is g-unit within ``tol`` (:func:`_unit_errors`):
+    :func:`lorentz_metric_from_unit` at ``f = -2`` and ``curvforms.zoo.deformed_metric``."""
+    g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
+    _alone(_unit_errors(g[None], t[None], tol)[1])
     gt = g @ t
-    return g - 2.0 * np.outer(gt, gt)
+    return g + f * np.outer(gt, gt)
 
 
 # the closed-form eigenbasis of the canonical orthonormal-frame star _WEDGE_4
@@ -220,16 +238,23 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]), e)
 
 
+def _commutator(m: np.ndarray, j: np.ndarray, tol: float) -> tuple:
+    """The relative commutator ``|[m, j]|_F / |m|_F`` of stacked operators ``m`` (N, 6, 6)
+    with the star ``j``, and whether it is at most ``tol``: the one commuting rule."""
+    residual = _frobenius(m @ j - j @ m) / np.maximum(_frobenius(m), 1e-300)
+    return residual, residual <= tol
+
+
 def _complexify(m: np.ndarray, j: np.ndarray, tol: float) -> tuple:
     """:func:`complexify` of stacked operators ``m`` (N, 6, 6) and the Lorentzian
     star ``j``: the complex matrices, and each operator's
-    :class:`NotCommutingError`, or None where it commutes."""
-    resid, norm = _frobenius(m @ j - j @ m), np.maximum(_frobenius(m), 1e-300)
+    :class:`NotCommutingError` (:func:`_commutator`), or None where it commutes."""
+    residual, commuting = _commutator(m, j, tol)
     errors = [
-        NotCommutingError(
-            f"operator does not commute with the star: relative residual {r / n:.3e} > {tol:g}", residual=r / n
-        ) if r > tol * n else None
-        for r, n in zip(resid, norm)
+        None if ok else NotCommutingError(
+            f"operator does not commute with the star: relative residual {r:.3e} > {tol:g}", residual=r
+        )
+        for r, ok in zip(residual.tolist(), commuting.tolist())
     ]
     # real basis of Lambda^2 as a complex 3-space: b1, b2, b3, j b1, j b2, j b3
     b = np.eye(6)[:, :3]

@@ -239,6 +239,8 @@ class RicciReport:
 
 # ---- shared helpers ----
 
+_NOT_POSITIVE_DEFINITE = "metric is not positive definite"
+
 
 def h_orthonormal_frame(h: np.ndarray) -> np.ndarray:
     """Columns form an h-orthonormal frame (inverse transpose Cholesky).
@@ -249,8 +251,26 @@ def h_orthonormal_frame(h: np.ndarray) -> np.ndarray:
     try:
         l = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as err:
-        raise DegenerateMetricError("metric is not positive definite") from err
+        raise DegenerateMetricError(_NOT_POSITIVE_DEFINITE) from err
     return np.swapaxes(np.linalg.inv(l), -1, -2)
+
+
+def _metric_errors(m: np.ndarray, name: str, tol: float) -> list:
+    """Per metric of a stack ``m`` (N, n, n): the first rule it breaks, as a
+    :class:`DegenerateMetricError` that calls it ``name``, or None.  The one metric
+    rule: finite, symmetric within ``tol max|m|``, and positive definite by the
+    Cholesky factorisation of :func:`h_orthonormal_frame`; a metric that is not
+    finite is the identity for the other two, so it raises no warning."""
+    finite = np.isfinite(m).all(axis=(1, 2))
+    m = np.where(finite[:, None, None], m, np.eye(m.shape[-1]))
+    scale = np.maximum(np.max(np.abs(m), axis=(1, 2)), 1e-300)
+    asymmetric = np.max(np.abs(m - np.swapaxes(m, 1, 2)), axis=(1, 2)) > tol * scale
+    factored = _stacked_or_alone(lambda s: [True] * len(np.linalg.cholesky(s)), m)
+    broken = [
+        "finite" if not f else "symmetric" if a else None if d is True else "positive definite"
+        for f, a, d in zip(finite.tolist(), asymmetric.tolist(), factored)
+    ]
+    return [DegenerateMetricError(f"{name} must be {b}") if b else None for b in broken]
 
 
 # ---- batched Lambda^2 kernel ----
@@ -318,16 +338,6 @@ def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None = None) 
         frames=v, k=k, residual=residual, norm=norm,
         evp=evp, up=up, evm=evm, um=um, bianchi=bianchi, scale=scale, gram=gram,
     )
-
-
-def _positive_definite(h: np.ndarray) -> np.ndarray:
-    """Per metric of a stack, whether :func:`h_orthonormal_frame` takes it."""
-
-    def factor(h):
-        np.linalg.cholesky(h)
-        return [True] * len(h)
-
-    return np.array([r is True for r in _stacked_or_alone(factor, h)], dtype=bool)
 
 
 # ---- star-h Einstein test ----

@@ -36,13 +36,15 @@ import numpy as np
 
 from .complex_forms import _ETA, _GRAM_L, _STAR_L, _adapted
 from .curvature import CurvatureTensor, component_matrix
-from .exceptions import DegenerateMetricError, DimensionError, GeometryError, _alone, _stacked_or_alone
-from .hodge import _frobenius
+from .exceptions import DimensionError, GeometryError, _alone, _stacked_or_alone
+from .hodge import _commutator
 from .normal_forms import (
     NormalForm4,
     ScaledNormalForm,
     _lambda2_blocks,
+    _metric_errors,
     _normal_forms,
+    _off_diagonal,
 )
 from .zoo import _sample_chunks
 
@@ -107,7 +109,8 @@ def chi_tau_densities(
     g_inverse_in_frame : ndarray, shape (4, 4)
         Inverse of the metric's Gram matrix in the normal-form frame.
     tol : float
-        Relative threshold deciding whether the frame counts as
+        Tolerance of the inverse metric's symmetry, and the relative threshold
+        (``normal_forms._off_diagonal``) deciding whether the frame counts as
         g-orthogonal, which enables the rescaled per-``dV_g`` fields.
 
     Returns
@@ -135,18 +138,20 @@ def chi_tau_densities(
     both per unit frame volume.  For a g-orthonormal frame these collapse to
     ``(1/4 pi^2) sum (l_i^2 + m_i^2)`` and ``(1/3 pi^2) sum l_i m_i``.
 
-    This is the N = 1 call of :func:`_densities`, the stacked density that
+    The inverse metric must pass ``normal_forms._metric_errors``.  This is the
+    N = 1 call of :func:`_densities`, the stacked density that
     :func:`integrate_samples` and ``curvforms integrate`` run on the
-    general-frame points of each chunk.
+    general-frame points of each chunk, where the chosen normal form decides g-orthogonality.
     """
     gi = np.asarray(g_inverse_in_frame, dtype=float)
     if gi.shape != (4, 4):
         raise DimensionError("g_inverse_in_frame must be 4x4")
     l, m = (np.asarray(v, dtype=float)[None] for v in (nf.lambdas, nf.mus))
-    terms, scaled, (orthogonal,), (error,) = _densities(l, m, gi[None], tol)
+    terms, scaled, (error,) = _densities(l, m, gi[None], tol)
+    orthogonal = error is None and bool(_off_diagonal(gi, tol)[1])
     return _alone([error or IntegrandValue(
         **{k: float(v[0]) for k, v in terms.items() if orthogonal or k in _FRAME_TERMS},
-        orthogonal=bool(orthogonal),
+        orthogonal=orthogonal,
         scaled=ScaledNormalForm(*(getattr(scaled, f.name)[0] for f in fields(scaled))) if orthogonal else None,
     )])
 
@@ -154,21 +159,13 @@ def chi_tau_densities(
 def _densities(lambdas: np.ndarray, mus: np.ndarray, gi: np.ndarray, tol: float) -> tuple:
     """:func:`chi_tau_densities` of stacked values ``lambdas``, ``mus`` (N, 3) and
     inverse metrics ``gi`` (N, 4, 4): the float fields of :class:`IntegrandValue`
-    as (N,) arrays in a dict, the stacked :class:`ScaledNormalForm`, the
-    ``orthogonal`` mask and each point's error, or None: an asymmetric ``gi``, a
-    failed eigensolve, then one not positive definite.  The terms of a point
+    as (N,) arrays in a dict (those of a g-orthogonal frame at every point, for
+    the caller to pick), the stacked :class:`ScaledNormalForm` and each point's
+    error from ``normal_forms._metric_errors``, or None.  The terms of a point
     with an error are those of ``gi = I``, ``l = m = 0``."""
-    gt = np.swapaxes(gi, 1, 2)
-    asymmetric = np.max(np.abs(gi - gt), axis=(1, 2)) > tol * np.maximum(1.0, np.max(np.abs(gi), axis=(1, 2)))
-    gi = 0.5 * (gi + gt)
-    lowest = _stacked_or_alone(lambda s: np.linalg.eigvalsh(s)[:, :1], gi)  # or a point's LinAlgError
-    errors = [
-        DegenerateMetricError("inverse metric must be symmetric") if a else e if isinstance(e, Exception)
-        else DegenerateMetricError("inverse metric must be positive definite") if e[0] <= 0 else None
-        for a, e in zip(asymmetric.tolist(), lowest)
-    ]
+    errors = _metric_errors(gi, "inverse metric", tol)
     ok = np.array([e is None for e in errors], dtype=bool)[:, None]
-    gi = np.where(ok[:, :, None], gi, np.eye(4))
+    gi = np.where(ok[:, :, None], 0.5 * (gi + np.swapaxes(gi, 1, 2)), np.eye(4))
     l, m = np.where(ok, lambdas, 0.0), np.where(ok, mus, 0.0)
     (l1, l2, l3), (m1, m2, m3), (s1, s2, s3) = l.T, m.T, (l**2 + m**2).T
 
@@ -191,8 +188,6 @@ def _densities(lambdas: np.ndarray, mus: np.ndarray, gi: np.ndarray, tol: float)
     # dV_g = sqrt(det g_frame) E^1234 and det g_frame = 1/det(g_inverse)
     sqrt_det_g = 1.0 / np.sqrt(np.linalg.det(gi))
 
-    off = np.max(np.abs(np.where(np.eye(4, dtype=bool), 0.0, gi)), axis=(1, 2))
-    orthogonal = off <= max(tol, 1e-12) * np.max(d, axis=1)
     g11, g22, g33, g44 = d.T
     chi_reduced = (
         (g11 + g22) * (g33 + g44) * s1 + (g11 + g33) * (g22 + g44) * s2 + (g11 + g44) * (g22 + g33) * s3
@@ -210,7 +205,7 @@ def _densities(lambdas: np.ndarray, mus: np.ndarray, gi: np.ndarray, tol: float)
         "chi_density_gvol": (np.sum(lt * kt, axis=1) + np.sum(mt**2, axis=1)) / (4.0 * math.pi**2),
         "ht_correction_density": np.sum((lt - mt) * (kt - mt), axis=1) / (4.0 * math.pi**2),
     }
-    return terms, scaled, orthogonal, errors
+    return terms, scaled, errors
 
 
 # ---- quadrature ----
@@ -395,7 +390,8 @@ def _integrate_stack(k0, h, g, weights, tol, terms: _Terms) -> None:
     inverses = _stacked_or_alone(np.linalg.inv, np.swapaxes(f, 1, 2) @ g[general[framed]] @ f)
     gi = np.array([np.eye(4) if isinstance(x, Exception) else x for x in inverses]).reshape(-1, 4, 4)
     lambdas, mus = (np.array([getattr(forms[p], a) for p in framed]).reshape(-1, 3) for a in ("lambdas", "mus"))
-    values, _, orthogonal, errors = _densities(lambdas, mus, gi, tol)
+    orthogonal = np.array([forms[p].scaled is not None for p in framed], dtype=bool)  # the chosen form's verdict
+    values, _, errors = _densities(lambdas, mus, gi, tol)
     for p, inverse, error in zip(framed, inverses, errors):
         forms[p] = inverse if isinstance(inverse, Exception) else error
     error = next((e for e in forms if e is not None), None)
@@ -465,7 +461,7 @@ def weyl_split_check(
     TensorValidationError
         If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
     NonUnitVectorError
-        If ``g(t, t)`` differs from 1 by more than ``tol``.
+        If ``t`` is not finite or ``g(t, t)`` differs from 1 by more than ``tol``.
     """
     if rm.dim != 4:
         raise DimensionError(_NOT_DIM_4)
@@ -485,15 +481,14 @@ def _weyl_splits(k0: np.ndarray, r: np.ndarray, g: np.ndarray, t: np.ndarray, to
     w_plus, w_minus = half + sym, half - sym
     relation = w_plus + w_minus
 
-    ml, sl = _GRAM_L @ k, _STAR_L.matrix
-    commutator = _frobenius(ml @ sl - sl @ ml) / np.maximum(_frobenius(ml), 1e-300)
+    commutator, commutes = _commutator(_GRAM_L @ k, _STAR_L.matrix, tol)
 
     # the Lorentz trace read in the frame; g_L^-1 = f eta f^T in input coordinates
     ft = np.swapaxes(frames, 1, 2)
     trace = ft @ np.einsum("njl,njabl->nab", frames @ _ETA @ ft, r, optimize=True) @ frames
     f = np.trace(_ETA @ trace, axis1=1, axis2=2) / 4.0
     columns = (
-        np.max(np.abs(relation), axis=(1, 2)), commutator <= tol, commutator, scal, f,
+        np.max(np.abs(relation), axis=(1, 2)), commutes, commutator, scal, f,
         np.max(np.abs(trace - f[:, None, None] * _ETA), axis=(1, 2)),
     )
     return [

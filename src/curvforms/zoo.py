@@ -36,12 +36,11 @@ from .exceptions import (
     DegenerateMetricError,
     DimensionError,
     GeometryError,
-    NonUnitVectorError,
     SampleFormatError,
     TensorValidationError,
-    _stacked_or_alone,
 )
-from .normal_forms import _pattern_components, h_orthonormal_frame
+from .hodge import _deformed, _unit_errors
+from .normal_forms import _metric_errors, _pattern_components, h_orthonormal_frame
 
 __all__ = [
     "PointSample",
@@ -84,10 +83,10 @@ class PointSample:
 def validate_sample(sample: PointSample, tol: float = 1e-9) -> None:
     """Check every invariant of a sample; raise on the first violation.
 
-    The metrics must be finite, symmetric and positive definite, ``t`` (when
-    present) must be a finite g-unit vector within ``tol``, the weight must be
-    a real number (not a ``bool``) that is finite and nonnegative, and the
-    curvature components must pass :func:`validate_curvature` at ``tol``.
+    The metrics must pass ``normal_forms._metric_errors`` (finite, symmetric, positive
+    definite by Cholesky), ``t`` (when present) ``hodge._unit_errors`` (finite, g-unit
+    within ``tol``), the weight must be a real number (not a ``bool``) that is finite
+    and nonnegative, and the curvature components must pass :func:`validate_curvature` at ``tol``.
     This is the one-point call of the stacked check that ``curvforms
     validate`` runs on each chunk of a file.
     """
@@ -108,12 +107,12 @@ def _sample_error(sample: PointSample, tol: float):
 def _chunk_errors(chunk, tol: float) -> list:
     """The first violation of every dimension-4 point of a :class:`_Chunk` (None
     where it has none), in order: one stacked check."""
-    r, has_t = _dense(chunk.k0, chunk.listed), ~np.isnan(chunk.t[:, 0])
+    r = _dense(chunk.k0, chunk.listed)
     # h defaults to g, so checking it where it is absent repeats g's verdict
-    return _stack_errors(4, chunk.g, chunk.h, chunk.t, chunk.weights.tolist(), 4, r, tol, has_t)
+    return _stack_errors(4, chunk.g, chunk.h, chunk.t, chunk.weights.tolist(), 4, r, tol, chunk.has_t)
 
 
-def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float, has_t=None) -> list:
+def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float, has_t=True) -> list:
     """The first violation of every point of a stack, or None where it has none.
 
     ``g`` and ``h`` are (N, dim, dim) (``h`` None when no point has one), ``t``
@@ -136,17 +135,21 @@ def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float, has_t=
 def _violations(dim, g, h, t, has_t, weights, rm_dim, r, tol):
     """The checks of :func:`_stack_errors`, in order: a mask of the points that fail
     (a plain ``True`` when all do), and the error of failing point ``p``."""
-    yield from _metric_violations(g, dim, "g", tol)
-    if h is not None:
-        yield from _metric_violations(h, dim, "h", tol)
+    for m, name in ((g, "g"), (h, "h")):
+        if m is None:
+            continue
+        if m.shape[1:] != (dim, dim):
+            error = DimensionError(f"{name} must be {dim}x{dim}, got {m.shape[1:]}")
+            yield True, lambda p: error
+            return
+        errors = _metric_errors(m, name, tol)
+        yield [e is not None for e in errors], errors.__getitem__
     if t is not None:
         if t.shape[1:] != (dim,):
             yield True, lambda p: DimensionError(f"T must have {dim} components")
             return
-        finite = np.isfinite(t).all(axis=1)
-        yield ~finite if has_t is None else has_t & ~finite, lambda p: NonUnitVectorError("T must be finite")
-        tt = ((t[:, None] @ g) @ t[:, :, None])[:, 0, 0]
-        yield np.abs(tt - 1.0) > tol, lambda p: NonUnitVectorError(f"g(T, T) = {tt[p]:.12g}, expected 1")
+        errors = _unit_errors(g, t, tol)[1]
+        yield has_t & np.array([e is not None for e in errors], dtype=bool), errors.__getitem__
     yield (
         [not 0 <= _real(w, math.nan) < math.inf for w in weights],
         lambda p: ValueError(f"weight must be a finite nonnegative number, got {weights[p]!r}"),
@@ -160,25 +163,6 @@ def _violations(dim, g, h, t, has_t, weights, rm_dim, r, tol):
         yield True, lambda p: err
         return
     yield from _identity_violations(r, tol)
-
-
-def _metric_violations(m: np.ndarray, dim: int, name: str, tol: float):
-    if m.shape[1:] != (dim, dim):
-        yield True, lambda p: DimensionError(f"{name} must be {dim}x{dim}, got {m.shape[1:]}")
-        return
-    yield ~np.isfinite(m).all(axis=(1, 2)), lambda p: DegenerateMetricError(f"{name} must be finite")
-    mt = np.swapaxes(m, 1, 2)
-    scale = np.maximum(np.max(np.abs(m), axis=(1, 2)), 1e-300)
-    yield (
-        np.max(np.abs(m - mt), axis=(1, 2)) > tol * scale,
-        lambda p: DegenerateMetricError(f"{name} must be symmetric"),
-    )
-    lowest = _stacked_or_alone(lambda s: np.linalg.eigvalsh(s)[:, 0], 0.5 * (m + mt))
-    if isinstance(lowest, list):  # a point's failure to converge is that point's error
-        failed = [isinstance(x, np.linalg.LinAlgError) for x in lowest]
-        yield failed, lowest.__getitem__
-        lowest = np.array([0.0 if f else x for f, x in zip(failed, lowest)])
-    yield lowest <= 0, lambda p: DegenerateMetricError(f"{name} must be positive definite")
 
 
 # ---- line format ----
@@ -376,9 +360,8 @@ def _chunk_samples(chunk) -> list:
     """The :class:`PointSample` of every point of ``chunk``, in order."""
     samples = dict(chunk.others)
     rm = _dense(chunk.k0, chunk.listed)
-    has_t = ~np.isnan(chunk.t[:, 0])
-    for p, (index, weight, has_h, coords) in enumerate(
-        zip(chunk.index.tolist(), chunk.weights.tolist(), chunk.has_h.tolist(), chunk.coords)
+    for p, (index, weight, has_h, has_t, coords) in enumerate(
+        zip(chunk.index.tolist(), chunk.weights.tolist(), chunk.has_h.tolist(), chunk.has_t.tolist(), chunk.coords)
     ):
         samples[index] = PointSample(
             dim=4,
@@ -386,7 +369,7 @@ def _chunk_samples(chunk) -> list:
             rm=CurvatureTensor(dim=4, components=rm[p]),
             weight=weight,
             h=chunk.h[p] if has_h else None,
-            t=chunk.t[p] if has_t[p] else None,
+            t=chunk.t[p] if has_t else None,
             coords=None if coords is None else np.array(coords, dtype=float),
         )
     return [samples[index] for index in range(chunk.start, chunk.start + chunk.size)]
@@ -412,7 +395,8 @@ class _Chunk:
     into the components that ``validate_curvature`` completes from the same
     rows, bit for bit.  ``g`` and ``h`` (N, 4, 4) are their metrics
     (``h`` defaults to ``g``; ``has_h`` (N,) says where it was given), ``t``
-    (N, 4) their ``T`` (NaN where absent), ``weights`` (N,) and ``coords``
+    (N, 4) their ``T`` (NaN where absent; ``has_t`` (N,) says where it was
+    given), ``weights`` (N,) and ``coords``
     (a list of N, None where absent).  The points of other dimensions are
     ``others``, as ``(index, PointSample)`` (:func:`_sample_chunks` adds the
     samples without a valid weight).
@@ -427,6 +411,7 @@ class _Chunk:
     h: np.ndarray
     has_h: np.ndarray
     t: np.ndarray
+    has_t: np.ndarray
     weights: np.ndarray
     coords: list
     others: list
@@ -473,12 +458,13 @@ def _sample_chunks(samples):
         g = [np.asarray(s.g, dtype=float) for _, s in four]
         has_h = [getattr(s, "h", None) is not None for _, s in four]
         h = [np.asarray(s.h, dtype=float) if given else gs for (_, s), gs, given in zip(four, g, has_h)]
-        t = [np.full(4, np.nan) if getattr(s, "t", None) is None else np.asarray(s.t, dtype=float) for _, s in four]
+        has_t = [getattr(s, "t", None) is not None for _, s in four]
+        t = [np.asarray(s.t, dtype=float) if given else np.full(4, np.nan) for (_, s), given in zip(four, has_t)]
         k0 = _pair_matrix(_stack([s.rm.components for _, s in four], (4, 4, 4, 4)))
         yield _Chunk(
             start, len(batch), np.array([n for n, _ in four], dtype=int), k0, np.ones(k0.shape, dtype=bool),
             _stack(g, (4, 4)), _stack(h, (4, 4)), np.array(has_h, dtype=bool), _stack(t, (4,)),
-            np.array(weights), [getattr(s, "coords", None) for _, s in four], others,
+            np.array(has_t, dtype=bool), np.array(weights), [getattr(s, "coords", None) for _, s in four], others,
         )
         start += len(batch)
 
@@ -540,7 +526,7 @@ def _decode_chunk(lines, start: int) -> _Chunk:
     k0, listed = _scatter_rows(rows, list(map(len, rm)), n4, 4)
     index = np.array(positions, dtype=int)
     return _Chunk(
-        start, len(lines), index, k0, listed, metrics[0], metrics[1], has_h, t_all, weights,
+        start, len(lines), index, k0, listed, metrics[0], metrics[1], has_h, t_all, has_t, weights,
         [obj.get("coords") for obj in four], others,
     )
 
@@ -781,15 +767,10 @@ def gen_synthetic_star_L(a_traceless, b, frame=None, weight: float = 1.0) -> Poi
 def deformed_metric(g, t, f: float) -> np.ndarray:
     """Rank-one deformation ``g + f (g t)(g t)^T`` along a g-unit vector.
 
-    ``f = -2`` is the Lorentz companion metric; ``f = -1`` is degenerate and
-    rejected; other values stay metrics (positive definite for ``f > -1``).
+    ``f = -2`` is ``hodge.lorentz_metric_from_unit``, whose unit rule ``t`` must pass at 1e-9;
+    ``f = -1`` is degenerate and rejected; other values stay metrics (positive definite for ``f > -1``).
     """
-    g = np.asarray(g, dtype=float)
-    t = np.asarray(t, dtype=float)
-    tt = float(t @ g @ t)
-    if abs(tt - 1.0) > 1e-9:
-        raise NonUnitVectorError(f"g(T, T) = {tt:.12g}, expected 1")
+    deformed = _deformed(g, t, float(f), 1e-9)
     if abs(1.0 + f) <= 1e-12:
         raise DegenerateMetricError("f = -1 collapses the T direction")
-    flat = g @ t
-    return g + float(f) * np.outer(flat, flat)
+    return deformed

@@ -206,11 +206,11 @@ class TestDecomposable:
         basis = bivector_basis(dim)
         for _ in range(20):
             u, w = RNG.normal(size=(2, dim))
-            assert is_decomposable(wedge_vectors(u, w, basis), basis)
+            assert is_decomposable(wedge_vectors(u, w, basis), basis) is True
         xi = np.zeros(len(basis))
         xi[basis.pairs.index((1, 2))] = 1.0
         xi[basis.pairs.index((3, 4))] = 1.0
-        assert not is_decomposable(xi, basis)
+        assert is_decomposable(xi, basis) is False
 
 
 # ---- plane matrix ----

@@ -75,6 +75,18 @@ class TestAdaptedFrame:
         with pytest.raises(NonUnitVectorError):
             adapted_frame(np.eye(4), np.array([2.0, 0, 0, 0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_t_is_not_unit(self, bad):
+        sample = star_l_sample(5)
+        t = sample.t.copy()
+        t[1] = bad
+        calls = (adapted_frame, classify_complex, weyl_split_check, count_spacelike_critical)
+        for call in calls:
+            args = (sample.g, t) if call is adapted_frame else (sample.rm, sample.g, t)
+            with pytest.raises(NonUnitVectorError, match="^T must be finite$"):
+                call(*args)
+
 
 def adapted_frame_loop(g, t, tol=1e-9):
     """The frame of :func:`adapted_frame` built one candidate at a time, as it was

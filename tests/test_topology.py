@@ -251,15 +251,21 @@ class TestChiTauDensities:
 def reference_densities(lambdas, mus, gi, tol=1e-9):
     """The per-point density that preceded the stacked one, kept as the reference:
     the fields of IntegrandValue, with ``scaled`` as a tuple of arrays, and the
-    largest term of each bracket."""
+    largest term of each bracket.  Its checks of ``gi`` are the one metric rule
+    and the one orthogonality rule, written out."""
     gi = np.asarray(gi, dtype=float)
     if gi.shape != (4, 4):
         raise DimensionError("g_inverse_in_frame must be 4x4")
-    if np.max(np.abs(gi - gi.T)) > tol * max(1.0, float(np.max(np.abs(gi)))):
+    if not np.isfinite(gi).all():
+        raise DegenerateMetricError("inverse metric must be finite")
+    if np.max(np.abs(gi - gi.T)) > tol * max(float(np.max(np.abs(gi))), 1e-300):
         raise DegenerateMetricError("inverse metric must be symmetric")
+    try:
+        np.linalg.cholesky(gi)
+    except np.linalg.LinAlgError:
+        raise DegenerateMetricError("inverse metric must be positive definite") from None
+    orthogonal = float(np.max(np.abs(gi - np.diag(np.diag(gi))))) <= max(tol, 1e-9) * float(np.max(np.diag(gi)))
     gi = 0.5 * (gi + gi.T)
-    if np.linalg.eigvalsh(gi)[0] <= 0:
-        raise DegenerateMetricError("inverse metric must be positive definite")
 
     def minor(i, j):  # a numpy scalar squared: libm pow, not x * x
         return float(gi[i, i] * gi[j, j] - gi[i, j] ** 2)
@@ -301,7 +307,7 @@ def reference_densities(lambdas, mus, gi, tol=1e-9):
         "tau_largest": np.max(np.abs(tau_terms)),
     }
     diag = np.diag(gi)
-    value["orthogonal"] = float(np.max(np.abs(gi - np.diag(diag)))) <= max(tol, 1e-12) * float(np.max(diag))
+    value["orthogonal"] = orthogonal
     if value["orthogonal"]:
         g11, g22, g33, g44 = diag
         value["chi_density_reduced"] = (
@@ -348,13 +354,13 @@ class TestStackedDensities:
 
     def test_fields_equal_the_reference_bit_for_bit(self):
         lambdas, mus, gi = density_corpus(4000, seed=1601)
-        terms, scaled, orthogonal, errors = topology._densities(lambdas, mus, gi, 1e-9)
+        terms, scaled, errors = topology._densities(lambdas, mus, gi, 1e-9)
         assert errors == [None] * len(gi)
         rounded = 0
         for n in range(len(gi)):
             want = reference_densities(lambdas[n], mus[n], gi[n])
-            assert bool(orthogonal[n]) == want["orthogonal"]
             stacked = topology.chi_tau_densities(nf_of(lambdas[n], mus[n]), gi[n])
+            assert stacked.orthogonal is want["orthogonal"]
             for name in ("sqrt_det_g", "chi_density_reduced", "chi_density_gvol", "ht_correction_density"):
                 if name in want:
                     assert same_bits(terms[name][n], want[name]), (n, name)
@@ -384,7 +390,7 @@ class TestStackedDensities:
         gi[1, 0, 1] += 0.5 * abs(gi[1, 0, 1]) + 1.0  # asymmetric
         gi[3] = np.diag([1.0, 2.0, 3.0, -1.0])  # not positive definite
         gi[4] = np.diag([1.0, 2.0, 3.0, 0.0])  # singular
-        terms, _, _, errors = topology._densities(lambdas, mus, gi, 1e-9)
+        terms, _, errors = topology._densities(lambdas, mus, gi, 1e-9)
         for n in range(len(gi)):
             try:
                 want = reference_densities(lambdas[n], mus[n], gi[n])
@@ -403,14 +409,18 @@ class TestStackedDensities:
             with pytest.raises(DimensionError, match="must be 4x4"):
                 reference_densities(lambdas[0], mus[0], np.ones(shape))
 
-    def test_a_failed_eigensolve_is_its_points_error(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_inverse_is_its_points_error(self, bad):
         lambdas, mus, gi = density_corpus(3, seed=1603)
-        gi[1, 2, 2] = math.nan
-        with pytest.raises(np.linalg.LinAlgError) as want:
+        gi[1, 2, 2] = bad
+        with pytest.raises(DegenerateMetricError, match="^inverse metric must be finite$"):
             reference_densities(lambdas[1], mus[1], gi[1])
-        _, _, _, errors = topology._densities(lambdas, mus, gi, 1e-9)
+        _, _, errors = topology._densities(lambdas, mus, gi, 1e-9)
         assert errors[0] is None and errors[2] is None
-        assert type(errors[1]) is np.linalg.LinAlgError and str(errors[1]) == str(want.value)
+        assert type(errors[1]) is DegenerateMetricError and str(errors[1]) == "inverse metric must be finite"
+        with pytest.raises(DegenerateMetricError, match="^inverse metric must be finite$"):
+            chi_tau_densities(nf_of(lambdas[1], mus[1]), gi[1])
 
     def test_rescale_takes_stacks(self):
         lambdas, mus, gi = density_corpus(5, seed=1604)
@@ -446,6 +456,24 @@ class TestIntegrateSamples:
         assert result.points == 2
         assert result.skipped_points == 0
         npt.assert_allclose(result.total_weight, volume, rtol=1e-15)
+
+    def test_a_frame_counts_as_g_orthogonal_exactly_where_its_normal_form_does(self):
+        # aligned star-h samples with one off-diagonal g entry raised near the 1e-9 threshold
+        rng = np.random.default_rng(26)
+        verdicts = []
+        for _ in range(400):
+            m1, m2 = rng.uniform(-1.0, 1.0, 2)
+            sample = gen_synthetic_star_h(
+                rng.uniform(-2.0, 2.0, 3), [m1, m2, -m1 - m2], rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)
+            )
+            i, j = rng.choice(4, size=2, replace=False)
+            g = sample.g.copy()
+            g[i, j] = g[j, i] = g[i, j] + 10.0 ** rng.uniform(-10.5, -8.0)
+            scaled = preferred_normal_form_4(sample.rm, sample.h, g).scaled is not None
+            general = integrate_samples([make_sample(sample.rm, g, sample.h, 1.0)]).general_frame_points
+            assert scaled == (general == 0)
+            verdicts.append(scaled)
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_skips_points_without_normal_form(self):
         rm_good = space_form(4, 1.0)

@@ -136,8 +136,7 @@ class TestValidateSample:
         errors = zoo._stack_errors(4, g, None, None, [1.0, 1.0], 4, stack, 1e-9)
         assert errors[0] is None and (type(errors[1]), str(errors[1])) == (TensorValidationError, str(err.value))
 
-    # an infinite metric entry makes its symmetry residual inf - inf, as intended
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_t_and_metric_entries_rejected(self, bad):
         sample = next(iter(gen_space_form(4, 1.0, 2)))
