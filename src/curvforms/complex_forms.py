@@ -49,7 +49,7 @@ from .exceptions import (
     _alone,
 )
 from .hodge import HodgeStar, _complexify, _frobenius, _unit_errors
-from .normal_forms import _BASIS, _in_frame
+from .normal_forms import _BASIS, _in_frame, _metric_errors
 
 __all__ = [
     "ComplexNormalForm",
@@ -112,10 +112,12 @@ class ComplexNormalForm:
 def adapted_frame(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Positively-oriented g-orthonormal frame whose first vector is ``t``.
 
-    ``t`` must be finite and g-unit within ``tol`` (``hodge._unit_errors``), or
-    :class:`NonUnitVectorError` is raised.  Gram-Schmidt runs over the basis
-    vectors in order and takes each whose remainder has g-length squared above
-    1e-12, until the frame is complete.  This is :func:`_adapted_frames` for one point.
+    ``g`` must meet the metric rule (``normal_forms._metric_errors``), or
+    :class:`DegenerateMetricError` is raised, and ``t`` must be finite and
+    g-unit (``hodge._unit_errors``), or :class:`NonUnitVectorError` is raised,
+    both within ``tol``.  Gram-Schmidt runs over the basis vectors in order and
+    takes each whose remainder has g-length squared above 1e-12, until the
+    frame is complete.  This is :func:`_adapted_frames` for one point.
     """
     g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
     frames, errors = _adapted_frames(g[None], t[None], tol)
@@ -125,7 +127,8 @@ def adapted_frame(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> np.ndarray
 def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
     """The adapted frames (N, n, n) of stacked metrics ``g`` (N, n, n) and vectors
     ``t`` (N, n), and each point's error, or None where it has its frame: that of
-    ``hodge._unit_errors`` at ``tol``, then a frame that cannot be completed.
+    ``normal_forms._metric_errors`` on ``g``, then that of ``hodge._unit_errors``,
+    both at ``tol``, then a frame that cannot be completed.
 
     Each candidate basis vector is projected against the point's frame vectors
     so far and taken where its g-length squared exceeds 1e-12, for all points at
@@ -133,7 +136,8 @@ def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
     a point's frame is zero where it has none.
     """
     n, dim = t.shape
-    tt, errors = _unit_errors(g, t, tol)
+    tt, units = _unit_errors(g, t, tol)
+    errors = [m or u for m, u in zip(_metric_errors(g, "g", tol), units)]
     unit = np.array([e is None for e in errors], dtype=bool)
     g_u = g[unit]
     # column k of cols is frame vector e_k, eg[:, k] is e_k^T g
@@ -161,12 +165,12 @@ def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
     return frames, errors
 
 
-def _adapted(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float, unit_tol: float = 1e-9) -> tuple:
+def _adapted(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
     """``K = (Lambda^2 f)^T K_0 (Lambda^2 f)`` of stacked pair matrices ``k0``
     (N, 6, 6) in the adapted frames ``f`` of ``(g, t)``, the frames, and each
     point's error, or None: a first-Bianchi break beyond ``tol`` times the largest
-    component, then those of :func:`_adapted_frames` at ``unit_tol``."""
-    frames, errors = _adapted_frames(g, t, unit_tol)
+    component, then those of :func:`_adapted_frames`, at the same ``tol``."""
+    frames, errors = _adapted_frames(g, t, tol)
     bianchi = _first_bianchi_errors(*_first_bianchi_4(k0), tol)
     return _in_frame(k0, frames), frames, [b or e for b, e in zip(bianchi, errors)]
 
@@ -194,12 +198,17 @@ def classify_complex(
         g-unit timelike direction for the Lorentz metric.
     tol : float
         Relative tolerance for the star-commuting precondition and for the
-        first Bianchi identity.
+        first Bianchi identity, and the tolerance of the metric rule on ``g``
+        and of ``g(t, t) = 1``.
 
     Raises
     ------
     TensorValidationError
         If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
+    DegenerateMetricError
+        If ``g`` breaks the metric rule, or ``t`` cannot be completed to a frame.
+    NonUnitVectorError
+        If ``t`` is not finite or not g-unit within ``tol``.
     NotCommutingError
         If the Lorentz operator does not commute with the Lorentz star.
     GeometryError
@@ -214,8 +223,9 @@ def classify_complex(
 def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> list:
     """Per point of stacked pair matrices ``k0`` (N, 6, 6), metrics ``g`` and
     vectors ``t``: its :class:`ComplexNormalForm`, or its first error: a flat
-    tensor, those of :func:`_adapted` (``g(t, t)`` within 1e-9), an operator
-    that does not commute with the Lorentz star.
+    tensor, those of :func:`_adapted` at ``tol`` (the metric rule on ``g``,
+    ``g(t, t)`` within ``tol``), an operator that does not commute with the
+    Lorentz star.
 
     The commuting points are classified together.  Each point's eigenvalues are
     sorted by (real, imag) and clustered greedily: a value joins the first
@@ -587,6 +597,8 @@ def count_spacelike_critical(
         If ``n_starts`` is not an integer of at least 1 (a bool is not).
     TensorValidationError
         If ``rm`` breaks first Bianchi beyond 1e-9 times its largest component.
+    DegenerateMetricError, NonUnitVectorError
+        If ``g`` or ``t`` breaks its rule at 1e-9, as in :func:`adapted_frame`.
     """
     if not isinstance(n_starts, (int, np.integer)) or isinstance(n_starts, bool) or n_starts < 1:
         raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")

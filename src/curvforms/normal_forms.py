@@ -478,30 +478,40 @@ def _pairing_frames(up: np.ndarray, um: np.ndarray) -> np.ndarray:
 
 
 def _read_off(k, f, scale, tol):
-    """Frames, ``l``, ``m``, pattern residual and whether it is at most
-    ``max(tol, 1e-8) scale``, read from stacked ``k`` in the frames ``f``
-    after ordering the pairs by a stable sort on ``(l, m)``."""
+    """``k`` read once in the stacked frames ``f``, and its pairs ordered by a
+    stable sort on ``(l, m)``: the frames' columns in that order, the signed
+    permutations ``perm`` that take them there with the orientation kept, the
+    sorted ``l`` and ``m``, the pattern residual, and whether it is at most
+    ``max(tol, 1e-8) scale``.
+
+    ``perm`` permutes the basis bivectors and keeps the star, so the reading in
+    ``f @ perm`` is the signed permutation of this one that carries each pair
+    ``(l_i, m_i)`` to its sorted place and keeps every residual entry's size:
+    both come from this reading with no second one."""
     i = np.arange(3)
-    kf = _in_frame(k, f)
-    order = np.lexsort((kf[:, i + 3, i], kf[:, i, i]))
-    perm = np.swapaxes(np.eye(4)[np.concatenate([np.zeros_like(order[:, :1]), order + 1], axis=1)], 1, 2)
-    perm[:, :, 3] *= np.linalg.det(perm)[:, None]  # keep the orientation
-    f = f @ perm
     kf = _in_frame(k, f)
     lambdas, mus = kf[:, i, i], kf[:, i + 3, i]
     residual = np.max(np.abs(_block_pattern(lambdas, mus) - kf), axis=(1, 2))
-    return f, lambdas, mus, residual, residual <= max(tol, 1e-8) * scale
+    order = np.lexsort((mus, lambdas))
+    columns = np.concatenate([np.zeros_like(order[:, :1]), order + 1], axis=1)
+    perm = np.swapaxes(np.eye(4)[columns], 1, 2)
+    perm[:, :, 3] *= np.linalg.det(perm)[:, None]  # keep the orientation
+    lambdas, mus = (np.take_along_axis(v, order, axis=1) for v in (lambdas, mus))
+    return columns, perm, lambdas, mus, residual, residual <= max(tol, 1e-8) * scale
 
 
 def _normal_forms(blocks: Lambda2Blocks, h, g, tol) -> list:
     """Per point of ``blocks`` (:func:`lambda2_blocks` of the stacks ``h``, ``g``):
     its g-orthogonal normal form, else its plain one, else its error.
 
-    The g-orthogonal candidates are the pairing frames that pass the Gram
-    test, in :data:`_PAIRINGS` order, or, where none does, the eigenframe of
-    ``g``; the first that matches the block pattern and passes
-    :func:`scaled_normal_form`'s check wins.  Pairing 0 gives the plain form;
-    ``g=None`` asks for it alone.
+    Each point has seven frames: the six pairing frames, in :data:`_PAIRINGS`
+    order, and the eigenframe of ``g``.  One verdict, :func:`_g_lengths` on the
+    frames in input coordinates, judges all seven before any reading; the
+    eigenframe counts only where no pairing passes.  Each frame that passes,
+    and pairing 0 for the plain form, is read once (:func:`_read_off`), and the
+    frame and its g-lengths take the permutation of its sorted values.  The
+    first g-orthogonal frame that matches the block pattern wins; else pairing
+    0 gives the plain form.  ``g=None`` asks for the plain form alone.
     """
     results = _first_bianchi_errors(blocks.bianchi, blocks.scale, tol)
     for n in np.flatnonzero(~blocks.commuting(tol)).tolist():
@@ -512,24 +522,20 @@ def _normal_forms(blocks: Lambda2Blocks, h, g, tol) -> list:
 
     points = np.flatnonzero([r is None for r in results])
     frames = _pairing_frames(blocks.up[points], blocks.um[points])
-    # g-orthogonal candidates: the six pairings, then the eigenframe of g
-    candidate = np.zeros((len(points), len(_PAIRINGS) + 1), dtype=bool)
+    orthogonal, lengths = np.zeros((len(points), 1), dtype=bool), np.ones((len(points), 1, 4))
     if g is not None:
-        gram = blocks.gram[points]
-        _, candidate[:, :-1] = _off_diagonal(np.swapaxes(frames, -1, -2) @ gram[:, None] @ frames, tol)
-        eigen = candidate[:, -1] = ~candidate.any(axis=1)
-        eigenframes = np.full((len(points), 1, 4, 4), np.nan)
-        eigenframes[eigen, 0] = _first_positive(_proper(np.linalg.eigh(gram[eigen])[1]))
-        frames = np.concatenate([frames, eigenframes], axis=1)
-    # one read per candidate, and pairing 0's for the plain form
-    at, c = np.nonzero(candidate | (np.arange(candidate.shape[1]) == 0))
+        eigenframes = _first_positive(_proper(np.linalg.eigh(blocks.gram[points])[1]))
+        frames = np.concatenate([frames, eigenframes[:, None]], axis=1)
+    f = blocks.frames[points, None] @ frames
+    if g is not None:
+        lengths, _, orthogonal = _g_lengths(f, g[points, None], tol)
+        orthogonal[:, -1] &= ~orthogonal[:, :-1].any(axis=1)
+    # one read per g-orthogonal frame, and pairing 0's for the plain form
+    at, c = np.nonzero(orthogonal | (np.arange(orthogonal.shape[1]) == 0))
     n = points[at]
-    f, lambdas, mus, residual, matched = _read_off(blocks.k[n], frames[at, c], blocks.scale[n], tol)
-    f = blocks.frames[n] @ f
-    orthogonal, lengths = candidate[at, c] & matched, np.ones((len(at), 4))
-    if g is not None:
-        lengths, _, g_orthogonal = _g_lengths(f, g[n], tol)
-        orthogonal &= g_orthogonal
+    columns, perm, lambdas, mus, residual, matched = _read_off(blocks.k[n], frames[at, c], blocks.scale[n], tol)
+    f, lengths = f[at, c] @ perm, np.take_along_axis(lengths[at, c], columns, axis=1)
+    orthogonal = orthogonal[at, c] & matched
 
     chosen = np.flatnonzero(c == 0)  # the plain form, unless a g-orthogonal one comes first
     first = np.flatnonzero(orthogonal)

@@ -460,8 +460,8 @@ def weyl_split_check(
     ------
     TensorValidationError
         If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
-    NonUnitVectorError
-        If ``t`` is not finite or ``g(t, t)`` differs from 1 by more than ``tol``.
+    DegenerateMetricError, NonUnitVectorError
+        If ``g`` or ``t`` breaks its rule at ``tol``, as in :func:`curvforms.complex_forms.adapted_frame`.
     """
     if rm.dim != 4:
         raise DimensionError(_NOT_DIM_4)
@@ -472,8 +472,8 @@ def weyl_split_check(
 def _weyl_splits(k0: np.ndarray, r: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> list:
     """Per point of stacked pair matrices ``k0`` (N, 6, 6), dense components ``r``,
     metrics ``g`` and vectors ``t``: its :class:`WeylSplitReport`, or its error
-    from :func:`curvforms.complex_forms._adapted` (``g(t, t)`` within ``tol``)."""
-    k, frames, errors = _adapted(k0, g, t, tol, tol)
+    from :func:`curvforms.complex_forms._adapted` at ``tol``."""
+    k, frames, errors = _adapted(k0, g, t, tol)
     scal = 0.0 - 2.0 * np.trace(k, axis1=1, axis2=2)  # +0.0, not -0.0, for a flat tensor
     a, b, d = k[:, :3, :3], k[:, :3, 3:], k[:, 3:, 3:]
     half = (a + d) / 2.0 + (scal / 12.0)[:, None, None] * np.eye(3)

@@ -38,6 +38,7 @@ from .exceptions import (
     GeometryError,
     SampleFormatError,
     TensorValidationError,
+    _alone,
 )
 from .hodge import _deformed, _unit_errors
 from .normal_forms import _metric_errors, _pattern_components, h_orthonormal_frame
@@ -648,7 +649,9 @@ def gen_product_spheres(a: float, b: float, grid_spec, h_scales=None):
     ``h_scales = (s1, s2)`` attaches the block-scaled second metric
     ``h = diag(s1, s1, s2, s2)``; the induced star commutes with the
     curvature operator exactly when ``s1 / s2 = b / a`` (the more curved
-    factor carries the larger scale).
+    factor carries the larger scale).  ``h`` must meet the metric rule
+    (``normal_forms._metric_errors``: finite and positive scales), or
+    :class:`DegenerateMetricError` is raised.
     """
     if not (a > 0 and b > 0):
         raise ValueError("radii must be positive")
@@ -657,9 +660,8 @@ def gen_product_spheres(a: float, b: float, grid_spec, h_scales=None):
     h = None
     if h_scales is not None:
         s1, s2 = (float(s) for s in h_scales)
-        if s1 <= 0 or s2 <= 0:
-            raise DegenerateMetricError("h_scales must be positive")
         h = np.diag([s1, s1, s2, s2])
+        _alone(_metric_errors(h[None], "h", 0.0))
     rm = validate_curvature(
         [[1, 2, 1, 2, -1.0 / a**2], [3, 4, 3, 4, -1.0 / b**2]], dim=4
     )
@@ -688,7 +690,10 @@ def gen_synthetic_star_h(
     lambdas, mus : array_like, shape (3,)
         Normal-form values (any order; extraction sorts canonically).
     h_diag, g_diag : array_like, shape (4,)
-        Positive diagonals of the two metrics, in ambient coordinates.
+        Finite positive diagonals of the two metrics, in ambient coordinates:
+        ``diag(h_diag)`` and ``diag(g_diag)`` must meet the metric rule
+        (``normal_forms._metric_errors``), or :class:`DegenerateMetricError`
+        is raised.
     frame_rotation : ndarray, optional
         Orthogonal 4x4 matrix rotating the frame inside the h-orthonormal
         model; the identity keeps the frame g-orthogonal for diagonal ``g``.
@@ -702,8 +707,8 @@ def gen_synthetic_star_h(
         raise TensorValidationError("first Bianchi identity", (1, 2, 3, 4), bianchi)
     h_diag = np.asarray(h_diag, dtype=float).reshape(4)
     g_diag = np.asarray(g_diag, dtype=float).reshape(4)
-    if np.any(h_diag <= 0) or np.any(g_diag <= 0):
-        raise DegenerateMetricError("h_diag and g_diag must be positive")
+    for name, diag in (("h", h_diag), ("g", g_diag)):
+        _alone(_metric_errors(np.diag(diag)[None], name, 0.0))
     if frame_rotation is None:
         q = np.eye(4)
     else:

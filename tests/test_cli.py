@@ -20,9 +20,9 @@ import pytest
 import curvforms
 from curvforms import cli, complex_forms, normal_forms, topology, zoo
 from curvforms.cli import main
-from curvforms.complex_forms import classify_complex, complex_case_matrix
+from curvforms.complex_forms import adapted_frame, classify_complex, complex_case_matrix, count_spacelike_critical
 from curvforms.curvature import space_form
-from curvforms.exceptions import GeometryError, SampleFormatError, TensorValidationError
+from curvforms.exceptions import DegenerateMetricError, GeometryError, SampleFormatError, TensorValidationError
 from curvforms.normal_forms import canonical_pairs, is_star_h_einstein, preferred_normal_form_4
 from curvforms.topology import weyl_split_check
 from curvforms.zoo import (
@@ -1073,7 +1073,8 @@ class TestAnalysisChunks:
         path.write_text("\n".join(analysis_kinds_lines()) + "\n", encoding="utf-8")
         branches = [
             "sample has no h metric", "sample has no T vector", "metric is not positive definite",
-            "first Bianchi identity violated", "g(T, T) = ", "could not complete t to a g-orthonormal frame",
+            "first Bianchi identity violated", "g must be positive definite", "g(T, T) = ",
+            "could not complete t to a g-orthonormal frame",
             "flat tensors have no complex classification", "operator does not commute with the star",
             "the star-commuting test is specific to dim 4", "the Weyl split is specific to dim 4",
             "complex classification is specific to dim 4", "Eigenvalues did not converge",
@@ -1092,6 +1093,7 @@ class TestAnalysisChunks:
         path = tmp_path / "kinds.jsonl"
         path.write_text("\n".join(analysis_kinds_lines()) + "\n", encoding="utf-8")
         bianchi, incomplete, off_unit = "first Bianchi identity", "could not complete", "g(T, T) = 1.0000000"
+        indefinite = "g must be positive definite"
         expected = {
             "einstein-check --metric g": [
                 bianchi, bianchi, "metric is not positive definite", None, None, None, None,
@@ -1099,7 +1101,7 @@ class TestAnalysisChunks:
             ],
             "einstein-check --metric h": ["sample has no h metric"] * 7 + ["the star-commuting test", "sample has no h"],
             "einstein-check --metric lorentz": [
-                bianchi, bianchi, incomplete, None, "g(T, T) = 9,", None, off_unit, "the Weyl split", incomplete,
+                bianchi, bianchi, indefinite, None, "g(T, T) = 9,", None, off_unit, "the Weyl split", incomplete,
             ],
             "petrov": [
                 bianchi, bianchi, "flat tensors", "flat tensors", "flat tensors", "operator does not commute",
@@ -1109,7 +1111,7 @@ class TestAnalysisChunks:
         for command, prefixes in expected.items():
             for tol in (1e-9, 1e-6):
                 points = reference_report(command, path, tol)[1]["points"]
-                if command.endswith("lorentz") and tol == 1e-6:
+                if command in ("einstein-check --metric lorentz", "petrov") and tol == 1e-6:
                     prefixes = prefixes[:6] + [None] + prefixes[7:]  # g(T, T) is within this tol
                 got = [points[3 * k + 1].get("error") for k in range(len(prefixes))]
                 assert [e if p is None else e and e[:len(p)] for e, p in zip(got, prefixes)] == prefixes, command
@@ -1162,6 +1164,44 @@ class TestAnalysisChunks:
         )
         shown = [line for line in out.stderr.splitlines() if "RuntimeWarning" in line]
         assert out.returncode == 0 and len(shown) == len(set(shown)) == 3, out.stderr
+
+
+class TestLorentzPreconditions:
+    def test_an_indefinite_g_reads_as_validate_says_on_every_lorentz_path(self, tmp_path, capsys):
+        # a star-L tensor with a unit T of an indefinite g
+        star_l = sample_from_json(next(line for line in mixed_lines() if '"T"' in line))
+        sample = dataclasses.replace(star_l, g=np.diag([1.0, 1.0, 1.0, -1.0]), t=np.eye(4)[0])
+        message = "g must be positive definite"
+        with pytest.raises(DegenerateMetricError, match=f"^{message}$"):
+            validate_sample(sample)
+        calls = (adapted_frame, classify_complex, weyl_split_check, count_spacelike_critical)
+        for call in calls:
+            args = (sample.g, sample.t) if call is adapted_frame else (sample.rm, sample.g, sample.t)
+            with pytest.raises(DegenerateMetricError, match=f"^{message}$"):
+                call(*args)
+        path = tmp_path / "indefinite.jsonl"
+        path.write_text(sample_to_json(sample) + "\n", encoding="utf-8")
+        for command in ("petrov", "einstein-check --metric lorentz"):
+            code, out, _ = run(capsys, *command.split(), str(path), "--format", "json")
+            assert (code, json.loads(out)["points"]) == (1, [{"index": 0, "error": message}]), command
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the corpus's overflowing point, as intended
+    def test_petrov_checks_t_at_its_tol_as_the_lorentz_check_does(self, tmp_path, capsys):
+        # point 19 of the kinds corpus is a star-L point whose g(T, T) is 1 + 4e-9
+        path = tmp_path / "kinds.jsonl"
+        path.write_text("\n".join(analysis_kinds_lines()) + "\n", encoding="utf-8")
+        sample = read_samples(path)[19]
+        for tol, unit in ((1e-9, False), (1e-6, True)):
+            points = {
+                command: json.loads(run(capsys, *command.split(), str(path), "--tol", repr(tol), "--format", "json")[1])
+                ["points"][19]
+                for command in ("petrov", "einstein-check --metric lorentz")
+            }
+            errors = {command: point.get("error", "") for command, point in points.items()}
+            assert all(e.startswith("" if unit else "g(T, T) = 1.000000004") for e in errors.values()), tol
+            if unit:
+                form = classify_complex(sample.rm, sample.g, sample.t, tol=tol)
+                assert points["petrov"] == {"index": 19, "case": form.case_id}
 
 
 GOOD_LINE = '{"dim": 4, "g": [1, 0, 1, 0, 0, 1, 0, 0, 0, 1], "rm": [[1, 2, 1, 2, -1.0]], "weight": 0.5}'

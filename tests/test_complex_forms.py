@@ -90,8 +90,17 @@ class TestAdaptedFrame:
 
 def adapted_frame_loop(g, t, tol=1e-9):
     """The frame of :func:`adapted_frame` built one candidate at a time, as it was
-    before the stacked Gram-Schmidt, and the number of candidates rejected."""
+    before the stacked Gram-Schmidt, and the number of candidates rejected; the
+    metric rule on ``g`` comes first, then ``g(t, t) = 1``."""
     n = g.shape[0]
+    if not np.isfinite(g).all():
+        raise DegenerateMetricError("g must be finite")
+    if np.max(np.abs(g - g.T)) > tol * max(np.max(np.abs(g)), 1e-300):
+        raise DegenerateMetricError("g must be symmetric")
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise DegenerateMetricError("g must be positive definite") from None
     tt = float(t @ g @ t)
     if abs(tt - 1.0) > tol:
         raise NonUnitVectorError(f"g(T, T) = {tt:.12g}, expected 1")
@@ -140,7 +149,8 @@ def adapted_inputs(rng, count):
 
 class TestStackedAdaptedFrames:
     def test_frames_and_errors_equal_the_loop_bit_for_bit(self):
-        pairs = adapted_inputs(np.random.default_rng(140), 400)
+        # the metric of 1e-300 meets every rule, and its frame cannot be completed
+        pairs = adapted_inputs(np.random.default_rng(140), 400) + [(1e-300 * np.eye(4), np.eye(4)[0] * 1e150)]
         frames, errors = complex_forms._adapted_frames(
             np.stack([g for g, _ in pairs]), np.stack([t for _, t in pairs]), 1e-9
         )
@@ -150,12 +160,13 @@ class TestStackedAdaptedFrames:
                 want, rejected = adapted_frame_loop(g, t)
             except (NonUnitVectorError, DegenerateMetricError) as err:
                 assert (type(error), str(error)) == (type(err), str(err))
-                outcomes.add(type(err))
+                outcomes.add(type(err) if isinstance(err, NonUnitVectorError) else str(err))
                 continue
             assert error is None and frame.tobytes() == want.tobytes()
             assert adapted_frame(g, t).tobytes() == want.tobytes()
             outcomes.add(rejected)
-        assert outcomes == {0, 1, NonUnitVectorError, DegenerateMetricError}
+        incomplete = "could not complete t to a g-orthonormal frame"
+        assert outcomes == {0, 1, NonUnitVectorError, "g must be positive definite", incomplete}
 
     def test_k_of_the_criterion_07_instances_and_of_framed_samples_equals_the_loop_s(self):
         samples = []
@@ -630,17 +641,17 @@ def reference_weyl_split(rm, g, t, tol=1e-9):
     }
 
 
-def adapted_k_per_point(rm, g, t, tol=1e-9, unit_tol=1e-9):
+def adapted_k_per_point(rm, g, t, tol=1e-9):
     """The adapted frame and K of one point as read before the stacked kernels."""
     r = rm.components
     curvature.check_first_bianchi_4(r[0, 1, 2, 3] + r[0, 2, 3, 1] + r[0, 3, 1, 2], rm.scale, tol)
-    frame, _ = adapted_frame_loop(g, t, unit_tol)
+    frame, _ = adapted_frame_loop(g, t, tol)
     return frame, normal_forms._in_frame(curvature.component_matrix(rm), frame)
 
 
 def weyl_split_per_point(rm, g, t, tol=1e-9):
     """The fields of :func:`weyl_split_check` as it computed them one point at a time."""
-    frame, k = adapted_k_per_point(rm, g, t, tol, tol)
+    frame, k = adapted_k_per_point(rm, g, t, tol)
     scal = 0.0 - 2.0 * float(np.trace(k))
     a, b, d = k[:3, :3], k[:3, 3:], k[3:, 3:]
     half, sym = (a + d) / 2.0 + (scal / 12.0) * np.eye(3), (b + b.T) / 2.0

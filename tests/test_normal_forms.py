@@ -546,6 +546,33 @@ class TestGEigenframe:
             with pytest.raises(FrameReconstructionError, match="no pairing"):
                 orthogonal_normal_form_4(sample.rm, sample.h, sample.g)
 
+    @pytest.mark.parametrize("lambdas, mus, h_diag, g_diag, i, j, raised", [
+        (
+            [0.49274857874416966, -1.6639386256704607, 1.3305765906135911],
+            [0.5741966149773667, -0.5212611140140957, -0.05293550096327104],
+            [0.5878520522077915, 1.0041755908184906, 0.7254192003422586, 1.1755090499739305],
+            [1.6944864054309414, 0.8459633134906211, 0.5780319515966144, 1.1068277597322922],
+            0, 3, 2.3961669349269563e-09,
+        ),
+        (
+            [-1.7389183343548344, 1.3399528158336023, -0.4727408801350448],
+            [-0.34890876779859115, 0.9880535424199686, -0.6391447746213774],
+            [1.2283027081693816, 1.1339425946371717, 1.8162933588076942, 0.6302223083223413],
+            [1.5626281353707991, 1.683731935557719, 1.6987945695741722, 0.9834300871097477],
+            1, 3, 1.3191437966818055e-09,
+        ),
+    ])
+    def test_a_frame_at_the_threshold_keeps_a_g_orthogonal_form(self, lambdas, mus, h_diag, g_diag, i, j, raised):
+        # g = diag(g_diag) with g_ij = g_ji bisected to where the plain frame's
+        # off-diagonal meets max(tol, 1e-9) max g_ii, so rounding decides its
+        # verdict: either the frame passes or the eigenframe of g has its turn
+        sample = gen_synthetic_star_h(lambdas, mus, h_diag, g_diag)
+        g = sample.g.copy()
+        g[i, j] = g[j, i] = raised
+        nf = preferred_normal_form_4(sample.rm, sample.h, g)
+        assert nf.scaled is not None
+        npt.assert_allclose(scaled_normal_form(nf, g).scaled.c, nf.scaled.c, rtol=1e-15)  # its frame passes
+
     def test_an_indefinite_g_gives_the_plain_form_without_a_warning(self):
         # a frame whose g-lengths are not all positive is not rescaled, so no sqrt of them is taken
         sample = gen_synthetic_star_h([0.9, -0.4, 0.2], [0.5, -0.3, -0.2], [1, 2, 0.5, 1.5], [2, 1, 1, 0.5])
@@ -553,6 +580,89 @@ class TestGEigenframe:
             warnings.simplefilter("error")
             nf = preferred_normal_form_4(sample.rm, sample.h, np.diag([1.0, 1.0, 1.0, -1.0]))
         assert nf.scaled is None
+
+
+def near_threshold_star_h(rng):
+    """(rm, h, g) of an aligned star-h sample with one symmetric off-diagonal
+    entry of g raised by 10^U(-10.5, -8), about the 1e-9 g-orthogonality threshold."""
+    m1, m2 = rng.uniform(-1.0, 1.0, 2)
+    sample = gen_synthetic_star_h(
+        rng.uniform(-2.0, 2.0, 3), [m1, m2, -m1 - m2], rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4)
+    )
+    i, j = rng.choice(4, size=2, replace=False)
+    g = sample.g.copy()
+    g[i, j] = g[j, i] = g[i, j] + 10.0 ** rng.uniform(-10.5, -8.0)
+    return sample.rm, sample.h, g
+
+
+def single_reading_stack():
+    """Pair matrices, h and g of seeded points: star-h tensors whose frame g is
+    aligned with, proportional to or rotated away from, generic tensors that
+    meet first Bianchi only, space forms against a rotated g, and near-threshold
+    aligned points."""
+    rng = np.random.default_rng(27)
+    rows = []
+    for seed in range(40):
+        rm, h, g = frame_change_case(seed, ("aligned", "proportional", "rotated", "space form")[seed % 4])
+        rows.append((component_matrix(rm), h, g))
+    for _ in range(20):
+        k0 = rng.normal(size=(6, 6))
+        k0 = k0 + k0.T
+        k0[[0, 1, 2], [3, 4, 5]] -= np.trace(k0[:3, 3:]) / 3.0  # tr B = 0: first Bianchi
+        k0[3:, :3] = k0[:3, 3:].T
+        rows.append((k0, random_spd(rng, 4), random_spd(rng, 4)))
+    for _ in range(200):
+        rm, h, g = near_threshold_star_h(rng)
+        rows.append((component_matrix(rm), h, g))
+    return tuple(np.stack(column) for column in zip(*rows))
+
+
+class TestSingleReading:
+    def test_the_sorted_reading_equals_a_reading_in_the_permuted_frame_bit_for_bit(self):
+        k0, h, g = single_reading_stack()
+        blocks = normal_forms._lambda2_blocks(k0, h, g)
+        eigenframes = normal_forms._first_positive(normal_forms._proper(np.linalg.eigh(blocks.gram)[1]))
+        frames = np.concatenate([normal_forms._pairing_frames(blocks.up, blocks.um), eigenframes[:, None]], axis=1)
+        n = np.repeat(np.arange(len(k0)), frames.shape[1])
+        f = frames.reshape(-1, 4, 4)
+        columns, perm, lambdas, mus, residual, matched = normal_forms._read_off(blocks.k[n], f, blocks.scale[n], 1e-9)
+        # reference: the values read afresh in the permuted frame
+        kf = normal_forms._in_frame(blocks.k[n], f @ perm)
+        i = np.arange(3)
+        want = kf[:, i, i], kf[:, i + 3, i]
+        want_residual = np.max(np.abs(normal_forms._block_pattern(*want) - kf), axis=(1, 2))
+        assert lambdas.tobytes() == want[0].tobytes() and mus.tobytes() == want[1].tobytes()
+        assert residual.tobytes() == want_residual.tobytes()
+        assert np.array_equal(matched, want_residual <= 1e-8 * blocks.scale[n])
+        assert 0 < matched.sum() < len(matched)
+        # the frame in input coordinates and its g-lengths take the same permutation
+        v = blocks.frames[n]
+        assert ((v @ f) @ perm).tobytes() == (v @ (f @ perm)).tobytes()
+        lengths = normal_forms._g_lengths(v @ f, g[n], 1e-9)[0]
+        permuted = normal_forms._g_lengths(v @ (f @ perm), g[n], 1e-9)[0]
+        assert np.take_along_axis(lengths, columns, axis=1).tobytes() == permuted.tobytes()
+        assert np.array_equal(np.abs(perm), np.swapaxes(np.eye(4)[columns], 1, 2))
+        assert np.all(np.linalg.det(perm) == 1.0)
+
+    def test_the_kernel_reads_each_candidate_once_and_judges_every_frame_once(self, monkeypatch):
+        k0, h, g = single_reading_stack()
+        blocks = normal_forms._lambda2_blocks(k0, h, g)
+        in_frame, g_lengths, reads, verdicts = normal_forms._in_frame, normal_forms._g_lengths, [], []
+
+        def counted_read(k, v, basis=normal_forms._BASIS):
+            reads.append(len(k))
+            return in_frame(k, v, basis)
+
+        def counted_verdict(f, gm, tol):
+            verdicts.append(f.shape)
+            return g_lengths(f, gm, tol)
+
+        monkeypatch.setattr(normal_forms, "_in_frame", counted_read)
+        monkeypatch.setattr(normal_forms, "_g_lengths", counted_verdict)
+        results = normal_forms._normal_forms(blocks, h, g, 1e-9)
+        points = sum(isinstance(r, (normal_forms.NormalForm4, FrameReconstructionError)) for r in results)
+        assert verdicts == [(points, 7, 4, 4)]
+        assert len(reads) == 1 and points <= reads[0] <= 7 * points
 
 
 # coordinate changes of the property test below: P = Q1 diag(s) Q2 with

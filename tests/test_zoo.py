@@ -446,6 +446,17 @@ class TestGenProductSpheres:
         with pytest.raises(DegenerateMetricError):
             gen_product_spheres(1.0, 2.0, 4, h_scales=(1.0, -1.0))
 
+    @pytest.mark.parametrize("scales, rule", [
+        ((np.nan, 1.0), "finite"), ((1.0, np.inf), "finite"), ((0.0, 1.0), "positive definite"),
+    ])
+    def test_scales_break_the_metric_rule_as_validate_says(self, scales, rule):
+        # the generator raises what validate_sample says of the h it would attach
+        with pytest.raises(DegenerateMetricError, match=f"^h must be {rule}$"):
+            gen_product_spheres(1.0, 2.0, 2, h_scales=scales)
+        sample = dataclasses.replace(next(iter(gen_product_spheres(1.0, 2.0, 2))), h=np.diag(np.repeat(scales, 2)))
+        with pytest.raises(DegenerateMetricError, match=f"^h must be {rule}$"):
+            validate_sample(sample)
+
 
 # ---- synthetic builders ----
 
@@ -493,6 +504,14 @@ class TestGenSyntheticStarH:
     def test_nonpositive_metric_diagonal_rejected(self):
         with pytest.raises(DegenerateMetricError):
             gen_synthetic_star_h(np.ones(3), np.zeros(3), [1.0, -1.0, 1.0, 1.0], np.ones(4))
+
+    @pytest.mark.parametrize("bad, rule", [(np.nan, "finite"), (np.inf, "finite"), (0.0, "positive definite")])
+    @pytest.mark.parametrize("name", ["h", "g"])
+    def test_a_diagonal_breaking_the_metric_rule_is_a_metric_error(self, name, bad, rule):
+        diags = {"h": np.ones(4), "g": np.ones(4)}
+        diags[name][1] = bad
+        with pytest.raises(DegenerateMetricError, match=f"^{name} must be {rule}$"):
+            gen_synthetic_star_h([1.0, 2.0, 3.0], [0.1, 0.2, -0.3], diags["h"], diags["g"])
 
     def test_non_orthogonal_rotation_rejected(self):
         with pytest.raises(GeometryError, match="orthogonal"):
