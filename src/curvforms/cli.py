@@ -40,7 +40,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import __version__, complex_forms, normal_forms, topology, zoo
+from . import __version__, complex_forms, hodge, normal_forms, topology, zoo
 from .curvature import _dense
 from .exceptions import (
     DegenerateMetricError,
@@ -182,7 +182,7 @@ def _cmd_einstein_check(args):
             missing = [None if has else _NO_T for has in chunk.has_t.tolist()]
             return _where(missing, split, chunk.k0, chunk.listed, chunk.g, chunk.t)
         h, given = (chunk.h, chunk.has_h.tolist()) if metric == "h" else (chunk.g, [True] * len(chunk.g))
-        errors = normal_forms._metric_errors(h, "metric", tol)
+        errors = hodge._metric_errors(h, "metric", tol)
         missing = [_NO_H if not has else _INDEFINITE if e else None for has, e in zip(given, errors)]
         return _where(missing, check, chunk.k0, chunk.listed, h)
 
@@ -221,7 +221,7 @@ def _cmd_normal_form(args):
 
     def stack(chunk):
         # one kernel call and frame choice per chunk, over the points whose h meets the metric rule
-        indefinite = [_INDEFINITE if e else None for e in normal_forms._metric_errors(chunk.h, "metric", args.tol)]
+        indefinite = [_INDEFINITE if e else None for e in hodge._metric_errors(chunk.h, "metric", args.tol)]
         return _where(indefinite, forms, chunk.k0, chunk.h, chunk.g)
 
     points = _chunk_entries(args, _normal_form_entry, lambda sample: DimensionError(normal_forms._NOT_DIM_4), stack)

@@ -22,6 +22,7 @@ from .exceptions import (
     NonUnitVectorError,
     NotCommutingError,
     _alone,
+    _stacked_or_alone,
 )
 
 __all__ = [
@@ -122,7 +123,7 @@ def lorentz_metric_from_unit(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) ->
     Parameters
     ----------
     g : ndarray
-        Positive-definite metric.
+        Metric that meets the metric rule (:func:`_metric_errors`) within ``tol``.
     t : ndarray
         Finite vector with ``g(t, t) == 1`` within ``tol`` (:func:`_unit_errors`).
 
@@ -131,10 +132,36 @@ def lorentz_metric_from_unit(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) ->
     ndarray
         Metric of signature (-, +, +, +) that agrees with ``g`` on the
         orthogonal complement of ``t`` and gives ``t`` squared length -1.
+
+    Raises
+    ------
+    DegenerateMetricError
+        If ``g`` is not finite, not symmetric or not positive definite, with
+        the message ``validate_sample`` gives (``"g must be ..."``).
+    NonUnitVectorError
+        If ``t`` is not finite or not g-unit within ``tol``.
     """
-    if _signature_of(g) != "riemannian":
-        raise DegenerateMetricError("base metric must be positive definite")
+    g = np.asarray(g, dtype=float)
+    _alone(_metric_errors(g[None], "g", tol))
     return _deformed(g, t, -2.0, tol)
+
+
+def _metric_errors(m: np.ndarray, name: str, tol: float) -> list:
+    """Per metric of a stack ``m`` (N, n, n): the first rule it breaks, as a
+    :class:`DegenerateMetricError` that calls it ``name``, or None.  The one metric
+    rule: finite, symmetric within ``tol max|m|``, and positive definite by the
+    Cholesky factorisation of ``normal_forms.h_orthonormal_frame``; a metric that
+    is not finite is the identity for the other two, so it raises no warning."""
+    finite = np.isfinite(m).all(axis=(1, 2))
+    m = np.where(finite[:, None, None], m, np.eye(m.shape[-1]))
+    scale = np.maximum(np.max(np.abs(m), axis=(1, 2)), 1e-300)
+    asymmetric = np.max(np.abs(m - np.swapaxes(m, 1, 2)), axis=(1, 2)) > tol * scale
+    factored = _stacked_or_alone(lambda s: [True] * len(np.linalg.cholesky(s)), m)
+    broken = [
+        "finite" if not f else "symmetric" if a else None if d is True else "positive definite"
+        for f, a, d in zip(finite.tolist(), asymmetric.tolist(), factored)
+    ]
+    return [DegenerateMetricError(f"{name} must be {b}") if b else None for b in broken]
 
 
 def _unit_errors(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:

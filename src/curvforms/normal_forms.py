@@ -43,7 +43,6 @@ from .exceptions import (
     FrameReconstructionError,
     NotCommutingError,
     _alone,
-    _stacked_or_alone,
 )
 from .hodge import HodgeStar
 
@@ -253,24 +252,6 @@ def h_orthonormal_frame(h: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as err:
         raise DegenerateMetricError(_NOT_POSITIVE_DEFINITE) from err
     return np.swapaxes(np.linalg.inv(l), -1, -2)
-
-
-def _metric_errors(m: np.ndarray, name: str, tol: float) -> list:
-    """Per metric of a stack ``m`` (N, n, n): the first rule it breaks, as a
-    :class:`DegenerateMetricError` that calls it ``name``, or None.  The one metric
-    rule: finite, symmetric within ``tol max|m|``, and positive definite by the
-    Cholesky factorisation of :func:`h_orthonormal_frame`; a metric that is not
-    finite is the identity for the other two, so it raises no warning."""
-    finite = np.isfinite(m).all(axis=(1, 2))
-    m = np.where(finite[:, None, None], m, np.eye(m.shape[-1]))
-    scale = np.maximum(np.max(np.abs(m), axis=(1, 2)), 1e-300)
-    asymmetric = np.max(np.abs(m - np.swapaxes(m, 1, 2)), axis=(1, 2)) > tol * scale
-    factored = _stacked_or_alone(lambda s: [True] * len(np.linalg.cholesky(s)), m)
-    broken = [
-        "finite" if not f else "symmetric" if a else None if d is True else "positive definite"
-        for f, a, d in zip(finite.tolist(), asymmetric.tolist(), factored)
-    ]
-    return [DegenerateMetricError(f"{name} must be {b}") if b else None for b in broken]
 
 
 # ---- batched Lambda^2 kernel ----

@@ -37,12 +37,11 @@ import numpy as np
 from .complex_forms import _ETA, _GRAM_L, _STAR_L, _adapted
 from .curvature import CurvatureTensor, component_matrix
 from .exceptions import DimensionError, GeometryError, _alone, _stacked_or_alone
-from .hodge import _commutator
+from .hodge import _commutator, _metric_errors
 from .normal_forms import (
     NormalForm4,
     ScaledNormalForm,
     _lambda2_blocks,
-    _metric_errors,
     _normal_forms,
     _off_diagonal,
 )
@@ -138,7 +137,7 @@ def chi_tau_densities(
     both per unit frame volume.  For a g-orthonormal frame these collapse to
     ``(1/4 pi^2) sum (l_i^2 + m_i^2)`` and ``(1/3 pi^2) sum l_i m_i``.
 
-    The inverse metric must pass ``normal_forms._metric_errors``.  This is the
+    The inverse metric must pass ``hodge._metric_errors``.  This is the
     N = 1 call of :func:`_densities`, the stacked density that
     :func:`integrate_samples` and ``curvforms integrate`` run on the
     general-frame points of each chunk, where the chosen normal form decides g-orthogonality.
@@ -161,7 +160,7 @@ def _densities(lambdas: np.ndarray, mus: np.ndarray, gi: np.ndarray, tol: float)
     inverse metrics ``gi`` (N, 4, 4): the float fields of :class:`IntegrandValue`
     as (N,) arrays in a dict (those of a g-orthogonal frame at every point, for
     the caller to pick), the stacked :class:`ScaledNormalForm` and each point's
-    error from ``normal_forms._metric_errors``, or None.  The terms of a point
+    error from ``hodge._metric_errors``, or None.  The terms of a point
     with an error are those of ``gi = I``, ``l = m = 0``."""
     errors = _metric_errors(gi, "inverse metric", tol)
     ok = np.array([e is None for e in errors], dtype=bool)[:, None]

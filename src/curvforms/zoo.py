@@ -40,8 +40,8 @@ from .exceptions import (
     TensorValidationError,
     _alone,
 )
-from .hodge import _deformed, _unit_errors
-from .normal_forms import _metric_errors, _pattern_components, h_orthonormal_frame
+from .hodge import _deformed, _metric_errors, _unit_errors
+from .normal_forms import _pattern_components, h_orthonormal_frame
 
 __all__ = [
     "PointSample",
@@ -84,7 +84,7 @@ class PointSample:
 def validate_sample(sample: PointSample, tol: float = 1e-9) -> None:
     """Check every invariant of a sample; raise on the first violation.
 
-    The metrics must pass ``normal_forms._metric_errors`` (finite, symmetric, positive
+    The metrics must pass ``hodge._metric_errors`` (finite, symmetric, positive
     definite by Cholesky), ``t`` (when present) ``hodge._unit_errors`` (finite, g-unit
     within ``tol``), the weight must be a real number (not a ``bool``) that is finite
     and nonnegative, and the curvature components must pass :func:`validate_curvature` at ``tol``.
@@ -650,7 +650,7 @@ def gen_product_spheres(a: float, b: float, grid_spec, h_scales=None):
     ``h = diag(s1, s1, s2, s2)``; the induced star commutes with the
     curvature operator exactly when ``s1 / s2 = b / a`` (the more curved
     factor carries the larger scale).  ``h`` must meet the metric rule
-    (``normal_forms._metric_errors``: finite and positive scales), or
+    (``hodge._metric_errors``: finite and positive scales), or
     :class:`DegenerateMetricError` is raised.
     """
     if not (a > 0 and b > 0):
@@ -692,7 +692,7 @@ def gen_synthetic_star_h(
     h_diag, g_diag : array_like, shape (4,)
         Finite positive diagonals of the two metrics, in ambient coordinates:
         ``diag(h_diag)`` and ``diag(g_diag)`` must meet the metric rule
-        (``normal_forms._metric_errors``), or :class:`DegenerateMetricError`
+        (``hodge._metric_errors``), or :class:`DegenerateMetricError`
         is raised.
     frame_rotation : ndarray, optional
         Orthogonal 4x4 matrix rotating the frame inside the h-orthonormal

@@ -17,6 +17,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvforms import curvature
 from curvforms.bivectors import bivector_basis, induced_gram, wedge_matrix
 from curvforms.exceptions import (
     DegenerateMetricError,
@@ -29,6 +30,7 @@ from curvforms.hodge import (
     lorentz_metric_from_unit,
     sd_asd_basis,
 )
+from curvforms.zoo import PointSample, validate_sample
 
 RNG = np.random.default_rng(41)
 BASIS = bivector_basis(4)
@@ -154,6 +156,27 @@ class TestLorentzMetric:
     def test_non_unit_rejected(self):
         with pytest.raises(NonUnitVectorError):
             lorentz_metric_from_unit(np.eye(4), np.array([1.1, 0, 0, 0]))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            np.array([[1.0, 0.5, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]),
+            np.diag([1.0, np.nan, 1.0, 1.0]),
+            np.diag([1.0, -1.0, 1.0, 1.0]),
+        ],
+    )
+    def test_g_breaking_the_metric_rule_reads_as_validate_says(self, g):
+        # the base metric is checked by the one metric rule, so its error is
+        # the one validate_sample gives the same g (it used to pass an
+        # asymmetric g and call a NaN entry "numerically singular")
+        t = np.eye(4)[0]
+        rm = curvature.space_form(4, 1.0)
+        with pytest.raises(DegenerateMetricError) as want:
+            validate_sample(PointSample(dim=4, g=g, rm=rm, weight=1.0, t=t))
+        with pytest.raises(DegenerateMetricError, match=f"^{want.value}$"):
+            lorentz_metric_from_unit(g, t)
+        with pytest.raises(DegenerateMetricError, match=f"^{want.value}$"):
+            lorentz_metric_from_unit(g, t, tol=1e-3)
 
 
 # ---- self-dual / anti-self-dual basis ----
