@@ -17,16 +17,17 @@ Reports are built as JSON values, each float that can be non-finite through
 ``_num``, so a non-finite value is ``null`` in JSON and ``-`` in text.
 
 The reader checks structure only and completes each tensor by its index
-symmetries.  ``validate`` checks every identity; ``einstein-check``,
-``normal-form`` and ``petrov`` give a point that breaks the first Bianchi
-identity an ``error`` field and exit 1, and ``integrate`` stops with exit 1
-on it.  Every file command streams the file in chunks (``zoo._read_chunks``):
-each line's dimension-4 rows go straight into a stacked 6x6 pair matrix, and
-each analysis runs once per chunk, for all of its dimension-4 points, in the
-stacked kernel whose one-point call is the library function (``validate_sample``,
-``is_star_h_einstein``, ``weyl_split_check``, ``preferred_normal_form_4``,
-``classify_complex``); ``integrate`` runs the chunk driver of
-``integrate_samples``.  Where a LAPACK call fails on a chunk, its points run
+symmetries.  ``validate`` checks every identity; the other commands check the
+preconditions they need in its order and with its messages: the metric rule,
+``T``, then the first Bianchi identity.  A point that fails one gets an
+``error`` field and exit 1 (a ``note`` for a metric in ``normal-form``), and
+``integrate`` stops with exit 1 on it.  Every file command streams the file
+in chunks (``zoo._read_chunks``): each line's dimension-4 rows go straight
+into a stacked 6x6 pair matrix, and each analysis runs once per chunk, for
+all of its dimension-4 points, in the stacked kernel whose one-point call is
+the library function (``validate_sample``, ``is_star_h_einstein``,
+``weyl_split_check``, ``preferred_normal_form_4``, ``classify_complex``);
+``integrate`` runs the chunk driver of ``integrate_samples``.  Where a LAPACK call fails on a chunk, its points run
 one at a time, so the failure is the error of its point only.  ``integrate``
 reads the whole file before it reports an analysis error, so a format error
 anywhere still exits 2.  ``--tol`` must be a finite non-negative number.
@@ -40,10 +41,9 @@ from collections import Counter
 
 import numpy as np
 
-from . import __version__, complex_forms, hodge, normal_forms, topology, zoo
+from . import __version__, complex_forms, normal_forms, topology, zoo
 from .curvature import _dense
 from .exceptions import (
-    DegenerateMetricError,
     DimensionError,
     GeometryError,
     NotCommutingError,
@@ -87,10 +87,9 @@ def _floats(values) -> list:
 
 # ---- commands ----
 
-# the per-point errors of a missing field or metric, as the library raises them
+# the per-point errors of a missing field
 _NO_H = GeometryError("sample has no h metric")
 _NO_T = GeometryError("sample has no T vector")
-_INDEFINITE = DegenerateMetricError(normal_forms._NOT_POSITIVE_DEFINITE)  # h_orthonormal_frame's error
 
 
 def _chunk_entries(args, entry, other, stack) -> list:
@@ -175,16 +174,14 @@ def _cmd_einstein_check(args):
         return topology._weyl_splits(k0, _dense(k0, listed), g, t, tol)
 
     def check(k0, listed, h):
-        return normal_forms._star_einstein(normal_forms._lambda2_blocks(k0, h), _dense(k0, listed), h, tol)
+        return normal_forms._star_einstein(k0, _dense(k0, listed), h, tol, metric)
 
     def stack(chunk):
         if metric == "lorentz":
             missing = [None if has else _NO_T for has in chunk.has_t.tolist()]
             return _where(missing, split, chunk.k0, chunk.listed, chunk.g, chunk.t)
         h, given = (chunk.h, chunk.has_h.tolist()) if metric == "h" else (chunk.g, [True] * len(chunk.g))
-        errors = hodge._metric_errors(h, "metric", tol)
-        missing = [_NO_H if not has else _INDEFINITE if e else None for has, e in zip(given, errors)]
-        return _where(missing, check, chunk.k0, chunk.listed, h)
+        return _where([None if has else _NO_H for has in given], check, chunk.k0, chunk.listed, h)
 
     points = _chunk_entries(args, _einstein_entry, other, stack)
     verdicts = Counter("error" if "error" in p else str(p["einstein"]).lower() for p in points)
@@ -216,13 +213,12 @@ def _normal_form_entry(index, nf) -> dict:
 
 
 def _cmd_normal_form(args):
-    def forms(k0, h, g):
-        return normal_forms._normal_forms(normal_forms._lambda2_blocks(k0, h, g), h, g, args.tol)
+    def forms(k0, h, g, names):
+        return normal_forms._normal_forms(*normal_forms._lambda2_blocks(k0, h, g, args.tol, names), h, g, args.tol)
 
     def stack(chunk):
-        # one kernel call and frame choice per chunk, over the points whose h meets the metric rule
-        indefinite = [_INDEFINITE if e else None for e in hodge._metric_errors(chunk.h, "metric", args.tol)]
-        return _where(indefinite, forms, chunk.k0, chunk.h, chunk.g)
+        # one kernel call and frame choice per chunk; h is named as validate names it
+        return _stacked_or_alone(forms, chunk.k0, chunk.h, chunk.g, np.where(chunk.has_h, "h", "g"))
 
     points = _chunk_entries(args, _normal_form_entry, lambda sample: DimensionError(normal_forms._NOT_DIM_4), stack)
     report = _points_report(args, points, available=sum(1 for p in points if p["available"]))

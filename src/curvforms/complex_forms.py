@@ -172,11 +172,12 @@ def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
 def _adapted(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
     """``K = (Lambda^2 f)^T K_0 (Lambda^2 f)`` of stacked pair matrices ``k0``
     (N, 6, 6) in the adapted frames ``f`` of ``(g, t)``, the frames, and each
-    point's error, or None: a first-Bianchi break beyond ``tol`` times the largest
-    component, then those of :func:`_adapted_frames`, at the same ``tol``."""
+    point's error, or None: those of :func:`_adapted_frames`, then a first-Bianchi
+    break beyond ``tol`` times the largest component, at the same ``tol``, in
+    ``validate_sample``'s order."""
     frames, errors = _adapted_frames(g, t, tol)
     bianchi = _first_bianchi_errors(*_first_bianchi_4(k0), tol)
-    return _in_frame(k0, frames), frames, [b or e for b, e in zip(bianchi, errors)]
+    return _in_frame(k0, frames), frames, [e or b for b, e in zip(bianchi, errors)]
 
 
 def classify_complex(

@@ -146,12 +146,13 @@ def lorentz_metric_from_unit(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) ->
     return _deformed(g, t, -2.0, tol)
 
 
-def _metric_errors(m: np.ndarray, name: str, tol: float) -> list:
+def _metric_errors(m: np.ndarray, name, tol: float) -> list:
     """Per metric of a stack ``m`` (N, n, n): the first rule it breaks, as a
-    :class:`DegenerateMetricError` that calls it ``name``, or None.  The one metric
-    rule: finite, symmetric within ``tol max|m|``, and positive definite by the
-    Cholesky factorisation of ``normal_forms.h_orthonormal_frame``; a metric that
-    is not finite is the identity for the other two, so it raises no warning."""
+    :class:`DegenerateMetricError` that calls it ``name`` (one name, or one per
+    metric), or None.  The one metric rule: finite, symmetric within ``tol max|m|``,
+    and positive definite by the Cholesky factorisation of
+    ``normal_forms.h_orthonormal_frame``; a metric that is not finite is the
+    identity for the other two, so it raises no warning."""
     finite = np.isfinite(m).all(axis=(1, 2))
     m = np.where(finite[:, None, None], m, np.eye(m.shape[-1]))
     scale = np.maximum(np.max(np.abs(m), axis=(1, 2)), 1e-300)
@@ -161,7 +162,8 @@ def _metric_errors(m: np.ndarray, name: str, tol: float) -> list:
         "finite" if not f else "symmetric" if a else None if d is True else "positive definite"
         for f, a, d in zip(finite.tolist(), asymmetric.tolist(), factored)
     ]
-    return [DegenerateMetricError(f"{name} must be {b}") if b else None for b in broken]
+    names = np.broadcast_to(name, len(broken)).tolist()
+    return [DegenerateMetricError(f"{n} must be {b}") if b else None for n, b in zip(names, broken)]
 
 
 def _unit_errors(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:

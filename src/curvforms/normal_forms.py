@@ -32,7 +32,6 @@ from .curvature import (
     _first_bianchi_4,
     _first_bianchi_errors,
     _pair_matrix,
-    check_first_bianchi_4,
     component_matrix,
     curvature_from_frame_components,
     transform_frame,
@@ -44,7 +43,7 @@ from .exceptions import (
     NotCommutingError,
     _alone,
 )
-from .hodge import HodgeStar
+from .hodge import HodgeStar, _metric_errors
 
 __all__ = [
     "StarEinsteinReport",
@@ -149,10 +148,6 @@ class Lambda2Blocks:
         """Per point: residual <= tol * ||K||_F."""
         return self.residual <= tol * np.maximum(self.norm, 1e-300)
 
-    def check_bianchi(self, tol: float) -> None:
-        """Raise :class:`TensorValidationError` if some ``|tr B_0| > tol * scale``."""
-        check_first_bianchi_4(self.bianchi, self.scale, tol)
-
     def take(self, index) -> "Lambda2Blocks":
         """The blocks of the points ``index`` (indices or a mask)."""
         return Lambda2Blocks(*(getattr(self, f.name)[index] for f in fields(self)))
@@ -238,8 +233,6 @@ class RicciReport:
 
 # ---- shared helpers ----
 
-_NOT_POSITIVE_DEFINITE = "metric is not positive definite"
-
 
 def h_orthonormal_frame(h: np.ndarray) -> np.ndarray:
     """Columns form an h-orthonormal frame (inverse transpose Cholesky).
@@ -250,7 +243,7 @@ def h_orthonormal_frame(h: np.ndarray) -> np.ndarray:
     try:
         l = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as err:
-        raise DegenerateMetricError(_NOT_POSITIVE_DEFINITE) from err
+        raise DegenerateMetricError("metric is not positive definite") from err
     return np.swapaxes(np.linalg.inv(l), -1, -2)
 
 
@@ -288,21 +281,37 @@ def lambda2_blocks(
         Positive-definite metrics.
     g : ndarray, shape (N, 4, 4), optional
         Second metrics, whose Gram ``V^T g V`` the blocks carry; defaults to ``h``.
+
+    Raises
+    ------
+    DimensionError, DegenerateMetricError
+        For other shapes; at the first ``h`` that is not finite or not positive
+        definite (:func:`_lambda2_blocks` at ``tol = inf``: ``"h must be ..."``).
     """
-    r = np.asarray(components, dtype=float)
-    h = np.asarray(h, dtype=float)
-    g = h if g is None else np.asarray(g, dtype=float)
-    shapes_ok = r.ndim == 5 and r.shape[1:] == (4, 4, 4, 4) and h.shape == (len(r), 4, 4)
-    if not shapes_ok or g.shape != h.shape:
-        raise DimensionError(
-            "lambda2_blocks needs components (N, 4, 4, 4, 4) and metrics (N, 4, 4)"
-        )
-    return _lambda2_blocks(_pair_matrix(r), h, g)
+    r, h = np.asarray(components, dtype=float), np.asarray(h, dtype=float)
+    g = None if g is None else np.asarray(g, dtype=float)
+    if r.shape[1:] != (4, 4, 4, 4) or h.shape != (len(r), 4, 4) or g is not None and g.shape != h.shape:
+        raise DimensionError("lambda2_blocks needs components (N, 4, 4, 4, 4) and metrics (N, 4, 4)")
+    blocks, errors = _lambda2_blocks(_pair_matrix(r), h, g, np.inf)
+    error = next(filter(None, errors), None)
+    if error is not None:
+        raise error
+    return blocks
 
 
-def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None = None) -> Lambda2Blocks:
-    """:func:`lambda2_blocks` of the pair matrices ``k0``, shape (N, 6, 6)
-    (:func:`_pair_matrix`), without its shape checks; ``scale`` is ``max |K_0|``."""
+def _identity_where(errors: list, m: np.ndarray) -> np.ndarray:
+    """The stacked metrics ``m`` with ``I`` at each point that has an error."""
+    return np.where(np.array([e is None for e in errors], dtype=bool)[:, None, None], m, np.eye(m.shape[-1]))
+
+
+def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None, tol: float, name="h") -> tuple:
+    """:func:`lambda2_blocks` of the pair matrices ``k0`` (N, 6, 6), without its
+    shape checks, and each point's error, or None: ``hodge._metric_errors`` on
+    ``h``, called ``name`` (one, or one per point), then a first-Bianchi break
+    beyond ``tol`` times ``scale = max |K_0|``.  A point whose ``h`` fails is
+    read against ``I``, with no warning and no LAPACK error; ``g`` None is ``h``."""
+    errors = _metric_errors(h, name, tol)
+    h = _identity_where(errors, h)
     g = h if g is None else g
     v = h_orthonormal_frame(h)
     k = _in_frame(k0, v)
@@ -315,10 +324,11 @@ def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None = None) 
     evm, um = np.linalg.eigh(half - sym)
     bianchi, scale = _first_bianchi_4(k0)
     gram = np.swapaxes(v, 1, 2) @ g @ v
-    return Lambda2Blocks(
+    blocks = Lambda2Blocks(
         frames=v, k=k, residual=residual, norm=norm,
         evp=evp, up=up, evm=evm, um=um, bianchi=bianchi, scale=scale, gram=gram,
     )
+    return blocks, [m or b for m, b in zip(errors, _first_bianchi_errors(bianchi, scale, tol))]
 
 
 # ---- star-h Einstein test ----
@@ -345,21 +355,26 @@ def is_star_h_einstein(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) ->
     Raises
     ------
     DegenerateMetricError
-        If ``h`` is not positive definite.
+        If ``h`` breaks the metric rule (``hodge._metric_errors``: finite,
+        symmetric within ``tol``, positive definite), with the message
+        ``validate_sample`` gives (``"h must be ..."``).
     TensorValidationError
         If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
     """
-    if rm.dim != 4:
+    h = np.asarray(h, dtype=float)
+    if rm.dim != 4 or h.shape != (4, 4):
         raise DimensionError(_NOT_DIM_4)
-    r, h = rm.components[None], np.asarray(h, dtype=float)[None]
-    return _alone(_star_einstein(lambda2_blocks(r, h), r, h, tol))
+    r = rm.components[None]
+    return _alone(_star_einstein(_pair_matrix(r), r, h[None], tol))
 
 
-def _star_einstein(blocks: Lambda2Blocks, r: np.ndarray, h: np.ndarray, tol: float) -> list:
-    """Per point of ``blocks`` (:func:`lambda2_blocks` of the dense components
-    ``r`` (N, 4, 4, 4, 4) against the metrics ``h`` (N, 4, 4)): its
-    :class:`StarEinsteinReport`, or its first-Bianchi error.  The h-trace
-    ``h^{jl} R_{jabl}``, ``f`` and the trace residual are taken for the stack."""
+def _star_einstein(k0: np.ndarray, r: np.ndarray, h: np.ndarray, tol: float, name="h") -> list:
+    """Per point of the pair matrices ``k0`` (N, 6, 6) and dense components ``r``
+    (N, 4, 4, 4, 4) against the metrics ``h`` (N, 4, 4), called ``name``: its
+    :class:`StarEinsteinReport`, or its :func:`_lambda2_blocks` error.  The h-trace
+    ``h^{jl} R_{jabl}``, ``f`` and the trace residual are taken for the stack (``h = I`` at an error)."""
+    blocks, errors = _lambda2_blocks(k0, h, None, tol, name)
+    h = _identity_where(errors, h)
     hinv = np.linalg.inv(h)
     trace = np.einsum("njl,njabl->nab", hinv, r, optimize=True)
     f = np.trace(hinv @ trace, axis1=1, axis2=2) / 4.0
@@ -367,9 +382,7 @@ def _star_einstein(blocks: Lambda2Blocks, r: np.ndarray, h: np.ndarray, tol: flo
     columns = (blocks.commuting(tol), blocks.residual, blocks.norm, f, trace_residual)
     return [
         error or StarEinsteinReport(*values, h_trace=hn)
-        for error, *values, hn in zip(
-            _first_bianchi_errors(blocks.bianchi, blocks.scale, tol), *(c.tolist() for c in columns), trace
-        )
+        for error, *values, hn in zip(errors, *(c.tolist() for c in columns), trace)
     ]
 
 
@@ -481,9 +494,9 @@ def _read_off(k, f, scale, tol):
     return columns, perm, lambdas, mus, residual, residual <= max(tol, 1e-8) * scale
 
 
-def _normal_forms(blocks: Lambda2Blocks, h, g, tol) -> list:
-    """Per point of ``blocks`` (:func:`lambda2_blocks` of the stacks ``h``, ``g``):
-    its g-orthogonal normal form, else its plain one, else its error.
+def _normal_forms(blocks: Lambda2Blocks, errors: list, h, g, tol) -> list:
+    """Per point of :func:`_lambda2_blocks`'s ``blocks`` and ``errors`` for the
+    stacks ``h``, ``g``: that error, else its g-orthogonal normal form, else its plain one, else its error.
 
     Each point has seven frames: the six pairing frames, in :data:`_PAIRINGS`
     order, and the eigenframe of ``g``.  One verdict, :func:`_g_lengths` on the
@@ -494,7 +507,7 @@ def _normal_forms(blocks: Lambda2Blocks, h, g, tol) -> list:
     first g-orthogonal frame that matches the block pattern wins; else pairing
     0 gives the plain form.  ``g=None`` asks for the plain form alone.
     """
-    results = _first_bianchi_errors(blocks.bianchi, blocks.scale, tol)
+    results = list(errors)
     for n in np.flatnonzero(~blocks.commuting(tol)).tolist():
         results[n] = results[n] or NotCommutingError(
             "operator does not commute with the h-star; no normal form",
@@ -545,13 +558,12 @@ def _normal_forms(blocks: Lambda2Blocks, h, g, tol) -> list:
 
 
 def _normal_form_of(rm: CurvatureTensor, h, g, tol):
-    """One tensor's :func:`lambda2_blocks` (N = 1) and :func:`_normal_forms` result."""
-    if rm.dim != 4:
+    """One tensor's :func:`_lambda2_blocks` (N = 1) and :func:`_normal_forms` result."""
+    h, g = (None if m is None else np.asarray(m, dtype=float)[None] for m in (h, g))
+    if rm.dim != 4 or h.shape != (1, 4, 4) or g is not None and g.shape != h.shape:
         raise DimensionError(_NOT_DIM_4)
-    h = np.asarray(h, dtype=float)[None]
-    g = None if g is None else np.asarray(g, dtype=float)[None]
-    blocks = lambda2_blocks(rm.components[None], h, g)
-    return blocks, _normal_forms(blocks, h, g, tol)[0]
+    blocks, errors = _lambda2_blocks(component_matrix(rm)[None], h, g, tol)
+    return blocks, _normal_forms(blocks, errors, h, g, tol)[0]
 
 
 def normal_form_4(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) -> NormalForm4:
@@ -566,6 +578,8 @@ def normal_form_4(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) -> Norm
 
     Raises
     ------
+    DegenerateMetricError
+        If ``h`` breaks the metric rule, as in :func:`is_star_h_einstein`.
     TensorValidationError
         If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
     NotCommutingError
@@ -590,6 +604,8 @@ def orthogonal_normal_form_4(
 
     Raises
     ------
+    DegenerateMetricError
+        If ``h`` breaks the metric rule, as in :func:`is_star_h_einstein`.
     TensorValidationError
         If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
     NotCommutingError
@@ -616,8 +632,12 @@ def preferred_normal_form_4(
     """The g-orthogonal normal form when a frame gives one, else :func:`normal_form_4`'s.
 
     Only the g-orthogonal form carries rescaled values.  This is
-    :func:`_normal_forms` for one point; the errors are those of
-    :func:`normal_form_4`.
+    :func:`_normal_forms` for one point.
+
+    Raises
+    ------
+    DegenerateMetricError, TensorValidationError, NotCommutingError, FrameReconstructionError
+        As :func:`normal_form_4` does; ``g`` only chooses the frame.
     """
     return _alone([_normal_form_of(rm, h, g, tol)[1]])
 

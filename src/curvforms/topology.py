@@ -306,8 +306,8 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
         terms are kept as exact partial sums, so memory does not grow with
         the number of samples.
     tol : float
-        Tolerance for the star-commuting precondition and for the first
-        Bianchi identity at each point.
+        Tolerance for the metric rule on ``g`` and then ``h``, the first
+        Bianchi identity and the star-commuting precondition at each point.
 
     Points whose operator does not commute with the h-star have no
     normal form and are skipped (counted in ``skipped_points``).  Where
@@ -318,6 +318,9 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
 
     Raises
     ------
+    DegenerateMetricError
+        If ``g`` or ``h`` breaks the metric rule (``hodge._metric_errors``),
+        with the message ``validate_sample`` gives (``"g must be ..."``, ``"h must be ..."``).
     TensorValidationError
         If a tensor breaks the first Bianchi identity beyond ``tol`` times
         its largest component.
@@ -358,12 +361,15 @@ def _integrate_chunks(chunks, tol: float = 1e-9) -> IntegrationResult:
 
 def _integrate_stack(k0, h, g, weights, tol, terms: _Terms) -> None:
     """Add the terms of stacked points: pair matrices ``k0`` (N, 6, 6), metrics
-    ``h``, ``g`` and weights.  The first point whose normal form or densities
-    fail raises, and no term is added."""
+    ``h``, ``g`` and weights.  The first point that breaks the metric rule on
+    ``g`` or fails :func:`_lambda2_blocks`'s checks raises its first error, else
+    the first whose normal form or densities fail; then no term is added."""
     if not len(k0):
         return
-    blocks = _lambda2_blocks(k0, h, g)
-    blocks.check_bianchi(tol)
+    blocks, errors = _lambda2_blocks(k0, h, g, tol)
+    error = next(filter(None, (m or e for m, e in zip(_metric_errors(g, "g", tol), errors))), None)
+    if error is not None:
+        raise error
     commuting = blocks.commuting(tol)
 
     # g = s h makes every normal-form frame g-orthogonal with g^ii = 1/s, so
@@ -383,7 +389,7 @@ def _integrate_stack(k0, h, g, weights, tol, terms: _Terms) -> None:
     # the other points through their normal-form frames: every Gram inverse and
     # every density at once, each error its point's own
     general = np.flatnonzero(commuting & ~proportional)
-    forms = _normal_forms(blocks.take(general), h[general], g[general], tol)
+    forms = _normal_forms(blocks.take(general), [None] * len(general), h[general], g[general], tol)
     framed = [p for p, nf in enumerate(forms) if isinstance(nf, NormalForm4)]
     f = np.array([forms[p].frame for p in framed]).reshape(-1, 4, 4)
     inverses = _stacked_or_alone(np.linalg.inv, np.swapaxes(f, 1, 2) @ g[general[framed]] @ f)

@@ -21,7 +21,7 @@ import curvforms
 from curvforms import cli, complex_forms, normal_forms, topology, zoo
 from curvforms.cli import main
 from curvforms.complex_forms import adapted_frame, classify_complex, complex_case_matrix, count_spacelike_critical
-from curvforms.curvature import space_form
+from curvforms.curvature import CurvatureTensor, space_form, validate_curvature
 from curvforms.exceptions import DegenerateMetricError, GeometryError, SampleFormatError, TensorValidationError
 from curvforms.normal_forms import canonical_pairs, is_star_h_einstein, preferred_normal_form_4
 from curvforms.topology import weyl_split_check
@@ -145,9 +145,10 @@ class TestValidate:
         write_samples(path, samples)
         validated = json.loads(run(capsys, "validate", str(path), "--format", "json")[1])["points"]
         forms = json.loads(run(capsys, "normal-form", str(path), "--format", "json")[1])["points"]
+        # the same message at the same points: the samples have no h, so the rule names g
+        notes = [None if p.get("note", "no normal form").startswith("no normal form") else p["note"] for p in forms]
+        assert [p.get("error") for p in validated] == notes
         rejected = [p.get("error") == "g must be positive definite" for p in validated]
-        indefinite = [p.get("note") == "metric is not positive definite" for p in forms]
-        assert rejected == indefinite
         assert 0 < sum(rejected) < len(samples)
 
 
@@ -347,15 +348,15 @@ class TestNormalFormChunks:
             assert "specific to dim 4" in points[i]["note"]
         for i in (_CHUNK - 2, _CHUNK):
             assert points[i]["note"].startswith("no normal form")
-        assert "not positive definite" in points[_CHUNK + 30]["note"]
+        assert points[_CHUNK + 30]["note"] == "h must be positive definite"
 
     def test_an_indefinite_h_takes_no_per_point_path(self, tmp_path, capsys, monkeypatch):
         calls = []
         kernel = normal_forms._lambda2_blocks
 
-        def counted(k0, h, g=None):
+        def counted(k0, *args):
             calls.append(len(k0))
-            return kernel(k0, h, g)
+            return kernel(k0, *args)
 
         def per_point(*args):
             raise AssertionError("a per-point normal-form analysis ran")
@@ -363,9 +364,9 @@ class TestNormalFormChunks:
         monkeypatch.setattr(normal_forms, "_lambda2_blocks", counted)
         monkeypatch.setattr(normal_forms, "_normal_form_of", per_point)
         code, out, _ = run(capsys, "normal-form", chunked_file(tmp_path), "--format", "json")
-        assert code == 1 and calls == [_CHUNK - 1, 42]  # the dimension-4 points with a definite h
+        assert code == 1 and calls == [_CHUNK - 1, 43]  # every dimension-4 point, in one stack per chunk
         points = json.loads(out)["points"]
-        assert "not positive definite" in points[_CHUNK + 30]["note"]
+        assert points[_CHUNK + 30]["note"] == "h must be positive definite"
         assert sum(p["available"] for p in points[_CHUNK:]) == 44 - 3
 
     def test_pairing_frames_are_built_once_per_chunk(self, tmp_path, capsys, monkeypatch):
@@ -618,8 +619,8 @@ class TestIntegrate:
             assert result.general_frame_points + result.skipped_points < result.points
         else:
             assert outcomes[0] == (type(expected), str(expected))
-            assert str(expected) == {"indefinite": "inverse metric must be positive definite",
-                                     "singular": "Singular matrix"}[bad[min(bad)]]
+            # the metric rule on g comes first, as in validate, for an indefinite and a zero g alike
+            assert str(expected) == "g must be positive definite"
 
     def test_general_frames_do_not_call_the_one_point_density(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "general.jsonl"
@@ -990,7 +991,10 @@ def einstein_reference(index, sample, metric, tol):
             hm = np.asarray(sample.h, dtype=float)
         else:
             hm = g
-        rep = is_star_h_einstein(sample.rm, hm, tol=tol)
+        try:
+            rep = is_star_h_einstein(sample.rm, hm, tol=tol)
+        except DegenerateMetricError as err:  # the library calls its metric h; the command names the field
+            raise DegenerateMetricError(str(err).replace("h must", f"{metric} must", 1)) from None
         return {
             "index": index,
             "einstein": bool(rep.is_einstein),
@@ -1072,7 +1076,7 @@ class TestAnalysisChunks:
         path = tmp_path / "kinds.jsonl"
         path.write_text("\n".join(analysis_kinds_lines()) + "\n", encoding="utf-8")
         branches = [
-            "sample has no h metric", "sample has no T vector", "metric is not positive definite",
+            "sample has no h metric", "sample has no T vector", "h must be positive definite",
             "first Bianchi identity violated", "g must be positive definite", "g(T, T) = ",
             "could not complete t to a g-orthonormal frame",
             "flat tensors have no complex classification", "operator does not commute with the star",
@@ -1096,15 +1100,15 @@ class TestAnalysisChunks:
         indefinite = "g must be positive definite"
         expected = {
             "einstein-check --metric g": [
-                bianchi, bianchi, "metric is not positive definite", None, None, None, None,
+                bianchi, bianchi, indefinite, None, None, None, None,
                 "the star-commuting test", "Eigenvalues did not converge",
             ],
             "einstein-check --metric h": ["sample has no h metric"] * 7 + ["the star-commuting test", "sample has no h"],
             "einstein-check --metric lorentz": [
-                bianchi, bianchi, indefinite, None, "g(T, T) = 9,", None, off_unit, "the Weyl split", incomplete,
+                bianchi, "g(T, T) = 4,", indefinite, None, "g(T, T) = 9,", None, off_unit, "the Weyl split", incomplete,
             ],
             "petrov": [
-                bianchi, bianchi, "flat tensors", "flat tensors", "flat tensors", "operator does not commute",
+                bianchi, "g(T, T) = 4,", "flat tensors", "flat tensors", "flat tensors", "operator does not commute",
                 off_unit, "complex classification", incomplete,
             ],
         }
@@ -1653,3 +1657,121 @@ class TestUsage:
             main(["--version"])
         assert err.value.code == 0
         assert "curvforms" in capsys.readouterr().out
+
+
+# ---- one precondition order on every path ----
+
+_SPACE_FORM = space_form(4, 1.0)
+_BIANCHI_BROKEN = CurvatureTensor(
+    dim=4, components=_SPACE_FORM.components + validate_curvature([[1, 2, 3, 4, 0.5]], dim=4, tol=math.inf).components
+)
+_INDEFINITE = np.diag([1.0, 1.0, 1.0, -1.0])
+_E0 = np.eye(4)[0]
+
+
+def precondition_breakers():
+    """Points that each break a precondition, some two at once, by name; the
+    NaN and asymmetric ``h`` cannot be written to a file (it holds finite
+    numbers and the lower triangle)."""
+    nan_h, upper_h = np.eye(4), np.eye(4)
+    nan_h[2, 2], upper_h[0, 1] = math.nan, 0.5
+    point = PointSample(dim=4, g=np.eye(4), rm=_SPACE_FORM, weight=1.0, t=_E0)
+    return {
+        "indefinite h": dataclasses.replace(point, h=_INDEFINITE),
+        "indefinite g, no h": dataclasses.replace(point, g=_INDEFINITE),
+        "NaN h": dataclasses.replace(point, h=nan_h),
+        "asymmetric h": dataclasses.replace(point, h=upper_h),
+        "Bianchi and indefinite g": dataclasses.replace(point, g=_INDEFINITE, rm=_BIANCHI_BROKEN),
+        "Bianchi and non-unit T": dataclasses.replace(point, rm=_BIANCHI_BROKEN, t=2.0 * _E0),
+    }
+
+
+def first_violation(sample):
+    """validate_sample's first violation of ``sample``, or None."""
+    try:
+        validate_sample(sample)
+    except (GeometryError, ValueError) as err:
+        return str(err)
+    return None
+
+
+def rules_of(path, sample):
+    """The sample whose validate_sample checks exactly the rules ``path`` applies
+    to ``sample``, under the names it gives them; None where the path reads no point."""
+    plain = dataclasses.replace(sample, t=None)
+    h_frame = dataclasses.replace(plain, g=np.eye(4), h=sample.g if sample.h is None else sample.h)
+    return {
+        "h-frame library": h_frame,
+        "lorentz library": dataclasses.replace(sample, h=None),
+        "integrate_samples": plain,
+        "normal-form": plain if sample.h is None else dataclasses.replace(plain, g=np.eye(4)),
+        "einstein-check --metric g": dataclasses.replace(plain, h=None),
+        "einstein-check --metric h": None if sample.h is None else dataclasses.replace(plain, g=np.eye(4)),
+        "einstein-check --metric lorentz": dataclasses.replace(sample, h=None),
+        "petrov": dataclasses.replace(sample, h=None),
+        "integrate": plain,
+    }[path]
+
+
+def library_errors(sample):
+    """Per library path: the message of every one-point function's error."""
+
+    def error(fn, *args):
+        try:
+            fn(*args)
+        except Exception as err:  # a bare LAPACK error is a wrong answer too
+            return str(err)
+        return None
+
+    h = sample.g if sample.h is None else sample.h
+    rm, g, t = sample.rm, sample.g, sample.t
+    return {
+        "h-frame library": [
+            error(is_star_h_einstein, rm, h), error(normal_forms.normal_form_4, rm, h),
+            error(normal_forms.orthogonal_normal_form_4, rm, h, np.eye(4)),
+            error(preferred_normal_form_4, rm, h, np.eye(4)),
+        ],
+        "lorentz library": [
+            error(classify_complex, rm, g, t), error(count_spacelike_critical, rm, g, t),
+            error(weyl_split_check, rm, g, t),
+        ],
+        "integrate_samples": [error(topology.integrate_samples, [sample])],
+    }
+
+
+class TestPreconditionParity:
+    @pytest.mark.parametrize("name", list(precondition_breakers()))
+    def test_every_library_path_reads_validate_samples_first_violation(self, name):
+        sample = precondition_breakers()[name]
+        for path, errors in library_errors(sample).items():
+            expected = first_violation(rules_of(path, sample))
+            if expected is not None:
+                assert errors == [expected] * len(errors), path
+
+    def test_every_command_reads_validate_samples_first_violation(self, tmp_path, capsys):
+        samples = [s for name, s in precondition_breakers().items() if name not in ("NaN h", "asymmetric h")]
+        path = tmp_path / "breakers.jsonl"
+        write_samples(path, samples)
+        checked = set()
+        for command in ("normal-form", "einstein-check --metric g", "einstein-check --metric h",
+                        "einstein-check --metric lorentz", "petrov"):
+            points = json.loads(run(capsys, *command.split(), str(path), "--format", "json")[1])["points"]
+            for sample, point in zip(samples, points):
+                expected = None if rules_of(command, sample) is None else first_violation(rules_of(command, sample))
+                if expected is not None:
+                    assert point.get("error", point.get("note")) == expected, (command, point)
+                    checked.add(expected)
+        for k, sample in enumerate(samples):
+            one = tmp_path / f"point{k}.jsonl"
+            write_samples(one, [sample])
+            expected = first_violation(rules_of("integrate", sample))
+            assert run(capsys, "integrate", str(one)) == (1, "", f"error: {expected}\n")
+        assert checked >= {"h must be positive definite", "g must be positive definite", "g(T, T) = 4, expected 1"}
+        assert any(e.startswith("first Bianchi identity") for e in checked)
+
+    def test_a_point_with_no_h_reads_g_in_normal_form(self, tmp_path, capsys):
+        sample = precondition_breakers()["indefinite g, no h"]
+        path = tmp_path / "no_h.jsonl"
+        write_samples(path, [sample])
+        point = json.loads(run(capsys, "normal-form", str(path), "--format", "json")[1])["points"][0]
+        assert point == {"index": 0, "available": False, "note": "g must be positive definite"}

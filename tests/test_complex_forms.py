@@ -292,11 +292,12 @@ class TestClassification:
         rm = tensor_from_complex_form(np.diag([0.3 + 0j, 0.7, 1.2]))
         bump = validate_curvature([[1, 2, 3, 4, 0.5]], dim=4, tol=math.inf)
         broken = CurvatureTensor(dim=4, components=rm.components + bump.components)
-        # the identity is checked before g(t, t) = 1
-        for t in (np.eye(4)[0], 2.0 * np.eye(4)[0]):
-            with pytest.raises(TensorValidationError, match="first Bianchi identity") as err:
-                reader(broken, np.eye(4), t)
-            assert err.value.residual == 0.5
+        with pytest.raises(TensorValidationError, match="first Bianchi identity") as err:
+            reader(broken, np.eye(4), np.eye(4)[0])
+        assert err.value.residual == 0.5
+        # g(t, t) = 1 is checked before the identity, as validate_sample checks it
+        with pytest.raises(NonUnitVectorError, match=r"^g\(T, T\) = 4, expected 1$"):
+            reader(broken, np.eye(4), 2.0 * np.eye(4)[0])
 
     def test_nearly_equal_eigenvalues_merge(self):
         c = np.diag([0.5 + 0.0j, 0.5 + 1e-10, -1.0])

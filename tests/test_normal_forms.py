@@ -188,7 +188,7 @@ def star_test_per_point(rm, h, tol=1e-9):
     """The fields of :func:`is_star_h_einstein` as it computed them one point at a
     time, before it became the one-point call of the stacked test."""
     blocks = lambda2_blocks(rm.components[None], h[None])
-    blocks.check_bianchi(tol)
+    curvature.check_first_bianchi_4(blocks.bianchi, blocks.scale, tol)
     hinv = np.linalg.inv(h)
     trace = np.einsum("jl,jabl->ab", hinv, rm.components, optimize=True)
     f = float(np.trace(hinv @ trace)) / 4.0
@@ -208,7 +208,7 @@ class TestStackedStarTest:
             rms.append(rm)
             hs.append(h)
         r, h = np.stack([rm.components for rm in rms]), np.stack(hs)
-        reports = normal_forms._star_einstein(lambda2_blocks(r, h), r, h, 1e-9)
+        reports = normal_forms._star_einstein(curvature._pair_matrix(r), r, h, 1e-9)
         outcomes = set()
         for rm, hn, report in zip(rms, hs, reports):
             try:
@@ -620,7 +620,8 @@ def single_reading_stack():
 class TestSingleReading:
     def test_the_sorted_reading_equals_a_reading_in_the_permuted_frame_bit_for_bit(self):
         k0, h, g = single_reading_stack()
-        blocks = normal_forms._lambda2_blocks(k0, h, g)
+        blocks, errors = normal_forms._lambda2_blocks(k0, h, g, 1e-9)
+        assert errors == [None] * len(k0)
         eigenframes = normal_forms._first_positive(normal_forms._proper(np.linalg.eigh(blocks.gram)[1]))
         frames = np.concatenate([normal_forms._pairing_frames(blocks.up, blocks.um), eigenframes[:, None]], axis=1)
         n = np.repeat(np.arange(len(k0)), frames.shape[1])
@@ -646,7 +647,7 @@ class TestSingleReading:
 
     def test_the_kernel_reads_each_candidate_once_and_judges_every_frame_once(self, monkeypatch):
         k0, h, g = single_reading_stack()
-        blocks = normal_forms._lambda2_blocks(k0, h, g)
+        blocks, errors = normal_forms._lambda2_blocks(k0, h, g, 1e-9)
         in_frame, g_lengths, reads, verdicts = normal_forms._in_frame, normal_forms._g_lengths, [], []
 
         def counted_read(k, v, basis=normal_forms._BASIS):
@@ -659,7 +660,7 @@ class TestSingleReading:
 
         monkeypatch.setattr(normal_forms, "_in_frame", counted_read)
         monkeypatch.setattr(normal_forms, "_g_lengths", counted_verdict)
-        results = normal_forms._normal_forms(blocks, h, g, 1e-9)
+        results = normal_forms._normal_forms(blocks, errors, h, g, 1e-9)
         points = sum(isinstance(r, (normal_forms.NormalForm4, FrameReconstructionError)) for r in results)
         assert verdicts == [(points, 7, 4, 4)]
         assert len(reads) == 1 and points <= reads[0] <= 7 * points
