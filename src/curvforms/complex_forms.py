@@ -25,9 +25,11 @@ damped by ``lambda = |r|^2`` plus a small floor, with a 6-iteration stall
 window.  A step is cut to the first of 1, 2^-1 .. 2^-24 whose plane stays
 spacelike beyond 1e-6 (``<P, P>_L > 1e-6``), else to 2^-25; ``<P, P>_L`` is a
 quartic in the step fraction, so the whole ladder is tested at once.  Every
-start runs until it stops, and the planes are counted in one final tally.  At
-64 starts the 400 criterion-07 instances (seeds ``700000 + 1000 case + i``)
-take 2310, 1692, 4178 and 4136 iterations for cases 1-4.
+start runs until it stops: on a tiny step, on a stall, or once its
+unnormalised plane ``P = u ^ w`` reaches the null cone, ``<P, P>_L <= 1e-5
+|P|^2``, a ratio free of the operator's scale.  The planes are counted in one
+final tally.  At 64 starts the 400 criterion-07 instances (seeds ``700000 +
+1000 case + i``) take 2310, 1334, 2614 and 2767 iterations for cases 1-4.
 """
 
 import math
@@ -227,10 +229,10 @@ def classify_complex(
 
 def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> list:
     """Per point of stacked pair matrices ``k0`` (N, 6, 6), metrics ``g`` and
-    vectors ``t``: its :class:`ComplexNormalForm`, or its first error: a flat
-    tensor, those of :func:`_adapted` at ``tol`` (the metric rule on ``g``,
-    ``g(t, t)`` within ``tol``), an operator that does not commute with the
-    Lorentz star.
+    vectors ``t``: its :class:`ComplexNormalForm`, or its first error, in
+    ``validate_sample``'s order: those of :func:`_adapted` at ``tol`` (the metric
+    rule on ``g``, ``g(t, t)`` within ``tol``, first Bianchi), a flat tensor, an
+    operator that does not commute with the Lorentz star.
 
     The commuting points are classified together.  Each point's eigenvalues are
     sorted by (real, imag) and clustered greedily: a value joins the first
@@ -247,7 +249,7 @@ def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> l
     k, _, errors = _adapted(k0, g, t, tol)
     c, commuting = _complexify(_GRAM_L @ k, _STAR_L.matrix, tol)
     results = [
-        GeometryError("flat tensors have no complex classification") if flat else error or not_commuting
+        error or (GeometryError("flat tensors have no complex classification") if flat else not_commuting)
         for flat, error, not_commuting in zip((~k0.any(axis=(1, 2))).tolist(), errors, commuting)
     ]
     ok = np.flatnonzero([r is None for r in results])
@@ -394,12 +396,16 @@ _CHART_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 # a converged plane's residual bound (relative to max(1, |G op|), once an op
 # below norm 1 is scaled into [1, 2)), the projector distance beyond which two
-# planes are distinct, the iteration cap, and the least <u ^ w, u ^ w>_L of a
-# spacelike plane (the floor of its normalisation and of a backtracked step)
+# planes are distinct, the iteration cap, the least <u ^ w, u ^ w>_L of a
+# spacelike plane (the floor of its normalisation and of a backtracked step),
+# and the ratio <P, P>_L / |P|^2 at or below which a start has reached the null
+# cone and stops (its unit plane's Euclidean norm is then above 1 / sqrt(1e-5),
+# about 316; the ratio does not depend on the operator's scale)
 _RESIDUAL_TOL = 1e-7
 _DEDUP_TOL = 1e-4
 _MAX_ITER = 200
 _Q_MIN = 1e-6
+_NULL_CONE = 1e-5
 
 # the ladder of step fractions 1, 2^-1 .. 2^-25 a Levenberg-Marquardt step is
 # cut to, the powers 0 .. 4 of each rung (one row per power), and the least
@@ -556,8 +562,9 @@ def _linearised(x, chart, mmat, smat):
     """One Gauss-Newton linearisation at chart coordinates ``x`` (n, 4) of the
     starts of ``chart``: ``[J | r]`` (n, 6, 5), the residual ``r`` of
     :func:`_plane_fit` at the plane ``p = u ^ w / sqrt(max(<u ^ w, u ^ w>_L,
-    _Q_MIN))`` after its Jacobian ``J`` in ``x``; and the plane ``u ^ w`` and its
-    tangents, which :func:`_backtrack` reuses.
+    _Q_MIN))`` after its Jacobian ``J`` in ``x``; the plane ``u ^ w`` and its
+    tangents, which :func:`_backtrack` reuses; and ``<u ^ w, u ^ w>_L``
+    unclamped, which the null-cone stop reads.
 
     ``J = d(op p) - p da - (*_L p) db - a dp - b d(*_L p)`` with ``dp = (d(u ^ w)
     - p (G p)^T d(u ^ w)) / sqrt(...)``, ``da = 2 (G op p)^T dp`` and ``db =
@@ -566,7 +573,8 @@ def _linearised(x, chart, mmat, smat):
     op)``, and one more ``[p, *_L p] V dp`` gives ``-p da - (*_L p) db``."""
     p_raw = _chart_planes(x, chart)
     pg = p_raw * _GRAM_L_DIAG
-    sq = np.sqrt(np.maximum((pg * p_raw).sum(axis=1), _Q_MIN))
+    q = (pg * p_raw).sum(axis=1)
+    sq = np.sqrt(np.maximum(q, _Q_MIN))
     p, sp, gmp, a, b, r = _plane_fit(p_raw, sq, mmat, smat)
     tangents = _chart_tangents(x, chart)
     dp = (tangents - p[:, :, None] * ((pg / sq[:, None])[:, None, :] @ tangents)) / sq[:, None, None]
@@ -584,7 +592,7 @@ def _linearised(x, chart, mmat, smat):
     jr = np.empty((n, 6, 5))
     jr[:, :, :4] = jac
     jr[:, :, 4] = r
-    return jr, p_raw, tangents
+    return jr, p_raw, tangents, q
 
 
 def count_spacelike_critical(
@@ -602,8 +610,11 @@ def count_spacelike_critical(
     local 4-parameter chart of the spacelike Grassmannian, with damping
     ``lambda = |r|^2 + 1e-10 (tr J^T J / 4 + 1)``; a step is cut to the first of
     1, 2^-1 .. 2^-24 whose plane stays spacelike beyond 1e-6, else to 2^-25
-    (:func:`_backtrack`), and a start stops once its step is tiny or its best
-    residual has not fallen by 3 % for 6 iterations.  Every
+    (:func:`_backtrack`), and a start stops once its step is tiny, its best
+    residual has not fallen by 3 % for 6 iterations, or its unnormalised
+    plane ``P = u ^ w`` at the linearisation has ``<P, P>_L <= 1e-5 |P|^2``:
+    it has reached the null cone, where a unit spacelike plane grows without
+    bound (beyond Euclidean norm 316), and finds no plane there.  Every
     start runs until it stops; the planes are then counted in one final
     tally, which deduplicates the converged planes through the projectors
     onto ``span{P, *_L P}``.  More than three distinct planes means a
@@ -644,11 +655,13 @@ def count_spacelike_critical(
     x = np.zeros((n_starts, 4))
     eye4 = np.eye(4)
 
-    # starts freeze individually once converged (tiny step) or stalled (best
+    # starts freeze individually once converged (tiny step), stalled (best
     # residual not falling by 3 % for 6 iterations; under lambda = |r|^2 a start
     # that converges keeps gaining, so the window stops only the starts that
-    # find no plane).  The loop keeps only the live starts (indices `live`
-    # into x) in its working arrays, drops a start when it freezes, and
+    # find no plane) or at the null cone (<P, P>_L <= _NULL_CONE |P|^2 at the
+    # linearisation; a start sliding there finds no plane either, and stops
+    # before the window would).  The loop keeps only the live starts (indices
+    # `live` into x) in its working arrays, drops a start when it freezes, and
     # writes the live coordinates back into x at the end
     live = np.arange(n_starts)
     xa, chart_a = x.copy(), chart
@@ -658,7 +671,7 @@ def count_spacelike_critical(
     for _ in range(_MAX_ITER):
         if live.size == 0:
             break
-        jr, p_raw, tangents = _linearised(xa, chart_a, mmat, smat)
+        jr, p_raw, tangents, q = _linearised(xa, chart_a, mmat, smat)
         # [J | r]^T [J | r] holds J^T J, J^T r and |r|^2
         normal = np.swapaxes(jr, 1, 2).copy() @ jr
         rn = np.sqrt(normal[:, 4, 4])
@@ -679,7 +692,10 @@ def count_spacelike_critical(
         # Backtrack any step that would cross into the non-spacelike cone.
         delta = _backtrack(delta, p_raw, tangents, chart_a[:, 5])
         xa = xa + delta
-        done = (_row_norms(delta) < 1e-13) | (stalled_for >= 6)
+        done = (
+            (_row_norms(delta) < 1e-13) | (stalled_for >= 6)
+            | (q <= _NULL_CONE * np.add.reduce(p_raw * p_raw, axis=1))
+        )
         if done.any():
             x[live[done]] = xa[done]
             keep = ~done

@@ -335,7 +335,9 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
 def _integrate_chunks(chunks, tol: float = 1e-9) -> IntegrationResult:
     """The totals over chunks (:class:`curvforms.zoo._Chunk`) of samples or of a
     file.  The first point that the stack cannot take (one of ``others``, or a
-    weight that is negative or not finite) raises, after the points before it."""
+    weight that is negative or not finite) raises, after the points before it;
+    a stacked one raises its first metric error (``g``, then ``h``) before its
+    weight error, in ``validate_sample``'s order."""
     terms, points = _Terms(), 0
     for chunk in chunks:
         rejected = [(i, getattr(sample, "weight", None)) for i, sample in chunk.others]
@@ -347,6 +349,11 @@ def _integrate_chunks(chunks, tol: float = 1e-9) -> IntegrationResult:
         )
         if stop is not None:
             index, weight = stop
+            at = chunk.index == index
+            for m, name in ((chunk.g[at], "g"), (chunk.h[at], "h")):
+                error = next(filter(None, _metric_errors(m, name, tol)), None)
+                if error is not None:
+                    raise error
             if weight is None:
                 raise ValueError(f"sample {index} carries no quadrature weight")
             if isinstance(weight, (bool, np.bool_)):

@@ -1108,7 +1108,7 @@ class TestAnalysisChunks:
                 bianchi, "g(T, T) = 4,", indefinite, None, "g(T, T) = 9,", None, off_unit, "the Weyl split", incomplete,
             ],
             "petrov": [
-                bianchi, "g(T, T) = 4,", "flat tensors", "flat tensors", "flat tensors", "operator does not commute",
+                bianchi, "g(T, T) = 4,", indefinite, "flat tensors", "g(T, T) = 9,", "operator does not commute",
                 off_unit, "complex classification", incomplete,
             ],
         }

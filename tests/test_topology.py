@@ -25,7 +25,7 @@ from curvforms.topology import (
     parse_block_expression,
     weyl_split_check,
 )
-from curvforms.zoo import _CHUNK, PointSample, gen_space_form, gen_synthetic_star_h
+from curvforms.zoo import _CHUNK, PointSample, gen_space_form, gen_synthetic_star_h, validate_sample
 
 RNG = np.random.default_rng(20260701)
 
@@ -564,6 +564,17 @@ class TestIntegrateSamples:
         for weight in (-1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"sample 1 has invalid weight {weight!r}"):
                 integrate_samples([make_sample(rm, np.eye(4), None, 1.0), make_sample(rm, np.eye(4), None, weight)])
+
+    @pytest.mark.parametrize("metric", ["g", "h"])
+    def test_a_stopping_point_reads_its_metric_error_before_its_weight_error(self, metric):
+        rm, indefinite = space_form(4, 1.0), np.diag([1.0, 1.0, 1.0, -1.0])
+        g, h = (indefinite, None) if metric == "g" else (np.eye(4), indefinite)
+        sample = PointSample(dim=4, g=g, rm=rm, weight=-1.0, h=h)
+        message = f"{metric} must be positive definite"
+        with pytest.raises(DegenerateMetricError, match=message):
+            validate_sample(sample)
+        with pytest.raises(DegenerateMetricError, match=message):
+            integrate_samples([sample])
 
     def test_numpy_weights_integrate_and_bool_weights_are_rejected(self):
         rm = space_form(4, 1.0)
