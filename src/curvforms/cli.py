@@ -17,9 +17,9 @@ Reports are built as JSON values, each float that can be non-finite through
 ``_num``, so a non-finite value is ``null`` in JSON and ``-`` in text.
 
 The reader checks structure only and completes each tensor by its index
-symmetries.  ``validate`` checks every identity; the other commands check the
-preconditions they need in its order and with its messages: the metric rule,
-``T``, then the first Bianchi identity.  A point that fails one gets an
+symmetries.  ``validate`` checks every rule of ``preconditions._preconditions``
+and every identity; the other commands check the rules they need, in the
+same order and with the same messages.  A point that fails one gets an
 ``error`` field and exit 1 (a ``note`` for a metric in ``normal-form``), and
 ``integrate`` stops with exit 1 on it.  Every file command streams the file
 in chunks (``zoo._read_chunks``): each line's dimension-4 rows go straight

@@ -42,8 +42,6 @@ from .bivectors import wedge_vectors
 from .curvature import (
     CurvatureTensor,
     _dense,
-    _first_bianchi_4,
-    _first_bianchi_errors,
     component_matrix,
     curvature_from_frame_components,
     validate_curvature,
@@ -54,8 +52,9 @@ from .exceptions import (
     GeometryError,
     _alone,
 )
-from .hodge import HodgeStar, _complexify, _frobenius, _metric_errors, _unit_errors
+from .hodge import HodgeStar, _complexify, _frobenius
 from .normal_forms import _BASIS, _in_frame
+from .preconditions import _first_errors, _preconditions
 
 __all__ = [
     "ComplexNormalForm",
@@ -118,68 +117,61 @@ class ComplexNormalForm:
 def adapted_frame(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Positively-oriented g-orthonormal frame whose first vector is ``t``.
 
-    ``g`` must meet the metric rule (``hodge._metric_errors``), or
-    :class:`DegenerateMetricError` is raised, and ``t`` must be finite and
-    g-unit (``hodge._unit_errors``), or :class:`NonUnitVectorError` is raised,
-    both within ``tol``.  Gram-Schmidt runs over the basis vectors in order and
-    takes each whose remainder has g-length squared above 1e-12, until the
-    frame is complete.  This is :func:`_adapted_frames` for one point.
+    ``g`` and ``t`` must pass their rules (``preconditions._preconditions``) at
+    ``tol``.  Gram-Schmidt runs over the basis vectors in order and takes each
+    whose remainder has g-length squared above 1e-12, until the frame is
+    complete.  This is :func:`_adapted_frames` for one point.
     """
     g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
     frames, errors = _adapted_frames(g[None], t[None], tol)
-    return _alone([errors[0] or frames[0]])
+    return _alone(_first_errors(errors, [lambda at: frames[at]]))
 
 
-def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
+def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float, k0=None) -> tuple:
     """The adapted frames (N, n, n) of stacked metrics ``g`` (N, n, n) and vectors
-    ``t`` (N, n), and each point's error, or None where it has its frame: that of
-    ``hodge._metric_errors`` on ``g``, then that of ``hodge._unit_errors``,
-    both at ``tol``, then a frame that cannot be completed.
+    ``t`` (N, n), zero where a point has none, and each point's first error over
+    the rules of ``g``, ``t`` and, when given, the pair matrices ``k0``
+    (``preconditions._preconditions``), then a frame that cannot be completed.
 
-    Each candidate basis vector is projected against the point's frame vectors
-    so far and taken where its g-length squared exceeds 1e-12, for all points at
-    once.  A column not yet filled is zero, so projecting on it changes nothing;
-    a point's frame is zero where it has none.
+    Each candidate is projected against the point's frame vectors so far and
+    taken where its g-length squared exceeds 1e-12, for all points at once; a
+    column not yet filled is zero, so projecting on it changes nothing.
     """
     n, dim = t.shape
-    tt, units = _unit_errors(g, t, tol)
-    errors = [m or u for m, u in zip(_metric_errors(g, "g", tol), units)]
-    unit = np.array([e is None for e in errors], dtype=bool)
-    g_u = g[unit]
-    # column k of cols is frame vector e_k, eg[:, k] is e_k^T g
-    cols, eg = np.zeros((len(g_u), dim, dim)), np.zeros((len(g_u), dim, 1, dim))
-    cols[:, :, 0] = t[unit] / np.sqrt(tt[unit])[:, None]
-    eg[:, 0] = cols[:, None, :, 0] @ g_u
-    count = np.ones(len(g_u), dtype=int)
-    for candidate in np.eye(dim)[:, :, None]:
-        if len(g_u) == 0 or count.min() == dim:
-            break
-        v = candidate
-        for k in range(count.max()):
-            v = v - (eg[:, k] @ v) * cols[:, :, k:k + 1]
-        norm2 = ((np.swapaxes(v, -1, -2) @ g_u) @ v)[:, 0, 0]
-        taken = np.flatnonzero((count < dim) & (norm2 > 1e-12))
-        cols[taken, :, count[taken]] = e = v[taken, :, 0] / np.sqrt(norm2[taken])[:, None]
-        eg[taken, count[taken]] = e[:, None] @ g_u[taken]
-        count[taken] += 1
-    flip = np.linalg.det(cols) < 0
-    cols[flip, :, -1] = -cols[flip, :, -1]
     frames = np.zeros((n, dim, dim))
-    frames[unit] = cols
-    for p in np.flatnonzero(unit)[count < dim].tolist():
-        errors[p] = DegenerateMetricError("could not complete t to a g-orthonormal frame")
-    return frames, errors
+
+    def completed(at):
+        g_u, t_u = g[at], t[at]
+        # column k of cols is frame vector e_k, eg[:, k] is e_k^T g
+        cols, eg = np.zeros((len(g_u), dim, dim)), np.zeros((len(g_u), dim, 1, dim))
+        cols[:, :, 0] = t_u / np.sqrt(((t_u[:, None] @ g_u) @ t_u[:, :, None])[:, :, 0])
+        eg[:, 0] = cols[:, None, :, 0] @ g_u
+        count = np.ones(len(g_u), dtype=int)
+        for v in np.eye(dim)[:, :, None]:
+            if count.min() == dim:
+                break
+            for k in range(count.max()):
+                v = v - (eg[:, k] @ v) * cols[:, :, k:k + 1]
+            norm2 = ((np.swapaxes(v, -1, -2) @ g_u) @ v)[:, 0, 0]
+            taken = np.flatnonzero((count < dim) & (norm2 > 1e-12))
+            cols[taken, :, count[taken]] = e = v[taken, :, 0] / np.sqrt(norm2[taken])[:, None]
+            eg[taken, count[taken]] = e[:, None] @ g_u[taken]
+            count[taken] += 1
+        flip = np.linalg.det(cols) < 0
+        cols[flip, :, -1] = -cols[flip, :, -1]
+        frames[at] = cols
+        return [None if c == dim else DegenerateMetricError("could not complete t to a g-orthonormal frame")
+                for c in count.tolist()]
+
+    return frames, _first_errors([None] * n, [*_preconditions(tol, g=g, t=t, k0=k0), completed])
 
 
 def _adapted(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
     """``K = (Lambda^2 f)^T K_0 (Lambda^2 f)`` of stacked pair matrices ``k0``
     (N, 6, 6) in the adapted frames ``f`` of ``(g, t)``, the frames, and each
-    point's error, or None: those of :func:`_adapted_frames`, then a first-Bianchi
-    break beyond ``tol`` times the largest component, at the same ``tol``, in
-    ``validate_sample``'s order."""
-    frames, errors = _adapted_frames(g, t, tol)
-    bianchi = _first_bianchi_errors(*_first_bianchi_4(k0), tol)
-    return _in_frame(k0, frames), frames, [e or b for b, e in zip(bianchi, errors)]
+    point's error: :func:`_adapted_frames` with ``k0``."""
+    frames, errors = _adapted_frames(g, t, tol, k0)
+    return _in_frame(k0, frames), frames, errors
 
 
 def classify_complex(
@@ -193,33 +185,9 @@ def classify_complex(
     cluster's geometric multiplicity is a rank count of ``C - z I``; the number
     of clusters and the largest geometric multiplicity give the case.  This is
     :func:`_jordan_forms` for one point, the stacked classification that
-    ``curvforms petrov`` runs on each chunk of a file.
-
-    Parameters
-    ----------
-    rm : CurvatureTensor
-        Non-flat 4-dimensional tensor.
-    g : ndarray, shape (4, 4)
-        Positive-definite metric, same coordinates as ``rm``.
-    t : ndarray, shape (4,)
-        g-unit timelike direction for the Lorentz metric.
-    tol : float
-        Relative tolerance for the star-commuting precondition and for the
-        first Bianchi identity, and the tolerance of the metric rule on ``g``
-        and of ``g(t, t) = 1``.
-
-    Raises
-    ------
-    TensorValidationError
-        If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
-    DegenerateMetricError
-        If ``g`` breaks the metric rule, or ``t`` cannot be completed to a frame.
-    NonUnitVectorError
-        If ``t`` is not finite or not g-unit within ``tol``.
-    NotCommutingError
-        If the Lorentz operator does not commute with the Lorentz star.
-    GeometryError
-        For a flat tensor (no classification).
+    ``curvforms petrov`` runs on each chunk of a file; it raises the point's
+    error, at ``tol``, and needs ``rm`` 4-dimensional and ``g``, ``t`` in its
+    coordinates.
     """
     if rm.dim != 4:
         raise DimensionError(_NOT_DIM_4)
@@ -229,10 +197,9 @@ def classify_complex(
 
 def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> list:
     """Per point of stacked pair matrices ``k0`` (N, 6, 6), metrics ``g`` and
-    vectors ``t``: its :class:`ComplexNormalForm`, or its first error, in
-    ``validate_sample``'s order: those of :func:`_adapted` at ``tol`` (the metric
-    rule on ``g``, ``g(t, t)`` within ``tol``, first Bianchi), a flat tensor, an
-    operator that does not commute with the Lorentz star.
+    vectors ``t``: its :class:`ComplexNormalForm`, or its first error over
+    :func:`_adapted`'s, then a flat tensor, then an operator that does not
+    commute with the Lorentz star.
 
     The commuting points are classified together.  Each point's eigenvalues are
     sorted by (real, imag) and clustered greedily: a value joins the first
@@ -244,18 +211,23 @@ def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> l
     width are one cluster, and a Jordan block whose nilpotent part is below
     the width reads as diagonalizable (case 2).  The width scales with ``C``
     (``|C|_F`` bounds every eigenvalue and the smear of a defective one), so
-    ``s C`` reads as ``C`` at every scale ``s``.  Only the
-    :class:`ComplexNormalForm` objects are built per point."""
+    ``s C`` reads as ``C`` at every scale ``s``."""
     k, _, errors = _adapted(k0, g, t, tol)
-    c, commuting = _complexify(_GRAM_L @ k, _STAR_L.matrix, tol)
-    results = [
-        error or (GeometryError("flat tensors have no complex classification") if flat else not_commuting)
-        for flat, error, not_commuting in zip((~k0.any(axis=(1, 2))).tolist(), errors, commuting)
-    ]
-    ok = np.flatnonzero([r is None for r in results])
-    if not ok.size:
-        return results
-    c = c[ok]
+    flat = ~k0.any(axis=(1, 2))
+    c = np.zeros((len(k0), 3, 3), dtype=complex)
+
+    def not_flat(at):
+        return [GeometryError("flat tensors have no complex classification") if f else None for f in flat[at].tolist()]
+
+    def commuting(at):
+        c[at], not_commuting = _complexify(_GRAM_L @ k[at], _STAR_L.matrix, tol)
+        return not_commuting
+
+    return _first_errors(errors, [not_flat, commuting, lambda at: _classified(c[at])])
+
+
+def _classified(c: np.ndarray) -> list:
+    """The :class:`ComplexNormalForm` of each of the stacked matrices ``c`` (N, 3, 3), as :func:`_jordan_forms` reads them."""
     vals = np.linalg.eigvals(c)
     width = _JORDAN_SMEAR * _frobenius(c.view(float))[:, None]  # the float view: real and imaginary parts
     rows = np.arange(len(c))
@@ -273,10 +245,8 @@ def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> l
     geos[p, j] = np.maximum(1, np.sum(sv <= width[p], axis=1))
     count = (algs > 0).sum(axis=1)
     case_ids = np.where(count == 3, 1, np.where(geos.max(axis=1) >= 2, 2, np.where(count == 2, 3, 4)))
-    for point, cp, case_id, n, z, alg, geo in zip(
-        ok.tolist(), c, case_ids.tolist(), count.tolist(), means.tolist(), algs.tolist(), geos.tolist()
-    ):
-        results[point] = ComplexNormalForm(
+    return [
+        ComplexNormalForm(
             case_id=case_id,
             eigenvalues=tuple(z[:n]),
             algebraic_multiplicities=tuple(alg[:n]),
@@ -284,7 +254,10 @@ def _jordan_forms(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> l
             expected_spacelike_critical=CASE_CRITICAL_COUNTS[case_id],
             c_matrix=cp,
         )
-    return results
+        for cp, case_id, n, z, alg, geo in zip(
+            c, case_ids.tolist(), count.tolist(), means.tolist(), algs.tolist(), geos.tolist()
+        )
+    ]
 
 
 # ---- synthetic instances ----
@@ -632,12 +605,10 @@ def count_spacelike_critical(
     ------
     ValueError
         If ``n_starts`` is not an integer of at least 1 (a bool is not).
-    TensorValidationError
-        If ``rm`` breaks first Bianchi beyond 1e-9 times its largest component.
     DimensionError
         If ``rm`` is not 4-dimensional.
-    DegenerateMetricError, NonUnitVectorError
-        If ``g`` or ``t`` breaks its rule at 1e-9, as in :func:`adapted_frame`.
+    GeometryError
+        The first error of :func:`_adapted` at 1e-9.
     """
     if not isinstance(n_starts, (int, np.integer)) or isinstance(n_starts, bool) or n_starts < 1:
         raise ValueError(f"n_starts must be an integer >= 1, got {n_starts!r}")
@@ -645,8 +616,7 @@ def count_spacelike_critical(
         raise DimensionError("the critical-plane counter is specific to dim 4")
     g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
     k, _, errors = _adapted(component_matrix(rm)[None], g[None], t[None], 1e-9)
-    k = _alone([errors[0] or k[0]])
-    mmat, smat = _GRAM_L @ k, _STAR_L.matrix
+    mmat, smat = _GRAM_L @ _alone(_first_errors(errors, [lambda at: k[at]])), _STAR_L.matrix
     norm = float(_frobenius(mmat[None])[0])
     if 0.0 < norm < 1.0 or norm > 2.0**64:
         mmat = np.ldexp(mmat, 1 - np.frexp(norm)[1])

@@ -226,31 +226,37 @@ def _worst(residual: np.ndarray):
     return flat, flat_residual[np.arange(len(flat)), flat]
 
 
-def _identity_violations(r: np.ndarray, tol: float):
-    """The checks of dense tensors ``r`` (N >= 1, n, n, n, n), in order: per check
-    the mask of the tensors that fail it and the :class:`TensorValidationError` of
-    tensor ``p``.  The first check names a component that is not finite (every
-    comparison with NaN is False, so no identity could fail); then each of the
-    four identities fails where its worst residual exceeds ``tol`` times the
-    tensor's ``max |R_ijkl|``."""
-    values = r.reshape(len(r), -1)
-    finite = np.isfinite(values)
+def _identity_rules(r: np.ndarray, tol: float) -> list:
+    """The rules (``preconditions._first_errors``) of dense tensors ``r`` (N >= 1,
+    n, n, n, n), in order, each breaking as a :class:`TensorValidationError`: a
+    component that is not finite (every comparison with NaN is False, so no
+    identity could fail), then each of the four identities, where its worst
+    residual exceeds ``tol`` times the tensor's ``max |R_ijkl|``."""
 
-    def not_finite(p):
-        at = int(np.argmin(finite[p]))
-        indices = tuple(int(x) + 1 for x in np.unravel_index(at, r.shape[1:]))
-        return TensorValidationError("finite components", indices, float(abs(values[p, at])))
+    def finite(at):
+        values = r[at]
+        values = values.reshape(len(values), -1)
+        ok = np.isfinite(values)
+        return [
+            None if ok[p, f] else TensorValidationError(
+                "finite components", tuple(int(x) + 1 for x in np.unravel_index(f, r.shape[1:])), float(abs(values[p, f]))
+            )
+            for p, f in enumerate(np.argmin(ok, axis=1).tolist())
+        ]
 
-    yield ~finite.all(axis=1), not_finite
-    threshold = tol * np.maximum(np.max(np.abs(values), axis=1), 1e-300)
-    for name, residual in _IDENTITIES:
-        flat, worst = _worst(residual(r))
+    def identity(name, residual):
+        def rule(at):
+            tensors = r[at]
+            threshold = tol * np.maximum(np.max(np.abs(tensors.reshape(len(tensors), -1)), axis=1), 1e-300)
+            flat, worst = _worst(residual(tensors))
+            return [
+                TensorValidationError(name, tuple(int(x) + 1 for x in np.unravel_index(f, r.shape[1:])), w)
+                if w > bound else None
+                for f, w, bound in zip(flat.tolist(), worst.tolist(), threshold.tolist())
+            ]
+        return rule
 
-        def error(p, name=name, flat=flat, worst=worst):
-            indices = np.unravel_index(flat[p], r.shape[1:])
-            return TensorValidationError(name, tuple(int(x) + 1 for x in indices), float(worst[p]))
-
-        yield worst > threshold, error
+    return [finite, *(identity(name, residual) for name, residual in _IDENTITIES)]
 
 
 def _check_shape(shape: tuple, dim: int) -> None:
@@ -313,9 +319,10 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
     if tol == np.inf:
         return CurvatureTensor(dim=dim, components=r)
 
-    for broken, error in _identity_violations(r[None], tol):
-        if broken[0]:
-            raise error(0)
+    for rule in _identity_rules(r[None], tol):
+        (error,) = rule(slice(None))
+        if error is not None:
+            raise error
     return CurvatureTensor(dim=dim, components=r)
 
 

@@ -120,26 +120,10 @@ def hodge_star(g: np.ndarray, orientation_sign: int = 1) -> HodgeStar:
 def lorentz_metric_from_unit(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Lorentzian metric ``g - 2 (g t)(g t)^T`` from a g-unit timelike-to-be ``t``.
 
-    Parameters
-    ----------
-    g : ndarray
-        Metric that meets the metric rule (:func:`_metric_errors`) within ``tol``.
-    t : ndarray
-        Finite vector with ``g(t, t) == 1`` within ``tol`` (:func:`_unit_errors`).
-
-    Returns
-    -------
-    ndarray
-        Metric of signature (-, +, +, +) that agrees with ``g`` on the
-        orthogonal complement of ``t`` and gives ``t`` squared length -1.
-
-    Raises
-    ------
-    DegenerateMetricError
-        If ``g`` is not finite, not symmetric or not positive definite, with
-        the message ``validate_sample`` gives (``"g must be ..."``).
-    NonUnitVectorError
-        If ``t`` is not finite or not g-unit within ``tol``.
+    The result has signature (-, +, +, +), agrees with ``g`` on the
+    orthogonal complement of ``t`` and gives ``t`` squared length -1.  ``g``
+    and then ``t`` must pass their rules (:func:`_metric_errors`,
+    :func:`_unit_errors`) at ``tol``, or their error is raised.
     """
     g = np.asarray(g, dtype=float)
     _alone(_metric_errors(g[None], "g", tol))
@@ -251,8 +235,10 @@ def complexify(op_matrix: np.ndarray, star_l: HodgeStar, tol: float = 1e-9) -> n
     """
     if star_l.signature != "lorentzian":
         raise DegenerateMetricError("complexification needs a Lorentzian star")
-    c, errors = _complexify(np.asarray(op_matrix, dtype=float)[None], star_l.matrix, tol)
-    return _alone([errors[0] or c[0]])
+    c, (error,) = _complexify(np.asarray(op_matrix, dtype=float)[None], star_l.matrix, tol)
+    if error is not None:
+        raise error
+    return c[0]
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:

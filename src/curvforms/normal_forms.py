@@ -30,7 +30,6 @@ from .curvature import (
     Lambda2Operator,
     _dense,
     _first_bianchi_4,
-    _first_bianchi_errors,
     _pair_matrix,
     component_matrix,
     curvature_from_frame_components,
@@ -43,7 +42,8 @@ from .exceptions import (
     NotCommutingError,
     _alone,
 )
-from .hodge import HodgeStar, _metric_errors
+from .hodge import HodgeStar
+from .preconditions import _first_errors, _preconditions
 
 __all__ = [
     "StarEinsteinReport",
@@ -285,8 +285,8 @@ def lambda2_blocks(
     Raises
     ------
     DimensionError, DegenerateMetricError
-        For other shapes; at the first ``h`` that is not finite or not positive
-        definite (:func:`_lambda2_blocks` at ``tol = inf``: ``"h must be ..."``).
+        For other shapes; at the first ``g`` or ``h`` that is not finite or not
+        positive definite (:func:`_lambda2_blocks` at ``tol = inf``).
     """
     r, h = np.asarray(components, dtype=float), np.asarray(h, dtype=float)
     g = None if g is None else np.asarray(g, dtype=float)
@@ -299,20 +299,17 @@ def lambda2_blocks(
     return blocks
 
 
-def _identity_where(errors: list, m: np.ndarray) -> np.ndarray:
-    """The stacked metrics ``m`` with ``I`` at each point that has an error."""
-    return np.where(np.array([e is None for e in errors], dtype=bool)[:, None, None], m, np.eye(m.shape[-1]))
-
-
-def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None, tol: float, name="h") -> tuple:
+def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None, tol: float, name="h", weight=None) -> tuple:
     """:func:`lambda2_blocks` of the pair matrices ``k0`` (N, 6, 6), without its
-    shape checks, and each point's error, or None: ``hodge._metric_errors`` on
-    ``h``, called ``name`` (one, or one per point), then a first-Bianchi break
-    beyond ``tol`` times ``scale = max |K_0|``.  A point whose ``h`` fails is
-    read against ``I``, with no warning and no LAPACK error; ``g`` None is ``h``."""
-    errors = _metric_errors(h, name, tol)
-    h = _identity_where(errors, h)
-    g = h if g is None else g
+    shape checks, and each point's first error, or None, over the rules
+    (``preconditions._preconditions``) of ``g`` when given, ``h`` (called
+    ``name``: one, or one per point), the rule ``weight`` when given, and
+    ``k0``.  A point with an error is read against ``I``, with no warning and
+    no LAPACK error; ``g`` None is ``h``."""
+    errors = _first_errors([None] * len(k0), _preconditions(tol, g=g, h=h, name=name, weight=weight, k0=k0))
+    clean = np.array([e is None for e in errors], dtype=bool)[:, None, None]
+    h = np.where(clean, h, np.eye(4))
+    g = h if g is None else np.where(clean, g, np.eye(4))
     v = h_orthonormal_frame(h)
     k = _in_frame(k0, v)
     a, b, d = k[:, :3, :3], k[:, :3, 3:], k[:, 3:, 3:]
@@ -328,7 +325,7 @@ def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None, tol: fl
         frames=v, k=k, residual=residual, norm=norm,
         evp=evp, up=up, evm=evm, um=um, bianchi=bianchi, scale=scale, gram=gram,
     )
-    return blocks, [m or b for m, b in zip(errors, _first_bianchi_errors(bianchi, scale, tol))]
+    return blocks, errors
 
 
 # ---- star-h Einstein test ----
@@ -354,12 +351,8 @@ def is_star_h_einstein(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) ->
 
     Raises
     ------
-    DegenerateMetricError
-        If ``h`` breaks the metric rule (``hodge._metric_errors``: finite,
-        symmetric within ``tol``, positive definite), with the message
-        ``validate_sample`` gives (``"h must be ..."``).
-    TensorValidationError
-        If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
+    GeometryError
+        The first error of :func:`_lambda2_blocks` (the rules of ``h`` and ``rm``).
     """
     h = np.asarray(h, dtype=float)
     if rm.dim != 4 or h.shape != (4, 4):
@@ -372,18 +365,18 @@ def _star_einstein(k0: np.ndarray, r: np.ndarray, h: np.ndarray, tol: float, nam
     """Per point of the pair matrices ``k0`` (N, 6, 6) and dense components ``r``
     (N, 4, 4, 4, 4) against the metrics ``h`` (N, 4, 4), called ``name``: its
     :class:`StarEinsteinReport`, or its :func:`_lambda2_blocks` error.  The h-trace
-    ``h^{jl} R_{jabl}``, ``f`` and the trace residual are taken for the stack (``h = I`` at an error)."""
+    ``h^{jl} R_{jabl}``, ``f`` and the trace residual are taken for the points without one at once."""
     blocks, errors = _lambda2_blocks(k0, h, None, tol, name)
-    h = _identity_where(errors, h)
-    hinv = np.linalg.inv(h)
-    trace = np.einsum("njl,njabl->nab", hinv, r, optimize=True)
-    f = np.trace(hinv @ trace, axis1=1, axis2=2) / 4.0
-    trace_residual = np.max(np.abs(trace - f[:, None, None] * h), axis=(1, 2))
-    columns = (blocks.commuting(tol), blocks.residual, blocks.norm, f, trace_residual)
-    return [
-        error or StarEinsteinReport(*values, h_trace=hn)
-        for error, *values, hn in zip(errors, *(c.tolist() for c in columns), trace)
-    ]
+
+    def reports(at):
+        hinv = np.linalg.inv(h[at])
+        trace = np.einsum("njl,njabl->nab", hinv, r[at], optimize=True)
+        f = np.trace(hinv @ trace, axis1=1, axis2=2) / 4.0
+        trace_residual = np.max(np.abs(trace - f[:, None, None] * h[at]), axis=(1, 2))
+        columns = (blocks.commuting(tol)[at], blocks.residual[at], blocks.norm[at], f, trace_residual)
+        return [StarEinsteinReport(*values, h_trace=hn) for *values, hn in zip(*(c.tolist() for c in columns), trace)]
+
+    return _first_errors(errors, [reports])
 
 
 # ---- 4-dimensional normal form ----
@@ -496,7 +489,8 @@ def _read_off(k, f, scale, tol):
 
 def _normal_forms(blocks: Lambda2Blocks, errors: list, h, g, tol) -> list:
     """Per point of :func:`_lambda2_blocks`'s ``blocks`` and ``errors`` for the
-    stacks ``h``, ``g``: that error, else its g-orthogonal normal form, else its plain one, else its error.
+    stacks ``h``, ``g``: that error, else a :class:`NotCommutingError`, else its
+    g-orthogonal normal form, else its plain one, else its error.
 
     Each point has seven frames: the six pairing frames, in :data:`_PAIRINGS`
     order, and the eigenframe of ``g``.  One verdict, :func:`_g_lengths` on the
@@ -507,14 +501,20 @@ def _normal_forms(blocks: Lambda2Blocks, errors: list, h, g, tol) -> list:
     first g-orthogonal frame that matches the block pattern wins; else pairing
     0 gives the plain form.  ``g=None`` asks for the plain form alone.
     """
-    results = list(errors)
-    for n in np.flatnonzero(~blocks.commuting(tol)).tolist():
-        results[n] = results[n] or NotCommutingError(
-            "operator does not commute with the h-star; no normal form",
-            residual=float(blocks.residual[n] / max(blocks.norm[n], 1e-300)),
-        )
 
-    points = np.flatnonzero([r is None for r in results])
+    def commuting(at):
+        residual = blocks.residual[at] / np.maximum(blocks.norm[at], 1e-300)
+        return [
+            None if ok else NotCommutingError("operator does not commute with the h-star; no normal form", residual=r)
+            for ok, r in zip(blocks.commuting(tol)[at].tolist(), residual.tolist())
+        ]
+
+    return _first_errors(errors, [commuting, lambda at: _forms(blocks, np.arange(len(blocks.k))[at], h, g, tol)])
+
+
+def _forms(blocks: Lambda2Blocks, points: np.ndarray, h, g, tol) -> list:
+    """The normal form, or the :class:`FrameReconstructionError`, of each of the commuting ``points`` (see :func:`_normal_forms`)."""
+    results = []
     frames = _pairing_frames(blocks.up[points], blocks.um[points])
     orthogonal, lengths = np.zeros((len(points), 1), dtype=bool), np.ones((len(points), 1, 4))
     if g is not None:
@@ -547,13 +547,13 @@ def _normal_forms(blocks: Lambda2Blocks, errors: list, h, g, tol) -> list:
                 rows = ScaledNormalForm(
                     scaled.c[j], scaled.lambdas_scaled[j], scaled.kappas_scaled[j], scaled.mus_scaled[j]
                 )
-            results[i] = NormalForm4(f[e], lambdas[e], mus[e], h[i], rows)
+            results.append(NormalForm4(f[e], lambdas[e], mus[e], h[i], rows))
         else:
-            results[i] = FrameReconstructionError(
+            results.append(FrameReconstructionError(
                 "components in the reconstructed frame do not match the normal-form "
                 f"pattern (residual {residual[e]:.3e})",
                 diagnostics={"lambdas": lambdas[e].tolist(), "mus": mus[e].tolist()},
-            )
+            ))
     return results
 
 
@@ -578,14 +578,9 @@ def normal_form_4(rm: CurvatureTensor, h: np.ndarray, tol: float = 1e-9) -> Norm
 
     Raises
     ------
-    DegenerateMetricError
-        If ``h`` breaks the metric rule, as in :func:`is_star_h_einstein`.
-    TensorValidationError
-        If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
-    NotCommutingError
-        If ``rm`` fails :func:`is_star_h_einstein` at ``tol``.
-    FrameReconstructionError
-        If the components in the frame miss the pattern; carries diagnostics.
+    GeometryError
+        The first error of :func:`_normal_forms` (the rules of ``h`` and ``rm``,
+        commuting at ``tol``, the pattern); a missed pattern carries diagnostics.
     """
     return _alone([_normal_form_of(rm, h, None, tol)[1]])
 
@@ -604,14 +599,10 @@ def orthogonal_normal_form_4(
 
     Raises
     ------
-    DegenerateMetricError
-        If ``h`` breaks the metric rule, as in :func:`is_star_h_einstein`.
-    TensorValidationError
-        If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
-    NotCommutingError
-        If ``rm`` fails :func:`is_star_h_einstein` at ``tol``.
-    FrameReconstructionError
-        If no pairing and no eigenframe of ``g`` yields a g-orthogonal frame.
+    GeometryError
+        The first error of :func:`_normal_forms` (the rules of ``g``, ``h`` and
+        ``rm`` first), or a :class:`FrameReconstructionError` if no pairing and
+        no eigenframe of ``g`` yields a g-orthogonal frame.
     """
     blocks, nf = _normal_form_of(rm, h, g, tol)
     if isinstance(nf, NormalForm4) and nf.scaled is not None:
@@ -636,8 +627,8 @@ def preferred_normal_form_4(
 
     Raises
     ------
-    DegenerateMetricError, TensorValidationError, NotCommutingError, FrameReconstructionError
-        As :func:`normal_form_4` does; ``g`` only chooses the frame.
+    GeometryError
+        As :func:`normal_form_4` does, with the rule of ``g`` before that of ``h``.
     """
     return _alone([_normal_form_of(rm, h, g, tol)[1]])
 

@@ -45,7 +45,8 @@ from .normal_forms import (
     _normal_forms,
     _off_diagonal,
 )
-from .zoo import _sample_chunks
+from .preconditions import _first_errors
+from .zoo import _real, _sample_chunks
 
 __all__ = [
     "IntegrandValue",
@@ -147,12 +148,14 @@ def chi_tau_densities(
         raise DimensionError("g_inverse_in_frame must be 4x4")
     l, m = (np.asarray(v, dtype=float)[None] for v in (nf.lambdas, nf.mus))
     terms, scaled, (error,) = _densities(l, m, gi[None], tol)
-    orthogonal = error is None and bool(_off_diagonal(gi, tol)[1])
-    return _alone([error or IntegrandValue(
+    if error is not None:
+        raise error
+    orthogonal = bool(_off_diagonal(gi, tol)[1])
+    return IntegrandValue(
         **{k: float(v[0]) for k, v in terms.items() if orthogonal or k in _FRAME_TERMS},
         orthogonal=orthogonal,
         scaled=ScaledNormalForm(*(getattr(scaled, f.name)[0] for f in fields(scaled))) if orthogonal else None,
-    )])
+    )
 
 
 def _densities(lambdas: np.ndarray, mus: np.ndarray, gi: np.ndarray, tol: float) -> tuple:
@@ -306,8 +309,8 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
         terms are kept as exact partial sums, so memory does not grow with
         the number of samples.
     tol : float
-        Tolerance for the metric rule on ``g`` and then ``h``, the first
-        Bianchi identity and the star-commuting precondition at each point.
+        Tolerance of the rules (``preconditions._preconditions``) and of the
+        star-commuting test.
 
     Points whose operator does not commute with the h-star have no
     normal form and are skipped (counted in ``skipped_points``).  Where
@@ -318,63 +321,60 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
 
     Raises
     ------
-    DegenerateMetricError
-        If ``g`` or ``h`` breaks the metric rule (``hodge._metric_errors``),
-        with the message ``validate_sample`` gives (``"g must be ..."``, ``"h must be ..."``).
-    TensorValidationError
-        If a tensor breaks the first Bianchi identity beyond ``tol`` times
-        its largest component.
-    ValueError
-        If a weight is missing, negative or not finite, or a sample is not
-        4-dimensional (``DimensionError``); the first such sample raises,
-        after the points before it.
+    GeometryError, ValueError
+        The first error of :func:`_integrate_chunks`.
     """
     return _integrate_chunks(_sample_chunks(samples), tol)
 
 
 def _integrate_chunks(chunks, tol: float = 1e-9) -> IntegrationResult:
     """The totals over chunks (:class:`curvforms.zoo._Chunk`) of samples or of a
-    file.  The first point that the stack cannot take (one of ``others``, or a
-    weight that is negative or not finite) raises, after the points before it;
-    a stacked one raises its first metric error (``g``, then ``h``) before its
-    weight error, in ``validate_sample``'s order."""
+    file.  The first point that the stack cannot take (one of ``others``) or
+    whose weight is not valid raises, after the points before it; a stacked
+    one raises its first error of :func:`_integrate_stack`."""
     terms, points = _Terms(), 0
     for chunk in chunks:
-        rejected = [(i, getattr(sample, "weight", None)) for i, sample in chunk.others]
-        rejected += [(int(i), w) for i, w in zip(chunk.index, chunk.weights) if not 0 <= w < math.inf]
-        stop = min(rejected, default=None)
-        before = slice(None) if stop is None else chunk.index < stop[0]
-        _integrate_stack(
-            chunk.k0[before], chunk.h[before], chunk.g[before], chunk.weights[before], tol, terms
-        )
-        if stop is not None:
-            index, weight = stop
-            at = chunk.index == index
-            for m, name in ((chunk.g[at], "g"), (chunk.h[at], "h")):
-                error = next(filter(None, _metric_errors(m, name, tol)), None)
-                if error is not None:
-                    raise error
-            if weight is None:
-                raise ValueError(f"sample {index} carries no quadrature weight")
-            if isinstance(weight, (bool, np.bool_)):
-                raise ValueError(f"sample {index} has invalid weight {weight!r}")
-            if not 0 <= float(weight) < math.inf:
-                raise ValueError(f"sample {index} has invalid weight {float(weight)!r}")
-            raise DimensionError("Euler/signature densities are specific to dim 4")  # any other
+        valid = (0 <= chunk.weights) & (chunk.weights < math.inf)
+        others = dict(chunk.others)
+        stop = min([*others, *chunk.index[~valid].tolist()], default=math.inf)
+        for part in (chunk.index < stop, chunk.index == stop):
+            _integrate_stack(chunk.k0[part], chunk.h[part], chunk.g[part], chunk.weights[part], chunk.index[part], tol, terms)
+        if stop in others:
+            raise _unstacked_error(stop, others[stop])
         terms.fold()
         points += chunk.size
     return terms.result(points)
 
 
-def _integrate_stack(k0, h, g, weights, tol, terms: _Terms) -> None:
+def _unstacked_error(index: int, sample) -> Exception:
+    """The error of point ``index``, a sample the stack cannot take: its weight is not a
+    real number (a ``bool`` is not) or not valid, or it is not 4-dimensional."""
+    weight = getattr(sample, "weight", None)
+    if weight is None:
+        return ValueError(f"sample {index} carries no quadrature weight")
+    value = _real(weight, weight)
+    if not (isinstance(value, float) and 0 <= value < math.inf):
+        return ValueError(f"sample {index} has invalid weight {value!r}")
+    return DimensionError("Euler/signature densities are specific to dim 4")
+
+
+def _integrate_stack(k0, h, g, weights, index, tol, terms: _Terms) -> None:
     """Add the terms of stacked points: pair matrices ``k0`` (N, 6, 6), metrics
-    ``h``, ``g`` and weights.  The first point that breaks the metric rule on
-    ``g`` or fails :func:`_lambda2_blocks`'s checks raises its first error, else
-    the first whose normal form or densities fail; then no term is added."""
+    ``h``, ``g``, weights and point indices.  The first point that breaks a
+    rule of :func:`_lambda2_blocks` (with ``g`` and the weight rule, ``"sample
+    i has invalid weight w"``) raises its first error, else the first whose
+    normal form or densities fail; then no term is added."""
+
+    def weight(at):
+        return [
+            None if 0 <= w < math.inf else ValueError(f"sample {i} has invalid weight {w!r}")
+            for i, w in zip(index[at].tolist(), weights[at].tolist())
+        ]
+
     if not len(k0):
         return
-    blocks, errors = _lambda2_blocks(k0, h, g, tol)
-    error = next(filter(None, (m or e for m, e in zip(_metric_errors(g, "g", tol), errors))), None)
+    blocks, errors = _lambda2_blocks(k0, h, g, tol, weight=weight)
+    error = next(filter(None, errors), None)
     if error is not None:
         raise error
     commuting = blocks.commuting(tol)
@@ -466,14 +466,8 @@ def weyl_split_check(
     star, the scalar curvature, ``w_plus + w_minus``, and the deviation of
     the Lorentz trace from a multiple of the Lorentz metric.  This is
     :func:`_weyl_splits` for one point, the stacked check that
-    ``curvforms einstein-check --metric lorentz`` runs on each chunk of a file.
-
-    Raises
-    ------
-    TensorValidationError
-        If ``rm`` breaks first Bianchi beyond ``tol`` times its largest component.
-    DegenerateMetricError, NonUnitVectorError
-        If ``g`` or ``t`` breaks its rule at ``tol``, as in :func:`curvforms.complex_forms.adapted_frame`.
+    ``curvforms einstein-check --metric lorentz`` runs on each chunk of a
+    file; it raises the point's error at ``tol``.
     """
     if rm.dim != 4:
         raise DimensionError(_NOT_DIM_4)
@@ -486,6 +480,12 @@ def _weyl_splits(k0: np.ndarray, r: np.ndarray, g: np.ndarray, t: np.ndarray, to
     metrics ``g`` and vectors ``t``: its :class:`WeylSplitReport`, or its error
     from :func:`curvforms.complex_forms._adapted` at ``tol``."""
     k, frames, errors = _adapted(k0, g, t, tol)
+    return _first_errors(errors, [lambda at: _split(k[at], frames[at], r[at], tol)])
+
+
+def _split(k: np.ndarray, frames: np.ndarray, r: np.ndarray, tol: float) -> list:
+    """The :class:`WeylSplitReport` of each point of :func:`_weyl_splits` from its
+    components ``k`` in its adapted frame."""
     scal = 0.0 - 2.0 * np.trace(k, axis1=1, axis2=2)  # +0.0, not -0.0, for a flat tensor
     a, b, d = k[:, :3, :3], k[:, :3, 3:], k[:, 3:, 3:]
     half = (a + d) / 2.0 + (scal / 12.0)[:, None, None] * np.eye(3)
@@ -504,8 +504,8 @@ def _weyl_splits(k0: np.ndarray, r: np.ndarray, g: np.ndarray, t: np.ndarray, to
         np.max(np.abs(trace - f[:, None, None] * _ETA), axis=(1, 2)),
     )
     return [
-        error or WeylSplitReport(wp, wm, rel, *values)
-        for error, wp, wm, rel, *values in zip(errors, w_plus, w_minus, relation, *(c.tolist() for c in columns))
+        WeylSplitReport(wp, wm, rel, *values)
+        for wp, wm, rel, *values in zip(w_plus, w_minus, relation, *(c.tolist() for c in columns))
     ]
 
 

@@ -16,7 +16,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, islice, product
+from itertools import chain, islice, product, repeat
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .curvature import (
     CurvatureTensor,
     _check_shape,
     _dense,
-    _identity_violations,
+    _identity_rules,
     _pair_matrix,
     _scatter_rows,
     curvature_from_frame_components,
@@ -40,8 +40,9 @@ from .exceptions import (
     TensorValidationError,
     _alone,
 )
-from .hodge import _deformed, _metric_errors, _unit_errors
+from .hodge import _deformed, _metric_errors
 from .normal_forms import _pattern_components, h_orthonormal_frame
+from .preconditions import _first_errors, _preconditions
 
 __all__ = [
     "PointSample",
@@ -84,12 +85,11 @@ class PointSample:
 def validate_sample(sample: PointSample, tol: float = 1e-9) -> None:
     """Check every invariant of a sample; raise on the first violation.
 
-    The metrics must pass ``hodge._metric_errors`` (finite, symmetric, positive
-    definite by Cholesky), ``t`` (when present) ``hodge._unit_errors`` (finite, g-unit
-    within ``tol``), the weight must be a real number (not a ``bool``) that is finite
-    and nonnegative, and the curvature components must pass :func:`validate_curvature` at ``tol``.
-    This is the one-point call of the stacked check that ``curvforms
-    validate`` runs on each chunk of a file.
+    The rules are ``preconditions._preconditions`` on ``g``, ``h``, ``t`` and
+    the weight (a real number, not a ``bool``, that is finite and
+    nonnegative), with every identity of :func:`validate_curvature` in place
+    of first Bianchi, at ``tol``.  This is the one-point call of the stacked
+    check that ``curvforms validate`` runs on each chunk of a file.
     """
     error = _sample_error(sample, tol)
     if error is not None:
@@ -113,57 +113,28 @@ def _chunk_errors(chunk, tol: float) -> list:
     return _stack_errors(4, chunk.g, chunk.h, chunk.t, chunk.weights.tolist(), 4, r, tol, chunk.has_t)
 
 
-def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float, has_t=True) -> list:
-    """The first violation of every point of a stack, or None where it has none.
+def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float, has_t=None) -> list:
+    """The first violation of :func:`validate_sample` of every point of a stack, or
+    None: ``g``, ``h`` (None when no point has one), ``t`` (None, or given where
+    ``has_t``; other rows, NaN in a :class:`_Chunk`, pass), ``weights`` (a list)
+    and dense components ``r`` of dimension ``rm_dim``."""
 
-    ``g`` and ``h`` are (N, dim, dim) (``h`` None when no point has one), ``t``
-    (N, dim) or None, ``has_t`` (N,) where ``t`` is given (default: every row;
-    the other rows, NaN in a :class:`_Chunk`, pass), ``weights`` a list, ``r``
-    the dense curvature components (N, dim, dim, dim, dim) of dimension
-    ``rm_dim``.  The checks and their order are :func:`validate_sample`'s; a
-    check runs only while some point has passed every check before it.
-    """
-    errors = [None] * len(weights)
-    for bad, error in _violations(dim, g, h, t, has_t, weights, rm_dim, r, tol):
-        for p in np.flatnonzero(np.broadcast_to(bad, len(errors))).tolist():
-            if errors[p] is None:
-                errors[p] = error(p)
-        if None not in errors:
-            break
-    return errors
+    def weight(at):
+        return [
+            None if 0 <= _real(w, math.nan) < math.inf
+            else ValueError(f"weight must be a finite nonnegative number, got {w!r}")
+            for w in map(weights.__getitem__, np.arange(len(weights))[at].tolist())
+        ]
 
-
-def _violations(dim, g, h, t, has_t, weights, rm_dim, r, tol):
-    """The checks of :func:`_stack_errors`, in order: a mask of the points that fail
-    (a plain ``True`` when all do), and the error of failing point ``p``."""
-    for m, name in ((g, "g"), (h, "h")):
-        if m is None:
-            continue
-        if m.shape[1:] != (dim, dim):
-            error = DimensionError(f"{name} must be {dim}x{dim}, got {m.shape[1:]}")
-            yield True, lambda p: error
-            return
-        errors = _metric_errors(m, name, tol)
-        yield [e is not None for e in errors], errors.__getitem__
-    if t is not None:
-        if t.shape[1:] != (dim,):
-            yield True, lambda p: DimensionError(f"T must have {dim} components")
-            return
-        errors = _unit_errors(g, t, tol)[1]
-        yield has_t & np.array([e is not None for e in errors], dtype=bool), errors.__getitem__
-    yield (
-        [not 0 <= _real(w, math.nan) < math.inf for w in weights],
-        lambda p: ValueError(f"weight must be a finite nonnegative number, got {weights[p]!r}"),
-    )
-    if rm_dim != dim:
-        yield True, lambda p: DimensionError("curvature dimension does not match the sample")
-        return
+    rules = _preconditions(tol, g=g, h=h, t=t, given=has_t, weight=weight, dim=dim)
     try:
+        if rm_dim != dim:
+            raise DimensionError("curvature dimension does not match the sample")
         _check_shape(r.shape[1:], dim)
+        rules += _identity_rules(r, tol)
     except DimensionError as err:
-        yield True, lambda p: err
-        return
-    yield from _identity_violations(r, tol)
+        rules.append(lambda at: repeat(err))
+    return _first_errors([None] * len(weights), rules)
 
 
 # ---- line format ----
@@ -198,7 +169,8 @@ def sample_to_json(sample: PointSample) -> str:
     Metrics are stored as the row-major lower triangle; curvature as the
     canonical sparse rows of :meth:`CurvatureTensor.to_sparse`.  Key order
     and number formatting are fixed, so equal samples serialize to equal
-    bytes.
+    bytes.  The weight must be a number as :func:`sample_from_json` reads it
+    (not a ``bool``), or :class:`SampleFormatError` is raised.
     """
     n = int(sample.dim)
     g = np.asarray(sample.g, dtype=float)
@@ -211,7 +183,7 @@ def sample_to_json(sample: PointSample) -> str:
         f"[{i}, {j}, {k}, {l}, {_fmt(v)}]" for i, j, k, l, v in sample.rm.to_sparse()
     )
     parts.append(f'"rm": [{rows}]')
-    parts.append(f'"weight": {_fmt(sample.weight)}')
+    parts.append(f'"weight": {_fmt(_require_number(sample.weight, "weight", None))}')
     if sample.coords is not None:
         parts.append(f'"coords": {_fmt_list(np.asarray(sample.coords, dtype=float))}')
     return "{" + ", ".join(parts) + "}"
@@ -649,9 +621,7 @@ def gen_product_spheres(a: float, b: float, grid_spec, h_scales=None):
     ``h_scales = (s1, s2)`` attaches the block-scaled second metric
     ``h = diag(s1, s1, s2, s2)``; the induced star commutes with the
     curvature operator exactly when ``s1 / s2 = b / a`` (the more curved
-    factor carries the larger scale).  ``h`` must meet the metric rule
-    (``hodge._metric_errors``: finite and positive scales), or
-    :class:`DegenerateMetricError` is raised.
+    factor carries the larger scale); its scales must be finite and positive.
     """
     if not (a > 0 and b > 0):
         raise ValueError("radii must be positive")
@@ -690,10 +660,7 @@ def gen_synthetic_star_h(
     lambdas, mus : array_like, shape (3,)
         Normal-form values (any order; extraction sorts canonically).
     h_diag, g_diag : array_like, shape (4,)
-        Finite positive diagonals of the two metrics, in ambient coordinates:
-        ``diag(h_diag)`` and ``diag(g_diag)`` must meet the metric rule
-        (``hodge._metric_errors``), or :class:`DegenerateMetricError`
-        is raised.
+        Finite positive diagonals of the two metrics, in ambient coordinates.
     frame_rotation : ndarray, optional
         Orthogonal 4x4 matrix rotating the frame inside the h-orthonormal
         model; the identity keeps the frame g-orthogonal for diagonal ``g``.

@@ -1669,16 +1669,20 @@ _INDEFINITE = np.diag([1.0, 1.0, 1.0, -1.0])
 _E0 = np.eye(4)[0]
 
 
+# the breakers a file cannot hold: it holds finite numbers and the lower triangle
+_UNWRITABLE = ("NaN h", "asymmetric h", "NaN g")
+
+
 def precondition_breakers():
-    """Points that each break a precondition, some two at once, by name; the
-    NaN and asymmetric ``h`` cannot be written to a file (it holds finite
-    numbers and the lower triangle)."""
+    """Points that each break a precondition, some two at once, by name."""
     nan_h, upper_h = np.eye(4), np.eye(4)
     nan_h[2, 2], upper_h[0, 1] = math.nan, 0.5
     point = PointSample(dim=4, g=np.eye(4), rm=_SPACE_FORM, weight=1.0, t=_E0)
     return {
         "indefinite h": dataclasses.replace(point, h=_INDEFINITE),
         "indefinite g, no h": dataclasses.replace(point, g=_INDEFINITE),
+        "indefinite g with h": dataclasses.replace(point, g=_INDEFINITE, h=np.eye(4)),
+        "NaN g": dataclasses.replace(point, g=nan_h, h=np.eye(4)),
         "NaN h": dataclasses.replace(point, h=nan_h),
         "asymmetric h": dataclasses.replace(point, h=upper_h),
         "Bianchi and indefinite g": dataclasses.replace(point, g=_INDEFINITE, rm=_BIANCHI_BROKEN),
@@ -1699,12 +1703,13 @@ def rules_of(path, sample):
     """The sample whose validate_sample checks exactly the rules ``path`` applies
     to ``sample``, under the names it gives them; None where the path reads no point."""
     plain = dataclasses.replace(sample, t=None)
-    h_frame = dataclasses.replace(plain, g=np.eye(4), h=sample.g if sample.h is None else sample.h)
+    h = sample.g if sample.h is None else sample.h
     return {
-        "h-frame library": h_frame,
+        "h-frame library": dataclasses.replace(plain, g=np.eye(4), h=h),
+        "g and h-frame library": dataclasses.replace(plain, h=h),
         "lorentz library": dataclasses.replace(sample, h=None),
         "integrate_samples": plain,
-        "normal-form": plain if sample.h is None else dataclasses.replace(plain, g=np.eye(4)),
+        "normal-form": plain,
         "einstein-check --metric g": dataclasses.replace(plain, h=None),
         "einstein-check --metric h": None if sample.h is None else dataclasses.replace(plain, g=np.eye(4)),
         "einstein-check --metric lorentz": dataclasses.replace(sample, h=None),
@@ -1726,10 +1731,9 @@ def library_errors(sample):
     h = sample.g if sample.h is None else sample.h
     rm, g, t = sample.rm, sample.g, sample.t
     return {
-        "h-frame library": [
-            error(is_star_h_einstein, rm, h), error(normal_forms.normal_form_4, rm, h),
-            error(normal_forms.orthogonal_normal_form_4, rm, h, np.eye(4)),
-            error(preferred_normal_form_4, rm, h, np.eye(4)),
+        "h-frame library": [error(is_star_h_einstein, rm, h), error(normal_forms.normal_form_4, rm, h)],
+        "g and h-frame library": [
+            error(normal_forms.orthogonal_normal_form_4, rm, h, g), error(preferred_normal_form_4, rm, h, g),
         ],
         "lorentz library": [
             error(classify_complex, rm, g, t), error(count_spacelike_critical, rm, g, t),
@@ -1749,7 +1753,7 @@ class TestPreconditionParity:
                 assert errors == [expected] * len(errors), path
 
     def test_every_command_reads_validate_samples_first_violation(self, tmp_path, capsys):
-        samples = [s for name, s in precondition_breakers().items() if name not in ("NaN h", "asymmetric h")]
+        samples = [s for name, s in precondition_breakers().items() if name not in _UNWRITABLE]
         path = tmp_path / "breakers.jsonl"
         write_samples(path, samples)
         checked = set()

@@ -573,13 +573,13 @@ class TestGEigenframe:
         assert nf.scaled is not None
         npt.assert_allclose(scaled_normal_form(nf, g).scaled.c, nf.scaled.c, rtol=1e-15)  # its frame passes
 
-    def test_an_indefinite_g_gives_the_plain_form_without_a_warning(self):
-        # a frame whose g-lengths are not all positive is not rescaled, so no sqrt of them is taken
+    def test_an_indefinite_g_breaks_the_metric_rule_without_a_warning(self):
+        # g's rule comes before h's, as in validate_sample, so no frame is judged against it
         sample = gen_synthetic_star_h([0.9, -0.4, 0.2], [0.5, -0.3, -0.2], [1, 2, 0.5, 1.5], [2, 1, 1, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            nf = preferred_normal_form_4(sample.rm, sample.h, np.diag([1.0, 1.0, 1.0, -1.0]))
-        assert nf.scaled is None
+            with pytest.raises(DegenerateMetricError, match="^g must be positive definite$"):
+                preferred_normal_form_4(sample.rm, sample.h, np.diag([1.0, 1.0, 1.0, -1.0]))
 
 
 def near_threshold_star_h(rng):

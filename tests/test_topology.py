@@ -1,5 +1,6 @@
 """Euler/signature integrands, quadrature, Weyl split, and block sums."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -12,7 +13,7 @@ import pytest
 
 from curvforms import topology
 from curvforms.complex_forms import adapted_frame, complex_case_matrix, tensor_from_complex_form
-from curvforms.curvature import space_form, validate_curvature
+from curvforms.curvature import space_form, transform_frame, validate_curvature
 from curvforms.exceptions import DegenerateMetricError, DimensionError, TensorValidationError
 from curvforms.normal_forms import NormalForm4, ScaledNormalForm, orthogonal_normal_form_4, preferred_normal_form_4
 from curvforms.topology import (
@@ -585,6 +586,12 @@ class TestIntegrateSamples:
             with pytest.raises(ValueError, match=re.escape(f"sample 1 has invalid weight {weight!r}")):
                 integrate_samples([make_sample(rm, np.eye(4), None, 1.0), make_sample(rm, np.eye(4), None, weight)])
 
+    @pytest.mark.parametrize("weight", ["2", "abc", [1.0]])
+    def test_a_weight_that_is_not_a_number_is_rejected(self, weight):
+        rm = space_form(4, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"sample 1 has invalid weight {weight!r}")):
+            integrate_samples([make_sample(rm, np.eye(4), None, 1.0), make_sample(rm, np.eye(4), None, weight)])
+
     def test_dimension_guard(self):
         rm = space_form(3, 1.0)
         with pytest.raises(DimensionError):
@@ -814,3 +821,52 @@ class TestConnectedSum:
     def test_hypersurface_degree_must_be_ascii_digits(self, raw, shown):
         with pytest.raises(ValueError, match=re.escape(f"hypersurface degree must be a positive integer, got {shown}")):
             parse_block_expression(f"HYP({raw})")
+
+
+def changed_coordinates(sample, a):
+    """``sample`` in the coordinates ``x = a y``: its metrics ``a^T g a`` and
+    components ``R(a e_i, a e_j, a e_k, a e_l)``, with the weight kept."""
+    rm = validate_curvature(transform_frame(sample.rm, a))
+    return dataclasses.replace(sample, g=a.T @ sample.g @ a, h=a.T @ sample.h @ a, rm=rm)
+
+
+class TestWeightIsTheGVolume:
+    """A weight is the cell's g-volume dV_g, not its coordinate volume, so a
+    change of coordinates that keeps the weights keeps every total."""
+
+    @staticmethod
+    def samples_and_change(seed, orientation):
+        rng = np.random.default_rng(seed)
+        samples = []
+        for _ in range(6):
+            m1, m2 = rng.uniform(-1.0, 1.0, 2)
+            q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+            q[:, 0] *= np.sign(np.linalg.det(q))
+            samples.append(gen_synthetic_star_h(
+                rng.uniform(-2.0, 2.0, 3), [m1, m2, -m1 - m2], rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4),
+                frame_rotation=q if rng.uniform() < 0.5 else None, weight=rng.uniform(0.1, 1.0),
+            ))
+        a = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+        a[:, 0] *= orientation * np.sign(np.linalg.det(a))
+        return samples, a
+
+    @pytest.mark.parametrize("seed", [3101, 3102, 3103])
+    def test_an_orientation_preserving_change_keeps_chi_tau_and_the_normal_forms(self, seed):
+        samples, a = self.samples_and_change(seed, 1.0)
+        moved = [changed_coordinates(s, a) for s in samples]
+        before, after = integrate_samples(samples), integrate_samples(moved)
+        for name in ("chi_estimate", "tau_estimate", "correction_estimate", "total_weight"):
+            npt.assert_allclose(getattr(after, name), getattr(before, name), rtol=1e-8, atol=1e-10)
+        assert after.general_frame_points == before.general_frame_points
+        for s, m in zip(samples, moved):
+            nf, mf = preferred_normal_form_4(s.rm, s.h, s.g), preferred_normal_form_4(m.rm, m.h, m.g)
+            npt.assert_allclose(mf.lambdas, nf.lambdas, rtol=1e-8, atol=1e-10)
+            npt.assert_allclose(mf.mus, nf.mus, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [3104, 3105])
+    def test_an_orientation_reversing_change_keeps_chi_and_negates_tau(self, seed):
+        samples, a = self.samples_and_change(seed, -1.0)
+        before, after = integrate_samples(samples), integrate_samples([changed_coordinates(s, a) for s in samples])
+        npt.assert_allclose(after.chi_estimate, before.chi_estimate, rtol=1e-8, atol=1e-10)
+        npt.assert_allclose(after.tau_estimate, -before.tau_estimate, rtol=1e-8, atol=1e-10)
+        assert abs(before.tau_estimate) > 1e-3

@@ -241,6 +241,14 @@ class TestLineFormat:
         with opener(path, "rb") as fh, opener(again, "rb") as gh:
             assert fh.read() == gh.read() == ("\n".join(lines) + "\n").encode()
 
+    @pytest.mark.parametrize("weight", [True, "2"])
+    def test_a_weight_the_reader_rejects_is_not_written(self, weight):
+        # written as 1 and 2, they would read back as valid weights
+        sample, _, _ = random_star_h_sample(np.random.default_rng(13))
+        with pytest.raises(SampleFormatError) as info:
+            sample_to_json(dataclasses.replace(sample, weight=weight))
+        assert str(info.value) == f"weight must be a number, got {weight!r}"
+
     def test_key_order_fixed(self):
         sample = gen_synthetic_star_L(np.diag([1.0, -1.0, 0.0]), np.zeros((3, 3)))
         line = sample_to_json(sample)
