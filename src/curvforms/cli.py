@@ -20,17 +20,16 @@ The reader checks structure only and completes each tensor by its index
 symmetries.  ``validate`` checks every rule of ``preconditions._preconditions``
 and every identity; the other commands check the rules they need, in the
 same order and with the same messages.  A point that fails one gets an
-``error`` field and exit 1 (a ``note`` for a metric in ``normal-form``), and
-``integrate`` stops with exit 1 on it.  Every file command streams the file
-in chunks (``zoo._read_chunks``): each line's dimension-4 rows go straight
-into a stacked 6x6 pair matrix, and each analysis runs once per chunk, for
-all of its dimension-4 points, in the stacked kernel whose one-point call is
-the library function (``validate_sample``, ``is_star_h_einstein``,
-``weyl_split_check``, ``preferred_normal_form_4``, ``classify_complex``);
-``integrate`` runs the chunk driver of ``integrate_samples``.  Where a LAPACK call fails on a chunk, its points run
-one at a time, so the failure is the error of its point only.  ``integrate``
-reads the whole file before it reports an analysis error, so a format error
-anywhere still exits 2.  ``--tol`` must be a finite non-negative number.
+``error`` field and exit 1 (a ``note`` for a metric in ``normal-form``).
+Every file command streams the file in chunks (``zoo._read_chunks``): each
+line's dimension-4 rows go straight into a stacked 6x6 pair matrix, and each
+chunk runs through ``exceptions._chunk_results`` in the stacked kernel whose
+one-point call is the library function (``validate_sample``,
+``is_star_h_einstein``, ``weyl_split_check``, ``preferred_normal_form_4``,
+``classify_complex``); ``integrate`` runs the chunk path of
+``integrate_samples`` and exits 1 on the first error in point order once it
+has read the whole file, so a format error anywhere still exits 2.  ``--tol``
+must be a finite non-negative number.
 """
 
 import argparse
@@ -49,7 +48,7 @@ from .exceptions import (
     NotCommutingError,
     SampleFormatError,
     TensorValidationError,
-    _stacked_or_alone,
+    _chunk_results,
 )
 from .zoo import _read_chunks
 
@@ -92,28 +91,15 @@ _NO_H = GeometryError("sample has no h metric")
 _NO_T = GeometryError("sample has no T vector")
 
 
-def _chunk_entries(args, entry, other, stack) -> list:
+def _chunk_entries(args, entry, other, fn, fields, given=None, missing=None) -> list:
     """The report entries of every point of the file, in order, read chunk by
-    chunk: ``entry(index, result)`` of each point's result, which is
-    ``other(sample)`` for a point of another dimension than 4 and comes from
-    ``stack(chunk)``, a list in point order, for the dimension-4 points."""
-    points = []
-    for chunk in _read_chunks(args.file):
-        results = {index: other(sample) for index, sample in chunk.others}
-        if len(chunk.index):
-            results.update(zip(chunk.index.tolist(), stack(chunk)))
-        points += [entry(index, results[index]) for index in range(chunk.start, chunk.start + chunk.size)]
-    return points
-
-
-def _where(results: list, fn, *stacks) -> list:
-    """``results`` with each None replaced by ``fn`` of its point's stacks, which
-    runs them one at a time where a LAPACK call fails on them (``_stacked_or_alone``)."""
-    mask = np.array([r is None for r in results], dtype=bool)
-    if mask.any():
-        for p, result in zip(np.flatnonzero(mask).tolist(), _stacked_or_alone(fn, *(s[mask] for s in stacks))):
-            results[p] = result
-    return results
+    chunk: ``entry(index, result)`` of each point's result of
+    ``exceptions._chunk_results`` with the other arguments."""
+    return [
+        entry(index, result)
+        for chunk in _read_chunks(args.file)
+        for index, result in enumerate(_chunk_results(chunk, other, fn, fields, given, missing), chunk.start)
+    ]
 
 
 def _points_report(args, points: list, **aggregate) -> dict:
@@ -132,9 +118,13 @@ def _validate_entry(index, error) -> dict:
 
 
 def _cmd_validate(args):
+    def errors(k0, listed, g, h, t, has_t, weights):
+        # h defaults to g, so checking it where it is absent repeats g's verdict
+        return zoo._stack_errors(4, g, h, t, weights.tolist(), 4, _dense(k0, listed), args.tol, has_t)
+
     points = _chunk_entries(
-        args, _validate_entry, lambda sample: zoo._sample_error(sample, args.tol),
-        lambda chunk: zoo._chunk_errors(chunk, args.tol),
+        args, _validate_entry, lambda index, sample: zoo._sample_error(sample, args.tol), errors,
+        ("k0", "listed", "g", "h", "t", "has_t", "weights"),
     )
     failures = sum(1 for p in points if not p["ok"])
     return (0 if failures == 0 else 1), _points_report(args, points, failures=failures), ["index", "ok", "error"]
@@ -165,7 +155,7 @@ def _einstein_entry(index, rep) -> dict:
 def _cmd_einstein_check(args):
     metric, tol = args.metric, args.tol
 
-    def other(sample):
+    def other(index, sample):
         if metric == "lorentz":
             return _NO_T if sample.t is None else DimensionError(topology._NOT_DIM_4)
         return _NO_H if metric == "h" and sample.h is None else DimensionError(normal_forms._NOT_DIM_4)
@@ -176,14 +166,11 @@ def _cmd_einstein_check(args):
     def check(k0, listed, h):
         return normal_forms._star_einstein(k0, _dense(k0, listed), h, tol, metric)
 
-    def stack(chunk):
-        if metric == "lorentz":
-            missing = [None if has else _NO_T for has in chunk.has_t.tolist()]
-            return _where(missing, split, chunk.k0, chunk.listed, chunk.g, chunk.t)
-        h, given = (chunk.h, chunk.has_h.tolist()) if metric == "h" else (chunk.g, [True] * len(chunk.g))
-        return _where([None if has else _NO_H for has in given], check, chunk.k0, chunk.listed, h)
-
-    points = _chunk_entries(args, _einstein_entry, other, stack)
+    if metric == "lorentz":
+        points = _chunk_entries(args, _einstein_entry, other, split, ("k0", "listed", "g", "t"), "has_t", _NO_T)
+    else:
+        given = "has_h" if metric == "h" else None
+        points = _chunk_entries(args, _einstein_entry, other, check, ("k0", "listed", metric), given, _NO_H)
     verdicts = Counter("error" if "error" in p else str(p["einstein"]).lower() for p in points)
     report = _points_report(args, points, histogram={"true": 0, "false": 0, "error": 0} | verdicts)
     report["flags"] = {"metric": metric}
@@ -213,14 +200,15 @@ def _normal_form_entry(index, nf) -> dict:
 
 
 def _cmd_normal_form(args):
-    def forms(k0, h, g, names):
-        return normal_forms._normal_forms(*normal_forms._lambda2_blocks(k0, h, g, args.tol, names), h, g, args.tol)
-
-    def stack(chunk):
+    def forms(k0, h, g, has_h):
         # one kernel call and frame choice per chunk; h is named as validate names it
-        return _stacked_or_alone(forms, chunk.k0, chunk.h, chunk.g, np.where(chunk.has_h, "h", "g"))
+        blocks, errors = normal_forms._lambda2_blocks(k0, h, g, args.tol, np.where(has_h, "h", "g"))
+        return normal_forms._normal_forms(blocks, errors, h, g, args.tol)
 
-    points = _chunk_entries(args, _normal_form_entry, lambda sample: DimensionError(normal_forms._NOT_DIM_4), stack)
+    def other(index, sample):
+        return DimensionError(normal_forms._NOT_DIM_4)
+
+    points = _chunk_entries(args, _normal_form_entry, other, forms, ("k0", "h", "g", "has_h"))
     report = _points_report(args, points, available=sum(1 for p in points if p["available"]))
     columns = [
         "index", "available", "lambdas", "mus",
@@ -233,29 +221,20 @@ def _cmd_petrov(args):
     def classify(k0, g, t):
         return complex_forms._jordan_forms(k0, g, t, args.tol)
 
-    def stack(chunk):
-        return _where([None if has else _NO_T for has in chunk.has_t.tolist()], classify, chunk.k0, chunk.g, chunk.t)
-
     def entry(index, form):
         return {"index": index, **({"error": str(form)} if isinstance(form, Exception) else {"case": form.case_id})}
 
-    def other(sample):
+    def other(index, sample):
         return _NO_T if sample.t is None else DimensionError(complex_forms._NOT_DIM_4)
 
-    points = _chunk_entries(args, entry, other, stack)
+    points = _chunk_entries(args, entry, other, classify, ("k0", "g", "t"), "has_t", _NO_T)
     histogram = Counter("error" if "error" in p else f"case {p['case']}" for p in points)
     report = _points_report(args, points, histogram=dict(histogram))
     return (0 if histogram["error"] == 0 else 1), report, ["index", "case", "error"]
 
 
 def _cmd_integrate(args):
-    chunks = _read_chunks(args.file)
-    try:
-        result = topology._integrate_chunks(chunks, tol=args.tol)
-    except (GeometryError, ValueError):
-        for _ in chunks:  # read on: a format error anywhere in the file comes first
-            pass
-        raise
+    result = topology._integrate_chunks(_read_chunks(args.file), tol=args.tol)
     aggregate = {
         "points": result.points,
         "skipped_points": result.skipped_points,

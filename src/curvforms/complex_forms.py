@@ -509,14 +509,14 @@ def _row_norms(v):
     return np.sqrt(np.add.reduce(v * v, axis=1))
 
 
-def _first_kept(projectors, tol):
+def _first_kept(projectors, tol, limit=None):
     """The indices of the projectors (m, 6, 6) kept first come, first kept: each
     one farther than ``tol`` (Frobenius, as ``np.linalg.norm``) from every
-    projector kept before it.  One stacked distance per kept projector drops
-    it and the later ones within ``tol`` of it; the first left is the next one
-    kept."""
+    projector kept before it, up to the first ``limit`` kept.  One stacked
+    distance per kept projector drops it and the later ones within ``tol`` of
+    it; the first left is the next one kept."""
     kept, rest = [], np.arange(len(projectors))
-    while rest.size:
+    while rest.size and len(kept) != limit:
         kept.append(rest[0])
         rest = rest[_frobenius(projectors[rest] - projectors[rest[0]]) > tol]
     return kept
@@ -682,7 +682,7 @@ def count_spacelike_critical(
     ok = _row_norms(r) <= _RESIDUAL_TOL * norm_scale
     p, sp = p[ok], sp[ok]
     qmat = np.linalg.qr(np.stack([p, sp], axis=2))[0]
-    kept = _first_kept(qmat @ np.swapaxes(qmat, 1, 2), _DEDUP_TOL)
+    kept = _first_kept(qmat @ np.swapaxes(qmat, 1, 2), _DEDUP_TOL, None if return_planes else 4)
     count = math.inf if len(kept) > 3 else len(kept)
     if return_planes:
         return count, p[kept]

@@ -22,6 +22,7 @@ from .exceptions import (
     DimensionError,
     LightlikePlaneError,
     TensorValidationError,
+    _alone,
 )
 from .hodge import _signature_of, hodge_star
 
@@ -320,9 +321,7 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
         return CurvatureTensor(dim=dim, components=r)
 
     for rule in _identity_rules(r[None], tol):
-        (error,) = rule(slice(None))
-        if error is not None:
-            raise error
+        _alone(rule(slice(None)))
     return CurvatureTensor(dim=dim, components=r)
 
 

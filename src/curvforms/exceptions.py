@@ -104,23 +104,44 @@ def _stacked_or_alone(fn, *stacks):
 
     The stack runs with floating-point overflow, division by zero and invalid
     operations raising.  Where one does, or a LAPACK call fails, each point runs
-    alone (N = 1) with the caller's floating-point handling, so a failed stacked
-    attempt shows no warnings and each point shows its own, as when it runs
-    alone; a point whose LAPACK call fails alone gets that
-    :class:`numpy.linalg.LinAlgError` as its result.
+    alone (N = 1) with the caller's floating-point handling, when its result is
+    read: a failed stacked attempt shows no warnings and each point read shows
+    its own, as when it runs alone; a point whose LAPACK call fails alone gets
+    that :class:`numpy.linalg.LinAlgError` as its result.
     """
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return fn(*stacks)
     except (FloatingPointError, np.linalg.LinAlgError) as err:
         if len(stacks[0]) > 1:
-            return [r for p in range(len(stacks[0])) for r in _stacked_or_alone(fn, *(s[p:p + 1] for s in stacks))]
+            return (r for p in range(len(stacks[0])) for r in _stacked_or_alone(fn, *(s[p:p + 1] for s in stacks)))
         if isinstance(err, np.linalg.LinAlgError):
             return [err]
     try:
         return fn(*stacks)
     except np.linalg.LinAlgError as err:
         return [err]
+
+
+def _chunk_results(chunk, other, fn, fields, given=None, missing=None):
+    """The result of every point of a chunk (``curvforms.zoo._Chunk``), in point order.
+
+    A point the stack cannot take, ``(index, sample)`` of ``chunk.others``, gets
+    ``other(index, sample)``; a stacked point whose field ``given`` is False
+    gets ``missing``; the others get ``fn`` of their rows of the chunk's
+    ``fields`` (names), run by :func:`_stacked_or_alone`.  The results are
+    yielded one by one, so where the points run alone a caller that stops
+    reading runs no point after it.
+    """
+    others = dict(chunk.others)
+    at = np.ones(len(chunk.index), dtype=bool) if given is None else getattr(chunk, given)
+    stacked = iter(_stacked_or_alone(fn, *(getattr(chunk, f)[at] for f in fields)) if at.any() else ())
+    runs = iter(at.tolist())
+    for index in range(chunk.start, chunk.start + chunk.size):
+        if index in others:
+            yield other(index, others[index])
+        else:
+            yield next(stacked) if next(runs) else missing
 
 
 def _alone(results: list):

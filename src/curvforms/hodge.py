@@ -235,9 +235,8 @@ def complexify(op_matrix: np.ndarray, star_l: HodgeStar, tol: float = 1e-9) -> n
     """
     if star_l.signature != "lorentzian":
         raise DegenerateMetricError("complexification needs a Lorentzian star")
-    c, (error,) = _complexify(np.asarray(op_matrix, dtype=float)[None], star_l.matrix, tol)
-    if error is not None:
-        raise error
+    c, errors = _complexify(np.asarray(op_matrix, dtype=float)[None], star_l.matrix, tol)
+    _alone(errors)
     return c[0]
 
 

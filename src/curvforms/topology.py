@@ -36,7 +36,7 @@ import numpy as np
 
 from .complex_forms import _ETA, _GRAM_L, _STAR_L, _adapted
 from .curvature import CurvatureTensor, component_matrix
-from .exceptions import DimensionError, GeometryError, _alone, _stacked_or_alone
+from .exceptions import DimensionError, GeometryError, _alone, _chunk_results
 from .hodge import _commutator, _metric_errors
 from .normal_forms import (
     NormalForm4,
@@ -147,9 +147,8 @@ def chi_tau_densities(
     if gi.shape != (4, 4):
         raise DimensionError("g_inverse_in_frame must be 4x4")
     l, m = (np.asarray(v, dtype=float)[None] for v in (nf.lambdas, nf.mus))
-    terms, scaled, (error,) = _densities(l, m, gi[None], tol)
-    if error is not None:
-        raise error
+    terms, scaled, errors = _densities(l, m, gi[None], tol)
+    _alone(errors)
     orthogonal = bool(_off_diagonal(gi, tol)[1])
     return IntegrandValue(
         **{k: float(v[0]) for k, v in terms.items() if orthogonal or k in _FRAME_TERMS},
@@ -254,16 +253,36 @@ class _Terms:
     weights: list = field(default_factory=list)
     skipped: int = 0
     general_frame: int = 0
-    orthogonal: int = 0
 
-    def fold(self) -> None:
+    def add(self, results):
+        """Add the terms ``(weight, chi, tau, corr)`` of :func:`_integrate_stack`
+        read from ``results`` up to the first error, which it returns (else None
+        and it folds)."""
+        for result in results:
+            if isinstance(result, Exception):
+                return result
+            weight, chi, tau, corr = result
+            self.weights.append(weight)
+            if chi is None:
+                self.skipped += 1
+                continue
+            self.chi.append(chi)
+            self.tau.append(tau)
+            if corr is None:
+                self.general_frame += 1
+            else:
+                self.corr.append(corr)
+                self.orth_chi.append(chi)
+                self.orth_tau.append(tau)
         for name in ("chi", "tau", "corr", "orth_chi", "orth_tau", "weights"):
             setattr(self, name, _fold(getattr(self, name)))
+        return None
 
     def result(self, points: int) -> IntegrationResult:
-        """The totals, each one correctly rounded ``math.fsum``, over ``points`` points."""
+        """The totals, each one correctly rounded ``math.fsum``, over ``points`` points,
+        each of which is skipped, in a general frame or g-orthogonal."""
         corr = math.fsum(self.corr)
-        if self.orthogonal:
+        if points > self.skipped + self.general_frame:
             residual = abs(math.fsum(self.orth_chi) - 1.5 * math.fsum(self.orth_tau) - corr)
         else:
             residual = math.nan
@@ -304,10 +323,10 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
         Point samples carrying ``rm`` (a validated ``CurvatureTensor``),
         ``g``, optional ``h`` (defaults to ``g``), and a nonnegative
         ``weight``; weights must sum to the total volume.  Any iterable
-        works; it is read once, in chunks of a fixed size that run through
-        the same stacked path as ``curvforms integrate`` on a file, and the
-        terms are kept as exact partial sums, so memory does not grow with
-        the number of samples.
+        works; it is read once and to its end, in chunks of a fixed size that
+        run through the same stacked path as ``curvforms integrate`` on a
+        file, and the terms are kept as exact partial sums, so memory does not
+        grow with the number of samples.
     tol : float
         Tolerance of the rules (``preconditions._preconditions``) and of the
         star-commuting test.
@@ -322,27 +341,25 @@ def integrate_samples(samples, tol: float = 1e-9) -> IntegrationResult:
     Raises
     ------
     GeometryError, ValueError
-        The first error of :func:`_integrate_chunks`.
+        The first error in point order (:func:`_integrate_chunks`).
     """
     return _integrate_chunks(_sample_chunks(samples), tol)
 
 
 def _integrate_chunks(chunks, tol: float = 1e-9) -> IntegrationResult:
     """The totals over chunks (:class:`curvforms.zoo._Chunk`) of samples or of a
-    file.  The first point that the stack cannot take (one of ``others``) or
-    whose weight is not valid raises, after the points before it; a stacked
-    one raises its first error of :func:`_integrate_stack`."""
-    terms, points = _Terms(), 0
+    file, read through ``exceptions._chunk_results``: the first error in point
+    order is raised once every chunk is read, so an error of reading comes first."""
+    terms, points, error = _Terms(), 0, None
     for chunk in chunks:
-        valid = (0 <= chunk.weights) & (chunk.weights < math.inf)
-        others = dict(chunk.others)
-        stop = min([*others, *chunk.index[~valid].tolist()], default=math.inf)
-        for part in (chunk.index < stop, chunk.index == stop):
-            _integrate_stack(chunk.k0[part], chunk.h[part], chunk.g[part], chunk.weights[part], chunk.index[part], tol, terms)
-        if stop in others:
-            raise _unstacked_error(stop, others[stop])
-        terms.fold()
         points += chunk.size
+        if error is None:
+            error = terms.add(_chunk_results(
+                chunk, _unstacked_error, lambda *stacks: _integrate_stack(*stacks, tol),
+                ("k0", "h", "g", "weights", "index"),
+            ))
+    if error is not None:
+        raise error
     return terms.result(points)
 
 
@@ -358,12 +375,12 @@ def _unstacked_error(index: int, sample) -> Exception:
     return DimensionError("Euler/signature densities are specific to dim 4")
 
 
-def _integrate_stack(k0, h, g, weights, index, tol, terms: _Terms) -> None:
-    """Add the terms of stacked points: pair matrices ``k0`` (N, 6, 6), metrics
-    ``h``, ``g``, weights and point indices.  The first point that breaks a
-    rule of :func:`_lambda2_blocks` (with ``g`` and the weight rule, ``"sample
-    i has invalid weight w"``) raises its first error, else the first whose
-    normal form or densities fail; then no term is added."""
+def _integrate_stack(k0, h, g, weights, index, tol) -> list:
+    """Per stacked point (pair matrices ``k0`` (N, 6, 6), metrics ``h``, ``g``,
+    weights, point indices): its first error over the rules of :func:`_lambda2_blocks`
+    with ``g`` and the weight rule (``"sample i has invalid weight w"``), then its
+    normal form's or densities'; else its terms ``(weight, chi, tau, corr)``, None
+    from ``chi`` on where it does not commute, ``corr`` where it is not g-orthogonal."""
 
     def weight(at):
         return [
@@ -371,13 +388,11 @@ def _integrate_stack(k0, h, g, weights, index, tol, terms: _Terms) -> None:
             for i, w in zip(index[at].tolist(), weights[at].tolist())
         ]
 
-    if not len(k0):
-        return
     blocks, errors = _lambda2_blocks(k0, h, g, tol, weight=weight)
-    error = next(filter(None, errors), None)
-    if error is not None:
-        raise error
-    commuting = blocks.commuting(tol)
+    commuting = np.array([e is None for e in errors], dtype=bool) & blocks.commuting(tol)
+    w = weights.tolist()
+    # a clean point is skipped unless it commutes
+    results = [(w[p], None, None, None) if e is None else e for p, e in enumerate(errors)]
 
     # g = s h makes every normal-form frame g-orthogonal with g^ii = 1/s, so
     # lt = kt = l/s^2 and mt = m/s^2: with l + m and l - m running over the
@@ -388,43 +403,34 @@ def _integrate_stack(k0, h, g, weights, index, tol, terms: _Terms) -> None:
     closed = np.flatnonzero(proportional)
     plus = np.sum(blocks.evp[closed] ** 2, axis=1)
     minus = np.sum(blocks.evm[closed] ** 2, axis=1)
-    s4, w = s[closed] ** 4, weights[closed]
-    chi = w * ((plus + minus) / 2.0 / s4 / (4.0 * math.pi**2))
-    tau = w * ((plus - minus) / 4.0 / s4 / (3.0 * math.pi**2))
-    corr = w * (minus / s4 / (4.0 * math.pi**2))
+    s4, wc = s[closed] ** 4, weights[closed]
+    chi = wc * ((plus + minus) / 2.0 / s4 / (4.0 * math.pi**2))
+    tau = wc * ((plus - minus) / 4.0 / s4 / (3.0 * math.pi**2))
+    corr = wc * (minus / s4 / (4.0 * math.pi**2))
+    for p, *terms in zip(closed.tolist(), chi.tolist(), tau.tolist(), corr.tolist()):
+        results[p] = (w[p], *terms)
 
     # the other points through their normal-form frames: every Gram inverse and
-    # every density at once, each error its point's own
+    # every density at once
     general = np.flatnonzero(commuting & ~proportional)
     forms = _normal_forms(blocks.take(general), [None] * len(general), h[general], g[general], tol)
     framed = [p for p, nf in enumerate(forms) if isinstance(nf, NormalForm4)]
     f = np.array([forms[p].frame for p in framed]).reshape(-1, 4, 4)
-    inverses = _stacked_or_alone(np.linalg.inv, np.swapaxes(f, 1, 2) @ g[general[framed]] @ f)
-    gi = np.array([np.eye(4) if isinstance(x, Exception) else x for x in inverses]).reshape(-1, 4, 4)
+    gi = np.linalg.inv(np.swapaxes(f, 1, 2) @ g[general[framed]] @ f)
     lambdas, mus = (np.array([getattr(forms[p], a) for p in framed]).reshape(-1, 3) for a in ("lambdas", "mus"))
     orthogonal = np.array([forms[p].scaled is not None for p in framed], dtype=bool)  # the chosen form's verdict
     values, _, errors = _densities(lambdas, mus, gi, tol)
-    for p, inverse, error in zip(framed, inverses, errors):
-        forms[p] = inverse if isinstance(inverse, Exception) else error
-    error = next((e for e in forms if e is not None), None)
-    if error is not None:
-        raise error
-
-    w = weights[general[framed]]
-    frame_chi = w * values["chi_density"] / values["sqrt_det_g"]
-    chi = np.concatenate([chi, np.where(orthogonal, w * values["chi_density_gvol"], frame_chi)])
-    tau = np.concatenate([tau, w * values["tau_density_gvol"]])
-    corr = np.concatenate([corr, (w * values["ht_correction_density"])[orthogonal]])
-    orthogonal = np.concatenate([np.ones(len(closed), dtype=bool), orthogonal])
-    terms.weights.extend(weights.tolist())
-    terms.chi.extend(chi.tolist())
-    terms.tau.extend(tau.tolist())
-    terms.corr.extend(corr.tolist())
-    terms.orth_chi.extend(chi[orthogonal].tolist())
-    terms.orth_tau.extend(tau[orthogonal].tolist())
-    terms.skipped += int(np.count_nonzero(~commuting))
-    terms.orthogonal += int(np.count_nonzero(orthogonal))
-    terms.general_frame += int(np.count_nonzero(~orthogonal))
+    wf = weights[general[framed]]
+    chi = np.where(orthogonal, wf * values["chi_density_gvol"], wf * values["chi_density"] / values["sqrt_det_g"])
+    tau = wf * values["tau_density_gvol"]
+    corr = wf * values["ht_correction_density"]
+    for p, form in zip(general.tolist(), forms):
+        results[p] = form  # an error, or replaced below
+    for p, error, c, t, r, o in zip(
+        general[framed].tolist(), errors, chi.tolist(), tau.tolist(), corr.tolist(), orthogonal.tolist()
+    ):
+        results[p] = error if error is not None else (w[p], c, t, r if o else None)
+    return results
 
 
 # ---- commuting Weyl split ----

@@ -91,9 +91,7 @@ def validate_sample(sample: PointSample, tol: float = 1e-9) -> None:
     of first Bianchi, at ``tol``.  This is the one-point call of the stacked
     check that ``curvforms validate`` runs on each chunk of a file.
     """
-    error = _sample_error(sample, tol)
-    if error is not None:
-        raise error
+    _alone([_sample_error(sample, tol)])
 
 
 def _sample_error(sample: PointSample, tol: float):
@@ -103,14 +101,6 @@ def _sample_error(sample: PointSample, tol: float):
     t = None if sample.t is None else np.asarray(sample.t, dtype=float)[None]
     r = np.asarray(sample.rm.components, dtype=float)[None]
     return _stack_errors(sample.dim, g, h, t, [sample.weight], sample.rm.dim, r, tol)[0]
-
-
-def _chunk_errors(chunk, tol: float) -> list:
-    """The first violation of every dimension-4 point of a :class:`_Chunk` (None
-    where it has none), in order: one stacked check."""
-    r = _dense(chunk.k0, chunk.listed)
-    # h defaults to g, so checking it where it is absent repeats g's verdict
-    return _stack_errors(4, chunk.g, chunk.h, chunk.t, chunk.weights.tolist(), 4, r, tol, chunk.has_t)
 
 
 def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float, has_t=None) -> list:

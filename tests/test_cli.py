@@ -1779,3 +1779,42 @@ class TestPreconditionParity:
         write_samples(path, [sample])
         point = json.loads(run(capsys, "normal-form", str(path), "--format", "json")[1])["points"][0]
         assert point == {"index": 0, "available": False, "note": "g must be positive definite"}
+
+    # the overflowing point fails the chunk's eigensolver, which runs every
+    # point alone: integrate's first error is then that of the first point
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", list(precondition_breakers()))
+    def test_integrate_stops_on_the_first_error_in_point_order(self, tmp_path, capsys, name):
+        breaker = precondition_breakers()[name]
+        samples = [breaker, next(iter(gen_space_form(4, 1.0, 2))), OVERFLOWING]
+        expected = first_violation(rules_of("integrate", breaker))
+        with pytest.raises(ValueError) as raised:
+            topology.integrate_samples(samples)
+        assert str(raised.value) == expected
+        if name not in _UNWRITABLE:
+            path = tmp_path / "first.jsonl"
+            write_samples(path, samples)
+            assert run(capsys, "integrate", str(path)) == (1, "", f"error: {expected}\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_lapack_failure_is_its_own_points_error(self, tmp_path, capsys):
+        samples = [next(iter(gen_space_form(4, 1.0, 2))), OVERFLOWING]
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            topology.integrate_samples(samples)
+        path = tmp_path / "overflowing.jsonl"
+        write_samples(path, samples)
+        assert run(capsys, "integrate", str(path)) == (1, "", "error: Eigenvalues did not converge\n")
+
+    def test_no_point_after_integrates_first_error_runs_alone(self, tmp_path, capsys):
+        # the stack fails on the overflowing point, so the points run alone up
+        # to the first error, the dimension-3 point's: the overflowing point
+        # never runs, and shows no warning
+        samples = [next(iter(gen_space_form(4, 1.0, 2))), next(iter(gen_space_form(3, 1.0, 2))), OVERFLOWING]
+        path = tmp_path / "late.jsonl"
+        write_samples(path, samples)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(GeometryError, match="specific to dim 4"):
+                topology.integrate_samples(samples)
+            assert run(capsys, "integrate", str(path)) == (1, "", "error: Euler/signature densities are specific to dim 4\n")
+        assert caught == []

@@ -579,6 +579,25 @@ class TestCounter:
         assert kept(b, a, c) == [0]
         assert kept(c, b, a) == [0, 2]
 
+    def test_a_count_keeps_no_plane_past_the_fourth(self, monkeypatch):
+        # a case-2 operator keeps dozens of planes at 64 starts; four already read a continuum
+        real, calls = complex_forms._first_kept, []
+
+        def spied(projectors, tol, limit=None):
+            kept = real(projectors, tol, limit)
+            calls.append((limit, kept, real(projectors, tol)))
+            return kept
+
+        monkeypatch.setattr(complex_forms, "_first_kept", spied)
+        for i in range(100):
+            rm = tensor_from_complex_form(complex_case_matrix(2, np.random.default_rng(702_000 + i)))
+            count = count_spacelike_critical(rm, np.eye(4), np.eye(4)[0])
+            counted, planes = count_spacelike_critical(rm, np.eye(4), np.eye(4)[0], return_planes=True)
+            assert math.isinf(count) and math.isinf(counted) and len(planes) > 3, i
+        (limit, kept, every), (limit_with_planes, kept_with_planes, _) = calls[:2]
+        assert (limit, limit_with_planes, kept_with_planes) == (4, None, every)
+        assert all(kept == every[:limit] for limit, kept, every in calls[::2])
+
     def test_the_chart_evaluates_the_wedge_of_the_spanning_pair(self):
         u0, w0 = complex_forms._spacelike_starts(192)
         _, _, vh = np.linalg.svd(np.stack([u0 @ ETA, w0 @ ETA], axis=1))
