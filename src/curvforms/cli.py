@@ -17,9 +17,10 @@ Reports are built as JSON values, each float that can be non-finite through
 ``_num``, so a non-finite value is ``null`` in JSON and ``-`` in text.
 
 The reader checks structure only and completes each tensor by its index
-symmetries.  ``validate`` checks every rule of ``preconditions._preconditions``
-and every identity; the other commands check the rules they need, in the
-same order and with the same messages.  A point that fails one gets an
+symmetries, which makes them exact.  ``validate`` runs the kernels' chain,
+every rule of ``preconditions._preconditions`` with the weight rule and first
+Bianchi on the pair matrix; the other commands check the rules they need, in
+the same order and with the same messages.  A point that fails one gets an
 ``error`` field and exit 1 (a ``note`` for a metric in ``normal-form``).
 Every file command streams the file in chunks (``zoo._read_chunks``): each
 line's dimension-4 rows go straight into a stacked 6x6 pair matrix, and each
@@ -50,6 +51,7 @@ from .exceptions import (
     TensorValidationError,
     _chunk_results,
 )
+from .preconditions import _first_errors, _preconditions
 from .zoo import _read_chunks
 
 __all__ = ["build_parser", "main"]
@@ -118,13 +120,15 @@ def _validate_entry(index, error) -> dict:
 
 
 def _cmd_validate(args):
-    def errors(k0, listed, g, h, t, has_t, weights):
+    def errors(k0, g, h, t, has_t, weights):
         # h defaults to g, so checking it where it is absent repeats g's verdict
-        return zoo._stack_errors(4, g, h, t, weights.tolist(), 4, _dense(k0, listed), args.tol, has_t)
+        weight = zoo._weight_rule(weights.tolist())
+        rules = _preconditions(args.tol, g=g, h=h, t=t, given=has_t, weight=weight, k0=k0)
+        return _first_errors([None] * len(k0), rules)
 
     points = _chunk_entries(
         args, _validate_entry, lambda index, sample: zoo._sample_error(sample, args.tol), errors,
-        ("k0", "listed", "g", "h", "t", "has_t", "weights"),
+        ("k0", "g", "h", "t", "has_t", "weights"),
     )
     failures = sum(1 for p in points if not p["ok"])
     return (0 if failures == 0 else 1), _points_report(args, points, failures=failures), ["index", "ok", "error"]

@@ -117,27 +117,29 @@ class ComplexNormalForm:
 def adapted_frame(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Positively-oriented g-orthonormal frame whose first vector is ``t``.
 
-    ``g`` and ``t`` must pass their rules (``preconditions._preconditions``) at
-    ``tol``.  Gram-Schmidt runs over the basis vectors in order and takes each
-    whose remainder has g-length squared above 1e-12, until the frame is
-    complete.  This is :func:`_adapted_frames` for one point.
+    ``g`` must be square, ``t`` of its size, and both must pass their rules
+    (``preconditions._preconditions``) at ``tol``.  Gram-Schmidt runs over
+    the basis vectors in order and takes each whose remainder has g-length
+    squared above 1e-12, until the frame is complete.  This is
+    :func:`_adapted_frames` for one point.
     """
     g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
-    frames, errors = _adapted_frames(g[None], t[None], tol)
+    frames, errors = _adapted_frames(g[None], t[None], tol, dim=len(g) if g.ndim else 0)
     return _alone(_first_errors(errors, [lambda at: frames[at]]))
 
 
-def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float, k0=None) -> tuple:
+def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float, k0=None, dim=None) -> tuple:
     """The adapted frames (N, n, n) of stacked metrics ``g`` (N, n, n) and vectors
     ``t`` (N, n), zero where a point has none, and each point's first error over
     the rules of ``g``, ``t`` and, when given, the pair matrices ``k0``
-    (``preconditions._preconditions``), then a frame that cannot be completed.
+    (``preconditions._preconditions``, with ``dim`` the ``n`` they must have
+    when given), then a frame that cannot be completed.
 
     Each candidate is projected against the point's frame vectors so far and
     taken where its g-length squared exceeds 1e-12, for all points at once; a
     column not yet filled is zero, so projecting on it changes nothing.
     """
-    n, dim = t.shape
+    n, dim = len(t), t.shape[1] if dim is None else dim
     frames = np.zeros((n, dim, dim))
 
     def completed(at):
@@ -163,14 +165,14 @@ def _adapted_frames(g: np.ndarray, t: np.ndarray, tol: float, k0=None) -> tuple:
         return [None if c == dim else DegenerateMetricError("could not complete t to a g-orthonormal frame")
                 for c in count.tolist()]
 
-    return frames, _first_errors([None] * n, [*_preconditions(tol, g=g, t=t, k0=k0), completed])
+    return frames, _first_errors([None] * n, [*_preconditions(tol, g=g, t=t, k0=k0, dim=dim), completed])
 
 
 def _adapted(k0: np.ndarray, g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
     """``K = (Lambda^2 f)^T K_0 (Lambda^2 f)`` of stacked pair matrices ``k0``
     (N, 6, 6) in the adapted frames ``f`` of ``(g, t)``, the frames, and each
-    point's error: :func:`_adapted_frames` with ``k0``."""
-    frames, errors = _adapted_frames(g, t, tol, k0)
+    point's error: :func:`_adapted_frames` with ``k0``, of dimension 4."""
+    frames, errors = _adapted_frames(g, t, tol, k0, 4)
     return _in_frame(k0, frames), frames, errors
 
 

@@ -13,6 +13,7 @@ by changing the Gram matrix used to raise the last index pair.
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .exceptions import (
     TensorValidationError,
     _alone,
 )
-from .hodge import _signature_of, hodge_star
+from .hodge import _scales, _signature_of, hodge_star
 
 __all__ = [
     "CurvatureTensor",
@@ -39,7 +40,6 @@ __all__ = [
     "ricci_contraction",
     "transform_frame",
     "curvature_from_frame_components",
-    "check_first_bianchi_4",
 ]
 
 
@@ -130,6 +130,20 @@ def _pair_tables(dim: int) -> tuple:
     return position, sign
 
 
+@cache
+def _bianchi_tables(dim: int) -> tuple:
+    """The first-Bianchi layout of dimension ``dim``: every sorted quadruple
+    ``i < j < k < l`` (Q, 4), 1-based, and the flat positions in ``K_0`` and
+    signs (3, Q) of its terms ``R_ijkl``, ``R_iklj``, ``R_iljk`` (:func:`_pair_tables`).
+    Dimension 4 has one quadruple, whose terms are the diagonal of ``K_0[:3, 3:]``."""
+    (position, sign), m = _pair_tables(dim), dim * (dim - 1) // 2
+    quads = np.array(list(combinations(range(dim), 4)), dtype=int).reshape(-1, 4)
+    a, b, c, d = quads.T[[[0, 0, 0], [1, 2, 3], [2, 3, 1], [3, 1, 2]]]
+    quads, flat, signs = quads + 1, position[a, b] * m + position[c, d], sign[a, b] * sign[c, d]
+    quads.flags.writeable = flat.flags.writeable = signs.flags.writeable = False  # shared by every caller
+    return quads, flat, signs
+
+
 def _pair_matrix(components: np.ndarray, basis: BivectorBasis | None = None) -> np.ndarray:
     """Pair matrices ``K_0[a, b] = R_{p_a p_b}`` over the pairs ``p`` of ``basis``
     (default :func:`bivector_basis`) of components (..., n, n, n, n)."""
@@ -208,56 +222,66 @@ def _dense(k0: np.ndarray, listed: np.ndarray) -> np.ndarray:
     return np.multiply(s, k0[:, a, b], out=np.zeros(given.shape), where=given)
 
 
-# the four identities as residuals of stacked tensors (N, n, n, n, n), in the order checked
+# the index symmetries as residuals of stacked tensors (N, n, n, n, n), in the order checked
 _IDENTITIES = (
     ("antisymmetry in first pair", lambda r: r + np.swapaxes(r, 1, 2)),
     ("antisymmetry in second pair", lambda r: r + np.swapaxes(r, 3, 4)),
     ("pair symmetry", lambda r: r - np.transpose(r, (0, 3, 4, 1, 2))),
-    (
-        "first Bianchi identity",
-        lambda r: r + np.transpose(r, (0, 1, 3, 4, 2)) + np.transpose(r, (0, 1, 4, 2, 3)),
-    ),
 )
 
 
-def _worst(residual: np.ndarray):
-    """Per tensor of a stack (N >= 1): the flat position of its first largest ``|residual|``, and that value."""
+def _worst(name: str, residual: np.ndarray, bound: np.ndarray, indices) -> list:
+    """Per tensor of a stack (N >= 1): a :class:`TensorValidationError` ``name`` at the
+    first largest ``|residual|``, its flat position ``p`` read as ``indices(p)``,
+    where that exceeds the tensor's ``bound``, else None."""
     flat_residual = np.abs(residual).reshape(len(residual), -1)
     flat = np.argmax(flat_residual, axis=1)
-    return flat, flat_residual[np.arange(len(flat)), flat]
+    worst = flat_residual[np.arange(len(flat)), flat]
+    return [
+        TensorValidationError(name, indices(p), w) if w > b else None
+        for p, w, b in zip(flat.tolist(), worst.tolist(), bound.tolist())
+    ]
+
+
+def _first_bianchi_errors(k0: np.ndarray, tol: float) -> list:
+    """The one first-Bianchi rule, per pair matrix of a stack ``k0`` (N >= 1, m, m):
+    a :class:`TensorValidationError` at the first largest ``|R_ijkl + R_iklj +
+    R_iljk|`` (summed in that order; ``tr B_0`` in dimension 4) over the
+    quadruples of :func:`_bianchi_tables`, where it exceeds ``tol max |K_0|``,
+    else None.  Dimension 3 has no quadruple: its index symmetries imply the identity."""
+    quads, flat, signs = _bianchi_tables((1 + math.isqrt(1 + 8 * k0.shape[-1])) // 2)
+    if not len(quads):
+        return [None] * len(k0)
+    terms = signs * k0.reshape(len(k0), -1)[:, flat]
+    bianchi = terms[:, 0] + terms[:, 1] + terms[:, 2]
+    return _worst("first Bianchi identity", bianchi, tol * _scales(k0), lambda q: tuple(quads[q].tolist()))
 
 
 def _identity_rules(r: np.ndarray, tol: float) -> list:
     """The rules (``preconditions._first_errors``) of dense tensors ``r`` (N >= 1,
     n, n, n, n), in order, each breaking as a :class:`TensorValidationError`: a
     component that is not finite (every comparison with NaN is False, so no
-    identity could fail), then each of the four identities, where its worst
-    residual exceeds ``tol`` times the tensor's ``max |R_ijkl|``."""
+    identity could fail), then each index symmetry, where its worst residual
+    exceeds ``tol`` times the tensor's ``max |R_ijkl|``, then first Bianchi
+    (:func:`_first_bianchi_errors`) on the tensors' pair matrices."""
+
+    def indices(p):
+        return tuple(int(x) + 1 for x in np.unravel_index(p, r.shape[1:]))
 
     def finite(at):
         values = r[at]
         values = values.reshape(len(values), -1)
         ok = np.isfinite(values)
         return [
-            None if ok[p, f] else TensorValidationError(
-                "finite components", tuple(int(x) + 1 for x in np.unravel_index(f, r.shape[1:])), float(abs(values[p, f]))
-            )
+            None if ok[p, f] else TensorValidationError("finite components", indices(f), float(abs(values[p, f])))
             for p, f in enumerate(np.argmin(ok, axis=1).tolist())
         ]
 
     def identity(name, residual):
-        def rule(at):
-            tensors = r[at]
-            threshold = tol * np.maximum(np.max(np.abs(tensors.reshape(len(tensors), -1)), axis=1), 1e-300)
-            flat, worst = _worst(residual(tensors))
-            return [
-                TensorValidationError(name, tuple(int(x) + 1 for x in np.unravel_index(f, r.shape[1:])), w)
-                if w > bound else None
-                for f, w, bound in zip(flat.tolist(), worst.tolist(), threshold.tolist())
-            ]
-        return rule
+        return lambda at: _worst(name, residual(r[at]), tol * _scales(r[at]), indices)
 
-    return [finite, *(identity(name, residual) for name, residual in _IDENTITIES)]
+    rules = [finite, *(identity(name, residual) for name, residual in _IDENTITIES)]
+    return rules + [lambda at: _first_bianchi_errors(_pair_matrix(r[at]), tol)]
 
 
 def _check_shape(shape: tuple, dim: int) -> None:
@@ -286,8 +310,11 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
     tol : float
         Identity tolerance, absolute on the unit-scaled tensor
         (scale = max |R_ijkl|).  With ``inf`` no identity can fail, so none
-        is computed: sparse rows are only completed.  Otherwise a component
-        that is not finite is rejected first.
+        is computed: sparse rows are only completed.  Otherwise the rules of
+        :func:`_identity_rules` run in order: finite components, the two
+        antisymmetries and pair symmetry on the dense tensor, then the one
+        first-Bianchi rule (:func:`_first_bianchi_errors`) on its pair
+        matrix, over the sorted quadruples ``i < j < k < l``.
 
     Returns
     -------
@@ -297,8 +324,8 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
     ------
     TensorValidationError
         Reporting the first rejected sparse row, a component that is not
-        finite, or the worst-violated identity, with its 1-based indices and
-        the absolute residual.
+        finite, or the first rule broken at its worst residual, with its
+        1-based indices and the absolute residual.
     """
     arr = np.asarray(components, dtype=float)
     if arr.ndim == 4:
@@ -323,34 +350,6 @@ def validate_curvature(components, dim: int | None = None, tol: float = 1e-9) ->
     for rule in _identity_rules(r[None], tol):
         _alone(rule(slice(None)))
     return CurvatureTensor(dim=dim, components=r)
-
-
-def check_first_bianchi_4(residual, scale, tol: float) -> None:
-    """Raise :class:`TensorValidationError` at the first ``|residual| > tol * scale``.
-
-    ``residual`` holds ``R_1234 + R_1342 + R_1423`` of 4-dimensional tensors,
-    the one first-Bianchi residual their pair symmetries leave, and ``scale``
-    their ``max |R_ijkl|`` (both scalars or arrays of one length).
-    """
-    error = next(filter(None, _first_bianchi_errors(residual, scale, tol)), None)
-    if error is not None:
-        raise error
-
-
-def _first_bianchi_errors(residual, scale, tol: float) -> list:
-    """Per tensor: the error of :func:`check_first_bianchi_4`, or None where it passes."""
-    residual = np.atleast_1d(residual)
-    broken = np.broadcast_to(np.abs(residual) > tol * np.asarray(scale), residual.shape)
-    return [
-        TensorValidationError("first Bianchi identity", (1, 2, 3, 4), abs(value)) if bad else None
-        for value, bad in zip(residual.tolist(), broken.tolist())
-    ]
-
-
-def _first_bianchi_4(k0: np.ndarray) -> tuple:
-    """``R_1234 + R_1342 + R_1423 = tr B_0`` and ``max |K_0|`` (at least 1e-300)
-    of stacked 4-dimensional pair matrices ``k0`` (N, 6, 6)."""
-    return np.trace(k0[:, :3, 3:], axis1=1, axis2=2), np.maximum(np.max(np.abs(k0), axis=(1, 2)), 1e-300)
 
 
 # ---- constructions ----
@@ -472,14 +471,18 @@ def scalar_curvature(rm: CurvatureTensor, g: np.ndarray) -> float:
     """Double trace of ``rm`` against ``g``.
 
     Equals ``-2 trace(R_hat)`` in an orthonormal frame; ``space_form(4, 1)``
-    gives 12, the scalar curvature of the unit round 4-sphere.
+    gives 12, the scalar curvature of the unit round 4-sphere.  ``g`` must be
+    finite, symmetric and not numerically singular (``hodge._signature_of``).
     """
+    _signature_of(g)
     ginv = np.linalg.inv(np.asarray(g, dtype=float))
     return float(np.einsum("ab,jl,jabl->", ginv, ginv, rm.components, optimize=True))
 
 
 def ricci_contraction(rm: CurvatureTensor, g: np.ndarray) -> np.ndarray:
-    """Ricci tensor ``Ric_ab = g^jl R_jabl`` (classical sign: spheres positive)."""
+    """Ricci tensor ``Ric_ab = g^jl R_jabl`` (classical sign: spheres positive), for a
+    ``g`` that :func:`scalar_curvature` accepts."""
+    _signature_of(g)
     ginv = np.linalg.inv(np.asarray(g, dtype=float))
     return np.einsum("jl,jabl->ab", ginv, rm.components, optimize=True)
 

@@ -72,6 +72,10 @@ class SdAsdBasis:
 
 
 def _signature_of(g: np.ndarray) -> str:
+    """The signature of a metric ``g`` (n, n) that is finite and symmetric (the
+    first two parts of :func:`_metric_errors`, at the library default 1e-9)
+    and not numerically singular: ``"riemannian"`` or ``"lorentzian"``."""
+    _alone(_metric_errors(np.asarray(g, dtype=float)[None], "g", 1e-9, definite=False))
     vals = np.linalg.eigvalsh(g)
     if np.min(np.abs(vals)) <= np.max(np.abs(vals)) / _COND_LIMIT:
         raise DegenerateMetricError("metric is numerically singular")
@@ -122,32 +126,38 @@ def lorentz_metric_from_unit(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) ->
 
     The result has signature (-, +, +, +), agrees with ``g`` on the
     orthogonal complement of ``t`` and gives ``t`` squared length -1.  ``g``
-    and then ``t`` must pass their rules (:func:`_metric_errors`,
-    :func:`_unit_errors`) at ``tol``, or their error is raised.
+    (4x4) and then ``t`` (4 components) must pass their rules
+    (``preconditions._preconditions``) at ``tol``, or their error is raised.
     """
-    g = np.asarray(g, dtype=float)
-    _alone(_metric_errors(g[None], "g", tol))
+    from .preconditions import _first_errors, _preconditions  # it imports this module
+
+    rules = _preconditions(tol, g=np.array([g], dtype=float), t=np.array([t], dtype=float), dim=4)
+    _alone(_first_errors([None], rules))
     return _deformed(g, t, -2.0, tol)
 
 
-def _metric_errors(m: np.ndarray, name, tol: float) -> list:
+def _metric_errors(m: np.ndarray, name, tol: float, definite: bool = True) -> list:
     """Per metric of a stack ``m`` (N, n, n): the first rule it breaks, as a
     :class:`DegenerateMetricError` that calls it ``name`` (one name, or one per
     metric), or None.  The one metric rule: finite, symmetric within ``tol max|m|``,
-    and positive definite by the Cholesky factorisation of
+    and, where ``definite``, positive definite by the Cholesky factorisation of
     ``normal_forms.h_orthonormal_frame``; a metric that is not finite is the
     identity for the other two, so it raises no warning."""
     finite = np.isfinite(m).all(axis=(1, 2))
     m = np.where(finite[:, None, None], m, np.eye(m.shape[-1]))
-    scale = np.maximum(np.max(np.abs(m), axis=(1, 2)), 1e-300)
-    asymmetric = np.max(np.abs(m - np.swapaxes(m, 1, 2)), axis=(1, 2)) > tol * scale
-    factored = _stacked_or_alone(lambda s: [True] * len(np.linalg.cholesky(s)), m)
+    asymmetric = np.max(np.abs(m - np.swapaxes(m, 1, 2)), axis=(1, 2)) > tol * _scales(m)
+    factored = _stacked_or_alone(lambda s: [True] * len(np.linalg.cholesky(s)), m) if definite else [True] * len(m)
     broken = [
         "finite" if not f else "symmetric" if a else None if d is True else "positive definite"
         for f, a, d in zip(finite.tolist(), asymmetric.tolist(), factored)
     ]
     names = np.broadcast_to(name, len(broken)).tolist()
     return [DegenerateMetricError(f"{n} must be {b}") if b else None for n, b in zip(names, broken)]
+
+
+def _scales(x: np.ndarray) -> np.ndarray:
+    """``max |x|`` (at least 1e-300) of each array of a stack ``x`` (N, ...)."""
+    return np.maximum(np.max(np.abs(x), axis=tuple(range(1, x.ndim))), 1e-300)
 
 
 def _unit_errors(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:

@@ -29,7 +29,6 @@ from .curvature import (
     CurvatureTensor,
     Lambda2Operator,
     _dense,
-    _first_bianchi_4,
     _pair_matrix,
     component_matrix,
     curvature_from_frame_components,
@@ -42,7 +41,7 @@ from .exceptions import (
     NotCommutingError,
     _alone,
 )
-from .hodge import HodgeStar
+from .hodge import HodgeStar, _scales
 from .preconditions import _first_errors, _preconditions
 
 __all__ = [
@@ -119,9 +118,6 @@ class Lambda2Blocks:
     evp, up, evm, um : ndarray, shapes (N, 3) and (N, 3, 3)
         Ascending eigenpairs of the self-dual block ``(A + D)/2 + sym(B)``
         and the anti-self-dual block ``(A + D)/2 - sym(B)``.
-    bianchi : ndarray, shape (N,)
-        ``R_1234 + R_1342 + R_1423 = tr B_0`` of the input components, the
-        one first-Bianchi residual the pair symmetries leave in dimension 4.
     scale : ndarray, shape (N,)
         ``max |K_0|`` of the input components (at least 1e-300): ``max |R_ijkl|``
         for a tensor with the pair symmetries.
@@ -140,7 +136,6 @@ class Lambda2Blocks:
     up: np.ndarray
     evm: np.ndarray
     um: np.ndarray
-    bianchi: np.ndarray
     scale: np.ndarray
     gram: np.ndarray
 
@@ -319,11 +314,10 @@ def _lambda2_blocks(k0: np.ndarray, h: np.ndarray, g: np.ndarray | None, tol: fl
     half, sym = (a + d) / 2.0, (b + bt) / 2.0
     evp, up = np.linalg.eigh(half + sym)
     evm, um = np.linalg.eigh(half - sym)
-    bianchi, scale = _first_bianchi_4(k0)
     gram = np.swapaxes(v, 1, 2) @ g @ v
     blocks = Lambda2Blocks(
         frames=v, k=k, residual=residual, norm=norm,
-        evp=evp, up=up, evm=evm, um=um, bianchi=bianchi, scale=scale, gram=gram,
+        evp=evp, up=up, evm=evm, um=um, scale=_scales(k0), gram=gram,
     )
     return blocks, errors
 

@@ -6,7 +6,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .curvature import _first_bianchi_4, _first_bianchi_errors
+from .curvature import _first_bianchi_errors
 from .exceptions import DimensionError
 from .hodge import _metric_errors, _unit_errors
 
@@ -35,8 +35,8 @@ def _preconditions(tol, g=None, h=None, name="h", t=None, given=None, weight=Non
     (N, n, n), then on ``h``, called ``name`` (one, or one per point); the unit
     rule (``hodge._unit_errors``) on ``t`` (N, n) where ``given`` (N,) is True
     (default: every point); the path's weight rule; first Bianchi
-    (``curvature._first_bianchi_errors``) on the pair matrices ``k0`` (N, 6,
-    6).  With ``dim``, a metric or ``t`` of another shape fails every point."""
+    (``curvature._first_bianchi_errors``, the one rule) on the pair matrices
+    ``k0`` (N, m, m).  With ``dim``, a metric or ``t`` of another shape fails every point."""
     rules = []
     for m, called in ((g, "g"), (h, name)):
         if m is None:
@@ -58,6 +58,6 @@ def _preconditions(tol, g=None, h=None, name="h", t=None, given=None, weight=Non
     if weight is not None:
         rules.append(weight)
     if k0 is not None:
-        rules.append(lambda at: _first_bianchi_errors(*_first_bianchi_4(k0[at]), tol))
+        rules.append(lambda at: _first_bianchi_errors(k0[at], tol))
     return rules
 

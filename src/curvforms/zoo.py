@@ -86,10 +86,10 @@ def validate_sample(sample: PointSample, tol: float = 1e-9) -> None:
     """Check every invariant of a sample; raise on the first violation.
 
     The rules are ``preconditions._preconditions`` on ``g``, ``h``, ``t`` and
-    the weight (a real number, not a ``bool``, that is finite and
-    nonnegative), with every identity of :func:`validate_curvature` in place
-    of first Bianchi, at ``tol``.  This is the one-point call of the stacked
-    check that ``curvforms validate`` runs on each chunk of a file.
+    the weight (:func:`_weight_rule`), then those of :func:`validate_curvature`
+    at ``tol``.  ``curvforms validate`` runs the same chain on each chunk of a
+    file with first Bianchi on ``K_0`` alone: the reader's completion makes
+    every index symmetry exact and rejects every number that is not finite.
     """
     _alone([_sample_error(sample, tol)])
 
@@ -103,20 +103,22 @@ def _sample_error(sample: PointSample, tol: float):
     return _stack_errors(sample.dim, g, h, t, [sample.weight], sample.rm.dim, r, tol)[0]
 
 
+def _weight_rule(weights: list):
+    """The weight rule (``preconditions._first_errors``) of :func:`validate_sample` on
+    ``weights`` (a list): a real number, not a ``bool``, that is finite and nonnegative."""
+    return lambda at: [
+        None if 0 <= _real(w, math.nan) < math.inf
+        else ValueError(f"weight must be a finite nonnegative number, got {w!r}")
+        for w in map(weights.__getitem__, np.arange(len(weights))[at].tolist())
+    ]
+
+
 def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float, has_t=None) -> list:
     """The first violation of :func:`validate_sample` of every point of a stack, or
     None: ``g``, ``h`` (None when no point has one), ``t`` (None, or given where
     ``has_t``; other rows, NaN in a :class:`_Chunk`, pass), ``weights`` (a list)
     and dense components ``r`` of dimension ``rm_dim``."""
-
-    def weight(at):
-        return [
-            None if 0 <= _real(w, math.nan) < math.inf
-            else ValueError(f"weight must be a finite nonnegative number, got {w!r}")
-            for w in map(weights.__getitem__, np.arange(len(weights))[at].tolist())
-        ]
-
-    rules = _preconditions(tol, g=g, h=h, t=t, given=has_t, weight=weight, dim=dim)
+    rules = _preconditions(tol, g=g, h=h, t=t, given=has_t, weight=_weight_rule(weights), dim=dim)
     try:
         if rm_dim != dim:
             raise DimensionError("curvature dimension does not match the sample")

@@ -1673,6 +1673,15 @@ _E0 = np.eye(4)[0]
 _UNWRITABLE = ("NaN h", "asymmetric h", "NaN g")
 
 
+def seeded_bianchi_breaker() -> CurvatureTensor:
+    """A tensor whose canonical rows are seeded normals: every index symmetry holds
+    exactly and first Bianchi breaks.  Its dense cyclic sums are largest, by
+    rounding, first at (1, 2, 4, 3), not at (1, 2, 3, 4)."""
+    rng = np.random.default_rng(0)
+    pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    return validate_curvature([[*p, *q, rng.normal()] for a, p in enumerate(pairs) for q in pairs[a:]], 4, math.inf)
+
+
 def precondition_breakers():
     """Points that each break a precondition, some two at once, by name."""
     nan_h, upper_h = np.eye(4), np.eye(4)
@@ -1687,6 +1696,7 @@ def precondition_breakers():
         "asymmetric h": dataclasses.replace(point, h=upper_h),
         "Bianchi and indefinite g": dataclasses.replace(point, g=_INDEFINITE, rm=_BIANCHI_BROKEN),
         "Bianchi and non-unit T": dataclasses.replace(point, rm=_BIANCHI_BROKEN, t=2.0 * _E0),
+        "seeded Bianchi": dataclasses.replace(point, rm=seeded_bianchi_breaker(), h=np.eye(4)),
     }
 
 
@@ -1772,6 +1782,27 @@ class TestPreconditionParity:
             assert run(capsys, "integrate", str(one)) == (1, "", f"error: {expected}\n")
         assert checked >= {"h must be positive definite", "g must be positive definite", "g(T, T) = 4, expected 1"}
         assert any(e.startswith("first Bianchi identity") for e in checked)
+
+    def test_one_first_bianchi_message_on_every_path(self, tmp_path, capsys):
+        sample = precondition_breakers()["seeded Bianchi"]
+        r = sample.rm.components
+        cyclic = r + np.transpose(r, (0, 2, 3, 1)) + np.transpose(r, (0, 3, 1, 2))
+        assert np.unravel_index(np.argmax(np.abs(cyclic)), r.shape) == (0, 1, 3, 2)
+        message = first_violation(sample)
+        assert message.startswith("first Bianchi identity violated at indices (1, 2, 3, 4) with residual ")
+        with pytest.raises(TensorValidationError) as err:
+            validate_curvature(r)
+        messages = {str(err.value), *(e for errors in library_errors(sample).values() for e in errors)}
+        path = tmp_path / "bianchi.jsonl"
+        write_samples(path, [sample])
+        for command in ("validate", "normal-form", "einstein-check --metric g", "einstein-check --metric h",
+                        "einstein-check --metric lorentz", "petrov"):
+            code, out, _ = run(capsys, *command.split(), str(path), "--format", "json")
+            assert code == 1
+            messages.add(json.loads(out)["points"][0]["error"])
+        for quantity in ("ht", "chi", "tau"):
+            assert run(capsys, "integrate", str(path), "--quantity", quantity) == (1, "", f"error: {message}\n")
+        assert messages == {message}
 
     def test_a_point_with_no_h_reads_g_in_normal_form(self, tmp_path, capsys):
         sample = precondition_breakers()["indefinite g, no h"]

@@ -38,6 +38,7 @@ from curvforms.curvature import (
 )
 from curvforms.exceptions import (
     DegenerateMetricError,
+    DimensionError,
     GeometryError,
     NonUnitVectorError,
     NotCommutingError,
@@ -46,7 +47,7 @@ from curvforms.exceptions import (
 from curvforms.hodge import complexify, hodge_star, lorentz_metric_from_unit, sd_asd_basis
 from curvforms.normal_forms import critical_point_residual, normal_form_3
 from curvforms.topology import weyl_split_check
-from curvforms.zoo import gen_synthetic_star_L
+from curvforms.zoo import PointSample, gen_synthetic_star_L, validate_sample
 
 RNG = np.random.default_rng(20260601)
 
@@ -61,6 +62,16 @@ def random_spd(rng, n, spread=0.4):
 def random_unit(rng, g):
     t = rng.normal(size=g.shape[0])
     return t / np.sqrt(t @ g @ t)
+
+
+# the one-point calls that read a Lorentz metric from (g, t), as functions of (g, t)
+LORENTZ_ONE_POINT_CALLS = {
+    "classify_complex": lambda g, t: classify_complex(space_form(4, 1.0), g, t),
+    "count_spacelike_critical": lambda g, t: count_spacelike_critical(space_form(4, 1.0), g, t),
+    "weyl_split_check": lambda g, t: weyl_split_check(space_form(4, 1.0), g, t),
+    "adapted_frame": adapted_frame,
+    "lorentz_metric_from_unit": lorentz_metric_from_unit,
+}
 
 
 class TestAdaptedFrame:
@@ -286,6 +297,19 @@ class TestClassification:
             classify_complex(broken, np.eye(4), np.eye(4)[0])
         assert err.value.identity == "first Bianchi identity"
         assert err.value.residual == 1.0
+
+    @pytest.mark.parametrize("call", list(LORENTZ_ONE_POINT_CALLS))
+    @pytest.mark.parametrize("g, t", [
+        (np.eye(3), np.eye(4)[0]), (np.eye(4), np.eye(3)[0]), (np.eye(4)[:, :3], np.eye(4)[0]), (np.eye(4), np.eye(4)),
+    ])
+    def test_a_wrong_shaped_g_or_t_reads_as_validate_says(self, call, g, t):
+        # adapted_frame takes its dimension from g; the others need dimension 4
+        dim = len(g) if call == "adapted_frame" else 4
+        with pytest.raises(DimensionError) as want:
+            validate_sample(PointSample(dim=dim, g=g, rm=space_form(dim, 1.0), weight=1.0, t=t))
+        with pytest.raises(DimensionError) as got:
+            LORENTZ_ONE_POINT_CALLS[call](g, t)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("reader", [classify_complex, count_spacelike_critical, weyl_split_check])
     def test_every_lorentz_reader_rejects_a_first_bianchi_breaker(self, reader):
@@ -727,8 +751,9 @@ def reference_weyl_split(rm, g, t, tol=1e-9):
 
 def adapted_k_per_point(rm, g, t, tol=1e-9):
     """The adapted frame and K of one point as read before the stacked kernels."""
-    r = rm.components
-    curvature.check_first_bianchi_4(r[0, 1, 2, 3] + r[0, 2, 3, 1] + r[0, 3, 1, 2], rm.scale, tol)
+    (error,) = curvature._first_bianchi_errors(curvature.component_matrix(rm)[None], tol)
+    if error is not None:
+        raise error
     frame, _ = adapted_frame_loop(g, t, tol)
     return frame, normal_forms._in_frame(curvature.component_matrix(rm), frame)
 

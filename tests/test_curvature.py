@@ -13,9 +13,13 @@ Identities exercised:
   * scalar curvature: frame invariance and the orthonormal trace formula
 """
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvforms import curvature
 from curvforms.bivectors import bivector_basis, wedge_vectors
@@ -24,6 +28,7 @@ from curvforms.curvature import (
     curvature_from_frame_components,
     operator_from,
     quadratic_form,
+    ricci_contraction,
     scalar_curvature,
     space_form,
     transform_frame,
@@ -229,6 +234,72 @@ class TestSparseCompletion:
             assert completion(lambda *_: r[p], rows, 4) == completion(loop_complete, rows, 4)
 
 
+# the eight orientations of a row (i, j, k, l) and the sign of its value in each
+_ORIENTATIONS = (
+    ((0, 1, 2, 3), 1.0), ((1, 0, 2, 3), -1.0), ((0, 1, 3, 2), -1.0), ((1, 0, 3, 2), 1.0),
+    ((2, 3, 0, 1), 1.0), ((3, 2, 0, 1), -1.0), ((2, 3, 1, 0), -1.0), ((3, 2, 1, 0), 1.0),
+)
+
+
+@given(st.data())
+def test_scattered_rows_meet_every_index_symmetry_exactly(data):
+    # the premise of checking first Bianchi alone on a chunk the reader completed
+    dim = data.draw(st.sampled_from([3, 4, 5]))
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    keys = [(*p, *q) for a, p in enumerate(pairs) for q in pairs[a:]]
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+    values = data.draw(st.lists(value, min_size=len(keys), max_size=len(keys)))
+    # repeated keys give agreeing duplicate rows, each in an orientation of its own
+    given_keys = data.draw(st.lists(st.integers(0, len(keys) - 1), max_size=2 * len(keys)))
+    rows = []
+    for key in given_keys:
+        order, sign = data.draw(st.sampled_from(_ORIENTATIONS))
+        rows.append([*(keys[key][o] for o in order), sign * values[key]])
+    k0, listed = curvature._scatter_rows(np.array(rows, dtype=float).reshape(-1, 5), [len(rows)], 1, dim)
+    r = curvature._dense(k0, listed)
+    for name, residual in curvature._IDENTITIES:
+        assert np.all(residual(r) == 0.0), name
+    assert curvature._pair_matrix(r).tobytes() == k0.tobytes()
+
+
+class TestFirstBianchiRule:
+    def test_dimension_4_reads_tr_b0_bit_for_bit(self):
+        # the residual the kernels read before: R_1234 + R_1342 + R_1423 = tr B_0
+        rng = np.random.default_rng(3300)
+        k0 = rng.normal(size=(20_000, 6, 6)) * 10.0 ** rng.integers(-300, 300, size=(20_000, 1, 1))
+        trace = np.trace(k0[:, :3, 3:], axis1=1, axis2=2)
+        scale = np.maximum(np.max(np.abs(k0), axis=(1, 2)), 1e-300)
+        for tol in (0.0, 1e-9, 0.3):
+            errors = curvature._first_bianchi_errors(k0, tol)
+            broken = np.abs(trace) > tol * scale
+            assert [e is not None for e in errors] == broken.tolist()
+            got = [(e.indices, e.residual) for e in errors if e is not None]
+            assert got == [((1, 2, 3, 4), abs(b)) for b in trace[broken].tolist()]
+
+    def test_dimension_3_has_no_quadruple(self):
+        k0 = np.random.default_rng(3301).normal(size=(50, 3, 3))
+        assert curvature._bianchi_tables(3)[0].shape == (0, 4)
+        assert curvature._first_bianchi_errors(k0 + np.swapaxes(k0, 1, 2), 0.0) == [None] * 50
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_every_sorted_quadruple_is_the_dense_cyclic_sum(self, dim):
+        rng = np.random.default_rng(3300 + dim)
+        rm = random_valid_tensor(rng, dim)
+        quads = curvature._bianchi_tables(dim)[0]
+        assert len(quads) == math.comb(dim, 4)
+        for q in rng.permutation(len(quads))[:4].tolist():
+            i, j, k, l = quads[q]
+            r = rm.components.copy()
+            broken = validate_curvature([[i, j, k, l, 0.5]], dim, math.inf).components
+            r = r + broken
+            cyclic = (r + np.transpose(r, (0, 2, 3, 1)) + np.transpose(r, (0, 3, 1, 2)))[tuple((quads - 1).T)]
+            assert np.argmax(np.abs(cyclic)) == q and np.max(np.abs(np.delete(cyclic, q))) <= 1e-12
+            with pytest.raises(TensorValidationError) as err:
+                validate_curvature(r)
+            assert (err.value.identity, err.value.indices) == ("first Bianchi identity", (i, j, k, l))
+            npt.assert_allclose(err.value.residual, 0.5, rtol=1e-12)
+
+
 # ---- space forms ----
 
 
@@ -344,6 +415,25 @@ class TestOperators:
             operator_from(rm, wrong, kind)
         with pytest.raises(DegenerateMetricError, match="unsupported metric signature with 2 negative"):
             operator_from(rm, np.diag([-1.0, -1.0, 1.0, 1.0]), kind)
+
+    @pytest.mark.parametrize("call", ["hodge_star", "operator_from", "scalar_curvature", "ricci_contraction"])
+    @pytest.mark.parametrize("g, message", [
+        (np.diag([1.0, np.nan, 1.0, 1.0]), "g must be finite"),
+        (np.eye(4) + 0.5 * np.eye(4, k=1), "g must be symmetric"),
+        (np.diag([1.0, 1.0, 1.0, 1e-13]), "metric is numerically singular"),
+    ])
+    def test_the_operator_layer_applies_the_metric_rule(self, call, g, message):
+        # finite and symmetric as the metric rule reads them at 1e-9, then the
+        # signature, whose singular verdict used to be numpy's own error
+        rm = space_form(4, 1.0)
+        fn = {
+            "hodge_star": lambda: hodge_star(g),
+            "operator_from": lambda: operator_from(rm, g, "via_g"),
+            "scalar_curvature": lambda: scalar_curvature(rm, g),
+            "ricci_contraction": lambda: ricci_contraction(rm, g),
+        }[call]
+        with pytest.raises(DegenerateMetricError, match=f"^{message}$"):
+            fn()
 
 
 # ---- quadratic forms ----

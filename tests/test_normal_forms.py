@@ -187,8 +187,10 @@ def random_generic_tensor(rng):
 def star_test_per_point(rm, h, tol=1e-9):
     """The fields of :func:`is_star_h_einstein` as it computed them one point at a
     time, before it became the one-point call of the stacked test."""
+    (error,) = curvature._first_bianchi_errors(curvature._pair_matrix(rm.components[None]), tol)
+    if error is not None:
+        raise error
     blocks = lambda2_blocks(rm.components[None], h[None])
-    curvature.check_first_bianchi_4(blocks.bianchi, blocks.scale, tol)
     hinv = np.linalg.inv(h)
     trace = np.einsum("jl,jabl->ab", hinv, rm.components, optimize=True)
     f = float(np.trace(hinv @ trace)) / 4.0
@@ -261,11 +263,10 @@ class TestLambda2Blocks:
             dim=4, components=dense_from_entries(4, [(0, 1, 2, 3, 1.0)])
         )
         valid = random_generic_tensor(RNG)
-        blocks = lambda2_blocks(
-            np.stack([broken.components, valid.components]), np.stack([np.eye(4)] * 2)
-        )
-        assert blocks.bianchi[0] == 1.0
-        assert abs(blocks.bianchi[1]) <= 1e-15
+        k0 = curvature._pair_matrix(np.stack([broken.components, valid.components]))
+        broken_error, valid_error = curvature._first_bianchi_errors(k0, 1e-15)
+        assert (broken_error.indices, broken_error.residual) == ((1, 2, 3, 4), 1.0)
+        assert valid_error is None
 
     def test_rejects_bad_input(self):
         with pytest.raises(DimensionError):
