@@ -30,7 +30,35 @@ machinery:
     closed-form and synthetic curvature families.
 ``cli``
     the ``curvforms`` batch command line.
+
+Importing the package before numpy loads numpy's OpenBLAS on one thread,
+unless ``OPENBLAS_NUM_THREADS``, ``OPENBLAS_DEFAULT_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set: every matrix the package
+hands to BLAS or LAPACK is small (at most 6x6 on Lambda^2 of a 4-manifold),
+which OpenBLAS never splits across threads, while the worker threads it
+starts at load cost every process about 70 ms of CPU.  ``os.environ`` is
+left as it was.  A program that wants threaded BLAS for large matrices of
+its own sets one of those variables or imports numpy first.
 """
+
+import os
+import sys
+
+# the variables OpenBLAS reads, once, when it loads
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _import_numpy_on_one_blas_thread() -> None:
+    if "numpy" in sys.modules or any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_on_one_blas_thread()
 
 from . import bivectors, complex_forms, curvature, exceptions, hodge, normal_forms, topology, zoo
 from .bivectors import *  # noqa: F403

@@ -10,7 +10,14 @@ integrate        weighted Euler/signature totals and the identity residual
 sums             connected-sum bookkeeping and the obstruction verdict
 
 Reports are deterministic: the same input file and flags produce
-byte-identical output.  Point analyses run on one thread in index order.
+byte-identical output.  Point analyses run on one thread in index order,
+and so does BLAS: the package loads numpy's OpenBLAS with one thread unless
+``OPENBLAS_NUM_THREADS``, ``OPENBLAS_DEFAULT_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, since every matrix it
+hands to BLAS is at most 6x6 (Lambda^2 of a 4-manifold) and the idle worker
+threads cost each command about 70 ms of CPU at start-up.  A program that imports the package before
+numpy gets that one-thread BLAS for its own large matrices too, unless it
+imports numpy first or sets one of those variables.
 Exit codes: 0 analysis complete, 1 analysis-level failure, 2 usage or format
 error.
 Reports are built as JSON values, each float that can be non-finite through

@@ -419,9 +419,7 @@ def operator_from(rm: CurvatureTensor, metric: np.ndarray, kind: str) -> Lambda2
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    g = np.asarray(metric, dtype=float)
-    if g.shape != (rm.dim, rm.dim):
-        raise DimensionError(f"metric shape {g.shape} does not match dim {rm.dim}")
+    g = _metric_of(rm, metric)
     signature = _signature_of(g)
     if kind == "via_lorentz" and signature != "lorentzian":
         raise DegenerateMetricError("via_lorentz needs a Lorentzian metric")
@@ -432,6 +430,14 @@ def operator_from(rm: CurvatureTensor, metric: np.ndarray, kind: str) -> Lambda2
     k = component_matrix(rm, basis)
     matrix = np.linalg.solve(gram, k)
     return Lambda2Operator(matrix=matrix, gram=gram, kind=kind, basis=basis)
+
+
+def _metric_of(rm: CurvatureTensor, metric) -> np.ndarray:
+    """``metric`` as a float array, or :class:`DimensionError` unless it is ``rm.dim`` square."""
+    g = np.asarray(metric, dtype=float)
+    if g.shape != (rm.dim, rm.dim):
+        raise DimensionError(f"metric shape {g.shape} does not match dim {rm.dim}")
+    return g
 
 
 def quadratic_form(op: Lambda2Operator, p: np.ndarray, tol: float = 1e-9) -> float:
@@ -472,18 +478,21 @@ def scalar_curvature(rm: CurvatureTensor, g: np.ndarray) -> float:
 
     Equals ``-2 trace(R_hat)`` in an orthonormal frame; ``space_form(4, 1)``
     gives 12, the scalar curvature of the unit round 4-sphere.  ``g`` must be
-    finite, symmetric and not numerically singular (``hodge._signature_of``).
+    ``rm.dim`` square, finite, symmetric and not numerically singular
+    (``hodge._signature_of``).
     """
+    g = _metric_of(rm, g)
     _signature_of(g)
-    ginv = np.linalg.inv(np.asarray(g, dtype=float))
+    ginv = np.linalg.inv(g)
     return float(np.einsum("ab,jl,jabl->", ginv, ginv, rm.components, optimize=True))
 
 
 def ricci_contraction(rm: CurvatureTensor, g: np.ndarray) -> np.ndarray:
     """Ricci tensor ``Ric_ab = g^jl R_jabl`` (classical sign: spheres positive), for a
     ``g`` that :func:`scalar_curvature` accepts."""
+    g = _metric_of(rm, g)
     _signature_of(g)
-    ginv = np.linalg.inv(np.asarray(g, dtype=float))
+    ginv = np.linalg.inv(g)
     return np.einsum("jl,jabl->ab", ginv, rm.components, optimize=True)
 
 

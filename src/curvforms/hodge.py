@@ -131,9 +131,9 @@ def lorentz_metric_from_unit(g: np.ndarray, t: np.ndarray, tol: float = 1e-9) ->
     """
     from .preconditions import _first_errors, _preconditions  # it imports this module
 
-    rules = _preconditions(tol, g=np.array([g], dtype=float), t=np.array([t], dtype=float), dim=4)
-    _alone(_first_errors([None], rules))
-    return _deformed(g, t, -2.0, tol)
+    g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
+    _alone(_first_errors([None], _preconditions(tol, g=g[None], t=t[None], dim=4)))
+    return _deformed(g, t, -2.0)
 
 
 def _metric_errors(m: np.ndarray, name, tol: float, definite: bool = True) -> list:
@@ -175,11 +175,10 @@ def _unit_errors(g: np.ndarray, t: np.ndarray, tol: float) -> tuple:
     return tt, errors
 
 
-def _deformed(g, t, f: float, tol: float) -> np.ndarray:
-    """``g + f (g t)(g t)^T`` for a ``t`` that is g-unit within ``tol`` (:func:`_unit_errors`):
-    :func:`lorentz_metric_from_unit` at ``f = -2`` and ``curvforms.zoo.deformed_metric``."""
-    g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
-    _alone(_unit_errors(g[None], t[None], tol)[1])
+def _deformed(g: np.ndarray, t: np.ndarray, f: float) -> np.ndarray:
+    """``g + f (g t)(g t)^T`` for float arrays ``g`` and ``t`` that passed the unit rule
+    (:func:`_unit_errors`): :func:`lorentz_metric_from_unit` at ``f = -2`` and
+    ``curvforms.zoo.deformed_metric``, each applying the rule once."""
     gt = g @ t
     return g + f * np.outer(gt, gt)
 

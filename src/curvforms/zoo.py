@@ -40,7 +40,7 @@ from .exceptions import (
     TensorValidationError,
     _alone,
 )
-from .hodge import _deformed, _metric_errors
+from .hodge import _deformed, _metric_errors, _unit_errors
 from .normal_forms import _pattern_components, h_orthonormal_frame
 from .preconditions import _first_errors, _preconditions
 
@@ -96,11 +96,20 @@ def validate_sample(sample: PointSample, tol: float = 1e-9) -> None:
 
 def _sample_error(sample: PointSample, tol: float):
     """The first violation of :func:`validate_sample`, or None."""
+    dim = sample.dim
     g = np.asarray(sample.g, dtype=float)[None]
     h = None if sample.h is None else np.asarray(sample.h, dtype=float)[None]
     t = None if sample.t is None else np.asarray(sample.t, dtype=float)[None]
-    r = np.asarray(sample.rm.components, dtype=float)[None]
-    return _stack_errors(sample.dim, g, h, t, [sample.weight], sample.rm.dim, r, tol)[0]
+    rules = _preconditions(tol, g=g, h=h, t=t, weight=_weight_rule([sample.weight]), dim=dim)
+    try:
+        if sample.rm.dim != dim:
+            raise DimensionError("curvature dimension does not match the sample")
+        r = np.asarray(sample.rm.components, dtype=float)[None]
+        _check_shape(r.shape[1:], dim)
+        rules += _identity_rules(r, tol)
+    except DimensionError as err:
+        rules.append(lambda at: repeat(err))
+    return _first_errors([None], rules)[0]
 
 
 def _weight_rule(weights: list):
@@ -111,22 +120,6 @@ def _weight_rule(weights: list):
         else ValueError(f"weight must be a finite nonnegative number, got {w!r}")
         for w in map(weights.__getitem__, np.arange(len(weights))[at].tolist())
     ]
-
-
-def _stack_errors(dim: int, g, h, t, weights, rm_dim: int, r, tol: float, has_t=None) -> list:
-    """The first violation of :func:`validate_sample` of every point of a stack, or
-    None: ``g``, ``h`` (None when no point has one), ``t`` (None, or given where
-    ``has_t``; other rows, NaN in a :class:`_Chunk`, pass), ``weights`` (a list)
-    and dense components ``r`` of dimension ``rm_dim``."""
-    rules = _preconditions(tol, g=g, h=h, t=t, given=has_t, weight=_weight_rule(weights), dim=dim)
-    try:
-        if rm_dim != dim:
-            raise DimensionError("curvature dimension does not match the sample")
-        _check_shape(r.shape[1:], dim)
-        rules += _identity_rules(r, tol)
-    except DimensionError as err:
-        rules.append(lambda at: repeat(err))
-    return _first_errors([None] * len(weights), rules)
 
 
 # ---- line format ----
@@ -734,7 +727,9 @@ def deformed_metric(g, t, f: float) -> np.ndarray:
     ``f = -2`` is ``hodge.lorentz_metric_from_unit``, whose unit rule ``t`` must pass at 1e-9;
     ``f = -1`` is degenerate and rejected; other values stay metrics (positive definite for ``f > -1``).
     """
-    deformed = _deformed(g, t, float(f), 1e-9)
+    g, t = np.asarray(g, dtype=float), np.asarray(t, dtype=float)
+    _alone(_unit_errors(g[None], t[None], 1e-9)[1])
+    deformed = _deformed(g, t, float(f))
     if abs(1.0 + f) <= 1e-12:
         raise DegenerateMetricError("f = -1 collapses the T direction")
     return deformed

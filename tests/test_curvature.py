@@ -435,6 +435,18 @@ class TestOperators:
         with pytest.raises(DegenerateMetricError, match=f"^{message}$"):
             fn()
 
+    @pytest.mark.parametrize("call", [scalar_curvature, ricci_contraction])
+    @pytest.mark.parametrize("g", [np.eye(3), np.full((3, 3), np.nan)])
+    def test_a_wrong_shaped_metric_reads_as_operator_from_says(self, call, g):
+        # the shape is checked before the metric rule, as in operator_from;
+        # it used to reach np.einsum and raise numpy's own ValueError
+        rm = space_form(4, 1.0)
+        message = r"^metric shape \(3, 3\) does not match dim 4$"
+        with pytest.raises(DimensionError, match=message):
+            operator_from(rm, g, "via_g")
+        with pytest.raises(DimensionError, match=message):
+            call(rm, g)
+
 
 # ---- quadratic forms ----
 

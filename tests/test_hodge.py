@@ -13,6 +13,8 @@ Identities exercised:
   * complexification: star maps to iI; commuting block operators map to P + iQ
 """
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -30,7 +32,7 @@ from curvforms.hodge import (
     lorentz_metric_from_unit,
     sd_asd_basis,
 )
-from curvforms.zoo import PointSample, validate_sample
+from curvforms.zoo import PointSample, deformed_metric, validate_sample
 
 RNG = np.random.default_rng(41)
 BASIS = bivector_basis(4)
@@ -156,6 +158,15 @@ class TestLorentzMetric:
     def test_non_unit_rejected(self):
         with pytest.raises(NonUnitVectorError):
             lorentz_metric_from_unit(np.eye(4), np.array([1.1, 0, 0, 0]))
+
+    @pytest.mark.parametrize("t", [[1.1, 0, 0, 0], [np.nan, 0, 0, 0]])
+    def test_non_unit_message_is_that_of_deformed_metric(self, t):
+        # the precondition chain applies the unit rule once in
+        # lorentz_metric_from_unit; deformed_metric applies it on its own
+        message = "g(T, T) = 1.21, expected 1" if np.isfinite(t[0]) else "T must be finite"
+        for call in (lorentz_metric_from_unit, lambda g, t: deformed_metric(g, t, -2.0)):
+            with pytest.raises(NonUnitVectorError, match=f"^{re.escape(message)}$"):
+                call(np.eye(4), np.array(t))
 
     @pytest.mark.parametrize(
         "g",

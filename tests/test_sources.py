@@ -1,6 +1,7 @@
 """The sources stay within the Python 3.10 grammar, the floor of pyproject.toml,
-the line counts of `tools/src_lines.py` cover each of their lines once, and
-`tools/report_bytes.py` hashes every file command's report."""
+the line counts of `tools/src_lines.py` cover each of their lines once,
+`tools/report_bytes.py` hashes every file command's report, and
+`tools/startup.py` alternates its pairs of starts."""
 
 import ast
 import importlib.util
@@ -99,3 +100,27 @@ def test_report_bytes_hashes_the_exit_code_and_both_streams(tmp_path):
     path.write_text(line % "0.5")  # the same file name, now breaking first Bianchi
     broken, code = tool.run_digest(["validate", str(path)])
     assert code == 1 and broken != clean
+
+
+def test_startup_alternates_twenty_pairs_of_the_two_trees(monkeypatch, capsys, tmp_path):
+    tool = _tool("startup")
+    calls = []
+
+    def record(argv, env):
+        calls.append((argv[1:], Path(env["PYTHONPATH"]).name))
+        return (0.2, 0.3) if env["PYTHONPATH"].endswith("a") else (0.1, 0.4)
+
+    monkeypatch.setattr(tool, "run_once", record)
+    assert tool.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert {tuple(argv) for argv, _ in calls} == {("-c", "import curvforms")}
+    trees = [tree for _, tree in calls]
+    # one untimed start of each, then A first in even pairs and B first in odd ones
+    assert trees == ["a", "b"] + ["a", "b", "b", "a"] * (tool.PAIRS // 2) and tool.PAIRS == 20
+    out = capsys.readouterr().out
+    assert "wall wins: A 0, B 20" in out and "cpu wins: A 20, B 0" in out
+    assert "median 0.2000 s  quartiles 0.2000 .. 0.2000 s" in out
+
+    calls.clear()
+    assert tool.main(["a", "b", "--version"]) == 0
+    assert {tuple(argv) for argv, _ in calls} == {("-m", "curvforms", "--version")} and len(calls) == 42
+    assert tool.main([]) == 2 and tool.main(["a"]) == 2

@@ -3,6 +3,7 @@
 import dataclasses
 import gzip
 import math
+import re
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from curvforms.normal_forms import (
     orthogonal_normal_form_4,
     signed_curvature_3,
 )
+from curvforms.preconditions import _first_errors, _preconditions
 from curvforms.zoo import (
     PointSample,
     deformed_metric,
@@ -112,7 +114,7 @@ class TestValidateSample:
     def test_real_weights_accepted(self, weight):
         sample, _, _ = random_star_h_sample(np.random.default_rng(8))
         validate_sample(dataclasses.replace(sample, weight=weight))
-        assert zoo._stack_errors(4, sample.g[None], None, None, [weight], 4, sample.rm.components[None], 1e-9) == [None]
+        assert zoo._sample_error(dataclasses.replace(sample, weight=weight), 1e-9) is None
 
     @pytest.mark.parametrize("weight", [True, False, np.bool_(True), "1", None, 10**400, np.float32(-0.5), math.inf])
     def test_weights_that_are_not_finite_nonnegative_reals_rejected(self, weight):
@@ -121,8 +123,8 @@ class TestValidateSample:
         with pytest.raises(ValueError) as info:
             validate_sample(dataclasses.replace(sample, weight=weight))
         assert str(info.value) == message
-        (error,) = zoo._stack_errors(4, sample.g[None], None, None, [weight], 4, sample.rm.components[None], 1e-9)
-        assert str(error) == message
+        error = zoo._sample_error(dataclasses.replace(sample, weight=weight), 1e-9)
+        assert (type(error), str(error)) == (ValueError, message)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_components_rejected(self, bad):
@@ -132,9 +134,9 @@ class TestValidateSample:
         with pytest.raises(TensorValidationError) as err:
             validate_sample(dataclasses.replace(sample, rm=CurvatureTensor(4, r)))
         assert err.value.identity == "finite components" and err.value.indices == (1, 3, 2, 4)
-        g, stack = np.stack([sample.g] * 2), np.stack([sample.rm.components, r])
-        errors = zoo._stack_errors(4, g, None, None, [1.0, 1.0], 4, stack, 1e-9)
-        assert errors[0] is None and (type(errors[1]), str(errors[1])) == (TensorValidationError, str(err.value))
+        error = zoo._sample_error(dataclasses.replace(sample, rm=CurvatureTensor(4, r)), 1e-9)
+        assert zoo._sample_error(sample, 1e-9) is None
+        assert (type(error), str(error)) == (TensorValidationError, str(err.value))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -150,16 +152,21 @@ class TestValidateSample:
         for broken, kind, message in cases:
             with pytest.raises(kind, match=f"^{message}$"):
                 validate_sample(broken)
-        # in a stack, a row of NaN where has_t is False is an absent T and passes
-        t = np.array([[np.nan] * 4, [1.0, 0.0, 0.0, 0.0], [bad, 0.0, 0.0, 0.0], [np.nan] * 4])
-        r = np.stack([sample.rm.components] * 4)
+            error = zoo._sample_error(broken, 1e-9)
+            assert (type(error), str(error)) == (kind, message)
+        # an absent T passes, a finite unit one too, a NaN one is not finite;
+        # in the chunk chain of `curvforms validate` an absent T is a row of
+        # NaN where has_t is False
+        ts = [None, np.array([1.0, 0.0, 0.0, 0.0]), np.array([bad, 0.0, 0.0, 0.0]), np.array([np.nan] * 4)]
+        errors = [zoo._sample_error(dataclasses.replace(sample, t=t), 1e-9) for t in ts]
+        stacked_t = np.array([[np.nan] * 4, *ts[1:]])
         has_t = np.array([False, True, True, True])
-        errors = zoo._stack_errors(4, np.stack([np.eye(4)] * 4), None, t, [1.0] * 4, 4, r, 1e-9, has_t)
-        assert [None if e is None else (type(e), str(e)) for e in errors] == [
-            None, None, (NonUnitVectorError, "T must be finite"), (NonUnitVectorError, "T must be finite")
-        ]
+        rules = _preconditions(1e-9, g=np.stack([np.eye(4)] * 4), t=stacked_t, given=has_t)
+        expected = [None, None, (NonUnitVectorError, "T must be finite"), (NonUnitVectorError, "T must be finite")]
+        for found in (errors, _first_errors([None] * 4, rules)):
+            assert [None if e is None else (type(e), str(e)) for e in found] == expected
 
-    def test_the_stacked_check_keeps_each_point_s_first_violation(self):
+    def test_each_sample_reads_its_first_violation(self):
         rng = np.random.default_rng(10)
         samples = [random_star_h_sample(rng)[0] for _ in range(6)]
         samples[1] = dataclasses.replace(samples[1], weight=True)
@@ -169,20 +176,20 @@ class TestValidateSample:
         broken[0, 1, 2, 3] = broken[2, 3, 0, 1] = broken[1, 0, 3, 2] = broken[3, 2, 1, 0] = 1.0
         broken[1, 0, 2, 3] = broken[0, 1, 3, 2] = broken[2, 3, 1, 0] = broken[3, 2, 0, 1] = -1.0
         samples[4] = dataclasses.replace(samples[4], rm=CurvatureTensor(4, broken))
-        stack = [np.stack([getattr(s, name) for s in samples]) for name in ("g", "h")]
-        r = np.stack([s.rm.components for s in samples])
-        errors = zoo._stack_errors(4, *stack, None, [s.weight for s in samples], 4, r, 1e-9)
-        expected = []
-        for sample in samples:
-            try:
-                validate_sample(sample)
-                expected.append(None)
-            except ValueError as err:
-                expected.append((type(err), str(err)))
-        assert [None if e is None else (type(e), str(e)) for e in errors] == expected
-        assert [e is None for e in expected] == [True, False, False, False, False, True]
-        assert "g must be positive definite" in expected[2][1]
-        assert expected[4][1].startswith("first Bianchi identity")
+        errors = [zoo._sample_error(s, 1e-9) for s in samples]
+        # the metric rule on g comes before the weight rule
+        assert [None if e is None else (type(e), str(e)) for e in errors[:4]] == [
+            None,
+            (ValueError, "weight must be a finite nonnegative number, got True"),
+            (DegenerateMetricError, "g must be positive definite"),
+            (DegenerateMetricError, "h must be positive definite"),
+        ]
+        assert type(errors[4]) is TensorValidationError and str(errors[4]).startswith("first Bianchi identity")
+        assert errors[5] is None
+        for sample, error in zip(samples, errors):
+            if error is not None:
+                with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+                    validate_sample(sample)
 
 
 # ---- line format ----
